@@ -256,6 +256,8 @@ def dispatch(ns: argparse.Namespace) -> int:
         sys.stdout.write(report.to_text())
         return 0 if report.passed else 4
 
+    if ns.k > min(ns.m, ns.d):
+        raise ConfigError(f"rank {ns.k} exceeds min(m, d)={min(ns.m, ns.d)}")
     report = memory_report(ns.m, ns.d, ns.k, ns.tau)
     if ns.out:
         _write_json(ns.out, report.to_dict())

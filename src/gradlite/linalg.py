@@ -2,9 +2,16 @@
 
 Values are plain numpy arrays validated at the boundaries (`as_vector`,
 `as_matrix`).  `matvec` and `matvec_t` accumulate in a pinned order
-(ascending reduction index, no pairwise or compensated summation) so their
-results are bit-identical to a scalar double loop and reproducible across
-runs.  Everything here is pure; nothing mutates its inputs.
+(ascending reduction index, starting from 0.0, no pairwise or compensated
+summation) so their results are bit-identical to a scalar double loop and
+reproducible across runs.  They pin the order with whole-array numpy
+operations: the elementwise products are formed in a C-ordered array whose
+outer axis is the reduction index, and that axis is reduced, which numpy
+does one row at a time.  numpy sums pairwise only along a contiguous inner
+axis, so the C order matters for Fortran-ordered or strided inputs, and a
+single-column product, which numpy would reduce as one contiguous run, is
+summed with a sequential cumsum instead.  Everything here is pure; nothing
+mutates its inputs.
 """
 
 from __future__ import annotations
@@ -47,24 +54,34 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
+def _pinned_row_sum(p: np.ndarray) -> np.ndarray:
+    """0.0 + p[0] + p[1] + ..., row by row, for a C-ordered 2-d p."""
+    if p.shape[1] == 1:
+        # + 0.0 turns an all-(-0.0) sum into +0.0, as the loop's 0.0 start does.
+        return np.cumsum(p[:, 0])[-1:] + 0.0
+    return np.add.reduce(p, axis=0, initial=0.0)
+
+
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x with the summation over columns in ascending index order."""
+    """a @ x with the summation over columns in ascending index order.
+
+    The products a[:, j] * x[j] go into a C-ordered (d, m) array, one row
+    per column of a, and its rows are summed in order (see the module doc).
+    """
     if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
         raise DimError(f"matvec: {a.shape} @ {x.shape}")
-    out = np.zeros(a.shape[0])
-    for j in range(a.shape[1]):
-        out += a[:, j] * x[j]
-    return out
+    return _pinned_row_sum(np.multiply(a.T, x[:, None], order="C", dtype=np.float64))
 
 
 def matvec_t(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """a.T @ y summed over rows in ascending index order (row-major walk)."""
+    """a.T @ y summed over rows in ascending index order (row-major walk).
+
+    The products a[i] * y[i] go into a C-ordered (m, d) array and its rows
+    are summed in order (see the module doc).
+    """
     if a.ndim != 2 or y.ndim != 1 or a.shape[0] != y.shape[0]:
         raise DimError(f"matvec_t: {a.shape}.T @ {y.shape}")
-    out = np.zeros(a.shape[1])
-    for i in range(a.shape[0]):
-        out += a[i] * y[i]
-    return out
+    return _pinned_row_sum(np.multiply(a, y[:, None], order="C", dtype=np.float64))
 
 
 def frob_residual(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

@@ -87,7 +87,6 @@ class StepTrace:
     g_hat: np.ndarray        # corrected gradient actually applied
     big_delta: np.ndarray    # residual estimate
     g_exact: np.ndarray | None  # present iff the exact probe ran
-    loss: float              # loss at the pre-update iterate
 
 
 def _require_finite(vec: np.ndarray, step: int, what: str):
@@ -142,11 +141,9 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
     t = state.step
     theta = state.theta
     policy = cfg.policy()
-    loss = problem.loss(theta, batch)
     delta = problem.error_signal(theta, batch)
     _require_finite(delta, t, "delta")
 
-    slices = problem.block_slices()
     proj_parts, gt_parts, gh_parts, bd_parts = [], [], [], []
     for b in range(problem.blocks):
         due = (t - state.factors[b].birth_step) >= cfg.tau
@@ -181,7 +178,7 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
     state.last_grad = g_exact
     trace = StepTrace(delta=delta, delta_proj=np.concatenate(proj_parts),
                       g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta,
-                      g_exact=g_exact, loss=loss)
+                      g_exact=g_exact)
     return state, trace
 
 

@@ -107,6 +107,13 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "960" in out and "1168" in out and "41.6% lower" in out
 
+    def test_mem_report_rank_above_min_dim_exits_three(self, capsys):
+        assert main(["mem-report", "--m", "10", "--d", "5", "--k", "50"]) == 3
+        captured = capsys.readouterr()
+        assert "rank 50" in captured.err
+        assert "Traceback" not in captured.err
+        assert "lower" not in captured.out
+
 
 class TestDeterminism:
     def test_rerun_overwrites_with_identical_bytes(self, tmp_path):

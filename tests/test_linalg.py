@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gradlite.errors import DimError, NumError, RankError
 from gradlite.linalg import (frob_residual, matvec, matvec_t, truncated_svd)
@@ -46,14 +46,30 @@ class TestMatvec:
         with pytest.raises(DimError):
             matvec(J32, np.array([1.0, 2.0, 3.0]))
 
-    @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 12))
+    @given(st.integers(0, 2**32), st.integers(1, 300), st.integers(1, 300))
+    @example(seed=0, m=1, d=300)
+    @example(seed=1, m=300, d=1)
+    @example(seed=2, m=1, d=1)
     def test_loop_oracle_property(self, seed, m, d):
         stream = SplitMix64(seed)
         a = stream.normal_matrix(m, d)
         x = stream.normals(d)
         y = stream.normals(m)
-        assert np.array_equal(matvec(a, x), loop_matvec(a, x))
-        assert np.array_equal(matvec_t(a, y), loop_matvec_t(a, y))
+        want, want_t = loop_matvec(a, x), loop_matvec_t(a, y)
+        # The same values as drawn, Fortran-ordered, and as a strided view.
+        spread = np.repeat(np.repeat(a, 2, axis=0), 2, axis=1)
+        for a_, x_, y_ in ((a, x, y), (np.asfortranarray(a), x, y),
+                           (spread[::2, ::2], np.repeat(x, 2)[::2],
+                            np.repeat(y, 2)[::2])):
+            assert np.array_equal(matvec(a_, x_), want)
+            assert np.array_equal(matvec_t(a_, y_), want_t)
+
+    @pytest.mark.parametrize("m, d", [(4, 3), (4, 1), (1, 3)])
+    def test_all_negative_zero_terms_sum_to_positive_zero(self, m, d):
+        # The loop starts from +0.0, so a sum of -0.0 terms is +0.0.
+        a = -np.ones((m, d))
+        for got in (matvec(a, np.zeros(d)), matvec_t(a, np.zeros(m))):
+            assert not np.signbit(got).any()
 
 
 class TestMatvecT:
