@@ -7,22 +7,20 @@ from .feedback import (DeltaEstimate, ErrorAccumulator, correct,
                        estimate_delta, update_accumulator, zero_accumulator)
 from .harness import (AblationResult, GradCheckReport, MemoryReport, RateFit,
                       RunMetrics, ablation_suite, build_problem,
-                      grad_check_suite, memory_account, memory_counts,
-                      memory_report, rate_check, rate_sweep, run_experiment)
-from .linalg import (SvdResult, as_matrix, as_vector, frob_residual, matvec,
-                     matvec_t, truncated_svd)
-from .lowrank import (LowRankFactor, RefreshPolicy, approx_gradient,
-                      factorize, maybe_refresh, projected_signal,
-                      static_basis)
+                      grad_check_suite, memory_counts, memory_report,
+                      rate_check, rate_sweep, run_experiment)
+from .linalg import (SvdResult, as_matrix, frob_residual, matvec, matvec_t,
+                     truncated_svd)
+from .lowrank import (LowRankFactor, approx_gradient, factorize,
+                      projected_signal, static_basis)
 from .optimizers import (GradLiteConfig, OptimizerState, StepTrace, adam_step,
                          averaged_iterate, galore_like_step, gradlite_step,
                          init_gradlite_state, init_state, sgd_step,
                          stochastic_gradient)
 from .problems import (Dataset, LogisticProblem, MlpProblem, Problem,
                        QuadraticProblem, finite_difference_gradient,
-                       logistic_problem, make_gaussian_logistic,
-                       make_lowrank_logistic, make_mlp, make_quadratic,
-                       mlp_problem, quadratic_problem, synth_dataset)
+                       make_gaussian_logistic, make_lowrank_logistic, make_mlp,
+                       make_quadratic, synth_dataset)
 from .rng import SplitMix64, derive_seed
 
 __version__ = "0.1.0"

@@ -14,8 +14,14 @@ import sys
 
 from .errors import (ConfigError, DataError, DimError, GradLiteError,
                      NumError, RankError, SpdError)
-from .harness import (ablation_suite, grad_check_suite, memory_report,
-                      rate_sweep, run_experiment)
+from .feedback import PROBES
+from .harness import (OPTIMIZERS, PROBLEMS, ablation_suite, grad_check_suite,
+                      memory_report, rate_sweep, run_experiment)
+from .lowrank import BASIS_MODES
+from .optimizers import EF_MODES
+
+# run flags named apart from the spec keys they set
+_FLAG_DEST = {"d": "dim", "basis_mode": "basis"}
 
 
 def _int_list(text: str) -> list[int]:
@@ -23,6 +29,11 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}") from err
+
+
+def _per_problem(key: str) -> str:
+    return ", ".join(f"{name} {defaults[key]:g}" for name, defaults in PROBLEMS.items()
+                     if key in defaults)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -41,47 +52,45 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     run = sub.add_parser("run", help="one seeded optimization run with CSV metrics")
     add_config(run)
-    run.add_argument("--problem", default="quadratic",
-                     choices=["quadratic", "logistic", "lowrank-logistic", "mlp"],
-                     help="objective family (default: quadratic)")
+    run.add_argument("--problem", default="quadratic", choices=list(PROBLEMS),
+                     help="objective family (default: %(default)s)")
     run.add_argument("--dim", type=int, default=None,
-                     help="parameter dimension (default: per problem; "
-                          "quadratic 50, logistic 50, lowrank-logistic 128)")
+                     help=f"parameter dimension (default: per problem; {_per_problem('d')})")
     run.add_argument("--n", type=int, default=None,
-                     help="sample count for data problems (default: per problem; "
-                          "logistic 200, lowrank-logistic 512, mlp 32)")
+                     help="sample count for data problems "
+                          f"(default: per problem; {_per_problem('n')})")
     run.add_argument("--cond", type=float, default=None,
-                     help="condition number (default: quadratic 100, "
-                          "lowrank-logistic 1000)")
+                     help=f"condition number (default: {_per_problem('cond')})")
     run.add_argument("--sigma", type=float, default=None,
-                     help="error-signal noise scale, quadratic only (default: 0)")
+                     help="error-signal noise scale, quadratic only "
+                          f"(default: {PROBLEMS['quadratic']['sigma']:g})")
     run.add_argument("--l2", type=float, default=None,
-                     help="ridge strength, logistic only (default: 0)")
+                     help="ridge strength, logistic only "
+                          f"(default: {PROBLEMS['logistic']['l2']:g})")
     run.add_argument("--layers", type=_int_list, default=None,
-                     help="mlp widths as comma list (default: 8,16,1)")
-    run.add_argument("--opt", default="gradlite",
-                     choices=["gradlite", "sgd", "adam", "galore"],
-                     help="optimizer (default: gradlite)")
-    run.add_argument("--eta", type=float, default=0.05,
-                     help="learning rate (default: 0.05)")
-    run.add_argument("--k", type=int, default=8,
-                     help="rank for gradlite/galore (default: 8)")
-    run.add_argument("--tau", type=int, default=10,
-                     help="factor refresh period (default: 10)")
-    run.add_argument("--ef-mode", default="ef-standard",
-                     choices=["paper", "ef-standard", "off"],
-                     help="feedback accumulator rule (default: ef-standard)")
-    run.add_argument("--probe", default="exact", choices=["exact", "none"],
-                     help="residual estimator (default: exact)")
-    run.add_argument("--basis", default="svd",
-                     choices=["svd", "random-projection"],
-                     help="factor basis mode (default: svd)")
-    run.add_argument("--beta1", type=float, default=0.9,
-                     help="adam first-moment decay (default: 0.9)")
-    run.add_argument("--beta2", type=float, default=0.999,
-                     help="adam second-moment decay (default: 0.999)")
-    run.add_argument("--eps", type=float, default=1e-8,
-                     help="adam denominator floor (default: 1e-08)")
+                     help="mlp widths as comma list "
+                          f"(default: {','.join(map(str, PROBLEMS['mlp']['layers']))})")
+    gradlite, adam = OPTIMIZERS["gradlite"][0], OPTIMIZERS["adam"][0]
+    run.add_argument("--opt", default="gradlite", choices=list(OPTIMIZERS),
+                     help="optimizer (default: %(default)s)")
+    run.add_argument("--eta", type=float, default=gradlite["eta"],
+                     help="learning rate (default: %(default)s)")
+    run.add_argument("--k", type=int, default=gradlite["k"],
+                     help="rank for gradlite/galore (default: %(default)s)")
+    run.add_argument("--tau", type=int, default=gradlite["tau"],
+                     help="factor refresh period (default: %(default)s)")
+    run.add_argument("--ef-mode", default=gradlite["ef_mode"], choices=EF_MODES,
+                     help="feedback accumulator rule (default: %(default)s)")
+    run.add_argument("--probe", default=gradlite["probe"], choices=PROBES,
+                     help="residual estimator (default: %(default)s)")
+    run.add_argument("--basis", default=gradlite["basis_mode"], choices=BASIS_MODES,
+                     help="factor basis mode (default: %(default)s)")
+    run.add_argument("--beta1", type=float, default=adam["beta1"],
+                     help="adam first-moment decay (default: %(default)s)")
+    run.add_argument("--beta2", type=float, default=adam["beta2"],
+                     help="adam second-moment decay (default: %(default)s)")
+    run.add_argument("--eps", type=float, default=adam["eps"],
+                     help="adam denominator floor (default: %(default)s)")
     run.add_argument("--steps", type=int, default=1000,
                      help="number of optimization steps (default: 1000)")
     run.add_argument("--out", required=True, metavar="CSV",
@@ -180,7 +189,10 @@ def _apply_config(command: str, path: str, argv: list) -> argparse.Namespace:
         if dest not in actions:
             raise ConfigError(f"{path}: unknown key {key!r} for {command!r}")
         action = actions[dest]
-        value = action.type(raw) if action.type is not None else raw
+        try:
+            value = action.type(raw) if action.type is not None else raw
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise ConfigError(f"{path}: {key}={raw!r}: {err}") from err
         if action.choices is not None and value not in action.choices:
             raise ConfigError(f"{path}: {key}={raw!r} not in {sorted(action.choices)}")
         mapped[dest] = value
@@ -188,30 +200,10 @@ def _apply_config(command: str, path: str, argv: list) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _problem_spec(ns: argparse.Namespace) -> dict:
-    spec = {"name": ns.problem}
-    if ns.problem == "quadratic":
-        picks = {"d": ns.dim, "cond": ns.cond, "sigma": ns.sigma}
-    elif ns.problem == "logistic":
-        picks = {"n": ns.n, "d": ns.dim, "l2": ns.l2}
-    elif ns.problem == "lowrank-logistic":
-        picks = {"n": ns.n, "d": ns.dim, "cond": ns.cond}
-    else:
-        picks = {"layers": ns.layers, "n": ns.n}
-    spec.update({k: v for k, v in picks.items() if v is not None})
-    return spec
-
-
-def _optimizer_spec(ns: argparse.Namespace) -> dict:
-    if ns.opt == "gradlite":
-        return {"name": "gradlite", "eta": ns.eta, "k": ns.k, "tau": ns.tau,
-                "ef_mode": ns.ef_mode, "probe": ns.probe, "basis_mode": ns.basis}
-    if ns.opt == "sgd":
-        return {"name": "sgd", "eta": ns.eta}
-    if ns.opt == "adam":
-        return {"name": "adam", "eta": ns.eta, "beta1": ns.beta1,
-                "beta2": ns.beta2, "eps": ns.eps}
-    return {"name": "galore", "eta": ns.eta, "k": ns.k, "tau": ns.tau}
+def _spec(ns: argparse.Namespace, name: str, keys) -> dict:
+    """The spec for `name` from the run flags that set `keys`."""
+    picks = {key: getattr(ns, _FLAG_DEST.get(key, key)) for key in keys}
+    return {"name": name, **{k: v for k, v in picks.items() if v is not None}}
 
 
 def _write_json(path: str, payload: dict):
@@ -222,7 +214,8 @@ def _write_json(path: str, payload: dict):
 
 def dispatch(ns: argparse.Namespace) -> int:
     if ns.command == "run":
-        metrics = run_experiment(_problem_spec(ns), _optimizer_spec(ns),
+        metrics = run_experiment(_spec(ns, ns.problem, PROBLEMS[ns.problem]),
+                                 _spec(ns, ns.opt, OPTIMIZERS[ns.opt][0]),
                                  ns.steps, ns.seed)
         metrics.write_csv(ns.out)
         if ns.summary:

@@ -9,15 +9,14 @@ byte-identical.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DivergedError, NonPositiveGapError
 from .optimizers import (GradLiteConfig, adam_step, averaged_iterate,
-                         galore_like_step, gradlite_step,
+                         check_hyperparams, galore_like_step, gradlite_step,
                          init_gradlite_state, init_state, sgd_step)
 from .problems import (Problem, finite_difference_gradient,
                        make_gaussian_logistic, make_lowrank_logistic,
@@ -32,7 +31,12 @@ _ABLATION_SALT = 0x4A12_0004
 _CHECK_SALT = 0x4A12_0005
 
 ETA_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
-ABLATION_VARIANTS = ("full", "no-error-feedback", "random-projection")
+# variant -> what it changes in the full method's GradLiteConfig
+ABLATION_VARIANTS = {
+    "full": {},
+    "no-error-feedback": {"ef_mode": "off"},
+    "random-projection": {"basis_mode": "random-projection"},
+}
 
 
 def _fmt(x) -> str:
@@ -41,23 +45,29 @@ def _fmt(x) -> str:
 
 # -- spec registries -------------------------------------------------------
 
-_PROBLEM_PARAMS = {
+PROBLEMS = {
     "quadratic": {"d": 50, "cond": 100.0, "sigma": 0.0},
     "logistic": {"n": 200, "d": 50, "l2": 0.0},
     "lowrank-logistic": {"n": 512, "d": 128, "cond": 1e3},
     "mlp": {"layers": (8, 16, 1), "n": 32},
 }
 
-_OPTIMIZER_PARAMS = {
-    "gradlite": {"eta": 0.05, "k": 8, "tau": 10, "ef_mode": "ef-standard",
-                 "probe": "exact", "basis_mode": "svd"},
-    "sgd": {"eta": 0.05},
-    "adam": {"eta": 0.05, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
-    "galore": {"eta": 0.05, "k": 8, "tau": 10},
+# gradlite's defaults past eta and k are GradLiteConfig's own.
+_GRADLITE = {"eta": 0.05, "k": 8, **{f.name: f.default for f in fields(GradLiteConfig)
+                                     if f.name not in ("eta", "k", "seed")}}
+
+# name -> (hyperparameter defaults, memory-ledger row)
+OPTIMIZERS = {
+    "gradlite": (_GRADLITE, "gradlite"),
+    "sgd": ({"eta": _GRADLITE["eta"]}, "exact-sgd"),
+    "adam": ({"eta": _GRADLITE["eta"], "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+             "adam"),
+    "galore": ({key: _GRADLITE[key] for key in ("eta", "k", "tau")}, "galore"),
 }
 
 
 def _resolve(spec: dict, table: dict, kind: str) -> tuple[str, dict]:
+    """The spec's name and all its parameters, each cast to its default's type."""
     if "name" not in spec:
         raise ConfigError(f"{kind} spec needs a 'name' key")
     name = spec["name"]
@@ -69,35 +79,31 @@ def _resolve(spec: dict, table: dict, kind: str) -> tuple[str, dict]:
             continue
         if key not in params:
             raise ConfigError(f"unknown key {key!r} for {kind} {name!r}")
-        params[key] = val
+        cast = type(params[key])
+        try:
+            params[key] = tuple(int(w) for w in val) if cast is tuple else cast(val)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{kind} {name!r}: bad {key} {val!r}") from err
     return name, params
 
 
 def build_problem(spec: dict, seed: int) -> Problem:
     """Instantiate the named problem; its data derives from the run seed."""
-    name, p = _resolve(spec, _PROBLEM_PARAMS, "problem")
+    name, p = _resolve(spec, PROBLEMS, "problem")
     pseed = derive_seed(seed, _PROBLEM_SALT)
     if name == "quadratic":
-        return make_quadratic(int(p["d"]), float(p["cond"]), float(p["sigma"]), pseed)
+        return make_quadratic(p["d"], p["cond"], p["sigma"], pseed)
     if name == "logistic":
-        return make_gaussian_logistic(int(p["n"]), int(p["d"]), pseed,
-                                      l2=float(p["l2"]), solve_optimum=True)
+        return make_gaussian_logistic(p["n"], p["d"], pseed, l2=p["l2"],
+                                      solve_optimum=True)
     if name == "lowrank-logistic":
-        return make_lowrank_logistic(int(p["n"]), int(p["d"]), float(p["cond"]), pseed)
-    return make_mlp([int(w) for w in p["layers"]], int(p["n"]), pseed)
+        return make_lowrank_logistic(p["n"], p["d"], p["cond"], pseed)
+    return make_mlp(p["layers"], p["n"], pseed)
 
 
 def validate_optimizer(spec: dict) -> tuple[str, dict]:
-    name, p = _resolve(spec, _OPTIMIZER_PARAMS, "optimizer")
-    if name == "gradlite":
-        GradLiteConfig(eta=float(p["eta"]), k=int(p["k"]), tau=int(p["tau"]),
-                       ef_mode=p["ef_mode"], probe=p["probe"],
-                       basis_mode=p["basis_mode"])
-    else:
-        if not float(p["eta"]) > 0.0:
-            raise ConfigError("eta must be > 0")
-        if name == "galore" and (int(p["k"]) < 1 or int(p["tau"]) < 1):
-            raise ConfigError("k and tau must be >= 1")
+    name, p = _resolve(spec, {n: d for n, (d, _) in OPTIMIZERS.items()}, "optimizer")
+    check_hyperparams(**p)
     return name, p
 
 
@@ -129,7 +135,6 @@ class RunMetrics:
     records: list[StepRecord] = field(default_factory=list)
     diverged: bool = False
     diverged_step: int | None = None
-    wall_time: float = 0.0
 
     @property
     def final_loss(self) -> float:
@@ -180,51 +185,34 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    opt_name, opt_params = validate_optimizer(optimizer_spec)
+    opt_name, params = validate_optimizer(optimizer_spec)
     problem = build_problem(problem_spec, seed)
     problem.reset_noise(derive_seed(seed, _NOISE_SALT))
-    opt_seed = derive_seed(seed, _OPT_SALT)
 
-    mem = memory_counts(problem.m, problem.d,
-                        k=int(opt_params.get("k", 0)) or None,
-                        tau=int(opt_params.get("tau", 0)) or None)[
-        "gradlite" if opt_name == "gradlite" else
-        "galore" if opt_name == "galore" else
-        "adam" if opt_name == "adam" else "exact-sgd"]
+    mem = memory_counts(problem.m, problem.d, k=params.get("k"),
+                        tau=params.get("tau"))[OPTIMIZERS[opt_name][1]]
     bwd = mem.activation + mem.signal + mem.factor
     opt_scalars = mem.accumulator + mem.optimizer_state
 
     cfg = None
     if opt_name == "gradlite":
-        cfg = GradLiteConfig(eta=float(opt_params["eta"]), k=int(opt_params["k"]),
-                             tau=int(opt_params["tau"]), ef_mode=opt_params["ef_mode"],
-                             probe=opt_params["probe"],
-                             basis_mode=opt_params["basis_mode"], seed=opt_seed)
+        cfg = GradLiteConfig(seed=derive_seed(seed, _OPT_SALT), **params)
         state = init_gradlite_state(problem, None, cfg)
     else:
+        baseline_step = {"sgd": sgd_step, "adam": adam_step,
+                         "galore": galore_like_step}[opt_name]
         state = init_state(problem)
 
     metrics = RunMetrics(problem_spec=dict(problem_spec),
                          optimizer_spec=dict(optimizer_spec), steps=steps,
                          seed=seed, initial_loss=problem.loss(state.theta))
-    t0 = time.perf_counter()
     for t in range(1, steps + 1):
         trace = None
         try:
-            if opt_name == "gradlite":
+            if cfg is not None:
                 state, trace = gradlite_step(state, problem, None, cfg)
-            elif opt_name == "sgd":
-                state = sgd_step(state, problem, None, float(opt_params["eta"]))
-            elif opt_name == "adam":
-                state = adam_step(state, problem, None, float(opt_params["eta"]),
-                                  float(opt_params["beta1"]),
-                                  float(opt_params["beta2"]),
-                                  float(opt_params["eps"]))
             else:
-                state = galore_like_step(state, problem, None,
-                                         float(opt_params["eta"]),
-                                         int(opt_params["k"]),
-                                         int(opt_params["tau"]), opt_seed)
+                state = baseline_step(state, problem, None, **params)
         except DivergedError as err:
             metrics.diverged = True
             metrics.diverged_step = err.step
@@ -244,7 +232,6 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
             step=t, loss=loss, gap=gap, g_norm=_norm(state.last_grad),
             gtilde_norm=gtilde_norm, r_norm=r_norm, delta_norm=delta_norm,
             bwd_scalars=bwd, opt_scalars=opt_scalars))
-    metrics.wall_time = time.perf_counter() - t0
     return metrics
 
 
@@ -281,8 +268,7 @@ def memory_counts(m: int, d: int, k: int | None = None,
         "adam": MethodMemory(m, m, 0, 0, 2 * d),
     }
     if k is not None and tau is not None:
-        if k < 1 or tau < 1:
-            raise ConfigError("k and tau must be >= 1")
+        check_hyperparams(k=k, tau=tau)
         out["galore"] = MethodMemory(m, m, d * k, 0, d * tau)
         out["gradlite"] = MethodMemory(0, k, (m + d) * k / tau, d, 0)
     return out
@@ -330,14 +316,6 @@ class MemoryReport:
         lines.append(f"gradlite total vs exact-backprop: "
                      f"{100.0 * self.savings_vs_exact():.1f}% lower")
         return "\n".join(lines) + "\n"
-
-
-def memory_account(problem_spec: dict, optimizer_spec: dict) -> MemoryReport:
-    """Ledger for a concrete problem/optimizer pairing."""
-    _, p = _resolve(optimizer_spec, _OPTIMIZER_PARAMS, "optimizer")
-    problem = build_problem(problem_spec, seed=0)
-    k, tau = int(p.get("k", 8)), int(p.get("tau", 10))
-    return memory_report(problem.m, problem.d, k, tau)
 
 
 def memory_report(m: int, d: int, k: int, tau: int) -> MemoryReport:
@@ -390,24 +368,19 @@ def rate_check(problem_spec: dict, k: int, t_grid, seeds, c: float,
         raise ConfigError("rate fit needs at least 4 values of T")
     if len(seeds) < 1:
         raise ConfigError("rate fit needs at least one seed")
-    probe_problem = build_problem(problem_spec, seed=0)
-    if probe_problem.loss_star is None:
+    # The problem holds no state but its noise stream, which each run resets.
+    problem = build_problem(problem_spec, seed=0)
+    if problem.loss_star is None:
         raise NonPositiveGapError(
             f"problem {problem_spec.get('name')!r} has no known optimal loss")
-    overrides = dict(gradlite_overrides or {})
     mean_gaps = []
     for t_steps in t_grid:
         eta = c / np.sqrt(t_steps)
         gaps = []
         for seed in seeds:
-            problem = build_problem(problem_spec, seed=0)
             problem.reset_noise(derive_seed(seed, _NOISE_SALT))
-            cfg = GradLiteConfig(eta=float(eta), k=k,
-                                 tau=int(overrides.get("tau", 10)),
-                                 ef_mode=overrides.get("ef_mode", "ef-standard"),
-                                 probe=overrides.get("probe", "exact"),
-                                 basis_mode=overrides.get("basis_mode", "svd"),
-                                 seed=derive_seed(seed, _OPT_SALT))
+            cfg = GradLiteConfig(eta=float(eta), k=k, seed=derive_seed(seed, _OPT_SALT),
+                                 **(gradlite_overrides or {}))
             state = _lean_gradlite_run(problem, cfg, t_steps)
             gaps.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
         mean_gaps.append(float(np.mean(gaps)))
@@ -439,6 +412,8 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     against the full-rank trend; with feedback on, the floors collapse
     toward zero, which the ef-standard comparison entry documents.
     """
+    if not k_grid:
+        raise ConfigError("rate sweep needs at least one rank")
     spec = {"name": "quadratic", "d": d, "cond": cond, "sigma": sigma}
     no_feedback = {"ef_mode": "off", "probe": "none"}
     full = rate_check(spec, d, t_grid, seeds, c, gradlite_overrides=no_feedback)
@@ -498,26 +473,10 @@ class AblationResult:
         return out
 
 
-def _variant_config(variant: str, eta: float, k: int, tau: int, seed: int) -> GradLiteConfig:
-    if variant == "full":
-        return GradLiteConfig(eta=eta, k=k, tau=tau, ef_mode="ef-standard",
-                              probe="exact", basis_mode="svd", seed=seed)
-    if variant == "no-error-feedback":
-        return GradLiteConfig(eta=eta, k=k, tau=tau, ef_mode="off",
-                              probe="exact", basis_mode="svd", seed=seed)
-    if variant == "random-projection":
-        return GradLiteConfig(eta=eta, k=k, tau=tau, ef_mode="ef-standard",
-                              probe="exact", basis_mode="random-projection",
-                              seed=seed)
-    raise ConfigError(f"unknown ablation variant {variant!r}")
-
-
 def _final_loss_of(problem: Problem, cfg: GradLiteConfig, steps: int):
     problem.reset_noise(derive_seed(cfg.seed, _NOISE_SALT))
-    state = init_gradlite_state(problem, None, cfg)
     try:
-        for _ in range(steps):
-            state, _ = gradlite_step(state, problem, None, cfg)
+        state = _lean_gradlite_run(problem, cfg, steps)
     except DivergedError:
         return float("inf"), True
     return problem.loss(state.theta), False
@@ -534,8 +493,9 @@ def tune_eta(seed: int, steps: int, k: int, tau: int, n: int, d: int,
     problem = _ablation_problem(seed, n, d, cond)
     best_eta, best_loss = None, float("inf")
     for eta in grid:
-        cfg = _variant_config("full", float(eta), k, tau,
-                              derive_seed(seed, _OPT_SALT))
+        cfg = GradLiteConfig(eta=float(eta), k=k, tau=tau,
+                             seed=derive_seed(seed, _OPT_SALT),
+                             **ABLATION_VARIANTS["full"])
         loss, _ = _final_loss_of(problem, cfg, steps)
         if loss < best_loss:
             best_eta, best_loss = float(eta), loss
@@ -556,18 +516,17 @@ def ablation_suite(seeds=(0, 1, 2), steps: int = 3000, k: int = 8,
     if eta is None:
         eta = tune_eta(seeds[0], steps, k, tau, n, d, cond)
     rows = []
-    for variant in ABLATION_VARIANTS:
+    for variant, overrides in ABLATION_VARIANTS.items():
         for seed in seeds:
             problem = _ablation_problem(seed, n, d, cond)
-            cfg = _variant_config(variant, eta, k, tau,
-                                  derive_seed(seed, _OPT_SALT))
+            cfg = GradLiteConfig(eta=eta, k=k, tau=tau,
+                                 seed=derive_seed(seed, _OPT_SALT), **overrides)
             loss, diverged = _final_loss_of(problem, cfg, steps)
             gap = loss - problem.loss_star if problem.loss_star is not None \
                 else float("nan")
             rows.append(AblationRow(variant=variant, seed=seed,
                                     final_loss=loss, final_gap=gap,
                                     diverged=diverged))
-    rows.sort(key=lambda r: (ABLATION_VARIANTS.index(r.variant), r.seed))
     config = {"steps": steps, "k": k, "tau": tau, "n": n, "d": d,
               "cond": cond, "eta": eta, "seeds": seeds}
     return AblationResult(rows=tuple(rows), eta=eta, config=config)

@@ -1,7 +1,7 @@
 """Dense float64 vectors/matrices and the truncated-SVD kernel.
 
-Values are plain numpy arrays validated at the boundaries (`as_vector`,
-`as_matrix`).  `matvec` and `matvec_t` accumulate in a pinned order
+Values are plain numpy arrays validated at the boundaries (`as_matrix`).
+`matvec` and `matvec_t` accumulate in a pinned order
 (ascending reduction index, starting from 0.0, no pairwise or compensated
 summation) so their results are bit-identical to a scalar double loop and
 reproducible across runs.  They pin the order with whole-array numpy
@@ -34,15 +34,6 @@ class SvdResult(NamedTuple):
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-
-def as_vector(x, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumError(f"{name} contains non-finite entries")
-    return arr
 
 
 def as_matrix(a, name: str = "a") -> np.ndarray:

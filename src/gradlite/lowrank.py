@@ -17,22 +17,9 @@ from .linalg import as_matrix, matvec, matvec_t, truncated_svd
 from .rng import SplitMix64, derive_seed
 
 SVD_ITERS = 4
+BASIS_MODES = ("svd", "random-projection")
 _BASIS_SALT = 0xBA515_0001
 _REFRESH_SALT = 0x5FD_2002
-
-
-@dataclass(frozen=True)
-class RefreshPolicy:
-    """How and how often the factor is recomputed."""
-
-    period: int
-    mode: str = "svd"  # "svd" | "random-projection"
-
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("refresh period must be >= 1")
-        if self.mode not in ("svd", "random-projection"):
-            raise ValueError(f"unknown basis mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -50,17 +37,20 @@ def static_basis(m: int, k: int, seed: int) -> np.ndarray:
     return q[:, :k]
 
 
-def factorize(j, k: int, policy: RefreshPolicy, step: int, seed: int) -> LowRankFactor:
+def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
     """Build a rank-k factor of j at the given step.
 
-    svd mode adapts both sides to j; random-projection keeps u fixed by
-    the seed alone (the same basis at every refresh) and sets v = j.T @ u.
+    `mode` is one of BASIS_MODES.  svd mode adapts both sides to j;
+    random-projection keeps u fixed by the seed alone (the same basis at
+    every refresh) and sets v = j.T @ u.
     """
     j = as_matrix(j, "j")
     m, d = j.shape
     if not 1 <= k <= min(m, d):
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {j.shape}")
-    if policy.mode == "svd":
+    if mode not in BASIS_MODES:
+        raise ValueError(f"unknown basis mode {mode!r}")
+    if mode == "svd":
         res = truncated_svd(j, k, iters=SVD_ITERS,
                             seed=derive_seed(derive_seed(seed, _REFRESH_SALT), step))
         u, v = res.u, res.v * res.s[None, :]
@@ -84,11 +74,3 @@ def approx_gradient(factor: LowRankFactor, delta: np.ndarray,
     if projected is None:
         projected = projected_signal(factor, delta)
     return matvec(factor.v, projected)
-
-
-def maybe_refresh(factor: LowRankFactor, j_current, step: int,
-                  policy: RefreshPolicy, seed: int) -> LowRankFactor:
-    """Refactor once `period` steps have elapsed since the factor's birth."""
-    if step - factor.birth_step >= policy.period:
-        return factorize(j_current, factor.k, policy, step, seed)
-    return factor

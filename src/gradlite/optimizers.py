@@ -8,23 +8,43 @@ two optimizers driven by identically seeded problems see identical noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DivergedError, EmptyRunError
-from .feedback import (ErrorAccumulator, correct, estimate_delta,
-                       update_accumulator, zero_accumulator)
+from .feedback import (MODES, PROBES, ErrorAccumulator, correct,
+                       estimate_delta, update_accumulator, zero_accumulator)
 from .linalg import matvec_t
-from .lowrank import (LowRankFactor, RefreshPolicy, approx_gradient,
-                      factorize, maybe_refresh, projected_signal)
+from .lowrank import (BASIS_MODES, LowRankFactor, approx_gradient, factorize,
+                      projected_signal)
 from .problems import Problem
 
 DIVERGENCE_CAP = 1e12
 
-EF_MODES = ("paper", "ef-standard", "off")
-PROBES = ("exact", "none")
-BASIS_MODES = ("svd", "random-projection")
+EF_MODES = MODES + ("off",)
+
+# name -> (rule, what the rule requires), one entry per hyperparameter.
+_RANGES = {
+    "eta": (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "k": (lambda v: v >= 1, ">= 1"),
+    "tau": (lambda v: v >= 1, ">= 1"),
+    "beta1": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "beta2": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "eps": (lambda v: v > 0.0, "> 0"),
+    "ef_mode": (lambda v: v in EF_MODES, f"one of {EF_MODES}"),
+    "probe": (lambda v: v in PROBES, f"one of {PROBES}"),
+    "basis_mode": (lambda v: v in BASIS_MODES, f"one of {BASIS_MODES}"),
+}
+
+
+def check_hyperparams(**params):
+    """Raise ConfigError for the first hyperparameter outside its range."""
+    for name, value in params.items():
+        rule, need = _RANGES[name]
+        if not rule(value):
+            raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,25 +58,9 @@ class GradLiteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
-        if self.k < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.k}")
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if self.ef_mode not in EF_MODES:
-            raise ConfigError(f"ef_mode must be one of {EF_MODES}, got {self.ef_mode!r}")
-        if self.probe not in PROBES:
-            raise ConfigError(f"probe must be one of {PROBES}, got {self.probe!r}")
-        if self.basis_mode not in BASIS_MODES:
-            raise ConfigError(
-                f"basis_mode must be one of {BASIS_MODES}, got {self.basis_mode!r}")
-
-    def policy(self) -> RefreshPolicy:
-        return RefreshPolicy(period=self.tau, mode=self.basis_mode)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+        check_hyperparams(eta=self.eta, k=self.k, tau=self.tau,
+                          ef_mode=self.ef_mode, probe=self.probe,
+                          basis_mode=self.basis_mode)
 
 
 @dataclass
@@ -125,9 +129,9 @@ def init_gradlite_state(problem: Problem, batch, cfg: GradLiteConfig,
             raise ConfigError(
                 f"rank {cfg.k} exceeds min(m, d_block)={cap} for block {b}")
     state = init_state(problem, theta0)
-    policy = cfg.policy()
     state.factors = [
-        factorize(problem.jacobian(state.theta, batch, b), cfg.k, policy, 0, cfg.seed)
+        factorize(problem.jacobian(state.theta, batch, b), cfg.k, cfg.basis_mode, 0,
+                  cfg.seed)
         for b in range(problem.blocks)
     ]
     mode = cfg.ef_mode if cfg.ef_mode != "off" else "ef-standard"
@@ -137,10 +141,13 @@ def init_gradlite_state(problem: Problem, batch, cfg: GradLiteConfig,
 
 def gradlite_step(state: OptimizerState, problem: Problem, batch,
                   cfg: GradLiteConfig) -> tuple[OptimizerState, StepTrace]:
-    """One full update: signal, projection, correction, residual, descent."""
+    """One full update: signal, projection, correction, residual, descent.
+
+    A block's factor is rebuilt from its current Jacobian once `cfg.tau`
+    steps have passed since the factor's birth.
+    """
     t = state.step
     theta = state.theta
-    policy = cfg.policy()
     delta = problem.error_signal(theta, batch)
     _require_finite(delta, t, "delta")
 
@@ -150,7 +157,7 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
         need_j = due or cfg.probe == "exact"
         j_b = problem.jacobian(theta, batch, b) if need_j else None
         if due:
-            state.factors[b] = maybe_refresh(state.factors[b], j_b, t, policy, cfg.seed)
+            state.factors[b] = factorize(j_b, cfg.k, cfg.basis_mode, t, cfg.seed)
         dp = projected_signal(state.factors[b], delta)
         gt = approx_gradient(state.factors[b], delta, projected=dp)
         gh = correct(gt, state.accumulators[b]) if cfg.ef_mode != "off" else gt
@@ -202,10 +209,7 @@ def sgd_step(state: OptimizerState, problem: Problem, batch,
 def adam_step(state: OptimizerState, problem: Problem, batch, eta: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> OptimizerState:
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ConfigError("betas must lie in [0, 1)")
-    if not eps > 0.0:
-        raise ConfigError("eps must be > 0")
+    check_hyperparams(eta=eta, beta1=beta1, beta2=beta2, eps=eps)
     if state.adam_m is None:
         state.adam_m = np.zeros_like(state.theta)
         state.adam_v = np.zeros_like(state.theta)
@@ -221,7 +225,7 @@ def adam_step(state: OptimizerState, problem: Problem, batch, eta: float,
 
 
 def galore_like_step(state: OptimizerState, problem: Problem, batch,
-                     eta: float, k: int, tau: int, seed: int) -> OptimizerState:
+                     eta: float, k: int, tau: int) -> OptimizerState:
     """Project the exact gradient onto a basis of recent gradients.
 
     The basis is the top-k left singular subspace of a window of the last
@@ -229,8 +233,7 @@ def galore_like_step(state: OptimizerState, problem: Problem, batch,
     whatever the projection drops is simply lost.  k >= d short-circuits
     to the identity.
     """
-    if k < 1 or tau < 1:
-        raise ConfigError("k and tau must be >= 1")
+    check_hyperparams(eta=eta, k=k, tau=tau)
     g = stochastic_gradient(problem, state.theta, batch)
     _require_finite(g, state.step, "gradient")
     state.galore_window.append(g)

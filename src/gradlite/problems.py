@@ -209,8 +209,8 @@ class QuadraticProblem(Problem):
         if self.theta_star.shape != (a.shape[0],):
             raise DimError("theta_star length does not match the matrix")
         self.noise_sigma = float(noise_sigma)
-        if self.noise_sigma < 0.0:
-            raise ConfigError("noise sigma must be >= 0")
+        if not self.noise_sigma >= 0.0:
+            raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
         self.m = a.shape[0]
         self.block_dims = (a.shape[0],)
         self.smoothness = float(evals.max())
@@ -238,11 +238,6 @@ class QuadraticProblem(Problem):
         return self.theta_star + np.ones(self.d)
 
 
-def quadratic_problem(a, theta_star, noise_sigma: float = 0.0,
-                      seed: int = 0) -> QuadraticProblem:
-    return QuadraticProblem(a, theta_star, noise_sigma, seed)
-
-
 class LogisticProblem(Problem):
     """Summed logistic loss; jacobian is the design matrix itself.
 
@@ -257,8 +252,8 @@ class LogisticProblem(Problem):
         bad = ~np.isin(data.y, (0.0, 1.0))
         if bad.any():
             raise DataError(f"labels must be in {{0, 1}}; offending row {int(np.argmax(bad))}")
-        if l2 < 0.0:
-            raise ConfigError("l2 must be >= 0")
+        if not l2 >= 0.0:
+            raise ConfigError(f"l2 must be >= 0, got {l2}")
         self.data = data
         self.l2 = float(l2)
         self.m = data.n
@@ -322,10 +317,6 @@ class LogisticProblem(Problem):
         return False
 
 
-def logistic_problem(data: Dataset, l2: float = 0.0) -> LogisticProblem:
-    return LogisticProblem(data, l2)
-
-
 class MlpProblem(Problem):
     """Tanh MLP regression with mean squared-error loss 0.5*||f - y||^2 / n.
 
@@ -337,9 +328,7 @@ class MlpProblem(Problem):
 
     name = "mlp"
 
-    def __init__(self, layers, activation: str, data: Dataset):
-        if activation != "tanh":
-            raise ConfigError(f"unsupported activation {activation!r}")
+    def __init__(self, layers, data: Dataset):
         layers = [int(w) for w in layers]
         if len(layers) < 2 or any(w < 1 for w in layers):
             raise ConfigError(f"bad layer widths {layers}")
@@ -447,10 +436,6 @@ class MlpProblem(Problem):
         return 3.0 * worst
 
 
-def mlp_problem(layers, activation: str, data: Dataset) -> MlpProblem:
-    return MlpProblem(layers, activation, data)
-
-
 def finite_difference_gradient(problem: Problem, theta, h: float = 1e-5) -> np.ndarray:
     """Central differences of the (deterministic) loss, coordinate by coordinate."""
     if h <= 0.0:
@@ -471,7 +456,7 @@ def finite_difference_gradient(problem: Problem, theta, h: float = 1e-5) -> np.n
 
 def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticProblem:
     """Rotated quadratic with geometric spectrum 1 .. 1/cond (so L = 1)."""
-    if d < 1 or cond < 1.0:
+    if d < 1 or not cond >= 1.0:
         raise ConfigError(f"bad quadratic spec d={d}, cond={cond}")
     stream = SplitMix64(derive_seed(seed, _MATRIX_SALT))
     if d == 1:
@@ -515,5 +500,7 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int,
 
 def make_mlp(layers, n: int, seed: int) -> MlpProblem:
     layers = [int(w) for w in layers]
+    if not layers:
+        raise ConfigError("bad layer widths []")
     data = synth_dataset(seed, n, layers[0], "low-rank-regression")
-    return MlpProblem(layers, "tanh", data)
+    return MlpProblem(layers, data)

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gradlite.harness import (_NOISE_SALT, ablation_suite, build_problem,
                               grad_check_suite, memory_report, rate_sweep)
@@ -140,6 +141,7 @@ def test_criterion_4_feedback_telescoping():
                f"over 1000 steps")
 
 
+@pytest.mark.slow
 def test_criterion_5_rate_and_rank_floors():
     """Averaged-iterate slope near -1/2; bias floor shrinks as rank grows."""
     t0 = time.perf_counter()
@@ -163,6 +165,7 @@ def test_criterion_5_rate_and_rank_floors():
                f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_direction():
     """Full method beats both ablations on every seed; no-feedback worst."""
     t0 = time.perf_counter()

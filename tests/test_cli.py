@@ -114,6 +114,28 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "lower" not in captured.out
 
+    @pytest.mark.parametrize("argv, config", [
+        (["run", "--steps", "2"], "steps=abc\n"),
+        (["ablate", "--steps", "2"], "seeds=a,b\n"),
+        (["run", "--problem", "mlp", "--layers", "", "--steps", "2"], None),
+        (["rate-check", "--k-grid", ""], None),
+        (["run", "--eta", "inf", "--steps", "3"], None),
+        (["run", "--sigma", "nan", "--steps", "2"], None),
+        (["run", "--problem", "logistic", "--l2", "nan", "--steps", "2"], None),
+    ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
+            "infinite-eta", "nan-sigma", "nan-l2"])
+    def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
+                                                    capsys):
+        if config is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_rerun_overwrites_with_identical_bytes(self, tmp_path):

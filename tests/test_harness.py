@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from gradlite import harness
 from gradlite.errors import ConfigError, NonPositiveGapError
-from gradlite.harness import (CSV_HEADER, _variant_config, _final_loss_of,
+from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
                               build_problem, default_check_problems,
-                              grad_check_suite, memory_account, memory_counts,
-                              memory_report, rate_check, run_experiment,
-                              validate_optimizer)
+                              grad_check_suite, memory_counts, memory_report,
+                              rate_check, run_experiment, validate_optimizer)
+from gradlite.optimizers import GradLiteConfig
 from gradlite.problems import make_quadratic
 from gradlite.rng import derive_seed
 
@@ -23,6 +24,8 @@ class TestRunExperiment:
             run_experiment({"name": "quadratic", "rows": 5}, {"name": "sgd"}, 1, 0)
         with pytest.raises(ConfigError):
             run_experiment({"name": "quadratic"}, {"name": "sgd", "mood": 1}, 1, 0)
+        with pytest.raises(ConfigError):
+            run_experiment({"name": "quadratic", "d": "many"}, {"name": "sgd"}, 1, 0)
 
     def test_sgd_contracts_geometrically_at_inverse_smoothness(self):
         spec = {"name": "quadratic", "d": 10, "cond": 2.0, "sigma": 0.0}
@@ -100,11 +103,6 @@ class TestMemoryLedger:
         assert counts["gradlite"].factor == (300 + 40) * 4 / 5
         assert counts["adam"].optimizer_state == 80
 
-    def test_account_from_problem_spec(self):
-        rep = memory_account({"name": "logistic", "n": 50, "d": 10},
-                             {"name": "gradlite", "k": 4, "tau": 5})
-        assert rep.m == 50 and rep.d == 10
-
     def test_bad_dims(self):
         with pytest.raises(ConfigError):
             memory_counts(0, 5)
@@ -163,14 +161,14 @@ class TestRateCheck:
 
 class TestAblationMachinery:
     def test_variant_configs(self):
-        full = _variant_config("full", 0.1, 4, 5, 0)
+        def config(variant):
+            return GradLiteConfig(eta=0.1, k=4, tau=5, **ABLATION_VARIANTS[variant])
+        full = config("full")
         assert full.ef_mode == "ef-standard" and full.basis_mode == "svd"
-        noef = _variant_config("no-error-feedback", 0.1, 4, 5, 0)
+        noef = config("no-error-feedback")
         assert noef.ef_mode == "off"
-        rp = _variant_config("random-projection", 0.1, 4, 5, 0)
+        rp = config("random-projection")
         assert rp.basis_mode == "random-projection"
-        with pytest.raises(ConfigError):
-            _variant_config("mystery", 0.1, 4, 5, 0)
 
     def test_variants_coincide_at_full_rank_on_square_problem(self):
         # square signal (m == d) makes rank d a true identity for every basis
@@ -179,7 +177,8 @@ class TestAblationMachinery:
         for variant in ("full", "no-error-feedback", "random-projection"):
             problem = build_problem(spec, seed=3)
             problem.reset_noise(derive_seed(3, 999))
-            cfg = _variant_config(variant, 0.05, 10, 10, 4)
+            cfg = GradLiteConfig(eta=0.05, k=10, tau=10, seed=4,
+                                 **ABLATION_VARIANTS[variant])
             loss, diverged = _final_loss_of(problem, cfg, 200)
             assert not diverged
             finals.append(loss)
@@ -193,3 +192,13 @@ def test_validate_optimizer_rejects_nonsense():
         validate_optimizer({"name": "gradlite", "eta": 0.1, "k": 0})
     with pytest.raises(ConfigError):
         validate_optimizer({"eta": 0.1})
+
+
+@pytest.mark.parametrize("opt", [{"name": "adam", "beta1": 1.5},
+                                 {"name": "galore", "k": 0}])
+def test_bad_optimizer_spec_fails_before_the_problem_is_built(opt, monkeypatch):
+    def build_problem(spec, seed):
+        raise AssertionError("problem built before the optimizer spec was checked")
+    monkeypatch.setattr(harness, "build_problem", build_problem)
+    with pytest.raises(ConfigError):
+        run_experiment({"name": "quadratic"}, opt, 5, 0)

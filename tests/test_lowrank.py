@@ -4,14 +4,13 @@ from hypothesis import given, strategies as st
 
 from gradlite.errors import RankError
 from gradlite.linalg import frob_residual, matvec_t
-from gradlite.lowrank import (LowRankFactor, RefreshPolicy, approx_gradient,
-                              factorize, maybe_refresh, projected_signal,
-                              static_basis)
+from gradlite.lowrank import (LowRankFactor, approx_gradient, factorize,
+                              projected_signal, static_basis)
 from gradlite.rng import SplitMix64
 
 J32 = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-SVD = RefreshPolicy(period=10, mode="svd")
-RP = RefreshPolicy(period=10, mode="random-projection")
+SVD = "svd"
+RP = "random-projection"
 
 
 def spectrum_matrix(seed, m, d, svals):
@@ -47,6 +46,10 @@ class TestFactorize:
     def test_rank_rejected_not_clamped(self):
         with pytest.raises(RankError):
             factorize(J32, 3, SVD, 0, 0)
+
+    def test_unknown_basis_mode_rejected(self):
+        with pytest.raises(ValueError):
+            factorize(J32, 1, "qr", 0, 0)
 
 
 class TestProjectedSignal:
@@ -136,23 +139,6 @@ class TestApproxGradient:
         delta = np.array([0.3, -1.2, 0.9])
         assert np.allclose(approx_gradient(fac, delta),
                            approx_gradient(flipped, delta), atol=1e-14)
-
-
-class TestMaybeRefresh:
-    def test_period_one_always_refreshes(self):
-        pol = RefreshPolicy(period=1, mode="svd")
-        fac = factorize(J32, 1, pol, 0, 0)
-        new = maybe_refresh(fac, J32, 1, pol, 0)
-        assert new.birth_step == 1
-
-    def test_not_due_returns_same_object(self):
-        fac = factorize(J32, 1, SVD, 0, 0)
-        assert maybe_refresh(fac, J32, 5, SVD, 0) is fac
-
-    def test_due_updates_birth_step(self):
-        fac = factorize(J32, 1, SVD, 0, 0)
-        new = maybe_refresh(fac, J32, 10, SVD, 0)
-        assert new.birth_step == 10
 
 
 def test_static_basis_deterministic_and_orthonormal():

@@ -6,12 +6,12 @@ from gradlite.optimizers import (GradLiteConfig, OptimizerState, adam_step,
                                  averaged_iterate, galore_like_step,
                                  gradlite_step, init_gradlite_state,
                                  init_state, sgd_step)
-from gradlite.problems import make_quadratic, quadratic_problem
+from gradlite.problems import QuadraticProblem, make_mlp, make_quadratic
 from gradlite.rng import derive_seed
 
 
 def diag_problem():
-    return quadratic_problem(np.diag([1.0, 2.0]), np.zeros(2), 0.0)
+    return QuadraticProblem(np.diag([1.0, 2.0]), np.zeros(2), 0.0)
 
 
 class TestGradLiteStep:
@@ -67,6 +67,18 @@ class TestGradLiteStep:
         with pytest.raises(ConfigError):
             init_gradlite_state(prob, None, cfg)
 
+    def test_each_block_refreshes_once_tau_steps_have_passed(self):
+        prob = make_mlp([4, 5, 5, 1], 12, seed=7)
+        cfg = GradLiteConfig(eta=0.01, k=2, tau=3, seed=0)
+        st = init_gradlite_state(prob, None, cfg)
+        assert [f.birth_step for f in st.factors] == [0, 0, 0]
+        for t in range(10):
+            before = list(st.factors)
+            st, _ = gradlite_step(st, prob, None, cfg)
+            assert [f.birth_step for f in st.factors] == [3 * (t // 3)] * 3
+            refreshed = t > 0 and t % 3 == 0
+            assert all((a is b) != refreshed for a, b in zip(st.factors, before))
+
     def test_divergence_raises_with_step_index(self):
         prob = make_quadratic(4, 5.0, 0.0, seed=2)
         cfg = GradLiteConfig(eta=1e9, k=4, tau=1, ef_mode="paper",
@@ -91,7 +103,7 @@ class TestConfigValidation:
 
 class TestSgd:
     def test_one_step_solve_on_identity(self):
-        prob = quadratic_problem(np.eye(2), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
         st = init_state(prob, theta0=[3.0, 4.0])
         st = sgd_step(st, prob, None, 1.0)
         assert np.array_equal(st.theta, [0.0, 0.0])
@@ -131,7 +143,7 @@ class TestAdam:
         assert np.all(move > 0.0099) and np.all(move <= 0.01)
 
     def test_zero_gradient_keeps_theta(self):
-        prob = quadratic_problem(np.eye(3), np.ones(3), 0.0)
+        prob = QuadraticProblem(np.eye(3), np.ones(3), 0.0)
         st = init_state(prob, theta0=np.ones(3))
         for _ in range(5):
             st = adam_step(st, prob, None, eta=0.1)
@@ -171,7 +183,7 @@ class TestGaloreLike:
         sa = init_state(prob)
         sb = init_state(prob)
         for _ in range(50):
-            sa = galore_like_step(sa, prob, None, 0.1, k=5, tau=10, seed=0)
+            sa = galore_like_step(sa, prob, None, 0.1, k=5, tau=10)
             sb = sgd_step(sb, prob, None, 0.1)
         assert np.array_equal(sa.theta, sb.theta)
 
@@ -180,17 +192,17 @@ class TestGaloreLike:
         prob = diag_problem()
         sa = init_state(prob, theta0=[1.0, 1.0])
         sb = init_state(prob, theta0=[1.0, 1.0])
-        sa = galore_like_step(sa, prob, None, 0.1, k=1, tau=10, seed=0)
+        sa = galore_like_step(sa, prob, None, 0.1, k=1, tau=10)
         sb = sgd_step(sb, prob, None, 0.1)
         assert np.allclose(sa.theta, sb.theta, atol=1e-14)
 
     def test_matches_projected_dynamics_oracle(self):
         a = np.diag([100.0, 1.0])
-        prob = quadratic_problem(a, np.zeros(2), 0.0)
+        prob = QuadraticProblem(a, np.zeros(2), 0.0)
         eta, k, tau, steps = 0.005, 1, 10, 200
         st = init_state(prob, theta0=[1.0, 1.0])
         for _ in range(steps):
-            st = galore_like_step(st, prob, None, eta, k, tau, seed=0)
+            st = galore_like_step(st, prob, None, eta, k, tau)
         theta = np.array([1.0, 1.0])
         window, basis = [], None
         for t in range(steps):
@@ -239,7 +251,7 @@ class TestAveragedIterate:
 
 class TestDivergenceGuard:
     def test_magnitude_cap_triggers(self):
-        prob = quadratic_problem(np.eye(2), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
         st = init_state(prob, theta0=[1.0, 1.0])
         with pytest.raises(DivergedError):
             for _ in range(100):

@@ -3,28 +3,27 @@ import pytest
 
 from gradlite.errors import ConfigError, DataError, SpdError
 from gradlite.linalg import matvec_t
-from gradlite.problems import (Dataset, finite_difference_gradient,
-                               logistic_problem, make_gaussian_logistic,
-                               make_lowrank_logistic, make_mlp,
-                               make_quadratic, mlp_problem,
-                               quadratic_problem, synth_dataset)
+from gradlite.problems import (Dataset, LogisticProblem, MlpProblem,
+                               QuadraticProblem, finite_difference_gradient,
+                               make_gaussian_logistic, make_lowrank_logistic,
+                               make_mlp, make_quadratic, synth_dataset)
 from gradlite.rng import SplitMix64
 
 
 class TestQuadratic:
     def test_identity_loss_and_gradient(self):
-        prob = quadratic_problem(np.eye(2), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
         theta = np.array([3.0, 4.0])
         assert prob.loss(theta) == 12.5
         assert np.allclose(prob.exact_gradient(theta), [3.0, 4.0])
 
     def test_optimum_is_flat_and_silent(self):
-        prob = quadratic_problem(np.diag([2.0, 5.0]), np.array([1.0, -1.0]), 0.0)
+        prob = QuadraticProblem(np.diag([2.0, 5.0]), np.array([1.0, -1.0]), 0.0)
         assert np.allclose(prob.error_signal(prob.theta_star), 0.0, atol=1e-14)
         assert np.allclose(prob.exact_gradient(prob.theta_star), 0.0, atol=1e-14)
 
     def test_diagonal_factorization(self):
-        prob = quadratic_problem(np.diag([1.0, 4.0]), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2), 0.0)
         theta = np.array([1.0, 1.0])
         j = prob.jacobian(theta)
         assert np.allclose(j, np.diag([1.0, 2.0]), atol=1e-12)
@@ -35,11 +34,11 @@ class TestQuadratic:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(SpdError):
-            quadratic_problem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+            QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
     def test_indefinite_rejected(self):
         with pytest.raises(SpdError):
-            quadratic_problem(np.diag([1.0, -0.1]), np.zeros(2))
+            QuadraticProblem(np.diag([1.0, -0.1]), np.zeros(2))
 
     def test_noise_contract(self):
         # mean of many noisy draws approaches the noiseless signal
@@ -64,24 +63,24 @@ class TestQuadratic:
 class TestLogistic:
     def test_zero_weights_signal(self):
         data = synth_dataset(5, 30, 6, "gaussian-logistic")
-        prob = logistic_problem(data)
+        prob = LogisticProblem(data)
         delta = prob.error_signal(np.zeros(6))
         assert np.allclose(delta, 0.5 - data.y, atol=1e-12)
 
     def test_single_sample_hand_gradient(self):
         data = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
-        prob = logistic_problem(data)
+        prob = LogisticProblem(data)
         assert np.allclose(prob.exact_gradient(np.zeros(2)), [-0.5, 0.0],
                            atol=1e-12)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(DataError):
-            logistic_problem(Dataset(np.ones((2, 2)), np.array([0.0, 2.0])))
+            LogisticProblem(Dataset(np.ones((2, 2)), np.array([0.0, 2.0])))
 
     def test_ridge_term_added_to_gradient(self):
         data = synth_dataset(6, 20, 4, "gaussian-logistic")
-        plain = logistic_problem(data, l2=0.0)
-        ridged = logistic_problem(data, l2=0.7)
+        plain = LogisticProblem(data, l2=0.0)
+        ridged = LogisticProblem(data, l2=0.7)
         theta = SplitMix64(2).normals(4)
         assert np.allclose(ridged.exact_gradient(theta),
                            plain.exact_gradient(theta) + 0.7 * theta,
@@ -98,7 +97,7 @@ class TestLogistic:
 class TestMlp:
     def test_zero_weights_zero_targets(self):
         data = Dataset(SplitMix64(3).normal_matrix(10, 4), np.zeros(10))
-        prob = mlp_problem([4, 6, 1], "tanh", data)
+        prob = MlpProblem([4, 6, 1], data)
         theta = np.zeros(prob.d)
         assert prob.loss(theta) == 0.0
         assert np.allclose(prob.exact_gradient(theta), 0.0, atol=1e-15)
@@ -107,7 +106,7 @@ class TestMlp:
         stream = SplitMix64(14)
         x = stream.normal_matrix(20, 8)
         y = stream.normals(20)
-        prob = mlp_problem([8, 1], "tanh", Dataset(x, y))
+        prob = MlpProblem([8, 1], Dataset(x, y))
         w = stream.normals(8)
         b = stream.normals(1)
         theta = np.concatenate([w, b])
@@ -135,12 +134,7 @@ class TestMlp:
     def test_output_width_must_be_one(self):
         data = Dataset(np.ones((4, 3)), np.zeros(4))
         with pytest.raises(ConfigError):
-            mlp_problem([3, 5, 2], "tanh", data)
-
-    def test_only_tanh_supported(self):
-        data = Dataset(np.ones((4, 3)), np.zeros(4))
-        with pytest.raises(ConfigError):
-            mlp_problem([3, 1], "relu", data)
+            MlpProblem([3, 5, 2], data)
 
 
 class TestChainRuleContract:
@@ -167,7 +161,7 @@ class TestChainRuleContract:
 
 class TestFiniteDifferences:
     def test_quadratic_is_exact_up_to_rounding(self):
-        prob = quadratic_problem(np.eye(2), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
         fd = finite_difference_gradient(prob, np.array([3.0, 4.0]), 1e-5)
         assert np.abs(fd - [3.0, 4.0]).max() <= 1e-8
 
