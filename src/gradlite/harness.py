@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ConfigError, DivergedError, NonPositiveGapError
 from .optimizers import (GradLiteConfig, adam_step, averaged_iterate,
-                         check_hyperparams, galore_like_step, gradlite_step,
-                         init_gradlite_state, init_state, sgd_step)
+                         check_hyperparams, check_rank, galore_like_step,
+                         gradlite_step, init_gradlite_state, init_state,
+                         sgd_step)
 from .problems import (Problem, finite_difference_gradient,
                        make_gaussian_logistic, make_lowrank_logistic,
                        make_mlp, make_quadratic)
@@ -66,6 +67,14 @@ OPTIMIZERS = {
 }
 
 
+def _as_int(val) -> int:
+    """int(val), refusing to truncate a non-integral float."""
+    out = int(val)
+    if isinstance(val, (float, np.floating)) and out != val:
+        raise ValueError(f"{val!r} is not an integer")
+    return out
+
+
 def _resolve(spec: dict, table: dict, kind: str) -> tuple[str, dict]:
     """The spec's name and all its parameters, each cast to its default's type."""
     if "name" not in spec:
@@ -81,8 +90,13 @@ def _resolve(spec: dict, table: dict, kind: str) -> tuple[str, dict]:
             raise ConfigError(f"unknown key {key!r} for {kind} {name!r}")
         cast = type(params[key])
         try:
-            params[key] = tuple(int(w) for w in val) if cast is tuple else cast(val)
-        except (TypeError, ValueError) as err:
+            if cast is tuple:
+                params[key] = tuple(_as_int(w) for w in val)
+            elif cast is int:
+                params[key] = _as_int(val)
+            else:
+                params[key] = cast(val)
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{kind} {name!r}: bad {key} {val!r}") from err
     return name, params
 
@@ -415,6 +429,11 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     if not k_grid:
         raise ConfigError("rate sweep needs at least one rank")
     spec = {"name": "quadratic", "d": d, "cond": cond, "sigma": sigma}
+    # Every rank is checked before the full-rank fit, the longest part, runs.
+    problem = build_problem(spec, seed=0)
+    for k in k_grid:
+        check_hyperparams(k=int(k))
+        check_rank(problem, int(k))
     no_feedback = {"ef_mode": "off", "probe": "none"}
     full = rate_check(spec, d, t_grid, seeds, c, gradlite_overrides=no_feedback)
     ref = (full.slope, full.intercept)
@@ -487,10 +506,9 @@ def _ablation_problem(seed: int, n: int, d: int, cond: float) -> Problem:
                                  seed=derive_seed(seed, _ABLATION_SALT))
 
 
-def tune_eta(seed: int, steps: int, k: int, tau: int, n: int, d: int,
-             cond: float, grid=ETA_GRID) -> float:
+def tune_eta(problem: Problem, seed: int, steps: int, k: int, tau: int,
+             grid=ETA_GRID) -> float:
     """Coarse grid search on the full variant only; ablations inherit it."""
-    problem = _ablation_problem(seed, n, d, cond)
     best_eta, best_loss = None, float("inf")
     for eta in grid:
         cfg = GradLiteConfig(eta=float(eta), k=k, tau=tau,
@@ -513,12 +531,15 @@ def ablation_suite(seeds=(0, 1, 2), steps: int = 3000, k: int = 8,
         raise ConfigError("ablation needs at least one seed")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
+    # One problem per seed serves the tuning and every variant: it holds no
+    # state but its noise stream, which _final_loss_of resets for each run.
+    problems = {seed: _ablation_problem(seed, n, d, cond) for seed in seeds}
     if eta is None:
-        eta = tune_eta(seeds[0], steps, k, tau, n, d, cond)
+        eta = tune_eta(problems[seeds[0]], seeds[0], steps, k, tau)
     rows = []
     for variant, overrides in ABLATION_VARIANTS.items():
         for seed in seeds:
-            problem = _ablation_problem(seed, n, d, cond)
+            problem = problems[seed]
             cfg = GradLiteConfig(eta=eta, k=k, tau=tau,
                                  seed=derive_seed(seed, _OPT_SALT), **overrides)
             loss, diverged = _final_loss_of(problem, cfg, steps)

@@ -120,14 +120,18 @@ def init_state(problem: Problem, theta0=None) -> OptimizerState:
     return OptimizerState(theta=theta)
 
 
+def check_rank(problem: Problem, k: int):
+    """Raise ConfigError if rank k exceeds min(m, d_block) for some block."""
+    for b, width in enumerate(problem.block_dims):
+        cap = min(problem.m, width)
+        if k > cap:
+            raise ConfigError(f"rank {k} exceeds min(m, d_block)={cap} for block {b}")
+
+
 def init_gradlite_state(problem: Problem, batch, cfg: GradLiteConfig,
                         theta0=None) -> OptimizerState:
     """Validate the rank per block and build the step-0 factors."""
-    for b, width in enumerate(problem.block_dims):
-        cap = min(problem.m, width)
-        if cfg.k > cap:
-            raise ConfigError(
-                f"rank {cfg.k} exceeds min(m, d_block)={cap} for block {b}")
+    check_rank(problem, cfg.k)
     state = init_state(problem, theta0)
     state.factors = [
         factorize(problem.jacobian(state.theta, batch, b), cfg.k, cfg.basis_mode, 0,

@@ -5,11 +5,13 @@ Every problem satisfies the chain-rule contract
 and declares a smoothness constant.  Problems are full batch: `batch`
 exists in the signatures for symmetry with the optimizer API but only
 ``None`` is accepted.  Stochasticity enters through the error signal's
-noise stream, which is the only mutable part of a problem and is owned by
-one run at a time.
+noise stream, which is the only run state a problem holds and is owned by
+one run at a time; the MLP's evaluation cache is a pure function of theta.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,11 @@ def _expit(z: np.ndarray) -> np.ndarray:
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_batch(batch):
@@ -258,9 +265,12 @@ class LogisticProblem(Problem):
         self.l2 = float(l2)
         self.m = data.n
         self.block_dims = (data.d,)
-        gram_top = float(np.linalg.eigvalsh(data.x.T @ data.x).max())
-        self.smoothness = 0.25 * gram_top + self.l2
         self._init_noise(data.seed)
+
+    @cached_property
+    def smoothness(self) -> float:
+        gram_top = float(np.linalg.eigvalsh(self.data.x.T @ self.data.x).max())
+        return 0.25 * gram_top + self.l2
 
     def loss(self, theta, batch=None) -> float:
         _check_batch(batch)
@@ -324,6 +334,12 @@ class MlpProblem(Problem):
     per-block jacobian of the predictions is materialized explicitly,
     which is O(n * block params) memory, fine at desk scale; the exact
     gradient goes through an independent reverse pass.
+
+    `loss`, `error_signal` and `jacobian` read one cached, read-only
+    evaluation of the latest theta, keyed on its contents: one forward
+    pass, plus every block's jacobian from one top-down sweep on the first
+    jacobian request.  A step's signal and jacobians and the loss at the
+    previous step's new iterate thus share a single forward pass.
     """
 
     name = "mlp"
@@ -346,7 +362,11 @@ class MlpProblem(Problem):
         self.block_dims = tuple(layers[i + 1] * layers[i] + layers[i + 1]
                                 for i in range(len(layers) - 1))
         self._init_noise(data.seed)
-        self.smoothness = self._calibrate_smoothness()
+        self._key = None
+
+    @cached_property
+    def smoothness(self) -> float:
+        return self._calibrate_smoothness()
 
     # -- parameter packing ------------------------------------------------
     def _unpack(self, theta):
@@ -371,29 +391,46 @@ class MlpProblem(Problem):
             acts.append(h)
         return ws, bs, acts, pre
 
+    def _evaluate(self, theta):
+        """Run the forward pass unless the cache already holds this theta."""
+        key = (theta.dtype.str, theta.shape, theta.tobytes())
+        if key == self._key:
+            return
+        # A private copy: callers may mutate theta in place after the call.
+        ws, _, acts, pre = self._forward(_read_only(theta.copy()))
+        for a in pre + acts[1:]:
+            _read_only(a)
+        self._key, self._ws, self._acts, self._pre = key, ws, acts, pre
+        self._resid = _read_only(acts[-1][:, 0] - self.data.y)
+        self._jacobians = None
+
     def loss(self, theta, batch=None) -> float:
         _check_batch(batch)
-        pred = self._forward(theta)[2][-1][:, 0]
-        r = pred - self.data.y
-        return 0.5 * float(r @ r) / self.data.n
+        self._evaluate(theta)
+        return 0.5 * float(self._resid @ self._resid) / self.data.n
 
     def error_signal(self, theta, batch=None) -> np.ndarray:
         _check_batch(batch)
-        pred = self._forward(theta)[2][-1][:, 0]
-        return (pred - self.data.y) / self.data.n + self._noise_vec()
+        self._evaluate(theta)
+        return self._resid / self.data.n + self._noise_vec()
 
     def jacobian(self, theta, batch=None, block: int = 0) -> np.ndarray:
         _check_batch(batch)
         if not 0 <= block < self.blocks:
             raise DimError(f"block {block} outside 0..{self.blocks - 1}")
-        ws, _, acts, pre = self._forward(theta)
-        n = self.data.n
-        # dpred[i] / dz_l[i, p], built top-down; the output layer is linear.
-        d_sens = np.ones((n, 1))
-        for l in range(len(ws) - 1, block, -1):
-            d_sens = (d_sens @ ws[l]) * (1.0 - np.tanh(pre[l - 1]) ** 2)
-        jw = np.einsum("ip,iq->ipq", d_sens, acts[block]).reshape(n, -1)
-        return np.concatenate([jw, d_sens], axis=1)
+        self._evaluate(theta)
+        if self._jacobians is None:
+            ws, acts, pre, n = self._ws, self._acts, self._pre, self.data.n
+            # dpred[i] / dz_l[i, p], built top-down; the output layer is linear.
+            d_sens = np.ones((n, 1))
+            jacobians = [None] * len(ws)
+            for l in range(len(ws) - 1, -1, -1):
+                jw = np.einsum("ip,iq->ipq", d_sens, acts[l]).reshape(n, -1)
+                jacobians[l] = _read_only(np.concatenate([jw, d_sens], axis=1))
+                if l > 0:
+                    d_sens = (d_sens @ ws[l]) * (1.0 - np.tanh(pre[l - 1]) ** 2)
+            self._jacobians = jacobians
+        return self._jacobians[block]
 
     def exact_gradient(self, theta, batch=None) -> np.ndarray:
         _check_batch(batch)

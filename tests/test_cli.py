@@ -119,11 +119,12 @@ class TestExitCodes:
         (["ablate", "--steps", "2"], "seeds=a,b\n"),
         (["run", "--problem", "mlp", "--layers", "", "--steps", "2"], None),
         (["rate-check", "--k-grid", ""], None),
+        (["rate-check", "--k-grid", "2,60", "--dim", "8"], None),
         (["run", "--eta", "inf", "--steps", "3"], None),
         (["run", "--sigma", "nan", "--steps", "2"], None),
         (["run", "--problem", "logistic", "--l2", "nan", "--steps", "2"], None),
     ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
-            "infinite-eta", "nan-sigma", "nan-l2"])
+            "rank-above-dim", "infinite-eta", "nan-sigma", "nan-l2"])
     def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
                                                     capsys):
         if config is not None:
@@ -148,6 +149,17 @@ class TestDeterminism:
         first = sha(out), sha(summary)
         assert main(args) == 0
         assert (sha(out), sha(summary)) == first
+
+    def test_mlp_run_matches_pinned_bytes(self, tmp_path):
+        # Pins the MLP numbers themselves, not only rerun-vs-rerun identity;
+        # regenerate the golden files with this command only for an intended
+        # change of the numbers.
+        out, summary = tmp_path / "m.csv", tmp_path / "s.json"
+        assert main(["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
+                     "--steps", "60", "--seed", "3", "--out", str(out),
+                     "--summary", str(summary)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "mlp_run_seed3.csv").read_bytes()
+        assert summary.read_bytes() == (GOLDEN_DIR / "mlp_run_seed3.json").read_bytes()
 
     def test_mem_report_json_deterministic(self, tmp_path):
         out = tmp_path / "mem.json"

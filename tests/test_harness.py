@@ -6,9 +6,10 @@ import pytest
 from gradlite import harness
 from gradlite.errors import ConfigError, NonPositiveGapError
 from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
-                              build_problem, default_check_problems,
-                              grad_check_suite, memory_counts, memory_report,
-                              rate_check, run_experiment, validate_optimizer)
+                              ablation_suite, build_problem,
+                              default_check_problems, grad_check_suite,
+                              memory_counts, memory_report, rate_check,
+                              rate_sweep, run_experiment, validate_optimizer)
 from gradlite.optimizers import GradLiteConfig
 from gradlite.problems import make_quadratic
 from gradlite.rng import derive_seed
@@ -26,6 +27,21 @@ class TestRunExperiment:
             run_experiment({"name": "quadratic"}, {"name": "sgd", "mood": 1}, 1, 0)
         with pytest.raises(ConfigError):
             run_experiment({"name": "quadratic", "d": "many"}, {"name": "sgd"}, 1, 0)
+        with pytest.raises(ConfigError, match="bad k 2.9"):
+            run_experiment({"name": "quadratic", "d": 6},
+                           {"name": "gradlite", "k": 2.9}, 2, 0)
+        with pytest.raises(ConfigError, match="bad layers"):
+            run_experiment({"name": "mlp", "layers": (8, 16.5, 1)}, {"name": "sgd"}, 1, 0)
+        with pytest.raises(ConfigError, match="bad tau inf"):
+            run_experiment({"name": "quadratic"},
+                           {"name": "gradlite", "tau": float("inf")}, 1, 0)
+
+    def test_integral_float_accepted_for_int_parameter(self):
+        as_float = run_experiment({"name": "quadratic", "d": 6.0},
+                                  {"name": "gradlite", "k": 2.0}, 3, 0)
+        as_int = run_experiment({"name": "quadratic", "d": 6},
+                                {"name": "gradlite", "k": 2}, 3, 0)
+        assert as_float.records == as_int.records
 
     def test_sgd_contracts_geometrically_at_inverse_smoothness(self):
         spec = {"name": "quadratic", "d": 10, "cond": 2.0, "sigma": 0.0}
@@ -159,7 +175,33 @@ class TestRateCheck:
         assert own.error_floor == ref.error_floor  # same trend by construction
 
 
+class TestRateSweep:
+    def test_every_rank_checked_before_the_first_step(self, monkeypatch):
+        def gradlite_step(*args, **kwargs):
+            raise AssertionError("a step ran before every rank was checked")
+        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        grid, seeds = (200, 400, 800, 1600), (0, 1)
+        with pytest.raises(ConfigError, match=r"rank 60 exceeds min\(m, d_block\)=8"):
+            rate_sweep(k_grid=(2, 60), d=8, t_grid=grid, seeds=seeds)
+        with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+            rate_sweep(k_grid=(2, 0), d=8, t_grid=grid, seeds=seeds)
+
+
 class TestAblationMachinery:
+    def test_each_seeds_problem_built_once(self, monkeypatch):
+        built = []
+        original = harness._ablation_problem
+
+        def counting(seed, *args):
+            built.append(seed)
+            return original(seed, *args)
+        monkeypatch.setattr(harness, "_ablation_problem", counting)
+        # eta=None: tune_eta runs too, on seed 0's problem
+        result = ablation_suite(seeds=(0, 1, 2), steps=10, k=4, tau=5, n=64, d=16,
+                                cond=100.0)
+        assert sorted(built) == [0, 1, 2]
+        assert len(result.rows) == 3 * len(ABLATION_VARIANTS)
+
     def test_variant_configs(self):
         def config(variant):
             return GradLiteConfig(eta=0.1, k=4, tau=5, **ABLATION_VARIANTS[variant])

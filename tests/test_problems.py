@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradlite.errors import ConfigError, DataError, SpdError
+from gradlite.harness import build_problem, run_experiment
 from gradlite.linalg import matvec_t
 from gradlite.problems import (Dataset, LogisticProblem, MlpProblem,
                                QuadraticProblem, finite_difference_gradient,
@@ -135,6 +136,94 @@ class TestMlp:
         data = Dataset(np.ones((4, 3)), np.zeros(4))
         with pytest.raises(ConfigError):
             MlpProblem([3, 5, 2], data)
+
+
+class TestMlpEvaluationCache:
+    """loss, error_signal and jacobian read one cached evaluation per theta."""
+
+    @staticmethod
+    def fresh():
+        return make_mlp([6, 10, 8, 1], 12, seed=33)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    def test_warm_cache_matches_a_fresh_problem(self, order):
+        warm = self.fresh()
+        stream = SplitMix64(5)
+        for _ in range(3):
+            theta = warm.default_theta0() + 0.3 * stream.normals(warm.d)
+            jacobians = {b: warm.jacobian(theta, block=b) for b in order}
+            assert warm.loss(theta) == self.fresh().loss(theta)
+            assert np.array_equal(warm.error_signal(theta), self.fresh().error_signal(theta))
+            for b in order:
+                assert np.array_equal(jacobians[b], self.fresh().jacobian(theta, block=b))
+                assert warm.jacobian(theta, block=b) is jacobians[b]
+
+    def test_in_place_change_of_theta_gives_new_values(self):
+        prob = self.fresh()
+        theta = prob.default_theta0()
+        loss, jac = prob.loss(theta), prob.jacobian(theta, block=0)
+        theta[3] += 0.25  # a weight of block 0, as finite differences do
+        assert prob.loss(theta) == self.fresh().loss(theta) != loss
+        assert np.array_equal(prob.error_signal(theta), self.fresh().error_signal(theta))
+        new_jac = prob.jacobian(theta, block=0)
+        assert np.array_equal(new_jac, self.fresh().jacobian(theta, block=0))
+        assert not np.array_equal(new_jac, jac)
+
+    def test_cache_does_not_read_the_callers_array_later(self):
+        prob = self.fresh()
+        theta = prob.default_theta0()
+        before = theta.copy()
+        prob.loss(theta)
+        theta[-2] += 0.25  # an output weight; the cache still holds `before`
+        for b in (2, 1, 0):
+            assert np.array_equal(prob.jacobian(before, block=b),
+                                  self.fresh().jacobian(before, block=b))
+
+    def test_every_error_signal_call_draws_fresh_noise(self):
+        prob = self.fresh()
+        prob.noise_sigma = 0.5
+        theta = prob.default_theta0()
+        first, second = prob.error_signal(theta), prob.error_signal(theta)
+        assert not np.array_equal(first, second)
+        clean = self.fresh().error_signal(theta)
+        assert not np.array_equal(first, clean)
+
+    def test_cached_jacobian_is_read_only(self):
+        prob = self.fresh()
+        theta = prob.default_theta0()
+        for b in range(prob.blocks):
+            jac = prob.jacobian(theta, block=b)
+            assert not jac.flags.writeable
+            with pytest.raises(ValueError):
+                jac[0, 0] = 1.0
+
+
+class TestLazySmoothness:
+    def test_mlp_run_never_calibrates(self, monkeypatch):
+        def calibrate(self):
+            raise AssertionError("smoothness calibrated, but nothing reads it")
+        monkeypatch.setattr(MlpProblem, "_calibrate_smoothness", calibrate)
+        spec = {"name": "mlp", "layers": (8, 16, 16, 1), "n": 32}
+        build_problem(spec, seed=0)
+        metrics = run_experiment(spec, {"name": "gradlite"}, 5, 0)
+        assert len(metrics.records) == 5 and not metrics.diverged
+
+    def test_first_read_computes_the_declared_value_once(self, monkeypatch):
+        calls = []
+        calibrate = MlpProblem._calibrate_smoothness
+
+        def counting(self):
+            calls.append(1)
+            return calibrate(self)
+        monkeypatch.setattr(MlpProblem, "_calibrate_smoothness", counting)
+        mlp = make_mlp([5, 8, 1], 10, seed=63)
+        assert not calls
+        assert mlp.smoothness == mlp.smoothness == calibrate(mlp)
+        assert len(calls) == 1
+        logistic = make_gaussian_logistic(50, 8, seed=62)
+        assert "smoothness" not in vars(logistic)
+        x = logistic.data.x
+        assert logistic.smoothness == 0.25 * float(np.linalg.eigvalsh(x.T @ x).max())
 
 
 class TestChainRuleContract:
