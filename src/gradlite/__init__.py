@@ -3,8 +3,7 @@
 from .errors import (ConfigError, DataError, DimError, DivergedError,
                      EmptyRunError, GradLiteError, NonPositiveGapError,
                      NumError, RankError, SpdError)
-from .feedback import (DeltaEstimate, ErrorAccumulator, correct,
-                       estimate_delta, update_accumulator, zero_accumulator)
+from .feedback import correct, estimate_delta, update_accumulator
 from .harness import (AblationResult, GradCheckReport, MemoryReport, RateFit,
                       RunMetrics, ablation_suite, build_problem,
                       grad_check_suite, memory_counts, memory_report,

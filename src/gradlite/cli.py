@@ -12,8 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import (ConfigError, DataError, DimError, GradLiteError,
-                     NumError, RankError, SpdError)
+from .errors import ConfigError, GradLiteError
 from .feedback import PROBES
 from .harness import (OPTIMIZERS, PROBLEMS, ablation_suite, grad_check_suite,
                       memory_report, rate_sweep, run_experiment)
@@ -64,9 +63,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     run.add_argument("--sigma", type=float, default=None,
                      help="error-signal noise scale, quadratic only "
                           f"(default: {PROBLEMS['quadratic']['sigma']:g})")
-    run.add_argument("--l2", type=float, default=None,
-                     help="ridge strength, logistic only "
-                          f"(default: {PROBLEMS['logistic']['l2']:g})")
     run.add_argument("--layers", type=_int_list, default=None,
                      help="mlp widths as comma list "
                           f"(default: {','.join(map(str, PROBLEMS['mlp']['layers']))})")
@@ -249,8 +245,6 @@ def dispatch(ns: argparse.Namespace) -> int:
         sys.stdout.write(report.to_text())
         return 0 if report.passed else 4
 
-    if ns.k > min(ns.m, ns.d):
-        raise ConfigError(f"rank {ns.k} exceeds min(m, d)={min(ns.m, ns.d)}")
     report = memory_report(ns.m, ns.d, ns.k, ns.tau)
     if ns.out:
         _write_json(ns.out, report.to_dict())
@@ -268,10 +262,6 @@ def main(argv=None) -> int:
         if getattr(ns, "config", None):
             ns = _apply_config(ns.command, ns.config, argv)
         return dispatch(ns)
-    except (ConfigError, RankError, SpdError, DataError, NumError,
-            DimError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except OSError as err:
         target = getattr(err, "filename", None) or ""
         print(f"io error: {target}: {err}", file=sys.stderr)

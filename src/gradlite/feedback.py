@@ -1,15 +1,14 @@
 """Residual accumulator and both readings of the feedback rule.
 
-"paper" mode keeps adding each step's residual without ever consuming it,
-which double-counts under persistent error and can grow without bound;
+The accumulator of a block is one residual array ``r``.  "paper" mode
+keeps adding each step's residual without ever consuming it, which
+double-counts under persistent error and can grow without bound;
 "ef-standard" stores only the newest residual (consume-on-apply).  Both
 are exposed because the divergence behaviour of the additive rule is
 itself something the harness reports.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,35 +19,15 @@ MODES = ("paper", "ef-standard")
 PROBES = ("exact", "none")
 
 
-@dataclass(frozen=True)
-class ErrorAccumulator:
-    r: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown accumulator mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class DeltaEstimate:
-    delta: np.ndarray  # estimate of g - g~
-    exact: bool        # True iff computed from the materialized Jacobian
-
-
-def zero_accumulator(d: int, mode: str = "ef-standard") -> ErrorAccumulator:
-    return ErrorAccumulator(r=np.zeros(d), mode=mode)
-
-
-def correct(g_tilde: np.ndarray, acc: ErrorAccumulator) -> np.ndarray:
+def correct(g_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     """g^ = g~ + r."""
-    if g_tilde.shape != acc.r.shape:
-        raise DimError(f"correct: {g_tilde.shape} vs {acc.r.shape}")
-    return g_tilde + acc.r
+    if g_tilde.shape != r.shape:
+        raise DimError(f"correct: {g_tilde.shape} vs {r.shape}")
+    return g_tilde + r
 
 
-def estimate_delta(j, delta, g_tilde: np.ndarray, probe: str) -> DeltaEstimate:
-    """Residual estimate for this step.
+def estimate_delta(j, delta, g_tilde: np.ndarray, probe: str) -> np.ndarray:
+    """Residual estimate D of g - g~ for this step.
 
     probe="exact" materializes the chain-rule gradient j.T @ delta (the
     desk scale affords it) and returns g - g~; probe="none" returns zeros,
@@ -58,16 +37,18 @@ def estimate_delta(j, delta, g_tilde: np.ndarray, probe: str) -> DeltaEstimate:
         g = matvec_t(j, delta)
         if g.shape != g_tilde.shape:
             raise DimError(f"estimate_delta: {g.shape} vs {g_tilde.shape}")
-        return DeltaEstimate(delta=g - g_tilde, exact=True)
+        return g - g_tilde
     if probe == "none":
-        return DeltaEstimate(delta=np.zeros_like(g_tilde), exact=False)
+        return np.zeros_like(g_tilde)
     raise ValueError(f"unknown probe {probe!r}")
 
 
-def update_accumulator(acc: ErrorAccumulator, est: DeltaEstimate) -> ErrorAccumulator:
-    """paper: r' = r + delta (additive); ef-standard: r' = delta."""
-    if acc.r.shape != est.delta.shape:
-        raise DimError(f"update_accumulator: {acc.r.shape} vs {est.delta.shape}")
-    if acc.mode == "paper":
-        return ErrorAccumulator(r=acc.r + est.delta, mode=acc.mode)
-    return ErrorAccumulator(r=est.delta.copy(), mode=acc.mode)
+def update_accumulator(r: np.ndarray, residual: np.ndarray, mode: str) -> np.ndarray:
+    """paper: r' = r + D (additive); ef-standard: r' = D."""
+    if r.shape != residual.shape:
+        raise DimError(f"update_accumulator: {r.shape} vs {residual.shape}")
+    if mode == "paper":
+        return r + residual
+    if mode == "ef-standard":
+        return residual.copy()
+    raise ValueError(f"unknown accumulator mode {mode!r}")

@@ -48,7 +48,7 @@ def _fmt(x) -> str:
 
 PROBLEMS = {
     "quadratic": {"d": 50, "cond": 100.0, "sigma": 0.0},
-    "logistic": {"n": 200, "d": 50, "l2": 0.0},
+    "logistic": {"n": 200, "d": 50},
     "lowrank-logistic": {"n": 512, "d": 128, "cond": 1e3},
     "mlp": {"layers": (8, 16, 1), "n": 32},
 }
@@ -108,8 +108,7 @@ def build_problem(spec: dict, seed: int) -> Problem:
     if name == "quadratic":
         return make_quadratic(p["d"], p["cond"], p["sigma"], pseed)
     if name == "logistic":
-        return make_gaussian_logistic(p["n"], p["d"], pseed, l2=p["l2"],
-                                      solve_optimum=True)
+        return make_gaussian_logistic(p["n"], p["d"], pseed, solve_optimum=True)
     if name == "lowrank-logistic":
         return make_lowrank_logistic(p["n"], p["d"], p["cond"], pseed)
     return make_mlp(p["layers"], p["n"], pseed)
@@ -203,11 +202,6 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     problem = build_problem(problem_spec, seed)
     problem.reset_noise(derive_seed(seed, _NOISE_SALT))
 
-    mem = memory_counts(problem.m, problem.d, k=params.get("k"),
-                        tau=params.get("tau"))[OPTIMIZERS[opt_name][1]]
-    bwd = mem.activation + mem.signal + mem.factor
-    opt_scalars = mem.accumulator + mem.optimizer_state
-
     cfg = None
     if opt_name == "gradlite":
         cfg = GradLiteConfig(seed=derive_seed(seed, _OPT_SALT), **params)
@@ -216,6 +210,11 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
         baseline_step = {"sgd": sgd_step, "adam": adam_step,
                          "galore": galore_like_step}[opt_name]
         state = init_state(problem)
+    # After the set-up, so a gradlite rank error names the block it fails.
+    mem = memory_counts(problem.m, problem.d, k=params.get("k"),
+                        tau=params.get("tau"))[OPTIMIZERS[opt_name][1]]
+    bwd = mem.activation + mem.signal + mem.factor
+    opt_scalars = mem.accumulator + mem.optimizer_state
 
     metrics = RunMetrics(problem_spec=dict(problem_spec),
                          optimizer_spec=dict(optimizer_spec), steps=steps,
@@ -237,7 +236,7 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
         else:
             gap = float("nan")
         if trace is not None:
-            r_norm = _norm(np.concatenate([a.r for a in state.accumulators]))
+            r_norm = _norm(np.concatenate(state.accumulators))
             gtilde_norm = _norm(trace.g_tilde)
             delta_norm = _norm(trace.big_delta)
         else:
@@ -283,6 +282,8 @@ def memory_counts(m: int, d: int, k: int | None = None,
     }
     if k is not None and tau is not None:
         check_hyperparams(k=k, tau=tau)
+        if k > min(m, d):
+            raise ConfigError(f"rank {k} exceeds min(m, d)={min(m, d)}")
         out["galore"] = MethodMemory(m, m, d * k, 0, d * tau)
         out["gradlite"] = MethodMemory(0, k, (m + d) * k / tau, d, 0)
     return out
@@ -378,8 +379,8 @@ def rate_check(problem_spec: dict, k: int, t_grid, seeds, c: float,
     """
     t_grid = sorted(int(t) for t in t_grid)
     seeds = list(seeds)
-    if len(t_grid) < 4:
-        raise ConfigError("rate fit needs at least 4 values of T")
+    if len(set(t_grid)) < 4:
+        raise ConfigError("rate fit needs at least 4 distinct values of T")
     if len(seeds) < 1:
         raise ConfigError("rate fit needs at least one seed")
     # The problem holds no state but its noise stream, which each run resets.

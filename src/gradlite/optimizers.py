@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergedError, EmptyRunError
-from .feedback import (MODES, PROBES, ErrorAccumulator, correct,
-                       estimate_delta, update_accumulator, zero_accumulator)
+from .feedback import (MODES, PROBES, correct, estimate_delta,
+                       update_accumulator)
 from .linalg import matvec_t
 from .lowrank import (BASIS_MODES, LowRankFactor, approx_gradient, factorize,
                       projected_signal)
@@ -68,7 +68,7 @@ class OptimizerState:
     theta: np.ndarray
     step: int = 0
     theta_sum: np.ndarray | None = None
-    accumulators: list[ErrorAccumulator] | None = None
+    accumulators: list[np.ndarray] | None = None  # one residual r per block
     factors: list[LowRankFactor] | None = None
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
@@ -103,11 +103,9 @@ def _check_theta(theta: np.ndarray, step: int):
         raise DivergedError(step, "theta")
 
 
-def stochastic_gradient(problem: Problem, theta: np.ndarray, batch=None,
-                        delta: np.ndarray | None = None) -> np.ndarray:
+def stochastic_gradient(problem: Problem, theta: np.ndarray, batch=None) -> np.ndarray:
     """Chain-rule gradient for one error-signal draw, all blocks concatenated."""
-    if delta is None:
-        delta = problem.error_signal(theta, batch)
+    delta = problem.error_signal(theta, batch)
     parts = [matvec_t(problem.jacobian(theta, batch, b), delta)
              for b in range(problem.blocks)]
     return np.concatenate(parts)
@@ -138,8 +136,7 @@ def init_gradlite_state(problem: Problem, batch, cfg: GradLiteConfig,
                   cfg.seed)
         for b in range(problem.blocks)
     ]
-    mode = cfg.ef_mode if cfg.ef_mode != "off" else "ef-standard"
-    state.accumulators = [zero_accumulator(w, mode) for w in problem.block_dims]
+    state.accumulators = [np.zeros(w) for w in problem.block_dims]
     return state
 
 
@@ -165,13 +162,14 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
         dp = projected_signal(state.factors[b], delta)
         gt = approx_gradient(state.factors[b], delta, projected=dp)
         gh = correct(gt, state.accumulators[b]) if cfg.ef_mode != "off" else gt
-        est = estimate_delta(j_b, delta, gt, cfg.probe)
+        bd = estimate_delta(j_b, delta, gt, cfg.probe)
         if cfg.ef_mode != "off":
-            state.accumulators[b] = update_accumulator(state.accumulators[b], est)
+            state.accumulators[b] = update_accumulator(state.accumulators[b], bd,
+                                                       cfg.ef_mode)
         proj_parts.append(dp)
         gt_parts.append(gt)
         gh_parts.append(gh)
-        bd_parts.append(est.delta)
+        bd_parts.append(bd)
 
     g_tilde = np.concatenate(gt_parts)
     g_hat = np.concatenate(gh_parts)

@@ -69,32 +69,6 @@ class Dataset:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def to_csv(self, path):
-        cols = [f"x{j}" for j in range(self.d)] + ["target"]
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(self.n):
-                row = [format(v, ".17g") for v in self.x[i]] + \
-                      [format(self.y[i], ".17g")]
-                fh.write(",".join(row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path, seed: int = 0) -> "Dataset":
-        with open(path, newline="\n") as fh:
-            header = fh.readline().strip().split(",")
-            if not header or header[-1] != "target":
-                raise DataError(f"{path}: last column must be 'target'")
-            d = len(header) - 1
-            xs, ys = [], []
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) != d + 1:
-                    raise DataError(f"{path}: row width {len(parts)} != {d + 1}")
-                vals = [float(p) for p in parts]
-                xs.append(vals[:d])
-                ys.append(vals[d])
-        return cls(np.array(xs), np.array(ys), seed=seed)
-
 
 def synth_dataset(seed: int, n: int, d: int, kind: str) -> Dataset:
     """Deterministic synthetic data.
@@ -246,23 +220,15 @@ class QuadraticProblem(Problem):
 
 
 class LogisticProblem(Problem):
-    """Summed logistic loss; jacobian is the design matrix itself.
-
-    With l2 > 0 the gradient gains the ridge term l2*theta, which is not
-    part of jacobian.T @ error_signal; the chain-rule contract therefore
-    applies to l2 = 0 instances, which is what every experiment uses.
-    """
+    """Summed logistic loss; jacobian is the design matrix itself."""
 
     name = "logistic"
 
-    def __init__(self, data: Dataset, l2: float = 0.0):
+    def __init__(self, data: Dataset):
         bad = ~np.isin(data.y, (0.0, 1.0))
         if bad.any():
             raise DataError(f"labels must be in {{0, 1}}; offending row {int(np.argmax(bad))}")
-        if not l2 >= 0.0:
-            raise ConfigError(f"l2 must be >= 0, got {l2}")
         self.data = data
-        self.l2 = float(l2)
         self.m = data.n
         self.block_dims = (data.d,)
         self._init_noise(data.seed)
@@ -270,13 +236,12 @@ class LogisticProblem(Problem):
     @cached_property
     def smoothness(self) -> float:
         gram_top = float(np.linalg.eigvalsh(self.data.x.T @ self.data.x).max())
-        return 0.25 * gram_top + self.l2
+        return 0.25 * gram_top
 
     def loss(self, theta, batch=None) -> float:
         _check_batch(batch)
         z = self.data.x @ theta
-        core = float(np.sum(_log1pexp(z) - self.data.y * z))
-        return core + 0.5 * self.l2 * float(theta @ theta)
+        return float(np.sum(_log1pexp(z) - self.data.y * z))
 
     def error_signal(self, theta, batch=None) -> np.ndarray:
         _check_batch(batch)
@@ -288,8 +253,7 @@ class LogisticProblem(Problem):
 
     def exact_gradient(self, theta, batch=None) -> np.ndarray:
         _check_batch(batch)
-        g = self.data.x.T @ (_expit(self.data.x @ theta) - self.data.y)
-        return g + self.l2 * theta
+        return self.data.x.T @ (_expit(self.data.x @ theta) - self.data.y)
 
     def default_theta0(self) -> np.ndarray:
         return np.zeros(self.d)
@@ -305,14 +269,14 @@ class LogisticProblem(Problem):
         loss = self.loss(theta)
         for _ in range(max_iter):
             p = _expit(self.data.x @ theta)
-            g = self.data.x.T @ (p - self.data.y) + self.l2 * theta
+            g = self.data.x.T @ (p - self.data.y)
             if float(np.abs(g).max()) <= tol:
                 self.loss_star = self.loss(theta)
                 self.theta_hat = theta
                 return True
             w = p * (1.0 - p)
             h = (self.data.x.T * w[None, :]) @ self.data.x
-            h[np.diag_indices_from(h)] += self.l2 + 1e-12
+            h[np.diag_indices_from(h)] += 1e-12
             step = np.linalg.solve(h, g)
             t = 1.0
             while t > 1e-8:
@@ -506,9 +470,9 @@ def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticPro
     return QuadraticProblem(a, np.zeros(d), noise_sigma=sigma, seed=seed)
 
 
-def make_gaussian_logistic(n: int, d: int, seed: int, l2: float = 0.0,
+def make_gaussian_logistic(n: int, d: int, seed: int,
                            solve_optimum: bool = False) -> LogisticProblem:
-    prob = LogisticProblem(synth_dataset(seed, n, d, "gaussian-logistic"), l2=l2)
+    prob = LogisticProblem(synth_dataset(seed, n, d, "gaussian-logistic"))
     if solve_optimum:
         prob.solve_optimum()
     return prob
@@ -521,6 +485,8 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int,
     Labels are Bernoulli draws from a hidden linear scorer over the same
     features, scaled so flips are common enough to keep the optimum finite.
     """
+    if n < 1 or d < 1 or not cond >= 1.0:
+        raise ConfigError(f"bad low-rank logistic spec n={n}, d={d}, cond={cond}")
     feat = SplitMix64(derive_seed(seed, _DATA_SALT))
     lab = SplitMix64(derive_seed(seed, _LABEL_SALT))
     x = _lowrank_design(feat, n, d, cond=cond, top_sv=10.0)

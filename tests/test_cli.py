@@ -1,8 +1,12 @@
 import hashlib
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gradlite.cli import build_parser, load_config_file, main
 
@@ -38,6 +42,12 @@ class TestParsing:
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--frobnicate", "1", "--out", "z.csv"])
+        assert exc.value.code == 2
+
+    def test_removed_l2_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "logistic", "--l2", "0.1", "--steps", "2",
+                  "--out", str(tmp_path / "l2.csv")])
         assert exc.value.code == 2
 
     def test_missing_command_is_usage_error(self):
@@ -107,6 +117,10 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "960" in out and "1168" in out and "41.6% lower" in out
 
+    def test_mem_report_names_the_bad_dimension(self, capsys):
+        assert main(["mem-report", "--m", "0"]) == 3
+        assert "dims m=0, d=200 must be >= 1" in capsys.readouterr().err
+
     def test_mem_report_rank_above_min_dim_exits_three(self, capsys):
         assert main(["mem-report", "--m", "10", "--d", "5", "--k", "50"]) == 3
         captured = capsys.readouterr()
@@ -122,9 +136,13 @@ class TestExitCodes:
         (["rate-check", "--k-grid", "2,60", "--dim", "8"], None),
         (["run", "--eta", "inf", "--steps", "3"], None),
         (["run", "--sigma", "nan", "--steps", "2"], None),
-        (["run", "--problem", "logistic", "--l2", "nan", "--steps", "2"], None),
+        (["run", "--problem", "logistic", "--steps", "2"], "l2=0.1\n"),
+        (["run", "--problem", "lowrank-logistic", "--cond", "0", "--steps", "2"], None),
+        (["rate-check", "--t-grid", "1,1,1,1", "--seeds", "0", "--k-grid", "2,3",
+          "--dim", "4"], None),
     ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
-            "rank-above-dim", "infinite-eta", "nan-sigma", "nan-l2"])
+            "rank-above-dim", "infinite-eta", "nan-sigma", "config-l2", "zero-cond",
+            "repeated-t-grid"])
     def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
                                                     capsys):
         if config is not None:
@@ -136,6 +154,105 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+# Edge values each kind of flag is tried with, as the command line spells them.
+_INT_EDGES = ("0", "-1", "1e308", "nan")
+_FLOAT_EDGES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-308")
+_LIST_EDGES = ("", ",", "0", "-1", "1,1,1,1", "1e308")
+
+
+def _value(valid, edges):
+    """Half the draws a tiny valid value, half an edge value."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(edges))
+
+
+def _int(*valid):
+    return _value(valid, _INT_EDGES)
+
+
+def _float(*valid):
+    return _value(valid, _FLOAT_EDGES)
+
+
+def _list(*valid):
+    return _value(valid, _LIST_EDGES)
+
+
+def _choice(*valid):
+    return st.sampled_from(valid + ("bogus",))
+
+
+_SEED = st.sampled_from(["0", "3", "-1", "18446744073709551616"])
+
+# command -> (flags always given, flags that may be given); every size and
+# step count stays tiny, so one example runs in milliseconds.
+_GRAMMAR = {
+    "run": ({"--steps": _int("1", "3")}, {
+        "--problem": _choice("quadratic", "logistic", "lowrank-logistic", "mlp"),
+        "--dim": _int("1", "2", "5"), "--n": _int("1", "3", "8"),
+        "--cond": _float("1", "100"), "--sigma": _float("0", "0.5"),
+        "--layers": _list("2,3,1", "3,1", "8,2,1"),
+        "--opt": _choice("gradlite", "sgd", "adam", "galore"),
+        "--eta": _float("0.05", "3", "1e8"), "--k": _int("1", "2", "8"),
+        "--tau": _int("1", "2"), "--ef-mode": _choice("paper", "ef-standard", "off"),
+        "--probe": _choice("exact", "none"),
+        "--basis": _choice("svd", "random-projection"),
+        "--beta1": _float("0.5"), "--beta2": _float("0.9"), "--eps": _float("1e-8"),
+        "--seed": _SEED}),
+    "ablate": ({"--steps": _int("1", "3"), "--n": _int("4", "8"), "--dim": _int("2", "3"),
+                "--k": _int("1", "2")}, {
+        "--seeds": _list("0", "0,1", "2,2"), "--tau": _int("1", "2"),
+        "--cond": _float("1", "10"), "--eta": _float("0.05", "1e8"), "--seed": _SEED}),
+    "rate-check": ({"--t-grid": _list("1,2,3,4", "2,4,8,16", "1,2,2,3,4"),
+                    "--dim": _int("3", "4"), "--k-grid": _list("1,2", "3,1,2")}, {
+        "--seeds": _list("0", "0,1", "1,1"),
+        "--c": _float("0.3", "1"), "--cond": _float("1", "10"),
+        "--sigma": _float("0", "0.5"), "--seed": _SEED}),
+    "grad-check": ({}, {"--seed": _SEED}),
+    "mem-report": ({}, {
+        "--m": _int("1", "10", "1000000"), "--d": _int("1", "10", "1000000"),
+        "--k": _int("1", "8"), "--tau": _int("1", "10"), "--seed": _SEED}),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """A command, its flags, and which of them go through a --config file."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    always, maybe = _GRAMMAR[command]
+    picked = draw(st.lists(st.sampled_from(sorted(maybe)), max_size=4, unique=True))
+    flags = {flag: draw(values) for flag, values in always.items()}
+    flags.update({flag: draw(maybe[flag]) for flag in picked})
+    in_file = {flag for flag in flags if draw(st.booleans())}
+    return command, flags, in_file
+
+
+class TestExitCodeProperty:
+    @given(_invocations())
+    def test_every_input_exits_by_the_contract(self, invocation):
+        command, flags, in_file = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command]
+            for flag, value in flags.items():
+                if flag not in in_file:
+                    argv += [flag, value]
+            if in_file:
+                cfg = Path(tmp) / "args.cfg"
+                cfg.write_text("".join(f"{flag[2:]}={flags[flag]}\n" for flag in in_file))
+                argv += ["--config", str(cfg)]
+            if command in ("run", "ablate", "rate-check"):
+                argv += ["--out", str(Path(tmp) / "out")]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in range(6), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 1:
+            assert "diverged" in out.getvalue(), argv
 
 
 class TestDeterminism:

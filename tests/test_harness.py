@@ -107,7 +107,7 @@ class TestMemoryLedger:
         assert rep.savings_vs_exact() >= 0.40
 
     def test_full_rank_signal_matches_exact(self):
-        rep = memory_report(64, 32, 64, 10)
+        rep = memory_report(64, 64, 64, 10)
         assert rep.methods["gradlite"].signal == rep.methods["exact-sgd"].signal
 
     def test_component_recount(self):
@@ -122,6 +122,12 @@ class TestMemoryLedger:
     def test_bad_dims(self):
         with pytest.raises(ConfigError):
             memory_counts(0, 5)
+
+    def test_rank_above_min_dim_rejected(self):
+        # The rule sits in the ledger, so library callers meet it too.
+        with pytest.raises(ConfigError, match=r"rank 50 exceeds min\(m, d\)=5"):
+            memory_report(10, 5, 50, 10)
+        assert memory_report(10, 5, 5, 10).savings_vs_exact() > 0.0
 
 
 class TestGradCheckSuite:
@@ -151,6 +157,13 @@ class TestRateCheck:
     def test_requires_four_grid_points(self):
         with pytest.raises(ConfigError):
             rate_check(self.SPEC, 2, (10, 20, 40), (0,), 0.3)
+
+    def test_requires_four_distinct_grid_points(self, monkeypatch):
+        def gradlite_step(*args, **kwargs):
+            raise AssertionError("a step ran before the T grid was checked")
+        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        with pytest.raises(ConfigError, match="4 distinct values of T"):
+            rate_check(self.SPEC, 2, (10, 10, 20, 20, 40), (0,), 0.3)
 
     def test_requires_known_optimum(self):
         with pytest.raises(NonPositiveGapError):

@@ -78,16 +78,6 @@ class TestLogistic:
         with pytest.raises(DataError):
             LogisticProblem(Dataset(np.ones((2, 2)), np.array([0.0, 2.0])))
 
-    def test_ridge_term_added_to_gradient(self):
-        data = synth_dataset(6, 20, 4, "gaussian-logistic")
-        plain = LogisticProblem(data, l2=0.0)
-        ridged = LogisticProblem(data, l2=0.7)
-        theta = SplitMix64(2).normals(4)
-        assert np.allclose(ridged.exact_gradient(theta),
-                           plain.exact_gradient(theta) + 0.7 * theta,
-                           atol=1e-12)
-        assert ridged.smoothness == plain.smoothness + 0.7
-
     def test_newton_reference_optimum(self):
         prob = make_gaussian_logistic(60, 5, seed=8, solve_optimum=True)
         assert prob.loss_star is not None
@@ -316,23 +306,6 @@ class TestDatasets:
         with pytest.raises(ConfigError):
             synth_dataset(0, 4, 2, "mystery")
 
-    def test_csv_round_trip_exact(self, tmp_path):
-        data = synth_dataset(12, 16, 3, "low-rank-regression")
-        path = tmp_path / "data.csv"
-        data.to_csv(path)
-        text = path.read_text()
-        assert text.splitlines()[0] == "x0,x1,x2,target"
-        assert "\r" not in text
-        back = Dataset.from_csv(path)
-        assert np.array_equal(back.x, data.x)
-        assert np.array_equal(back.y, data.y)
-
-    def test_csv_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError):
-            Dataset.from_csv(path)
-
 
 def test_lowrank_logistic_benchmark_properties():
     prob = make_lowrank_logistic(96, 24, 1e3, seed=71)
@@ -340,3 +313,9 @@ def test_lowrank_logistic_benchmark_properties():
     assert abs(s[0] / s[-1] - 1e3) <= 0.05 * 1e3
     assert set(np.unique(prob.data.y)) <= {0.0, 1.0}
     assert prob.loss_star is not None
+
+
+@pytest.mark.parametrize("cond", [0.0, 0.5, -1.0, float("nan")])
+def test_lowrank_logistic_rejects_condition_below_one(cond):
+    with pytest.raises(ConfigError, match="bad low-rank logistic spec"):
+        make_lowrank_logistic(16, 4, cond, seed=0)
