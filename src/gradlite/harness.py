@@ -202,6 +202,11 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     problem = build_problem(problem_spec, seed)
     problem.reset_noise(derive_seed(seed, _NOISE_SALT))
 
+    mem = memory_counts(problem.m, problem.d, k=params.get("k"),
+                        tau=params.get("tau"))[OPTIMIZERS[opt_name][1]]
+    bwd = mem.activation + mem.signal + mem.factor
+    opt_scalars = mem.accumulator + mem.optimizer_state
+
     cfg = None
     if opt_name == "gradlite":
         cfg = GradLiteConfig(seed=derive_seed(seed, _OPT_SALT), **params)
@@ -210,11 +215,6 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
         baseline_step = {"sgd": sgd_step, "adam": adam_step,
                          "galore": galore_like_step}[opt_name]
         state = init_state(problem)
-    # After the set-up, so a gradlite rank error names the block it fails.
-    mem = memory_counts(problem.m, problem.d, k=params.get("k"),
-                        tau=params.get("tau"))[OPTIMIZERS[opt_name][1]]
-    bwd = mem.activation + mem.signal + mem.factor
-    opt_scalars = mem.accumulator + mem.optimizer_state
 
     metrics = RunMetrics(problem_spec=dict(problem_spec),
                          optimizer_spec=dict(optimizer_spec), steps=steps,
@@ -282,8 +282,6 @@ def memory_counts(m: int, d: int, k: int | None = None,
     }
     if k is not None and tau is not None:
         check_hyperparams(k=k, tau=tau)
-        if k > min(m, d):
-            raise ConfigError(f"rank {k} exceeds min(m, d)={min(m, d)}")
         out["galore"] = MethodMemory(m, m, d * k, 0, d * tau)
         out["gradlite"] = MethodMemory(0, k, (m + d) * k / tau, d, 0)
     return out
@@ -334,8 +332,10 @@ class MemoryReport:
 
 
 def memory_report(m: int, d: int, k: int, tau: int) -> MemoryReport:
-    return MemoryReport(m=m, d=d, k=k, tau=tau,
-                        methods=memory_counts(m, d, k=k, tau=tau))
+    methods = memory_counts(m, d, k=k, tau=tau)
+    if k > min(m, d):
+        raise ConfigError(f"rank {k} exceeds min(m, d)={min(m, d)}")
+    return MemoryReport(m=m, d=d, k=k, tau=tau, methods=methods)
 
 
 # -- convergence-rate fit ----------------------------------------------------

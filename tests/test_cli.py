@@ -128,6 +128,19 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "lower" not in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "5"],
+        ["--problem", "logistic", "--n", "5"],
+        ["--k", "60", "--dim", "50"],
+    ], ids=["quadratic-dim5", "logistic-n5", "k60-dim50"])
+    def test_galore_rank_above_min_dim_still_runs(self, argv, tmp_path):
+        # galore_like_step clips its basis to min(k, d); only mem-report's
+        # ledger holds the gradlite row's rank rule.
+        out = tmp_path / "g.csv"
+        assert main(["run", "--opt", "galore", "--steps", "2", *argv,
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
     @pytest.mark.parametrize("argv, config", [
         (["run", "--steps", "2"], "steps=abc\n"),
         (["ablate", "--steps", "2"], "seeds=a,b\n"),
