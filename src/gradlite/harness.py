@@ -35,13 +35,24 @@ ETA_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
 # variant -> what it changes in the full method's GradLiteConfig
 ABLATION_VARIANTS = {
     "full": {},
-    "no-error-feedback": {"ef_mode": "off"},
+    # with feedback off no update reads the exact probe, so skip it
+    "no-error-feedback": {"ef_mode": "off", "probe": "none"},
     "random-projection": {"basis_mode": "random-projection"},
 }
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _distinct_seeds(seeds, what: str) -> list:
+    """The seeds as ints; ConfigError if there are none or one repeats."""
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ConfigError(f"{what} needs at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{what} seeds must be distinct, got {seeds}")
+    return seeds
 
 
 # -- spec registries -------------------------------------------------------
@@ -378,11 +389,9 @@ def rate_check(problem_spec: dict, k: int, t_grid, seeds, c: float,
     when this config's own curve is flat.
     """
     t_grid = sorted(int(t) for t in t_grid)
-    seeds = list(seeds)
     if len(set(t_grid)) < 4:
         raise ConfigError("rate fit needs at least 4 distinct values of T")
-    if len(seeds) < 1:
-        raise ConfigError("rate fit needs at least one seed")
+    seeds = _distinct_seeds(seeds, "rate fit")
     # The problem holds no state but its noise stream, which each run resets.
     problem = build_problem(problem_spec, seed=0)
     if problem.loss_star is None:
@@ -527,9 +536,7 @@ def ablation_suite(seeds=(0, 1, 2), steps: int = 3000, k: int = 8,
                    tau: int = 10, n: int = 512, d: int = 128,
                    cond: float = 1e3, eta: float | None = None) -> AblationResult:
     """Full method vs no-feedback vs static random basis, paired by seed."""
-    seeds = sorted(int(s) for s in seeds)
-    if not seeds:
-        raise ConfigError("ablation needs at least one seed")
+    seeds = sorted(_distinct_seeds(seeds, "ablation"))
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     # One problem per seed serves the tuning and every variant: it holds no

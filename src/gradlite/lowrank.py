@@ -26,7 +26,6 @@ _REFRESH_SALT = 0x5FD_2002
 class LowRankFactor:
     u: np.ndarray  # m x k, orthonormal columns
     v: np.ndarray  # d x k, singular values folded in
-    k: int
     birth_step: int
 
 
@@ -57,7 +56,7 @@ def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
     else:
         u = static_basis(m, k, seed)
         v = np.column_stack([matvec_t(j, u[:, c]) for c in range(k)])
-    return LowRankFactor(u=u, v=v, k=k, birth_step=step)
+    return LowRankFactor(u=u, v=v, birth_step=step)
 
 
 def projected_signal(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:
@@ -65,12 +64,6 @@ def projected_signal(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:
     return matvec_t(factor.u, delta)
 
 
-def approx_gradient(factor: LowRankFactor, delta: np.ndarray,
-                    projected: np.ndarray | None = None) -> np.ndarray:
-    """g~ = v @ (u.T @ delta), always through the k-length intermediate.
-
-    `projected` lets a caller that already computed u.T @ delta reuse it.
-    """
-    if projected is None:
-        projected = projected_signal(factor, delta)
-    return matvec(factor.v, projected)
+def approx_gradient(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:
+    """g~ = v @ (u.T @ delta), always through the k-length intermediate."""
+    return matvec(factor.v, projected_signal(factor, delta))

@@ -17,8 +17,7 @@ from .errors import ConfigError, DivergedError, EmptyRunError
 from .feedback import (MODES, PROBES, correct, estimate_delta,
                        update_accumulator)
 from .linalg import matvec_t
-from .lowrank import (BASIS_MODES, LowRankFactor, approx_gradient, factorize,
-                      projected_signal)
+from .lowrank import BASIS_MODES, LowRankFactor, approx_gradient, factorize
 from .problems import Problem
 
 DIVERGENCE_CAP = 1e12
@@ -83,10 +82,8 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """Every intermediate of one step, concatenated across blocks."""
+    """The gradients of one step, each concatenated across blocks."""
 
-    delta: np.ndarray        # error signal, length m
-    delta_proj: np.ndarray   # compressed signal(s), length sum of block ranks
     g_tilde: np.ndarray      # approximate gradient, length d
     g_hat: np.ndarray        # corrected gradient actually applied
     big_delta: np.ndarray    # residual estimate
@@ -152,21 +149,19 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
     delta = problem.error_signal(theta, batch)
     _require_finite(delta, t, "delta")
 
-    proj_parts, gt_parts, gh_parts, bd_parts = [], [], [], []
+    gt_parts, gh_parts, bd_parts = [], [], []
     for b in range(problem.blocks):
         due = (t - state.factors[b].birth_step) >= cfg.tau
         need_j = due or cfg.probe == "exact"
         j_b = problem.jacobian(theta, batch, b) if need_j else None
         if due:
             state.factors[b] = factorize(j_b, cfg.k, cfg.basis_mode, t, cfg.seed)
-        dp = projected_signal(state.factors[b], delta)
-        gt = approx_gradient(state.factors[b], delta, projected=dp)
+        gt = approx_gradient(state.factors[b], delta)
         gh = correct(gt, state.accumulators[b]) if cfg.ef_mode != "off" else gt
         bd = estimate_delta(j_b, delta, gt, cfg.probe)
         if cfg.ef_mode != "off":
             state.accumulators[b] = update_accumulator(state.accumulators[b], bd,
                                                        cfg.ef_mode)
-        proj_parts.append(dp)
         gt_parts.append(gt)
         gh_parts.append(gh)
         bd_parts.append(bd)
@@ -185,8 +180,7 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
     state.step = t + 1
     state.theta_sum = state.theta_sum + theta_new
     state.last_grad = g_exact
-    trace = StepTrace(delta=delta, delta_proj=np.concatenate(proj_parts),
-                      g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta,
+    trace = StepTrace(g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta,
                       g_exact=g_exact)
     return state, trace
 

@@ -1,17 +1,15 @@
 """Desk-scale objectives exposing the (jacobian, error-signal) split.
 
 Every problem satisfies the chain-rule contract
-``exact_gradient == jacobian.T @ error_signal`` (noiselessly, per block)
-and declares a smoothness constant.  Problems are full batch: `batch`
-exists in the signatures for symmetry with the optimizer API but only
-``None`` is accepted.  Stochasticity enters through the error signal's
-noise stream, which is the only run state a problem holds and is owned by
-one run at a time; the MLP's evaluation cache is a pure function of theta.
+``exact_gradient == jacobian.T @ error_signal`` (noiselessly, per block).
+Problems are full batch: `batch` exists in the signatures for symmetry
+with the optimizer API but only ``None`` is accepted.  Stochasticity
+enters through the error signal's noise stream, which is the only run
+state a problem holds and is owned by one run at a time; the MLP's
+evaluation cache is a pure function of theta.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +21,6 @@ _MATRIX_SALT = 0x0151_0002
 _DATA_SALT = 0x0151_0003
 _LABEL_SALT = 0x0151_0004
 _THETA0_SALT = 0x0151_0005
-_SMOOTH_SALT = 0x0151_0006
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -114,7 +111,6 @@ class Problem:
 
     m: int
     block_dims: tuple[int, ...]
-    smoothness: float
     noise_sigma: float = 0.0
     theta_star: np.ndarray | None = None
     loss_star: float | None = None
@@ -194,7 +190,6 @@ class QuadraticProblem(Problem):
             raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
         self.m = a.shape[0]
         self.block_dims = (a.shape[0],)
-        self.smoothness = float(evals.max())
         self.loss_star = 0.0
         self._init_noise(seed)
 
@@ -232,11 +227,6 @@ class LogisticProblem(Problem):
         self.m = data.n
         self.block_dims = (data.d,)
         self._init_noise(data.seed)
-
-    @cached_property
-    def smoothness(self) -> float:
-        gram_top = float(np.linalg.eigvalsh(self.data.x.T @ self.data.x).max())
-        return 0.25 * gram_top
 
     def loss(self, theta, batch=None) -> float:
         _check_batch(batch)
@@ -328,10 +318,6 @@ class MlpProblem(Problem):
         self._init_noise(data.seed)
         self._key = None
 
-    @cached_property
-    def smoothness(self) -> float:
-        return self._calibrate_smoothness()
-
     # -- parameter packing ------------------------------------------------
     def _unpack(self, theta):
         ws, bs, at = [], [], 0
@@ -420,21 +406,6 @@ class MlpProblem(Problem):
             parts.append(stream.normals(nout * nin) / np.sqrt(nin))
             parts.append(stream.normals(nout) * 0.1)
         return np.concatenate(parts)
-
-    def _calibrate_smoothness(self) -> float:
-        # No global Lipschitz constant exists for unbounded weights; the
-        # declared value covers the init-scale region (see _sample_theta),
-        # estimated from sampled pairs with a 3x margin.
-        stream = SplitMix64(derive_seed(self.data.seed, _SMOOTH_SALT))
-        worst = 0.0
-        for _ in range(200):
-            t1 = self._sample_theta(stream)
-            t2 = self._sample_theta(stream)
-            num = float(np.linalg.norm(self.exact_gradient(t1) - self.exact_gradient(t2)))
-            den = float(np.linalg.norm(t1 - t2))
-            if den > 0.0:
-                worst = max(worst, num / den)
-        return 3.0 * worst
 
 
 def finite_difference_gradient(problem: Problem, theta, h: float = 1e-5) -> np.ndarray:

@@ -153,9 +153,13 @@ class TestExitCodes:
         (["run", "--problem", "lowrank-logistic", "--cond", "0", "--steps", "2"], None),
         (["rate-check", "--t-grid", "1,1,1,1", "--seeds", "0", "--k-grid", "2,3",
           "--dim", "4"], None),
+        (["ablate", "--seeds", "2,2", "--steps", "5", "--k", "2", "--n", "16",
+          "--dim", "4", "--eta", "0.05"], None),
+        (["rate-check", "--t-grid", "1,2,3,4", "--seeds", "1,1", "--k-grid", "2,3",
+          "--dim", "4"], None),
     ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
             "rank-above-dim", "infinite-eta", "nan-sigma", "config-l2", "zero-cond",
-            "repeated-t-grid"])
+            "repeated-t-grid", "ablate-repeated-seeds", "rate-repeated-seeds"])
     def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
                                                     capsys):
         if config is not None:
@@ -290,6 +294,30 @@ class TestDeterminism:
                      "--summary", str(summary)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "mlp_run_seed3.csv").read_bytes()
         assert summary.read_bytes() == (GOLDEN_DIR / "mlp_run_seed3.json").read_bytes()
+
+    @pytest.mark.parametrize("argv, goldens", [
+        (["run", "--problem", "quadratic", "--dim", "12", "--sigma", "0.3",
+          "--opt", "gradlite", "--k", "4", "--eta", "0.05", "--steps", "40",
+          "--seed", "5"], ["quadratic_run_seed5.csv", "quadratic_run_seed5.json"]),
+        (["run", "--problem", "lowrank-logistic", "--n", "128", "--dim", "32",
+          "--steps", "40", "--seed", "3"],
+         ["lowrank_logistic_run_seed3.csv", "lowrank_logistic_run_seed3.json"]),
+        (["ablate", "--seeds", "0,1", "--steps", "40", "--k", "4", "--n", "64",
+          "--dim", "16", "--cond", "100", "--eta", "0.05"], ["ablate_seeds01.csv"]),
+        (["rate-check", "--t-grid", "25,50,100,200", "--seeds", "0,1",
+          "--k-grid", "2,4,8", "--dim", "8", "--c", "0.3"], ["rate_check.json"]),
+    ], ids=["run-quadratic", "run-lowrank-logistic", "ablate", "rate-check"])
+    def test_outputs_match_pinned_bytes(self, argv, goldens, tmp_path):
+        # Criterion 8's run, ablate and rate-check commands plus a logistic
+        # run, pinned across changes; regenerate only for an intended change
+        # of the numbers.
+        paths = [tmp_path / name for name in goldens]
+        argv = argv + ["--out", str(paths[0])]
+        if len(paths) > 1:
+            argv += ["--summary", str(paths[1])]
+        assert main(argv) == 0
+        for path in paths:
+            assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), path.name
 
     def test_mem_report_json_deterministic(self, tmp_path):
         out = tmp_path / "mem.json"

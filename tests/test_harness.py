@@ -200,6 +200,20 @@ class TestRateSweep:
             rate_sweep(k_grid=(2, 0), d=8, t_grid=grid, seeds=seeds)
 
 
+class TestRepeatedSeeds:
+    def test_rejected_before_the_first_step(self, monkeypatch):
+        def gradlite_step(*args, **kwargs):
+            raise AssertionError("a step ran before the seeds were checked")
+        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        with pytest.raises(ConfigError, match=r"seeds must be distinct, got \[2, 2\]"):
+            ablation_suite(seeds=(2, 2), steps=5, k=2, n=16, d=4, eta=0.05)
+        spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
+        with pytest.raises(ConfigError, match=r"seeds must be distinct, got \[1, 0, 1\]"):
+            rate_check(spec, 2, (1, 2, 3, 4), (1, 0, 1), 0.3)
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            rate_sweep(k_grid=(2, 3), d=4, t_grid=(1, 2, 3, 4), seeds=(1, 1))
+
+
 class TestAblationMachinery:
     def test_each_seeds_problem_built_once(self, monkeypatch):
         built = []
@@ -215,13 +229,28 @@ class TestAblationMachinery:
         assert sorted(built) == [0, 1, 2]
         assert len(result.rows) == 3 * len(ABLATION_VARIANTS)
 
+    def test_no_feedback_rows_equal_runs_with_the_probe_on(self):
+        # With feedback off no update reads the probe, so skipping it moves
+        # no bit of the ablation's output.
+        result = ablation_suite(seeds=(0, 1), steps=30, k=4, tau=5, n=64, d=16,
+                                cond=100.0, eta=0.05)
+        for seed, variants in result.by_seed().items():
+            problem = harness._ablation_problem(seed, 64, 16, 100.0)
+            cfg = GradLiteConfig(eta=0.05, k=4, tau=5, ef_mode="off", probe="exact",
+                                 seed=derive_seed(seed, harness._OPT_SALT))
+            loss, diverged = _final_loss_of(problem, cfg, 30)
+            row = variants["no-error-feedback"]
+            assert not diverged and not row.diverged
+            assert row.final_loss == loss
+            assert row.final_gap == loss - problem.loss_star
+
     def test_variant_configs(self):
         def config(variant):
             return GradLiteConfig(eta=0.1, k=4, tau=5, **ABLATION_VARIANTS[variant])
         full = config("full")
         assert full.ef_mode == "ef-standard" and full.basis_mode == "svd"
         noef = config("no-error-feedback")
-        assert noef.ef_mode == "off"
+        assert noef.ef_mode == "off" and noef.probe == "none"
         rp = config("random-projection")
         assert rp.basis_mode == "random-projection"
 

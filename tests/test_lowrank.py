@@ -64,7 +64,7 @@ class TestProjectedSignal:
 
     def test_coordinate_projection(self):
         u = np.eye(5)[:, :2]
-        fac = LowRankFactor(u=u, v=np.zeros((4, 2)), k=2, birth_step=0)
+        fac = LowRankFactor(u=u, v=np.zeros((4, 2)), birth_step=0)
         delta = np.array([3.0, -1.0, 2.0, 0.5, 7.0])
         assert np.array_equal(projected_signal(fac, delta), delta[:2])
 
@@ -103,7 +103,7 @@ class TestApproxGradient:
         u = stream.normal_matrix(m, k)
         v = stream.normal_matrix(d, k)
         delta = stream.normals(m)
-        fac = LowRankFactor(u=u, v=v, k=k, birth_step=0)
+        fac = LowRankFactor(u=u, v=v, birth_step=0)
         fast = approx_gradient(fac, delta)
         ref = matvec_t(u @ v.T, delta)
         assert np.linalg.norm(fast - ref) <= 1e-10 * (1.0 + np.linalg.norm(ref))
@@ -134,8 +134,7 @@ class TestApproxGradient:
 
     def test_sign_flip_invariance(self):
         fac = factorize(J32, 1, SVD, 0, 0)
-        flipped = LowRankFactor(u=-fac.u, v=-fac.v, k=fac.k,
-                                birth_step=fac.birth_step)
+        flipped = LowRankFactor(u=-fac.u, v=-fac.v, birth_step=fac.birth_step)
         delta = np.array([0.3, -1.2, 0.9])
         assert np.allclose(approx_gradient(fac, delta),
                            approx_gradient(flipped, delta), atol=1e-14)

@@ -50,8 +50,6 @@ class TestGradLiteStep:
                              probe="exact", seed=1)
         st = init_gradlite_state(prob, None, cfg)
         st, tr = gradlite_step(st, prob, None, cfg)
-        assert tr.delta.shape == (6,)
-        assert tr.delta_proj.shape == (2,)
         assert tr.g_tilde.shape == (6,)
         assert tr.g_exact is not None
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gradlite.errors import ConfigError, DataError, SpdError
-from gradlite.harness import build_problem, run_experiment
 from gradlite.linalg import matvec_t
 from gradlite.problems import (Dataset, LogisticProblem, MlpProblem,
                                QuadraticProblem, finite_difference_gradient,
@@ -188,34 +187,6 @@ class TestMlpEvaluationCache:
                 jac[0, 0] = 1.0
 
 
-class TestLazySmoothness:
-    def test_mlp_run_never_calibrates(self, monkeypatch):
-        def calibrate(self):
-            raise AssertionError("smoothness calibrated, but nothing reads it")
-        monkeypatch.setattr(MlpProblem, "_calibrate_smoothness", calibrate)
-        spec = {"name": "mlp", "layers": (8, 16, 16, 1), "n": 32}
-        build_problem(spec, seed=0)
-        metrics = run_experiment(spec, {"name": "gradlite"}, 5, 0)
-        assert len(metrics.records) == 5 and not metrics.diverged
-
-    def test_first_read_computes_the_declared_value_once(self, monkeypatch):
-        calls = []
-        calibrate = MlpProblem._calibrate_smoothness
-
-        def counting(self):
-            calls.append(1)
-            return calibrate(self)
-        monkeypatch.setattr(MlpProblem, "_calibrate_smoothness", counting)
-        mlp = make_mlp([5, 8, 1], 10, seed=63)
-        assert not calls
-        assert mlp.smoothness == mlp.smoothness == calibrate(mlp)
-        assert len(calls) == 1
-        logistic = make_gaussian_logistic(50, 8, seed=62)
-        assert "smoothness" not in vars(logistic)
-        x = logistic.data.x
-        assert logistic.smoothness == 0.25 * float(np.linalg.eigvalsh(x.T @ x).max())
-
-
 class TestChainRuleContract:
     @pytest.mark.parametrize("factory", [
         lambda: make_quadratic(12, 10.0, 0.0, seed=41),
@@ -262,29 +233,6 @@ class TestFiniteDifferences:
         with pytest.raises(ConfigError):
             finite_difference_gradient(make_quadratic(3, 2.0, 0.0, 1),
                                        np.zeros(3), 0.0)
-
-
-class TestSmoothnessDeclaration:
-    @pytest.mark.parametrize("factory", [
-        lambda: make_quadratic(10, 25.0, 0.0, seed=61),
-        lambda: make_gaussian_logistic(50, 8, seed=62),
-        lambda: make_mlp([5, 8, 1], 10, seed=63),
-    ])
-    def test_gradient_lipschitz_bound_holds(self, factory):
-        prob = factory()
-        stream = SplitMix64(64)
-        base = prob.default_theta0()
-        spread = 1.0 if prob.name != "mlp" else 0.0
-        for _ in range(1000):
-            if prob.name == "mlp":
-                t1 = prob._sample_theta(stream)
-                t2 = prob._sample_theta(stream)
-            else:
-                t1 = base + spread * stream.normals(prob.d)
-                t2 = base + spread * stream.normals(prob.d)
-            num = np.linalg.norm(prob.exact_gradient(t1) - prob.exact_gradient(t2))
-            den = np.linalg.norm(t1 - t2)
-            assert num <= prob.smoothness * den * (1.0 + 1e-9)
 
 
 class TestDatasets:
