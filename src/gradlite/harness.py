@@ -391,6 +391,8 @@ def rate_check(problem_spec: dict, k: int, t_grid, seeds, c: float,
     t_grid = sorted(int(t) for t in t_grid)
     if len(set(t_grid)) < 4:
         raise ConfigError("rate fit needs at least 4 distinct values of T")
+    if len(set(t_grid)) < len(t_grid):
+        raise ConfigError(f"rate fit values of T must be distinct, got {t_grid}")
     seeds = _distinct_seeds(seeds, "rate fit")
     # The problem holds no state but its noise stream, which each run resets.
     problem = build_problem(problem_spec, seed=0)

@@ -27,6 +27,9 @@ class LowRankFactor:
     u: np.ndarray  # m x k, orthonormal columns
     v: np.ndarray  # d x k, singular values folded in
     birth_step: int
+    # The J it was built from, held by reference: a refresh that is handed
+    # this same read-only array again keeps the factor.
+    source: np.ndarray | None = None
 
 
 def static_basis(m: int, k: int, seed: int) -> np.ndarray:
@@ -41,9 +44,10 @@ def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
 
     `mode` is one of BASIS_MODES.  svd mode adapts both sides to j;
     random-projection keeps u fixed by the seed alone (the same basis at
-    every refresh) and sets v = j.T @ u.
+    every refresh) and sets v = j.T @ u.  The factor keeps a reference to
+    the given j as its `source`.
     """
-    j = as_matrix(j, "j")
+    source, j = j, as_matrix(j, "j")
     m, d = j.shape
     if not 1 <= k <= min(m, d):
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {j.shape}")
@@ -56,7 +60,7 @@ def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
     else:
         u = static_basis(m, k, seed)
         v = np.column_stack([matvec_t(j, u[:, c]) for c in range(k)])
-    return LowRankFactor(u=u, v=v, birth_step=step)
+    return LowRankFactor(u=u, v=v, birth_step=step, source=source)
 
 
 def projected_signal(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ two optimizers driven by identically seeded problems see identical noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -141,8 +141,11 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
                   cfg: GradLiteConfig) -> tuple[OptimizerState, StepTrace]:
     """One full update: signal, projection, correction, residual, descent.
 
-    A block's factor is rebuilt from its current Jacobian once `cfg.tau`
-    steps have passed since the factor's birth.
+    A block's factor is refreshed once `cfg.tau` steps have passed since
+    the factor's birth.  If the block's Jacobian is the very array the
+    factor was built from (problems return read-only Jacobians, so the same
+    array means the same J), the factor is kept and only re-dated;
+    otherwise it is rebuilt from the current Jacobian.
     """
     t = state.step
     theta = state.theta
@@ -151,10 +154,13 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
 
     gt_parts, gh_parts, bd_parts = [], [], []
     for b in range(problem.blocks):
-        due = (t - state.factors[b].birth_step) >= cfg.tau
+        factor = state.factors[b]
+        due = (t - factor.birth_step) >= cfg.tau
         need_j = due or cfg.probe == "exact"
         j_b = problem.jacobian(theta, batch, b) if need_j else None
-        if due:
+        if due and j_b is factor.source:
+            state.factors[b] = replace(factor, birth_step=t)
+        elif due:
             state.factors[b] = factorize(j_b, cfg.k, cfg.basis_mode, t, cfg.seed)
         gt = approx_gradient(state.factors[b], delta)
         gh = correct(gt, state.accumulators[b]) if cfg.ef_mode != "off" else gt

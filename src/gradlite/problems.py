@@ -7,6 +7,11 @@ with the optimizer API but only ``None`` is accepted.  Stochasticity
 enters through the error signal's noise stream, which is the only run
 state a problem holds and is owned by one run at a time; the MLP's
 evaluation cache is a pure function of theta.
+
+A Jacobian is returned read-only and is never changed in place, so the
+same array means the same J: the quadratic and logistic families return
+one array for every theta, and the MLP a new one for each new theta.  The
+optimizer relies on this to keep a factor whose Jacobian has not changed.
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ class Dataset:
     """Feature matrix plus a target vector, reproducible from its seed."""
 
     def __init__(self, x, y, seed: int = 0):
-        self.x = np.asarray(x, dtype=np.float64)
+        # A private read-only copy: x is the logistic Jacobian (see the
+        # module docstring).
+        self.x = _read_only(np.array(x, dtype=np.float64))
         self.y = np.asarray(y, dtype=np.float64)
         self.seed = seed
         if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
@@ -180,8 +187,8 @@ class QuadraticProblem(Problem):
         if evals.min() <= 0.0:
             raise SpdError(f"matrix is not positive definite (min eig {evals.min():g})")
         self.a = a
-        self._sqrt_a = (evecs * np.sqrt(evals)[None, :]) @ evecs.T
-        self._sqrt_a = 0.5 * (self._sqrt_a + self._sqrt_a.T)
+        sqrt_a = (evecs * np.sqrt(evals)[None, :]) @ evecs.T
+        self._sqrt_a = _read_only(0.5 * (sqrt_a + sqrt_a.T))
         self.theta_star = np.asarray(theta_star, dtype=np.float64)
         if self.theta_star.shape != (a.shape[0],):
             raise DimError("theta_star length does not match the matrix")

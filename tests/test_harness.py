@@ -214,6 +214,19 @@ class TestRepeatedSeeds:
             rate_sweep(k_grid=(2, 3), d=4, t_grid=(1, 2, 3, 4), seeds=(1, 1))
 
 
+class TestRepeatedT:
+    def test_rejected_before_the_first_step(self, monkeypatch):
+        def gradlite_step(*args, **kwargs):
+            raise AssertionError("a step ran before the T grid was checked")
+        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
+        with pytest.raises(ConfigError,
+                           match=r"values of T must be distinct, got \[1, 2, 2, 3, 4\]"):
+            rate_check(spec, 2, (2, 1, 2, 3, 4), (0,), 0.3)
+        with pytest.raises(ConfigError, match="values of T must be distinct"):
+            rate_sweep(k_grid=(2, 3), d=4, t_grid=(25, 50, 50, 100, 200), seeds=(0,))
+
+
 class TestAblationMachinery:
     def test_each_seeds_problem_built_once(self, monkeypatch):
         built = []

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from gradlite import optimizers
 from gradlite.errors import ConfigError, DivergedError, EmptyRunError
 from gradlite.optimizers import (GradLiteConfig, OptimizerState, adam_step,
                                  averaged_iterate, galore_like_step,
                                  gradlite_step, init_gradlite_state,
                                  init_state, sgd_step)
-from gradlite.problems import QuadraticProblem, make_mlp, make_quadratic
+from gradlite.problems import (QuadraticProblem, make_lowrank_logistic,
+                               make_mlp, make_quadratic)
 from gradlite.rng import derive_seed
 
 
@@ -86,6 +88,81 @@ class TestGradLiteStep:
             for _ in range(200):
                 st, _ = gradlite_step(st, prob, None, cfg)
         assert err.value.step >= 0
+
+
+class CopyingJacobian:
+    """A problem whose jacobian hands out a fresh copy at every call."""
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def jacobian(self, theta, batch=None, block: int = 0):
+        return self._problem.jacobian(theta, batch, block).copy()
+
+
+CONSTANT_J = {
+    "quadratic": lambda: make_quadratic(6, 10.0, 0.3, seed=4),
+    "lowrank-logistic": lambda: make_lowrank_logistic(24, 6, 100.0, seed=5),
+}
+
+
+class TestRefreshReuse:
+    """A due refresh keeps the factor when the Jacobian is the same array."""
+
+    TAU = 4
+    STEPS = 3 * TAU + 1
+
+    @pytest.fixture
+    def factorized(self, monkeypatch):
+        """The Jacobians the step factorizes, one entry per factorize call."""
+        calls, original = [], optimizers.factorize
+
+        def counting(j, *args):
+            calls.append(j)
+            return original(j, *args)
+        monkeypatch.setattr(optimizers, "factorize", counting)
+        return calls
+
+    def run(self, problem, basis_mode):
+        cfg = GradLiteConfig(eta=0.01, k=2, tau=self.TAU, basis_mode=basis_mode,
+                             seed=9)
+        st = init_gradlite_state(problem, None, cfg)
+        factors = [st.factors[0]]
+        for _ in range(self.STEPS):
+            st, _ = gradlite_step(st, problem, None, cfg)
+            factors.append(st.factors[0])
+        return st, factors
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_J))
+    def test_constant_jacobian_is_factorized_once(self, name, factorized):
+        problem = CONSTANT_J[name]()
+        _, factors = self.run(problem, "svd")
+        assert len(factorized) == problem.blocks == 1
+        assert all(f.u is factors[0].u and f.v is factors[0].v for f in factors)
+        # factors[t + 1] is the factor step t used
+        assert [f.birth_step for f in factors[1:]] == \
+            [self.TAU * (t // self.TAU) for t in range(self.STEPS)]
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_J))
+    def test_random_projection_reuse_is_bit_exact(self, name, factorized):
+        kept, _ = self.run(CONSTANT_J[name](), "random-projection")
+        assert len(factorized) == 1
+        rebuilt, _ = self.run(CopyingJacobian(CONSTANT_J[name]()),
+                              "random-projection")
+        assert len(factorized) - 1 == 1 + 3  # the copies force every refresh
+        assert np.array_equal(kept.theta, rebuilt.theta)
+        assert np.array_equal(kept.theta_sum, rebuilt.theta_sum)
+        assert np.array_equal(kept.accumulators[0], rebuilt.accumulators[0])
+
+    def test_an_equal_copy_still_refreshes(self, factorized):
+        # The rule asks for the same array, not for equal contents.
+        _, factors = self.run(CopyingJacobian(CONSTANT_J["quadratic"]()), "svd")
+        assert len(factorized) == 1 + 3
+        assert factors[-1].u is not factors[0].u
+        assert factors[-1].birth_step == 3 * self.TAU
 
 
 class TestConfigValidation:

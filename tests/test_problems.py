@@ -187,6 +187,28 @@ class TestMlpEvaluationCache:
                 jac[0, 0] = 1.0
 
 
+class TestReadOnlyJacobians:
+    """The same array means the same J, so no Jacobian changes in place."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_quadratic(5, 10.0, 0.3, seed=1),
+        lambda: make_gaussian_logistic(20, 4, seed=2),
+        lambda: make_lowrank_logistic(24, 6, 100.0, seed=3),
+    ], ids=["quadratic", "logistic", "lowrank-logistic"])
+    def test_jacobian_is_not_writeable(self, make):
+        prob = make()
+        jac = prob.jacobian(prob.default_theta0())
+        assert not jac.flags.writeable
+        with pytest.raises(ValueError):
+            jac[0, 0] = 1.0
+
+    def test_dataset_features_are_a_private_copy(self):
+        x = np.ones((3, 2))
+        data = Dataset(x, np.zeros(3))
+        x[0, 0] = 5.0
+        assert data.x[0, 0] == 1.0
+
+
 class TestChainRuleContract:
     @pytest.mark.parametrize("factory", [
         lambda: make_quadratic(12, 10.0, 0.0, seed=41),
