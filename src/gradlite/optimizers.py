@@ -91,12 +91,13 @@ class StepTrace:
 
 
 def _require_finite(vec: np.ndarray, step: int, what: str):
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise DivergedError(step, what)
 
 
 def _check_theta(theta: np.ndarray, step: int):
-    if not np.all(np.isfinite(theta)) or np.abs(theta).max() > DIVERGENCE_CAP:
+    # A NaN fails the comparison, so one reduction also catches non-finite.
+    if not np.abs(theta).max() <= DIVERGENCE_CAP:
         raise DivergedError(step, "theta")
 
 

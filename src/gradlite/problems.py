@@ -6,7 +6,10 @@ Problems are full batch: `batch` exists in the signatures for symmetry
 with the optimizer API but only ``None`` is accepted.  Stochasticity
 enters through the error signal's noise stream, which is the only run
 state a problem holds and is owned by one run at a time; the MLP's
-evaluation cache is a pure function of theta.
+evaluation cache is a pure function of theta.  Noise is drawn in blocks
+of NOISE_BLOCK (64) draws, one stream call per block, and `reset_noise`
+discards the rest of a block, so each draw equals one ``normals(m)`` call
+on the run's stream.
 
 A Jacobian is returned read-only and is never changed in place, so the
 same array means the same J: the quadratic and logistic families return
@@ -26,6 +29,8 @@ _MATRIX_SALT = 0x0151_0002
 _DATA_SALT = 0x0151_0003
 _LABEL_SALT = 0x0151_0004
 _THETA0_SALT = 0x0151_0005
+# Noise vectors drawn from the stream at once; see Problem._noise_vec.
+NOISE_BLOCK = 64
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -125,11 +130,12 @@ class Problem:
 
     def _init_noise(self, seed: int):
         self.seed = seed
-        self._noise = SplitMix64(derive_seed(seed, _NOISE_SALT))
+        self.reset_noise(derive_seed(seed, _NOISE_SALT))
 
     def reset_noise(self, seed: int):
-        """Attach a fresh noise stream; each run owns its own."""
+        """Attach a fresh noise stream and drop the rest of the old block."""
         self._noise = SplitMix64(seed)
+        self._noise_rows = iter(())
 
     @property
     def d(self) -> int:
@@ -147,8 +153,14 @@ class Problem:
         return out
 
     def _noise_vec(self) -> np.ndarray:
+        # Rows are raw normals, scaled as they are taken: the bits equal
+        # noise_sigma * normals(m) even if noise_sigma changed mid-block.
         if self.noise_sigma > 0.0:
-            return self.noise_sigma * self._noise.normals(self.m)
+            row = next(self._noise_rows, None)
+            if row is None:
+                self._noise_rows = iter(self._noise.normal_rows(self.m, NOISE_BLOCK))
+                row = next(self._noise_rows)
+            return self.noise_sigma * row
         return np.zeros(self.m)
 
     def loss(self, theta, batch=None) -> float:

@@ -5,6 +5,9 @@ datasets, noise draws, and sketch matrices are reproducible bit-for-bit
 from a 64-bit seed, independent of numpy's own generators.  The stream is
 the splitmix64 mixer over a counter that advances by the 64-bit golden
 ratio; normals come from Box-Muller applied to consecutive outputs.
+``normal_rows`` draws a block of equal-length normal vectors in one call,
+bit for bit the vectors that as many ``normals`` calls would give, so a
+consumer that needs one vector at a time can buffer a block of them.
 """
 
 from __future__ import annotations
@@ -76,6 +79,16 @@ class SplitMix64:
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
         return out[:n]
+
+    def normal_rows(self, n: int, rows: int) -> np.ndarray:
+        """rows x n normals; row i is the i-th of `rows` calls of normals(n).
+
+        Each normals(n) call draws 2*ceil(n/2) values and drops the last
+        one for odd n, so one draw of rows * 2*ceil(n/2) values, cut into
+        rows, holds the same bits and leaves the stream at the same state.
+        """
+        width = 2 * ((n + 1) // 2)
+        return self.normals(rows * width).reshape(rows, width)[:, :n]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)

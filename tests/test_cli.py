@@ -159,10 +159,12 @@ class TestExitCodes:
           "--dim", "4"], None),
         (["rate-check", "--t-grid", "25,50,50,100,200", "--seeds", "0", "--k-grid",
           "2,4", "--dim", "4"], None),
+        (["rate-check", "--t-grid", "25,50,100,200", "--seeds", "0", "--k-grid",
+          "2,2,4", "--dim", "4"], None),
     ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
             "rank-above-dim", "infinite-eta", "nan-sigma", "config-l2", "zero-cond",
             "repeated-t-grid", "ablate-repeated-seeds", "rate-repeated-seeds",
-            "rate-repeated-t"])
+            "rate-repeated-t", "rate-repeated-k"])
     def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
                                                     capsys):
         if config is not None:

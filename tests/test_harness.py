@@ -227,6 +227,16 @@ class TestRepeatedT:
             rate_sweep(k_grid=(2, 3), d=4, t_grid=(25, 50, 50, 100, 200), seeds=(0,))
 
 
+class TestRepeatedK:
+    def test_rejected_before_the_first_step(self, monkeypatch):
+        def gradlite_step(*args, **kwargs):
+            raise AssertionError("a step ran before the rank grid was checked")
+        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        with pytest.raises(ConfigError,
+                           match=r"ranks must be distinct, got \[2, 2, 4\]"):
+            rate_sweep(k_grid=(2, 2, 4), d=4, t_grid=(25, 50, 100, 200), seeds=(0,))
+
+
 class TestAblationMachinery:
     def test_each_seeds_problem_built_once(self, monkeypatch):
         built = []

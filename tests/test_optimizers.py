@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,37 @@ class TestDivergenceGuard:
         with pytest.raises(DivergedError):
             for _ in range(100):
                 st = sgd_step(st, prob, None, -10.0)  # ascent blows up
+
+    @pytest.mark.parametrize("value", [
+        np.nan, np.inf, -np.inf, np.nextafter(1e12, np.inf), -np.nextafter(1e12, np.inf),
+    ], ids=["nan", "inf", "-inf", "above-cap", "below-minus-cap"])
+    def test_check_theta_rejects(self, value):
+        with pytest.raises(DivergedError) as err:
+            optimizers._check_theta(np.array([0.0, value, 1.0]), 4)
+        assert (err.value.step, err.value.what) == (4, "theta")
+
+    @pytest.mark.parametrize("value", [1e12, -1e12])
+    def test_check_theta_accepts_the_cap_itself(self, value):
+        assert optimizers.DIVERGENCE_CAP == 1e12
+        optimizers._check_theta(np.array([0.0, value, 1.0]), 4)
+
+    @pytest.mark.parametrize("what", ["delta", "g_tilde", "g_hat"])
+    def test_gradlite_step_names_the_non_finite_vector(self, what, monkeypatch):
+        prob = make_quadratic(4, 5.0, 0.0, seed=2)
+        cfg = GradLiteConfig(eta=0.1, k=2, tau=10, seed=0)
+        st = init_gradlite_state(prob, None, cfg)
+        if what == "delta":
+            monkeypatch.setattr(prob, "error_signal",
+                                lambda theta, batch=None: np.full(prob.m, np.nan))
+        elif what == "g_tilde":
+            v = st.factors[0].v.copy()
+            v[0, 0] = np.nan
+            st.factors[0] = replace(st.factors[0], v=v)
+        else:
+            st.accumulators[0] = np.full(prob.d, np.nan)
+        with pytest.raises(DivergedError) as err:
+            gradlite_step(st, prob, None, cfg)
+        assert (err.value.step, err.value.what) == (0, what)
 
 
 class TestDescentSanity:

@@ -3,11 +3,12 @@ import pytest
 
 from gradlite.errors import ConfigError, DataError, SpdError
 from gradlite.linalg import matvec_t
-from gradlite.problems import (Dataset, LogisticProblem, MlpProblem,
-                               QuadraticProblem, finite_difference_gradient,
-                               make_gaussian_logistic, make_lowrank_logistic,
-                               make_mlp, make_quadratic, synth_dataset)
-from gradlite.rng import SplitMix64
+from gradlite.problems import (NOISE_BLOCK, _NOISE_SALT, Dataset, LogisticProblem,
+                               MlpProblem, QuadraticProblem,
+                               finite_difference_gradient, make_gaussian_logistic,
+                               make_lowrank_logistic, make_mlp, make_quadratic,
+                               synth_dataset)
+from gradlite.rng import SplitMix64, derive_seed
 
 
 class TestQuadratic:
@@ -58,6 +59,47 @@ class TestQuadratic:
         prob = make_quadratic(4, 2.0, 0.0, seed=1)
         with pytest.raises(ConfigError):
             prob.loss(prob.default_theta0(), batch=[0, 1])
+
+
+class TestBlockNoise:
+    """Noise is drawn NOISE_BLOCK vectors at a time, yet each draw equals
+    one normals(m) call on the run's stream."""
+
+    D, COND, SIGMA, SEED = 7, 10.0, 0.5, 31
+
+    def signals(self, prob, count):
+        theta = prob.default_theta0()
+        return [prob.error_signal(theta) for _ in range(count)]
+
+    def test_signals_equal_one_normals_call_per_draw(self):
+        noisy = make_quadratic(self.D, self.COND, self.SIGMA, seed=self.SEED)
+        clean = make_quadratic(self.D, self.COND, 0.0, seed=self.SEED)
+        stream = SplitMix64(derive_seed(self.SEED, _NOISE_SALT))
+        base = clean.error_signal(clean.default_theta0())
+        # 2 * NOISE_BLOCK + 1 draws cross two block boundaries.
+        for got in self.signals(noisy, 2 * NOISE_BLOCK + 1):
+            assert np.array_equal(got, base + self.SIGMA * stream.normals(self.D))
+
+    def test_reset_partway_through_a_block_discards_its_rest(self):
+        used = make_quadratic(self.D, self.COND, self.SIGMA, seed=self.SEED)
+        self.signals(used, 10)
+        used.reset_noise(99)
+        fresh = make_quadratic(self.D, self.COND, self.SIGMA, seed=self.SEED)
+        fresh.reset_noise(99)
+        for a, b in zip(self.signals(used, NOISE_BLOCK + 5),
+                        self.signals(fresh, NOISE_BLOCK + 5)):
+            assert np.array_equal(a, b)
+
+    def test_sigma_set_after_construction_scales_each_draw(self):
+        prob = make_quadratic(self.D, self.COND, 0.0, seed=self.SEED)
+        clean = prob.error_signal(prob.default_theta0())
+        stream = SplitMix64(derive_seed(self.SEED, _NOISE_SALT))
+        prob.noise_sigma = 0.5
+        first = self.signals(prob, 3)
+        prob.noise_sigma = 2.0  # mid-block: the rows already drawn follow it
+        rest = self.signals(prob, 3)
+        for sigma, got in zip([0.5] * 3 + [2.0] * 3, first + rest):
+            assert np.array_equal(got, clean + sigma * stream.normals(self.D))
 
 
 class TestLogistic:

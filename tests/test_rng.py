@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gradlite.rng import SplitMix64, derive_seed
 
@@ -42,3 +43,14 @@ def test_derived_seeds_give_distinct_streams():
     b = SplitMix64(s2).normals(64)
     assert not np.array_equal(a, b)
     assert derive_seed(0, 1) == s1
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("n", [1, 2, 49, 50, 51, 512])
+def test_normal_rows_equal_consecutive_normals_calls(n, rows):
+    block_stream, call_stream = SplitMix64(2024), SplitMix64(2024)
+    block = block_stream.normal_rows(n, rows)
+    calls = np.stack([call_stream.normals(n) for _ in range(rows)])
+    assert block.shape == (rows, n)
+    assert np.array_equal(block.view(np.uint64), calls.view(np.uint64))
+    assert block_stream._state == call_stream._state
