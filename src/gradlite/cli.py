@@ -216,6 +216,8 @@ def dispatch(ns: argparse.Namespace) -> int:
         metrics.write_csv(ns.out)
         if ns.summary:
             metrics.write_summary(ns.summary)
+        if metrics.loss_star is None:
+            print(f"gap: nan, no reference optimum is known for problem {ns.problem!r}")
         status = "diverged" if metrics.diverged else "done"
         print(f"{status}: {len(metrics.records)}/{ns.steps} steps, "
               f"final loss {metrics.final_loss:.6g} -> {ns.out}")

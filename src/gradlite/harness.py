@@ -1,7 +1,7 @@
 """Seeded experiments, scalar-count memory ledger, rate fits, ablation.
 
 Everything here is deterministic in (specs, seed): problems, noise, and
-sketch randomness are derived from the run seed through fixed salts, and
+random bases are derived from the run seed through fixed salts, and
 output files are written with pinned float formatting so reruns are
 byte-identical.
 """
@@ -46,13 +46,16 @@ def _fmt(x) -> str:
 
 
 def _distinct_seeds(seeds, what: str) -> list:
-    """The seeds as ints; ConfigError if there are none or one repeats."""
+    """The seeds as sorted ints; ConfigError if there are none or one repeats.
+
+    Sorting makes a result independent of the order the seeds were given in.
+    """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError(f"{what} needs at least one seed")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"{what} seeds must be distinct, got {seeds}")
-    return seeds
+    return sorted(seeds)
 
 
 # -- spec registries -------------------------------------------------------
@@ -159,6 +162,8 @@ class RunMetrics:
     records: list[StepRecord] = field(default_factory=list)
     diverged: bool = False
     diverged_step: int | None = None
+    # None when no reference optimum is known; every gap is then NaN.
+    loss_star: float | None = None
 
     @property
     def final_loss(self) -> float:
@@ -229,7 +234,8 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
 
     metrics = RunMetrics(problem_spec=dict(problem_spec),
                          optimizer_spec=dict(optimizer_spec), steps=steps,
-                         seed=seed, initial_loss=problem.loss(state.theta))
+                         seed=seed, initial_loss=problem.loss(state.theta),
+                         loss_star=problem.loss_star)
     for t in range(1, steps + 1):
         trace = None
         try:
@@ -439,17 +445,15 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     zero, which the ef-standard comparison entry documents.
 
     The quadratic's Jacobian is constant, so each run keeps the one
-    randomized factor it built at step 0 (``lowrank.SVD_ITERS`` power
-    iterations).  That factor is not the exact top-k eigenspace: at
-    d=50, cond=100 its largest principal angle from it is 7.1 degrees at
-    k=2 and 8.3 at k=8 (sketch seed 123), so a floor prices this factor's
-    bias, not the rank-k truncation bias alone.
+    factor it built at step 0.  That factor is the exact top-k SVD of the
+    Jacobian, so a floor prices the rank-k truncation bias alone.
     """
     if not k_grid:
         raise ConfigError("rate sweep needs at least one rank")
     ranks = [int(k) for k in k_grid]
     if len(set(ranks)) < len(ranks):
         raise ConfigError(f"rate sweep ranks must be distinct, got {ranks}")
+    seeds = _distinct_seeds(seeds, "rate fit")
     spec = {"name": "quadratic", "d": d, "cond": cond, "sigma": sigma}
     # Every rank is checked before the full-rank fit, the longest part, runs.
     problem = build_problem(spec, seed=0)
@@ -470,7 +474,7 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
                                                    "probe": "exact"},
                                reference=ref)
     return {
-        "problem": spec, "c": c, "t_grid": list(t_grid), "seeds": list(seeds),
+        "problem": spec, "c": c, "t_grid": list(full.t_grid), "seeds": seeds,
         "fits": {str(k): f.to_dict() for k, f in fits.items()},
         "full_rank_slope": full.slope,
         "error_floors": {str(k): fits[k].error_floor for k in ranks},
@@ -545,7 +549,7 @@ def ablation_suite(seeds=(0, 1, 2), steps: int = 3000, k: int = 8,
                    tau: int = 10, n: int = 512, d: int = 128,
                    cond: float = 1e3, eta: float | None = None) -> AblationResult:
     """Full method vs no-feedback vs static random basis, paired by seed."""
-    seeds = sorted(_distinct_seeds(seeds, "ablation"))
+    seeds = _distinct_seeds(seeds, "ablation")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     # One problem per seed serves the tuning and every variant: it holds no

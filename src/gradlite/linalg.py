@@ -1,4 +1,4 @@
-"""Dense float64 vectors/matrices and the truncated-SVD kernel.
+"""Dense float64 vectors/matrices and the exact truncated-SVD kernel.
 
 Values are plain numpy arrays validated at the boundaries (`as_matrix`).
 `matvec` and `matvec_t` accumulate in a pinned order
@@ -21,11 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimError, NumError, RankError
-from .rng import SplitMix64, derive_seed
-
-# Oversampling columns for the randomized range sketch.
-OVERSAMPLE = 5
-_SKETCH_SALT = 0x5EED_57E7C4
 
 
 class SvdResult(NamedTuple):
@@ -84,36 +79,29 @@ def frob_residual(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(np.sum(diff * diff)))
 
 
-def truncated_svd(a, k: int, iters: int = 4, seed: int = 0) -> SvdResult:
-    """Leading-k SVD by randomized subspace iteration.
+def truncated_svd(a, k: int) -> SvdResult:
+    """Exact leading-k SVD from the eigendecomposition of the smaller Gram.
 
-    Gaussian sketch with OVERSAMPLE extra columns, `iters` orthonormalized
-    power steps, then an exact SVD of the small projected matrix.  The
-    output is deterministic in (a, k, iters, seed); each (u_j, v_j) pair is
-    flipped so the largest-magnitude entry of u_j is positive.
+    With b = a when m <= d and b = a.T otherwise, `eigh(b @ b.T)` gives the
+    top-k singular vectors w of b's short side; one QR of b.T @ w gives the
+    long side, each column signed by diag(R), and s = |diag(R)|.  The QR
+    keeps that side orthonormal even where a singular value is zero.  The
+    output is a pure function of (a, k); each (u_j, v_j) pair is flipped so
+    the largest-magnitude entry of u_j is positive.
     """
     a = as_matrix(a)
     m, d = a.shape
     if not 1 <= k <= min(m, d):
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {a.shape}")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
 
-    width = min(k + OVERSAMPLE, min(m, d))
-    stream = SplitMix64(derive_seed(seed, _SKETCH_SALT))
-    omega = stream.normal_matrix(d, width)
-    q, _ = np.linalg.qr(a @ omega)
-    for _ in range(iters):
-        z, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ z)
-    b = q.T @ a
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    u = q @ ub[:, :k]
-    v = vt[:k].T.copy()
-    s = s[:k].copy()
-    for j in range(k):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return SvdResult(u, s, v)
+    b = a if m <= d else a.T
+    _, evecs = np.linalg.eigh(b @ b.T)
+    w = evecs[:, ::-1][:, :k]
+    q, r = np.linalg.qr(b.T @ w)
+    diag = np.diagonal(r)
+    s = np.abs(diag)
+    x = q * np.where(diag < 0.0, -1.0, 1.0)
+    u, v = (w, x) if m <= d else (x, w)
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(k)]
+    flip = np.where(lead < 0.0, -1.0, 1.0)
+    return SvdResult(u * flip, s, v * flip)

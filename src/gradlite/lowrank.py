@@ -16,10 +16,8 @@ from .errors import RankError
 from .linalg import as_matrix, matvec, matvec_t, truncated_svd
 from .rng import SplitMix64, derive_seed
 
-SVD_ITERS = 4
 BASIS_MODES = ("svd", "random-projection")
 _BASIS_SALT = 0xBA515_0001
-_REFRESH_SALT = 0x5FD_2002
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,8 @@ def static_basis(m: int, k: int, seed: int) -> np.ndarray:
 def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
     """Build a rank-k factor of j at the given step.
 
-    `mode` is one of BASIS_MODES.  svd mode adapts both sides to j;
+    `mode` is one of BASIS_MODES.  svd mode takes both sides from the exact
+    top-k SVD of j, so its factor depends on j alone, not on step or seed;
     random-projection keeps u fixed by the seed alone (the same basis at
     every refresh) and sets v = j.T @ u.  The factor keeps a reference to
     the given j as its `source`.
@@ -54,8 +53,7 @@ def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
     if mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {mode!r}")
     if mode == "svd":
-        res = truncated_svd(j, k, iters=SVD_ITERS,
-                            seed=derive_seed(derive_seed(seed, _REFRESH_SALT), step))
+        res = truncated_svd(j, k)
         u, v = res.u, res.v * res.s[None, :]
     else:
         u = static_basis(m, k, seed)

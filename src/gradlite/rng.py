@@ -1,7 +1,7 @@
 """Seedable random stream with a fixed, portable algorithm.
 
 All randomness in the package flows through :class:`SplitMix64` so that
-datasets, noise draws, and sketch matrices are reproducible bit-for-bit
+datasets, noise draws, and random bases are reproducible bit-for-bit
 from a 64-bit seed, independent of numpy's own generators.  The stream is
 the splitmix64 mixer over a counter that advances by the 64-bit golden
 ratio; normals come from Box-Muller applied to consecutive outputs.
@@ -30,8 +30,8 @@ def _mix_int(z: int) -> int:
 def derive_seed(seed: int, salt: int) -> int:
     """Deterministically split a seed into an independent child seed.
 
-    Used to give datasets, noise, sketches, and bases separate streams
-    that never interleave, so consuming one stream cannot shift another.
+    Used to give datasets, noise, and bases separate streams that never
+    interleave, so consuming one stream cannot shift another.
     """
     return _mix_int((seed & _MASK) + _mix_int(salt + _GOLDEN))
 

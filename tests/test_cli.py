@@ -277,6 +277,32 @@ class TestExitCodeProperty:
             assert "diverged" in out.getvalue(), argv
 
 
+class TestGapNote:
+    """`run` says on stdout why the gap column is NaN."""
+
+    def run(self, tmp_path, problem_flags, seed):
+        return main(["run", *problem_flags, "--steps", "2", "--seed", str(seed),
+                     "--out", str(tmp_path / "m.csv")])
+
+    def test_no_reference_optimum_is_named(self, tmp_path, capsys):
+        # The optimum solve of this instance does not converge.
+        flags = ["--problem", "lowrank-logistic", "--n", "512", "--dim", "128",
+                 "--cond", "1000"]
+        assert self.run(tmp_path, flags, 11) == 0
+        lines = capsys.readouterr().out.splitlines()
+        notes = [line for line in lines if "no reference optimum" in line]
+        assert notes == ["gap: nan, no reference optimum is known for problem "
+                         "'lowrank-logistic'"]
+        gaps = [row.split(",")[2] for row in
+                (tmp_path / "m.csv").read_text().splitlines()[1:]]
+        assert gaps == ["nan", "nan"]
+
+    def test_silent_when_the_optimum_is_known(self, tmp_path, capsys):
+        flags = ["--problem", "lowrank-logistic", "--n", "64", "--dim", "16"]
+        assert self.run(tmp_path, flags, 3) == 0
+        assert "no reference optimum" not in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_rerun_overwrites_with_identical_bytes(self, tmp_path):
         out, summary = tmp_path / "m.csv", tmp_path / "s.json"
@@ -323,6 +349,17 @@ class TestDeterminism:
         assert main(argv) == 0
         for path in paths:
             assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), path.name
+
+    def test_rate_check_bytes_do_not_depend_on_flag_order(self, tmp_path):
+        outs = []
+        for t_grid, seeds in (("200,100,50,25", "2,0,1"), ("25,50,100,200", "0,1,2")):
+            outs.append(tmp_path / f"rate_{len(outs)}.json")
+            assert main(["rate-check", "--t-grid", t_grid, "--seeds", seeds,
+                         "--k-grid", "4,2", "--dim", "4", "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        report = json.loads(outs[0].read_text())
+        assert report["t_grid"] == [25, 50, 100, 200]
+        assert report["seeds"] == [0, 1, 2]
 
     def test_mem_report_json_deterministic(self, tmp_path):
         out = tmp_path / "mem.json"

@@ -43,6 +43,15 @@ class TestFactorize:
         # v adapts to the matrix even though u does not
         assert np.allclose(fa.v, a.T @ fa.u, atol=1e-12)
 
+    def test_svd_factor_is_a_function_of_the_matrix_alone(self):
+        a = SplitMix64(12).normal_matrix(10, 7)
+        ref = factorize(a, 3, SVD, 0, 0)
+        for step, seed in ((0, 1), (5, 0), (17, 2**40 + 3)):
+            fac = factorize(a, 3, SVD, step, seed)
+            assert np.array_equal(fac.u, ref.u)
+            assert np.array_equal(fac.v, ref.v)
+            assert fac.birth_step == step
+
     def test_rank_rejected_not_clamped(self):
         with pytest.raises(RankError):
             factorize(J32, 3, SVD, 0, 0)
