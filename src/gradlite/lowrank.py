@@ -3,7 +3,8 @@
 A factor holds u (m x k, orthonormal columns) and v (d x k, singular
 values folded in), so the approximate gradient is the two-matvec pipeline
 v @ (u.T @ delta) with a k-length intermediate and no m x d product ever
-materialized.
+materialized.  An svd-mode factor is the exact top-k SVD of the Jacobian
+(`linalg.truncated_svd`), so it depends on the Jacobian alone.
 """
 
 from __future__ import annotations
