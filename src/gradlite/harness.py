@@ -240,9 +240,9 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
         trace = None
         try:
             if cfg is not None:
-                state, trace = gradlite_step(state, problem, None, cfg)
+                state, trace = gradlite_step(state, problem, cfg)
             else:
-                state = baseline_step(state, problem, None, **params)
+                state = baseline_step(state, problem, **params)
         except DivergedError as err:
             metrics.diverged = True
             metrics.diverged_step = err.step
@@ -378,7 +378,7 @@ class RateFit:
 def _lean_gradlite_run(problem: Problem, cfg: GradLiteConfig, steps: int):
     state = init_gradlite_state(problem, None, cfg)
     for _ in range(steps):
-        state, _ = gradlite_step(state, problem, None, cfg)
+        state, _ = gradlite_step(state, problem, cfg)
     return state
 
 

@@ -73,7 +73,7 @@ class OptimizerState:
     adam_v: np.ndarray | None = None
     galore_basis: np.ndarray | None = None
     galore_window: list = field(default_factory=list)
-    last_grad: np.ndarray | None = None
+    last_grad: np.ndarray | None = None  # gradlite: the probed gradient, or None
 
     def __post_init__(self):
         if self.theta_sum is None:
@@ -87,7 +87,6 @@ class StepTrace:
     g_tilde: np.ndarray      # approximate gradient, length d
     g_hat: np.ndarray        # corrected gradient actually applied
     big_delta: np.ndarray    # residual estimate
-    g_exact: np.ndarray | None  # present iff the exact probe ran
 
 
 def _require_finite(vec: np.ndarray, step: int, what: str):
@@ -101,10 +100,19 @@ def _check_theta(theta: np.ndarray, step: int):
         raise DivergedError(step, "theta")
 
 
-def stochastic_gradient(problem: Problem, theta: np.ndarray, batch=None) -> np.ndarray:
+def _descend(state: OptimizerState, update: np.ndarray, grad: np.ndarray | None):
+    theta_new = state.theta - update
+    _check_theta(theta_new, state.step)
+    state.theta = theta_new
+    state.step += 1
+    state.theta_sum = state.theta_sum + theta_new
+    state.last_grad = grad
+
+
+def stochastic_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
     """Chain-rule gradient for one error-signal draw, all blocks concatenated."""
-    delta = problem.error_signal(theta, batch)
-    parts = [matvec_t(problem.jacobian(theta, batch, b), delta)
+    delta = problem.error_signal(theta)
+    parts = [matvec_t(problem.jacobian(theta, block=b), delta)
              for b in range(problem.blocks)]
     return np.concatenate(parts)
 
@@ -124,13 +132,12 @@ def check_rank(problem: Problem, k: int):
             raise ConfigError(f"rank {k} exceeds min(m, d_block)={cap} for block {b}")
 
 
-def init_gradlite_state(problem: Problem, batch, cfg: GradLiteConfig,
-                        theta0=None) -> OptimizerState:
+def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> OptimizerState:
     """Validate the rank per block and build the step-0 factors."""
     check_rank(problem, cfg.k)
     state = init_state(problem, theta0)
     state.factors = [
-        factorize(problem.jacobian(state.theta, batch, b), cfg.k, cfg.basis_mode, 0,
+        factorize(problem.jacobian(state.theta, block=b), cfg.k, cfg.basis_mode, 0,
                   cfg.seed)
         for b in range(problem.blocks)
     ]
@@ -138,7 +145,7 @@ def init_gradlite_state(problem: Problem, batch, cfg: GradLiteConfig,
     return state
 
 
-def gradlite_step(state: OptimizerState, problem: Problem, batch,
+def gradlite_step(state: OptimizerState, problem: Problem,
                   cfg: GradLiteConfig) -> tuple[OptimizerState, StepTrace]:
     """One full update: signal, projection, correction, residual, descent.
 
@@ -150,7 +157,7 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
     """
     t = state.step
     theta = state.theta
-    delta = problem.error_signal(theta, batch)
+    delta = problem.error_signal(theta)
     _require_finite(delta, t, "delta")
 
     gt_parts, gh_parts, bd_parts = [], [], []
@@ -158,7 +165,7 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
         factor = state.factors[b]
         due = (t - factor.birth_step) >= cfg.tau
         need_j = due or cfg.probe == "exact"
-        j_b = problem.jacobian(theta, batch, b) if need_j else None
+        j_b = problem.jacobian(theta, block=b) if need_j else None
         if due and j_b is factor.source:
             state.factors[b] = replace(factor, birth_step=t)
         elif due:
@@ -180,43 +187,25 @@ def gradlite_step(state: OptimizerState, problem: Problem, batch,
     _require_finite(g_hat, t, "g_hat")
     # g~ + (g - g~) reconstructs the probed gradient to one rounding step.
     g_exact = g_tilde + big_delta if cfg.probe == "exact" else None
-
-    theta_new = theta - cfg.eta * g_hat
-    _check_theta(theta_new, t)
-    state.theta = theta_new
-    state.step = t + 1
-    state.theta_sum = state.theta_sum + theta_new
-    state.last_grad = g_exact
-    trace = StepTrace(g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta,
-                      g_exact=g_exact)
-    return state, trace
+    _descend(state, cfg.eta * g_hat, g_exact)
+    return state, StepTrace(g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta)
 
 
-def _descend(state: OptimizerState, update: np.ndarray, grad: np.ndarray):
-    theta_new = state.theta - update
-    _check_theta(theta_new, state.step)
-    state.theta = theta_new
-    state.step += 1
-    state.theta_sum = state.theta_sum + theta_new
-    state.last_grad = grad
-
-
-def sgd_step(state: OptimizerState, problem: Problem, batch,
-             eta: float) -> OptimizerState:
-    g = stochastic_gradient(problem, state.theta, batch)
+def sgd_step(state: OptimizerState, problem: Problem, eta: float) -> OptimizerState:
+    g = stochastic_gradient(problem, state.theta)
     _require_finite(g, state.step, "gradient")
     _descend(state, eta * g, g)
     return state
 
 
-def adam_step(state: OptimizerState, problem: Problem, batch, eta: float,
+def adam_step(state: OptimizerState, problem: Problem, eta: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> OptimizerState:
     check_hyperparams(eta=eta, beta1=beta1, beta2=beta2, eps=eps)
     if state.adam_m is None:
         state.adam_m = np.zeros_like(state.theta)
         state.adam_v = np.zeros_like(state.theta)
-    g = stochastic_gradient(problem, state.theta, batch)
+    g = stochastic_gradient(problem, state.theta)
     _require_finite(g, state.step, "gradient")
     t = state.step + 1
     state.adam_m = beta1 * state.adam_m + (1.0 - beta1) * g
@@ -227,7 +216,7 @@ def adam_step(state: OptimizerState, problem: Problem, batch, eta: float,
     return state
 
 
-def galore_like_step(state: OptimizerState, problem: Problem, batch,
+def galore_like_step(state: OptimizerState, problem: Problem,
                      eta: float, k: int, tau: int) -> OptimizerState:
     """Project the exact gradient onto a basis of recent gradients.
 
@@ -237,7 +226,7 @@ def galore_like_step(state: OptimizerState, problem: Problem, batch,
     to the identity.
     """
     check_hyperparams(eta=eta, k=k, tau=tau)
-    g = stochastic_gradient(problem, state.theta, batch)
+    g = stochastic_gradient(problem, state.theta)
     _require_finite(g, state.step, "gradient")
     state.galore_window.append(g)
     if len(state.galore_window) > tau:

@@ -2,14 +2,12 @@
 
 Every problem satisfies the chain-rule contract
 ``exact_gradient == jacobian.T @ error_signal`` (noiselessly, per block).
-Problems are full batch: `batch` exists in the signatures for symmetry
-with the optimizer API but only ``None`` is accepted.  Stochasticity
-enters through the error signal's noise stream, which is the only run
-state a problem holds and is owned by one run at a time; the MLP's
-evaluation cache is a pure function of theta.  Noise is drawn in blocks
-of NOISE_BLOCK (64) draws, one stream call per block, and `reset_noise`
-discards the rest of a block, so each draw equals one ``normals(m)`` call
-on the run's stream.
+Every evaluation uses all ``m`` rows.  Stochasticity enters through the
+error signal's noise stream, which is the only run state a problem holds
+and is owned by one run at a time; the MLP's evaluation cache is a pure
+function of theta.  Noise is drawn in blocks of NOISE_BLOCK (64) draws,
+one stream call per block, and `reset_noise` discards the rest of a
+block, so each draw equals one ``normals(m)`` call on the run's stream.
 
 A Jacobian is returned read-only and is never changed in place, so the
 same array means the same J: the quadratic and logistic families return
@@ -49,11 +47,6 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _check_batch(batch):
-    if batch is not None:
-        raise ConfigError("desk problems are full-batch; batch must be None")
 
 
 class Dataset:
@@ -163,16 +156,16 @@ class Problem:
             return self.noise_sigma * row
         return np.zeros(self.m)
 
-    def loss(self, theta, batch=None) -> float:
+    def loss(self, theta) -> float:
         raise NotImplementedError
 
-    def error_signal(self, theta, batch=None) -> np.ndarray:
+    def error_signal(self, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, theta, batch=None, block: int = 0) -> np.ndarray:
+    def jacobian(self, theta, block: int = 0) -> np.ndarray:
         raise NotImplementedError
 
-    def exact_gradient(self, theta, batch=None) -> np.ndarray:
+    def exact_gradient(self, theta) -> np.ndarray:
         raise NotImplementedError
 
     def default_theta0(self) -> np.ndarray:
@@ -212,21 +205,17 @@ class QuadraticProblem(Problem):
         self.loss_star = 0.0
         self._init_noise(seed)
 
-    def loss(self, theta, batch=None) -> float:
-        _check_batch(batch)
+    def loss(self, theta) -> float:
         r = theta - self.theta_star
         return 0.5 * float(r @ (self.a @ r))
 
-    def error_signal(self, theta, batch=None) -> np.ndarray:
-        _check_batch(batch)
+    def error_signal(self, theta) -> np.ndarray:
         return self._sqrt_a @ (theta - self.theta_star) + self._noise_vec()
 
-    def jacobian(self, theta, batch=None, block: int = 0) -> np.ndarray:
-        _check_batch(batch)
+    def jacobian(self, theta, block: int = 0) -> np.ndarray:
         return self._sqrt_a
 
-    def exact_gradient(self, theta, batch=None) -> np.ndarray:
-        _check_batch(batch)
+    def exact_gradient(self, theta) -> np.ndarray:
         return self.a @ (theta - self.theta_star)
 
     def default_theta0(self) -> np.ndarray:
@@ -247,21 +236,17 @@ class LogisticProblem(Problem):
         self.block_dims = (data.d,)
         self._init_noise(data.seed)
 
-    def loss(self, theta, batch=None) -> float:
-        _check_batch(batch)
+    def loss(self, theta) -> float:
         z = self.data.x @ theta
         return float(np.sum(_log1pexp(z) - self.data.y * z))
 
-    def error_signal(self, theta, batch=None) -> np.ndarray:
-        _check_batch(batch)
+    def error_signal(self, theta) -> np.ndarray:
         return _expit(self.data.x @ theta) - self.data.y + self._noise_vec()
 
-    def jacobian(self, theta, batch=None, block: int = 0) -> np.ndarray:
-        _check_batch(batch)
+    def jacobian(self, theta, block: int = 0) -> np.ndarray:
         return self.data.x
 
-    def exact_gradient(self, theta, batch=None) -> np.ndarray:
-        _check_batch(batch)
+    def exact_gradient(self, theta) -> np.ndarray:
         return self.data.x.T @ (_expit(self.data.x @ theta) - self.data.y)
 
     def default_theta0(self) -> np.ndarray:
@@ -273,6 +258,10 @@ class LogisticProblem(Problem):
         The reference is accurate to roughly tol**2 / curvature in loss
         terms, ample for gap reporting; near-separable instances converge
         slowly along tiny-curvature directions, hence the generous cap.
+        A line search that finds no lower loss is success when the Newton
+        decrease ``0.5 * g @ step`` is under 16 ulps of the loss, more than
+        the rounding of its pairwise sum: the point is optimal to float
+        precision.
         """
         theta = np.zeros(self.d)
         loss = self.loss(theta)
@@ -280,9 +269,7 @@ class LogisticProblem(Problem):
             p = _expit(self.data.x @ theta)
             g = self.data.x.T @ (p - self.data.y)
             if float(np.abs(g).max()) <= tol:
-                self.loss_star = self.loss(theta)
-                self.theta_hat = theta
-                return True
+                break
             w = p * (1.0 - p)
             h = (self.data.x.T * w[None, :]) @ self.data.x
             h[np.diag_indices_from(h)] += 1e-12
@@ -296,8 +283,14 @@ class LogisticProblem(Problem):
                     break
                 t *= 0.5
             else:
-                return False
-        return False
+                if 0.5 * float(g @ step) > 16 * np.spacing(max(1.0, abs(loss))):
+                    return False
+                break
+        else:
+            return False
+        self.loss_star = self.loss(theta)
+        self.theta_hat = theta
+        return True
 
 
 class MlpProblem(Problem):
@@ -373,18 +366,15 @@ class MlpProblem(Problem):
         self._resid = _read_only(acts[-1][:, 0] - self.data.y)
         self._jacobians = None
 
-    def loss(self, theta, batch=None) -> float:
-        _check_batch(batch)
+    def loss(self, theta) -> float:
         self._evaluate(theta)
         return 0.5 * float(self._resid @ self._resid) / self.data.n
 
-    def error_signal(self, theta, batch=None) -> np.ndarray:
-        _check_batch(batch)
+    def error_signal(self, theta) -> np.ndarray:
         self._evaluate(theta)
         return self._resid / self.data.n + self._noise_vec()
 
-    def jacobian(self, theta, batch=None, block: int = 0) -> np.ndarray:
-        _check_batch(batch)
+    def jacobian(self, theta, block: int = 0) -> np.ndarray:
         if not 0 <= block < self.blocks:
             raise DimError(f"block {block} outside 0..{self.blocks - 1}")
         self._evaluate(theta)
@@ -401,8 +391,7 @@ class MlpProblem(Problem):
             self._jacobians = jacobians
         return self._jacobians[block]
 
-    def exact_gradient(self, theta, batch=None) -> np.ndarray:
-        _check_batch(batch)
+    def exact_gradient(self, theta) -> np.ndarray:
         ws, _, acts, pre = self._forward(theta)
         n = self.data.n
         delta = (acts[-1][:, 0] - self.data.y)[:, None] / n

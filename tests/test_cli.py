@@ -285,14 +285,12 @@ class TestGapNote:
                      "--out", str(tmp_path / "m.csv")])
 
     def test_no_reference_optimum_is_named(self, tmp_path, capsys):
-        # The optimum solve of this instance does not converge.
-        flags = ["--problem", "lowrank-logistic", "--n", "512", "--dim", "128",
-                 "--cond", "1000"]
+        # The MLP family never has a reference optimum.
+        flags = ["--problem", "mlp", "--layers", "4,8,1", "--n", "16"]
         assert self.run(tmp_path, flags, 11) == 0
         lines = capsys.readouterr().out.splitlines()
         notes = [line for line in lines if "no reference optimum" in line]
-        assert notes == ["gap: nan, no reference optimum is known for problem "
-                         "'lowrank-logistic'"]
+        assert notes == ["gap: nan, no reference optimum is known for problem 'mlp'"]
         gaps = [row.split(",")[2] for row in
                 (tmp_path / "m.csv").read_text().splitlines()[1:]]
         assert gaps == ["nan", "nan"]

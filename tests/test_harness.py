@@ -144,8 +144,7 @@ class TestGradCheckSuite:
     def test_corrupted_gradient_is_caught_and_named(self):
         prob = make_quadratic(6, 4.0, 0.0, seed=5)
         true_grad = prob.exact_gradient
-        prob.exact_gradient = lambda theta, batch=None: \
-            true_grad(theta, batch) + 1e-3
+        prob.exact_gradient = lambda theta: true_grad(theta) + 1e-3
         report = grad_check_suite([prob], chain_draws=5, fd_draws=1)
         assert not report.passed
         assert any(r.problem == "quadratic" for r in report.failures())

@@ -187,7 +187,7 @@ class TestTruncatedSvd:
         problem = build_problem(spec, seed=0)
         theta = problem.default_theta0()
         for b in range(problem.blocks):
-            j = problem.jacobian(theta, None, b)
+            j = problem.jacobian(theta, block=b)
             for k in (2, 8, 32, 50):
                 if k <= min(j.shape):
                     assert_matches_oracle(j, k)

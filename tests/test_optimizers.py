@@ -23,17 +23,17 @@ class TestGradLiteStep:
         prob = diag_problem()
         cfg = GradLiteConfig(eta=0.1, k=2, tau=10, ef_mode="off",
                              probe="exact", seed=0)
-        st = init_gradlite_state(prob, None, cfg, theta0=[1.0, 1.0])
-        st, tr = gradlite_step(st, prob, None, cfg)
-        assert np.allclose(tr.g_exact, [1.0, 2.0], atol=1e-12)
+        st = init_gradlite_state(prob, [1.0, 1.0], cfg)
+        st, tr = gradlite_step(st, prob, cfg)
+        assert np.allclose(st.last_grad, [1.0, 2.0], atol=1e-12)
         assert np.allclose(st.theta, [0.9, 0.8], atol=1e-12)
 
     def test_rank_one_leaves_weak_direction_untouched(self):
         prob = diag_problem()
         cfg = GradLiteConfig(eta=0.1, k=1, tau=10, ef_mode="off",
                              probe="exact", seed=0)
-        st = init_gradlite_state(prob, None, cfg, theta0=[1.0, 1.0])
-        st, tr = gradlite_step(st, prob, None, cfg)
+        st = init_gradlite_state(prob, [1.0, 1.0], cfg)
+        st, tr = gradlite_step(st, prob, cfg)
         assert np.allclose(tr.g_tilde, [0.0, 2.0], atol=1e-10)
         assert np.allclose(st.theta, [1.0, 0.8], atol=1e-10)
 
@@ -41,10 +41,10 @@ class TestGradLiteStep:
         prob = diag_problem()
         cfg = GradLiteConfig(eta=0.1, k=1, tau=10, ef_mode="ef-standard",
                              probe="exact", seed=0)
-        st = init_gradlite_state(prob, None, cfg, theta0=[1.0, 1.0])
-        st, tr1 = gradlite_step(st, prob, None, cfg)
+        st = init_gradlite_state(prob, [1.0, 1.0], cfg)
+        st, tr1 = gradlite_step(st, prob, cfg)
         assert np.allclose(tr1.big_delta, [1.0, 0.0], atol=1e-10)
-        st, tr2 = gradlite_step(st, prob, None, cfg)
+        st, tr2 = gradlite_step(st, prob, cfg)
         assert abs(st.theta[0] - 0.9) <= 1e-10
         assert abs(st.theta[1] - 0.64) <= 1e-10
 
@@ -53,14 +53,14 @@ class TestGradLiteStep:
         cfg = GradLiteConfig(eta=0.05, k=2, ef_mode="ef-standard",
                              probe="exact", seed=1)
         st = init_gradlite_state(prob, None, cfg)
-        st, tr = gradlite_step(st, prob, None, cfg)
+        st, tr = gradlite_step(st, prob, cfg)
         assert tr.g_tilde.shape == (6,)
-        assert tr.g_exact is not None
+        assert st.last_grad is not None
 
         cfg2 = GradLiteConfig(eta=0.05, k=2, ef_mode="off", probe="none", seed=1)
         st2 = init_gradlite_state(prob, None, cfg2)
-        st2, tr2 = gradlite_step(st2, prob, None, cfg2)
-        assert tr2.g_exact is None
+        st2, tr2 = gradlite_step(st2, prob, cfg2)
+        assert st2.last_grad is None
         assert np.array_equal(tr2.big_delta, np.zeros(6))
 
     def test_rank_above_block_cap_rejected(self):
@@ -76,7 +76,7 @@ class TestGradLiteStep:
         assert [f.birth_step for f in st.factors] == [0, 0, 0]
         for t in range(10):
             before = list(st.factors)
-            st, _ = gradlite_step(st, prob, None, cfg)
+            st, _ = gradlite_step(st, prob, cfg)
             assert [f.birth_step for f in st.factors] == [3 * (t // 3)] * 3
             refreshed = t > 0 and t % 3 == 0
             assert all((a is b) != refreshed for a, b in zip(st.factors, before))
@@ -88,7 +88,7 @@ class TestGradLiteStep:
         st = init_gradlite_state(prob, None, cfg)
         with pytest.raises(DivergedError) as err:
             for _ in range(200):
-                st, _ = gradlite_step(st, prob, None, cfg)
+                st, _ = gradlite_step(st, prob, cfg)
         assert err.value.step >= 0
 
 
@@ -101,8 +101,8 @@ class CopyingJacobian:
     def __getattr__(self, name):
         return getattr(self._problem, name)
 
-    def jacobian(self, theta, batch=None, block: int = 0):
-        return self._problem.jacobian(theta, batch, block).copy()
+    def jacobian(self, theta, block: int = 0):
+        return self._problem.jacobian(theta, block=block).copy()
 
 
 CONSTANT_J = {
@@ -134,7 +134,7 @@ class TestRefreshReuse:
         st = init_gradlite_state(problem, None, cfg)
         factors = [st.factors[0]]
         for _ in range(self.STEPS):
-            st, _ = gradlite_step(st, problem, None, cfg)
+            st, _ = gradlite_step(st, problem, cfg)
             factors.append(st.factors[0])
         return st, factors
 
@@ -190,13 +190,13 @@ class TestSgd:
     def test_one_step_solve_on_identity(self):
         prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
         st = init_state(prob, theta0=[3.0, 4.0])
-        st = sgd_step(st, prob, None, 1.0)
+        st = sgd_step(st, prob, 1.0)
         assert np.array_equal(st.theta, [0.0, 0.0])
 
     def test_zero_learning_rate_is_identity(self):
         prob = diag_problem()
         st = init_state(prob, theta0=[1.0, 1.0])
-        st = sgd_step(st, prob, None, 0.0)
+        st = sgd_step(st, prob, 0.0)
         assert np.array_equal(st.theta, [1.0, 1.0])
 
     def test_matches_full_rank_no_feedback_pipeline(self):
@@ -212,8 +212,8 @@ class TestSgd:
         sa = init_gradlite_state(pa, None, cfg)
         sb = init_state(pb, theta0=sa.theta.copy())
         for _ in range(100):
-            sa, _ = gradlite_step(sa, pa, None, cfg)
-            sb = sgd_step(sb, pb, None, 0.05)
+            sa, _ = gradlite_step(sa, pa, cfg)
+            sb = sgd_step(sb, pb, 0.05)
             dev = np.linalg.norm(sa.theta - sb.theta)
             assert dev <= 1e-10 * (1.0 + np.linalg.norm(sb.theta))
 
@@ -222,7 +222,7 @@ class TestAdam:
     def test_first_step_moves_by_roughly_eta(self):
         prob = diag_problem()
         st = init_state(prob, theta0=[1.0, 1.0])
-        st = adam_step(st, prob, None, eta=0.01)
+        st = adam_step(st, prob, eta=0.01)
         move = np.abs(np.array([1.0, 1.0]) - st.theta)
         # bias correction at t=1 gives update ~ eta * sign(g)
         assert np.all(move > 0.0099) and np.all(move <= 0.01)
@@ -231,7 +231,7 @@ class TestAdam:
         prob = QuadraticProblem(np.eye(3), np.ones(3), 0.0)
         st = init_state(prob, theta0=np.ones(3))
         for _ in range(5):
-            st = adam_step(st, prob, None, eta=0.1)
+            st = adam_step(st, prob, eta=0.1)
         assert np.array_equal(st.theta, np.ones(3))
 
     def test_matches_clean_room_reference(self):
@@ -239,7 +239,7 @@ class TestAdam:
         eta, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         st = init_state(prob, theta0=[1.0, -2.0])
         for _ in range(200):
-            st = adam_step(st, prob, None, eta, b1, b2, eps)
+            st = adam_step(st, prob, eta, b1, b2, eps)
         # independent loop written directly from the moment recursions
         theta = np.array([1.0, -2.0])
         m = np.zeros(2)
@@ -257,9 +257,9 @@ class TestAdam:
         prob = diag_problem()
         st = init_state(prob, theta0=[1.0, 1.0])
         with pytest.raises(ConfigError):
-            adam_step(st, prob, None, 0.1, beta1=1.0)
+            adam_step(st, prob, 0.1, beta1=1.0)
         with pytest.raises(ConfigError):
-            adam_step(st, prob, None, 0.1, eps=0.0)
+            adam_step(st, prob, 0.1, eps=0.0)
 
 
 class TestGaloreLike:
@@ -268,8 +268,8 @@ class TestGaloreLike:
         sa = init_state(prob)
         sb = init_state(prob)
         for _ in range(50):
-            sa = galore_like_step(sa, prob, None, 0.1, k=5, tau=10)
-            sb = sgd_step(sb, prob, None, 0.1)
+            sa = galore_like_step(sa, prob, 0.1, k=5, tau=10)
+            sb = sgd_step(sb, prob, 0.1)
         assert np.array_equal(sa.theta, sb.theta)
 
     def test_fresh_window_retains_current_gradient(self):
@@ -277,8 +277,8 @@ class TestGaloreLike:
         prob = diag_problem()
         sa = init_state(prob, theta0=[1.0, 1.0])
         sb = init_state(prob, theta0=[1.0, 1.0])
-        sa = galore_like_step(sa, prob, None, 0.1, k=1, tau=10)
-        sb = sgd_step(sb, prob, None, 0.1)
+        sa = galore_like_step(sa, prob, 0.1, k=1, tau=10)
+        sb = sgd_step(sb, prob, 0.1)
         assert np.allclose(sa.theta, sb.theta, atol=1e-14)
 
     def test_matches_projected_dynamics_oracle(self):
@@ -287,7 +287,7 @@ class TestGaloreLike:
         eta, k, tau, steps = 0.005, 1, 10, 200
         st = init_state(prob, theta0=[1.0, 1.0])
         for _ in range(steps):
-            st = galore_like_step(st, prob, None, eta, k, tau)
+            st = galore_like_step(st, prob, eta, k, tau)
         theta = np.array([1.0, 1.0])
         window, basis = [], None
         for t in range(steps):
@@ -311,7 +311,7 @@ class TestAveragedIterate:
         prob = diag_problem()
         st = init_state(prob, theta0=[2.0, -1.0])
         for _ in range(7):
-            st = sgd_step(st, prob, None, 0.0)
+            st = sgd_step(st, prob, 0.0)
         assert np.allclose(averaged_iterate(st), [2.0, -1.0], atol=1e-15)
 
     def test_alternating_sequence(self):
@@ -324,7 +324,7 @@ class TestAveragedIterate:
         st = init_state(prob)
         seen = []
         for _ in range(100):
-            st = sgd_step(st, prob, None, 0.05)
+            st = sgd_step(st, prob, 0.05)
             seen.append(st.theta.copy())
         assert np.abs(averaged_iterate(st) - np.mean(seen, axis=0)).max() <= 1e-12
 
@@ -340,7 +340,7 @@ class TestDivergenceGuard:
         st = init_state(prob, theta0=[1.0, 1.0])
         with pytest.raises(DivergedError):
             for _ in range(100):
-                st = sgd_step(st, prob, None, -10.0)  # ascent blows up
+                st = sgd_step(st, prob, -10.0)  # ascent blows up
 
     @pytest.mark.parametrize("value", [
         np.nan, np.inf, -np.inf, np.nextafter(1e12, np.inf), -np.nextafter(1e12, np.inf),
@@ -362,7 +362,7 @@ class TestDivergenceGuard:
         st = init_gradlite_state(prob, None, cfg)
         if what == "delta":
             monkeypatch.setattr(prob, "error_signal",
-                                lambda theta, batch=None: np.full(prob.m, np.nan))
+                                lambda theta: np.full(prob.m, np.nan))
         elif what == "g_tilde":
             v = st.factors[0].v.copy()
             v[0, 0] = np.nan
@@ -370,7 +370,7 @@ class TestDivergenceGuard:
         else:
             st.accumulators[0] = np.full(prob.d, np.nan)
         with pytest.raises(DivergedError) as err:
-            gradlite_step(st, prob, None, cfg)
+            gradlite_step(st, prob, cfg)
         assert (err.value.step, err.value.what) == (0, what)
 
 
@@ -383,7 +383,7 @@ class TestDescentSanity:
         st = init_gradlite_state(prob, None, cfg)
         losses = [prob.loss(st.theta)]
         for _ in range(200):
-            st, _ = gradlite_step(st, prob, None, cfg)
+            st, _ = gradlite_step(st, prob, cfg)
             losses.append(prob.loss(st.theta))
         for t in range(tau, 200):
             assert losses[t + 1] <= losses[t] + 1e-12
@@ -399,7 +399,7 @@ class TestFullRankReducesToPlainDescent:
         sa = init_gradlite_state(prob_a, None, cfg)
         sb = init_state(prob_b, theta0=sa.theta.copy())
         for _ in range(100):
-            sa, _ = gradlite_step(sa, prob_a, None, cfg)
-            sb = sgd_step(sb, prob_b, None, 0.1)
+            sa, _ = gradlite_step(sa, prob_a, cfg)
+            sb = sgd_step(sb, prob_b, 0.1)
             assert np.linalg.norm(sa.theta - sb.theta) \
                 <= 1e-10 * (1.0 + np.linalg.norm(sb.theta))

@@ -8,7 +8,8 @@ import importlib.util
 from pathlib import Path
 
 import gradlite.cli  # noqa: F401  (loads every module the tracer wraps)
-from gradlite import linalg, lowrank
+from gradlite import linalg, lowrank, optimizers
+from gradlite.harness import build_problem
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,3 +31,24 @@ def test_tracer_installs_and_removes_cleanly():
     finally:
         tracer.remove()
     assert (linalg.truncated_svd, lowrank.factorize) == originals
+
+
+def test_traced_step_times_each_block_jacobian_on_its_block():
+    # The tracer reads the block from the `block` keyword (or the fourth
+    # positional argument); a step that passed it positionally after theta
+    # would book every block's Jacobian time to block 0.
+    module = load_tracer()
+    problem = build_problem({"name": "mlp", "layers": [4, 8, 8, 1], "n": 16}, 0)
+    cfg = optimizers.GradLiteConfig(eta=0.05, k=2, seed=0)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        state = optimizers.init_gradlite_state(problem, None, cfg)
+        optimizers.gradlite_step(state, problem, cfg)
+    finally:
+        tracer.remove()
+    field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
+    jacobian = tracer.names.index("problems.jacobian")
+    blocks = {span[field["block"]] for span in tracer.spans()
+              if span[field["name_id"]] == jacobian and span[field["step"]] == 0}
+    assert blocks == {0, 1, 2}
