@@ -335,11 +335,18 @@ class TestDeterminism:
           "--dim", "16", "--cond", "100", "--eta", "0.05"], ["ablate_seeds01.csv"]),
         (["rate-check", "--t-grid", "25,50,100,200", "--seeds", "0,1",
           "--k-grid", "2,4,8", "--dim", "8", "--c", "0.3"], ["rate_check.json"]),
-    ], ids=["run-quadratic", "run-lowrank-logistic", "ablate", "rate-check"])
+        *[(["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
+            "--eta", "0.05", "--steps", "60", "--seed", "3", "--opt", opt, *extra],
+           [f"mlp_{opt}_run_seed3.csv", f"mlp_{opt}_run_seed3.json"])
+          for opt, extra in (("sgd", []), ("adam", []),
+                             ("galore", ["--k", "4", "--tau", "10"]))],
+    ], ids=["run-quadratic", "run-lowrank-logistic", "ablate", "rate-check",
+            "run-mlp-sgd", "run-mlp-adam", "run-mlp-galore"])
     def test_outputs_match_pinned_bytes(self, argv, goldens, tmp_path):
-        # Criterion 8's run, ablate and rate-check commands plus a logistic
-        # run, pinned across changes; regenerate only for an intended change
-        # of the numbers.
+        # Criterion 8's run, ablate and rate-check commands, a logistic run
+        # and one MLP run per baseline (galore refreshes its basis at steps
+        # 0, 10, 20, ...), pinned across changes; regenerate only for an
+        # intended change of the numbers.
         paths = [tmp_path / name for name in goldens]
         argv = argv + ["--out", str(paths[0])]
         if len(paths) > 1:
