@@ -12,7 +12,8 @@ from .linalg import (SvdResult, as_matrix, frob_residual, matvec, matvec_t,
                      truncated_svd)
 from .lowrank import (LowRankFactor, approx_gradient, factorize,
                       projected_signal, static_basis)
-from .optimizers import (GradLiteConfig, OptimizerState, StepTrace, adam_step,
+from .optimizers import (AdamConfig, GaloreConfig, GradLiteConfig,
+                         OptimizerState, SgdConfig, StepTrace, adam_step,
                          averaged_iterate, galore_like_step, gradlite_step,
                          init_gradlite_state, init_state, sgd_step,
                          stochastic_gradient)

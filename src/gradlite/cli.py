@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, GradLiteError
@@ -66,7 +67,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     run.add_argument("--layers", type=_int_list, default=None,
                      help="mlp widths as comma list "
                           f"(default: {','.join(map(str, PROBLEMS['mlp']['layers']))})")
-    gradlite, adam = OPTIMIZERS["gradlite"][0], OPTIMIZERS["adam"][0]
+    gradlite, adam = OPTIMIZERS["gradlite"].defaults, OPTIMIZERS["adam"].defaults
     run.add_argument("--opt", default="gradlite", choices=list(OPTIMIZERS),
                      help="optimizer (default: %(default)s)")
     run.add_argument("--eta", type=float, default=gradlite["eta"],
@@ -208,10 +209,24 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
+def _check_writable(path: str):
+    """Raise the OSError that writing `path` would, and leave no new file behind."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def dispatch(ns: argparse.Namespace) -> int:
+    # Every output path is checked before the work, so a bad one costs no run.
+    for path in (getattr(ns, "out", None), getattr(ns, "summary", None)):
+        if path:
+            _check_writable(path)
+
     if ns.command == "run":
         metrics = run_experiment(_spec(ns, ns.problem, PROBLEMS[ns.problem]),
-                                 _spec(ns, ns.opt, OPTIMIZERS[ns.opt][0]),
+                                 _spec(ns, ns.opt, OPTIMIZERS[ns.opt].defaults),
                                  ns.steps, ns.seed)
         metrics.write_csv(ns.out)
         if ns.summary:

@@ -9,21 +9,20 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
+from . import optimizers
 from .errors import ConfigError, DivergedError, NonPositiveGapError
-from .optimizers import (GradLiteConfig, adam_step, averaged_iterate,
-                         check_hyperparams, check_rank, galore_like_step,
-                         gradlite_step, init_gradlite_state, init_state,
-                         sgd_step)
+from .optimizers import (AdamConfig, GaloreConfig, GradLiteConfig, SgdConfig,
+                         averaged_iterate, check_hyperparams, check_rank)
 from .problems import (Problem, finite_difference_gradient,
                        make_gaussian_logistic, make_lowrank_logistic,
                        make_mlp, make_quadratic)
 from .linalg import matvec_t
-from .rng import derive_seed
+from .rng import SplitMix64, derive_seed
 
 _PROBLEM_SALT = 0x4A12_0001
 _NOISE_SALT = 0x4A12_0002
@@ -67,17 +66,24 @@ PROBLEMS = {
     "mlp": {"layers": (8, 16, 1), "n": 32},
 }
 
-# gradlite's defaults past eta and k are GradLiteConfig's own.
-_GRADLITE = {"eta": 0.05, "k": 8, **{f.name: f.default for f in fields(GradLiteConfig)
-                                     if f.name not in ("eta", "k", "seed")}}
 
-# name -> (hyperparameter defaults, memory-ledger row)
+class Optimizer(NamedTuple):
+    config: type  # checked once when built; its field defaults are the CLI's
+    ledger: str   # its memory_counts row
+    init: str     # functions of `optimizers`, looked up by name as each run starts
+    step: str     # so that a wrapper installed there (perfbench's tracer) is called
+
+    @property
+    def defaults(self) -> dict:
+        return {f.name: f.default for f in fields(self.config) if f.name != "seed"}
+
+
 OPTIMIZERS = {
-    "gradlite": (_GRADLITE, "gradlite"),
-    "sgd": ({"eta": _GRADLITE["eta"]}, "exact-sgd"),
-    "adam": ({"eta": _GRADLITE["eta"], "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
-             "adam"),
-    "galore": ({key: _GRADLITE[key] for key in ("eta", "k", "tau")}, "galore"),
+    "gradlite": Optimizer(GradLiteConfig, "gradlite", "init_gradlite_state",
+                          "gradlite_step"),
+    "sgd": Optimizer(SgdConfig, "exact-sgd", "init_state", "sgd_step"),
+    "adam": Optimizer(AdamConfig, "adam", "init_state", "adam_step"),
+    "galore": Optimizer(GaloreConfig, "galore", "init_state", "galore_like_step"),
 }
 
 
@@ -128,10 +134,29 @@ def build_problem(spec: dict, seed: int) -> Problem:
     return make_mlp(p["layers"], p["n"], pseed)
 
 
-def validate_optimizer(spec: dict) -> tuple[str, dict]:
-    name, p = _resolve(spec, {n: d for n, (d, _) in OPTIMIZERS.items()}, "optimizer")
-    check_hyperparams(**p)
-    return name, p
+def validate_optimizer(spec: dict, seed: int = 0) -> tuple[str, SgdConfig]:
+    """The spec's name and config; gradlite's seed derives from the run seed."""
+    name, p = _resolve(spec, {n: o.defaults for n, o in OPTIMIZERS.items()},
+                       "optimizer")
+    if name == "gradlite":
+        p["seed"] = derive_seed(seed, _OPT_SALT)
+    return name, OPTIMIZERS[name].config(**p)
+
+
+def _drive(problem: Problem, cfg: SgdConfig, steps: int, seed: int, record=None):
+    """The one loop that advances an optimizer: reset the run's noise, init, step.
+
+    `record(state, trace)` runs after each step; a DivergedError reaches the caller.
+    """
+    opt = next(o for o in OPTIMIZERS.values() if type(cfg) is o.config)
+    problem.reset_noise(derive_seed(seed, _NOISE_SALT))
+    state = getattr(optimizers, opt.init)(problem, None, cfg)
+    step = getattr(optimizers, opt.step)
+    for _ in range(steps):
+        state, trace = step(state, problem, cfg)
+        if record is not None:
+            record(state, trace)
+    return state
 
 
 # -- per-step metrics -------------------------------------------------------
@@ -149,7 +174,7 @@ class StepRecord:
     opt_scalars: float
 
 
-CSV_HEADER = "step,loss,gap,g_norm,gtilde_norm,r_norm,delta_norm,bwd_scalars,opt_scalars"
+CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 
 
 @dataclass
@@ -177,9 +202,8 @@ class RunMetrics:
         with open(path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in self.records:
-                fh.write(",".join([str(r.step)] + [_fmt(v) for v in (
-                    r.loss, r.gap, r.g_norm, r.gtilde_norm, r.r_norm,
-                    r.delta_norm, r.bwd_scalars, r.opt_scalars)]) + "\n")
+                step, *values = vars(r).values()
+                fh.write(",".join([str(step)] + [_fmt(v) for v in values]) + "\n")
 
     def summary_dict(self) -> dict:
         return {
@@ -214,39 +238,20 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    opt_name, params = validate_optimizer(optimizer_spec)
+    opt_name, cfg = validate_optimizer(optimizer_spec, seed)
     problem = build_problem(problem_spec, seed)
-    problem.reset_noise(derive_seed(seed, _NOISE_SALT))
 
-    mem = memory_counts(problem.m, problem.d, k=params.get("k"),
-                        tau=params.get("tau"))[OPTIMIZERS[opt_name][1]]
+    mem = memory_counts(problem.m, problem.d, k=getattr(cfg, "k", None),
+                        tau=getattr(cfg, "tau", None))[OPTIMIZERS[opt_name].ledger]
     bwd = mem.activation + mem.signal + mem.factor
     opt_scalars = mem.accumulator + mem.optimizer_state
 
-    cfg = None
-    if opt_name == "gradlite":
-        cfg = GradLiteConfig(seed=derive_seed(seed, _OPT_SALT), **params)
-        state = init_gradlite_state(problem, None, cfg)
-    else:
-        baseline_step = {"sgd": sgd_step, "adam": adam_step,
-                         "galore": galore_like_step}[opt_name]
-        state = init_state(problem)
-
     metrics = RunMetrics(problem_spec=dict(problem_spec),
                          optimizer_spec=dict(optimizer_spec), steps=steps,
-                         seed=seed, initial_loss=problem.loss(state.theta),
+                         seed=seed, initial_loss=problem.loss(problem.default_theta0()),
                          loss_star=problem.loss_star)
-    for t in range(1, steps + 1):
-        trace = None
-        try:
-            if cfg is not None:
-                state, trace = gradlite_step(state, problem, cfg)
-            else:
-                state = baseline_step(state, problem, **params)
-        except DivergedError as err:
-            metrics.diverged = True
-            metrics.diverged_step = err.step
-            break
+
+    def record(state, trace):
         loss = problem.loss(state.theta)
         if problem.loss_star is not None:
             gap = problem.loss(averaged_iterate(state)) - problem.loss_star
@@ -259,9 +264,15 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
         else:
             r_norm = gtilde_norm = delta_norm = float("nan")
         metrics.records.append(StepRecord(
-            step=t, loss=loss, gap=gap, g_norm=_norm(state.last_grad),
+            step=state.step, loss=loss, gap=gap, g_norm=_norm(state.last_grad),
             gtilde_norm=gtilde_norm, r_norm=r_norm, delta_norm=delta_norm,
             bwd_scalars=bwd, opt_scalars=opt_scalars))
+
+    try:
+        _drive(problem, cfg, steps, seed, record)
+    except DivergedError as err:
+        metrics.diverged = True
+        metrics.diverged_step = err.step
     return metrics
 
 
@@ -323,10 +334,7 @@ class MemoryReport:
     def to_dict(self) -> dict:
         return {
             "m": self.m, "d": self.d, "k": self.k, "tau": self.tau,
-            "methods": {name: {"activation": mm.activation, "signal": mm.signal,
-                               "factor": mm.factor, "accumulator": mm.accumulator,
-                               "optimizer_state": mm.optimizer_state,
-                               "total": mm.total}
+            "methods": {name: {**mm._asdict(), "total": mm.total}
                         for name, mm in self.methods.items()},
             "signal_ratio": self.signal_ratio,
             "gradlite_savings_vs_exact": self.savings_vs_exact(),
@@ -337,8 +345,7 @@ class MemoryReport:
                  f"k={self.k}, tau={self.tau}); parameters excluded",
                  f"{'method':<12}{'activation':>11}{'signal':>9}{'factor':>9}"
                  f"{'accum':>7}{'opt':>7}{'total':>10}"]
-        for name in ("exact-sgd", "adam", "galore", "gradlite"):
-            mm = self.methods[name]
+        for name, mm in self.methods.items():
             lines.append(f"{name:<12}{mm.activation:>11g}{mm.signal:>9g}"
                          f"{mm.factor:>9g}{mm.accumulator:>7g}"
                          f"{mm.optimizer_state:>7g}{mm.total:>10g}")
@@ -367,19 +374,6 @@ class RateFit:
     mean_gaps: tuple
     c: float
     k: int
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "error_floor": self.error_floor, "r_squared": self.r_squared,
-                "t_grid": list(self.t_grid), "mean_gaps": list(self.mean_gaps),
-                "c": self.c, "k": self.k}
-
-
-def _lean_gradlite_run(problem: Problem, cfg: GradLiteConfig, steps: int):
-    state = init_gradlite_state(problem, None, cfg)
-    for _ in range(steps):
-        state, _ = gradlite_step(state, problem, cfg)
-    return state
 
 
 def rate_check(problem_spec: dict, k: int, t_grid, seeds, c: float,
@@ -410,10 +404,9 @@ def rate_check(problem_spec: dict, k: int, t_grid, seeds, c: float,
         eta = c / np.sqrt(t_steps)
         gaps = []
         for seed in seeds:
-            problem.reset_noise(derive_seed(seed, _NOISE_SALT))
             cfg = GradLiteConfig(eta=float(eta), k=k, seed=derive_seed(seed, _OPT_SALT),
                                  **(gradlite_overrides or {}))
-            state = _lean_gradlite_run(problem, cfg, t_steps)
+            state = _drive(problem, cfg, t_steps, seed)
             gaps.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
         mean_gaps.append(float(np.mean(gaps)))
     xs = np.log10(np.asarray(t_grid, dtype=np.float64))
@@ -469,13 +462,11 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
                                                  gradlite_overrides=no_feedback,
                                                  reference=ref)
     mid_k = sorted(ranks)[1] if len(ranks) > 1 else ranks[0]
-    with_feedback = rate_check(spec, mid_k, t_grid, seeds, c,
-                               gradlite_overrides={"ef_mode": "ef-standard",
-                                                   "probe": "exact"},
-                               reference=ref)
+    # GradLiteConfig's defaults: ef-standard feedback with the exact probe.
+    with_feedback = rate_check(spec, mid_k, t_grid, seeds, c, reference=ref)
     return {
         "problem": spec, "c": c, "t_grid": list(full.t_grid), "seeds": seeds,
-        "fits": {str(k): f.to_dict() for k, f in fits.items()},
+        "fits": {str(k): asdict(f) for k, f in fits.items()},
         "full_rank_slope": full.slope,
         "error_floors": {str(k): fits[k].error_floor for k in ranks},
         "ef_comparison": {"k": mid_k,
@@ -499,7 +490,6 @@ class AblationRow:
 class AblationResult:
     rows: tuple
     eta: float
-    config: dict
 
     def write_csv(self, path):
         with open(path, "w", newline="\n") as fh:
@@ -515,10 +505,9 @@ class AblationResult:
         return out
 
 
-def _final_loss_of(problem: Problem, cfg: GradLiteConfig, steps: int):
-    problem.reset_noise(derive_seed(cfg.seed, _NOISE_SALT))
+def _final_loss_of(problem: Problem, cfg: SgdConfig, steps: int, seed: int):
     try:
-        state = _lean_gradlite_run(problem, cfg, steps)
+        state = _drive(problem, cfg, steps, seed)
     except DivergedError:
         return float("inf"), True
     return problem.loss(state.theta), False
@@ -537,7 +526,7 @@ def tune_eta(problem: Problem, seed: int, steps: int, k: int, tau: int,
         cfg = GradLiteConfig(eta=float(eta), k=k, tau=tau,
                              seed=derive_seed(seed, _OPT_SALT),
                              **ABLATION_VARIANTS["full"])
-        loss, _ = _final_loss_of(problem, cfg, steps)
+        loss, _ = _final_loss_of(problem, cfg, steps, seed)
         if loss < best_loss:
             best_eta, best_loss = float(eta), loss
     if best_eta is None:
@@ -563,15 +552,13 @@ def ablation_suite(seeds=(0, 1, 2), steps: int = 3000, k: int = 8,
             problem = problems[seed]
             cfg = GradLiteConfig(eta=eta, k=k, tau=tau,
                                  seed=derive_seed(seed, _OPT_SALT), **overrides)
-            loss, diverged = _final_loss_of(problem, cfg, steps)
+            loss, diverged = _final_loss_of(problem, cfg, steps, seed)
             gap = loss - problem.loss_star if problem.loss_star is not None \
                 else float("nan")
             rows.append(AblationRow(variant=variant, seed=seed,
                                     final_loss=loss, final_gap=gap,
                                     diverged=diverged))
-    config = {"steps": steps, "k": k, "tau": tau, "n": n, "d": d,
-              "cond": cond, "eta": eta, "seeds": seeds}
-    return AblationResult(rows=tuple(rows), eta=eta, config=config)
+    return AblationResult(rows=tuple(rows), eta=eta)
 
 
 # -- gradient checks ----------------------------------------------------------
@@ -625,7 +612,6 @@ def default_check_problems() -> list:
 
 
 def _check_thetas(problem: Problem, count: int, spread: float = 0.5):
-    from .rng import SplitMix64
     stream = SplitMix64(derive_seed(problem.seed, _CHECK_SALT))
     base = problem.default_theta0()
     return [base + spread * stream.normals(problem.d) for _ in range(count)]
@@ -649,10 +635,6 @@ def grad_check_suite(problems=None, chain_draws: int = 100,
                 gb = matvec_t(problem.jacobian(theta, block=b), delta)
                 err = float(np.linalg.norm(gb - g[slices[b]]))
                 worst[b] = max(worst[b], err / (1.0 + float(np.linalg.norm(g))))
-        for b in range(problem.blocks):
-            rows.append(CheckRow(problem=problem.name, block=b,
-                                 check="chain-rule", max_rel_err=worst[b],
-                                 tol=1e-10))
         worst_fd = [0.0] * problem.blocks
         for theta in thetas[:fd_draws]:
             fd = finite_difference_gradient(problem, theta, h)
@@ -661,8 +643,8 @@ def grad_check_suite(problems=None, chain_draws: int = 100,
             for b in range(problem.blocks):
                 err = float(np.linalg.norm(fd[slices[b]] - g[slices[b]])) / denom
                 worst_fd[b] = max(worst_fd[b], err)
-        for b in range(problem.blocks):
-            rows.append(CheckRow(problem=problem.name, block=b,
-                                 check="finite-difference",
-                                 max_rel_err=worst_fd[b], tol=fd_tol))
+        for check, errs, tol in (("chain-rule", worst, 1e-10),
+                                 ("finite-difference", worst_fd, fd_tol)):
+            rows.extend(CheckRow(problem=problem.name, block=b, check=check,
+                                 max_rel_err=err, tol=tol) for b, err in enumerate(errs))
     return GradCheckReport(rows=tuple(rows))

@@ -1,9 +1,11 @@
 """The low-rank error-feedback step plus plain baselines.
 
-All optimizers advance a mutable :class:`OptimizerState` owned by a
-single run.  The per-step stochastic gradient is always the chain-rule
-product jacobian.T @ error_signal with one error-signal draw per step, so
-two optimizers driven by identically seeded problems see identical noise.
+Each optimizer is a config, checked once when built, plus `init(problem,
+theta0, cfg)` and `step(state, problem, cfg) -> (state, StepTrace | None)`
+on a mutable :class:`OptimizerState` owned by a single run.  The per-step
+stochastic gradient is always the chain-rule product jacobian.T @
+error_signal with one error-signal draw per step, so two optimizers driven
+by identically seeded problems see identical noise.
 """
 
 from __future__ import annotations
@@ -47,19 +49,36 @@ def check_hyperparams(**params):
 
 
 @dataclass(frozen=True)
-class GradLiteConfig:
-    eta: float
-    k: int
+class SgdConfig:
+    """The learning rate, which every other optimizer's config extends."""
+
+    eta: float = 0.05
+
+    def __post_init__(self):
+        check_hyperparams(**{k: v for k, v in vars(self).items() if k != "seed"})
+
+
+@dataclass(frozen=True)
+class AdamConfig(SgdConfig):
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+
+@dataclass(frozen=True)
+class GaloreConfig(SgdConfig):
+    k: int = 8
+    tau: int = 10
+
+
+@dataclass(frozen=True)
+class GradLiteConfig(SgdConfig):
+    k: int = 8
     tau: int = 10
     ef_mode: str = "ef-standard"
     probe: str = "exact"
     basis_mode: str = "svd"
-    seed: int = 0
-
-    def __post_init__(self):
-        check_hyperparams(eta=self.eta, k=self.k, tau=self.tau,
-                          ef_mode=self.ef_mode, probe=self.probe,
-                          basis_mode=self.basis_mode)
+    seed: int = 0  # seeds a random-projection basis
 
 
 @dataclass
@@ -69,8 +88,8 @@ class OptimizerState:
     theta_sum: np.ndarray | None = None
     accumulators: list[np.ndarray] | None = None  # one residual r per block
     factors: list[LowRankFactor] | None = None
-    adam_m: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
+    adam_m: np.ndarray | float = 0.0  # Adam's moments start at zero
+    adam_v: np.ndarray | float = 0.0
     galore_basis: np.ndarray | None = None
     galore_window: list = field(default_factory=list)
     last_grad: np.ndarray | None = None  # gradlite: the probed gradient, or None
@@ -117,7 +136,8 @@ def stochastic_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def init_state(problem: Problem, theta0=None) -> OptimizerState:
+def init_state(problem: Problem, theta0=None, cfg=None) -> OptimizerState:
+    """The step-0 state of SGD, Adam and GaLore, which start from theta alone."""
     theta = problem.default_theta0() if theta0 is None else np.array(theta0, dtype=np.float64)
     if theta.shape != (problem.d,):
         raise ConfigError(f"theta0 length {theta.shape} != problem dimension {problem.d}")
@@ -191,33 +211,29 @@ def gradlite_step(state: OptimizerState, problem: Problem,
     return state, StepTrace(g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta)
 
 
-def sgd_step(state: OptimizerState, problem: Problem, eta: float) -> OptimizerState:
+def sgd_step(state: OptimizerState, problem: Problem,
+             cfg: SgdConfig) -> tuple[OptimizerState, None]:
     g = stochastic_gradient(problem, state.theta)
     _require_finite(g, state.step, "gradient")
-    _descend(state, eta * g, g)
-    return state
+    _descend(state, cfg.eta * g, g)
+    return state, None
 
 
-def adam_step(state: OptimizerState, problem: Problem, eta: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> OptimizerState:
-    check_hyperparams(eta=eta, beta1=beta1, beta2=beta2, eps=eps)
-    if state.adam_m is None:
-        state.adam_m = np.zeros_like(state.theta)
-        state.adam_v = np.zeros_like(state.theta)
+def adam_step(state: OptimizerState, problem: Problem,
+              cfg: AdamConfig) -> tuple[OptimizerState, None]:
     g = stochastic_gradient(problem, state.theta)
     _require_finite(g, state.step, "gradient")
     t = state.step + 1
-    state.adam_m = beta1 * state.adam_m + (1.0 - beta1) * g
-    state.adam_v = beta2 * state.adam_v + (1.0 - beta2) * g * g
-    m_hat = state.adam_m / (1.0 - beta1 ** t)
-    v_hat = state.adam_v / (1.0 - beta2 ** t)
-    _descend(state, eta * m_hat / (np.sqrt(v_hat) + eps), g)
-    return state
+    state.adam_m = cfg.beta1 * state.adam_m + (1.0 - cfg.beta1) * g
+    state.adam_v = cfg.beta2 * state.adam_v + (1.0 - cfg.beta2) * g * g
+    m_hat = state.adam_m / (1.0 - cfg.beta1 ** t)
+    v_hat = state.adam_v / (1.0 - cfg.beta2 ** t)
+    _descend(state, cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps), g)
+    return state, None
 
 
 def galore_like_step(state: OptimizerState, problem: Problem,
-                     eta: float, k: int, tau: int) -> OptimizerState:
+                     cfg: GaloreConfig) -> tuple[OptimizerState, None]:
     """Project the exact gradient onto a basis of recent gradients.
 
     The basis is the top-k left singular subspace of a window of the last
@@ -225,24 +241,23 @@ def galore_like_step(state: OptimizerState, problem: Problem,
     whatever the projection drops is simply lost.  k >= d short-circuits
     to the identity.
     """
-    check_hyperparams(eta=eta, k=k, tau=tau)
     g = stochastic_gradient(problem, state.theta)
     _require_finite(g, state.step, "gradient")
     state.galore_window.append(g)
-    if len(state.galore_window) > tau:
+    if len(state.galore_window) > cfg.tau:
         state.galore_window.pop(0)
     d = state.theta.shape[0]
-    if k >= d:
-        _descend(state, eta * g, g)
-        return state
-    if state.step % tau == 0:
+    if cfg.k >= d:
+        _descend(state, cfg.eta * g, g)
+        return state, None
+    if state.step % cfg.tau == 0:
         window = np.column_stack(state.galore_window)
         u, _, _ = np.linalg.svd(window, full_matrices=False)
-        state.galore_basis = u[:, :min(k, u.shape[1])]
+        state.galore_basis = u[:, :min(cfg.k, u.shape[1])]
     basis = state.galore_basis
     pg = basis @ (basis.T @ g)
-    _descend(state, eta * pg, g)
-    return state
+    _descend(state, cfg.eta * pg, g)
+    return state, None
 
 
 def averaged_iterate(state: OptimizerState) -> np.ndarray:

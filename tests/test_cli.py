@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from gradlite import optimizers
 from gradlite.cli import build_parser, load_config_file, main
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -248,6 +249,37 @@ def _invocations(draw):
     flags.update({flag: draw(maybe[flag]) for flag in picked})
     in_file = {flag for flag in flags if draw(st.booleans())}
     return command, flags, in_file
+
+
+class TestOutputPathsCheckedFirst:
+    """A bad output path exits 5 before any step runs and writes no file."""
+
+    @pytest.fixture(autouse=True)
+    def no_steps(self, monkeypatch):
+        def gradlite_step(*args, **kwargs):
+            raise AssertionError("a step ran before the output paths were checked")
+        monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--steps", "3000", "--out", "{bad}"],
+        ["run", "--steps", "3000", "--out", "{good}", "--summary", "{bad}"],
+        ["rate-check", "--out", "{bad}"],
+        ["ablate", "--out", "{bad}"],
+        ["mem-report", "--out", "{bad}"],
+    ], ids=["run-out", "run-summary", "rate-check", "ablate", "mem-report"])
+    def test_bad_path_exits_five_before_any_step(self, argv, tmp_path, capsys):
+        bad = tmp_path / "no" / "such" / "x.out"
+        argv = [arg.format(bad=bad, good=tmp_path / "good.csv") for arg in argv]
+        assert main(argv) == 5
+        assert f"io error: {bad}:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_existing_output_is_left_as_it_was(self, tmp_path):
+        good = tmp_path / "good.csv"
+        good.write_text("earlier run\n")
+        assert main(["run", "--out", str(good),
+                     "--summary", str(tmp_path / "no" / "s.json")]) == 5
+        assert good.read_text() == "earlier run\n"
 
 
 class TestExitCodeProperty:

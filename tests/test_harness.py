@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gradlite import harness
+from gradlite import harness, optimizers
 from gradlite.errors import ConfigError, NonPositiveGapError
 from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
                               ablation_suite, build_problem,
@@ -160,7 +160,7 @@ class TestRateCheck:
     def test_requires_four_distinct_grid_points(self, monkeypatch):
         def gradlite_step(*args, **kwargs):
             raise AssertionError("a step ran before the T grid was checked")
-        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
         with pytest.raises(ConfigError, match="4 distinct values of T"):
             rate_check(self.SPEC, 2, (10, 10, 20, 20, 40), (0,), 0.3)
 
@@ -191,7 +191,7 @@ class TestRateSweep:
     def test_every_rank_checked_before_the_first_step(self, monkeypatch):
         def gradlite_step(*args, **kwargs):
             raise AssertionError("a step ran before every rank was checked")
-        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
         grid, seeds = (200, 400, 800, 1600), (0, 1)
         with pytest.raises(ConfigError, match=r"rank 60 exceeds min\(m, d_block\)=8"):
             rate_sweep(k_grid=(2, 60), d=8, t_grid=grid, seeds=seeds)
@@ -203,7 +203,7 @@ class TestRepeatedSeeds:
     def test_rejected_before_the_first_step(self, monkeypatch):
         def gradlite_step(*args, **kwargs):
             raise AssertionError("a step ran before the seeds were checked")
-        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
         with pytest.raises(ConfigError, match=r"seeds must be distinct, got \[2, 2\]"):
             ablation_suite(seeds=(2, 2), steps=5, k=2, n=16, d=4, eta=0.05)
         spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
@@ -217,7 +217,7 @@ class TestRepeatedT:
     def test_rejected_before_the_first_step(self, monkeypatch):
         def gradlite_step(*args, **kwargs):
             raise AssertionError("a step ran before the T grid was checked")
-        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
         spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
         with pytest.raises(ConfigError,
                            match=r"values of T must be distinct, got \[1, 2, 2, 3, 4\]"):
@@ -230,7 +230,7 @@ class TestRepeatedK:
     def test_rejected_before_the_first_step(self, monkeypatch):
         def gradlite_step(*args, **kwargs):
             raise AssertionError("a step ran before the rank grid was checked")
-        monkeypatch.setattr(harness, "gradlite_step", gradlite_step)
+        monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
         with pytest.raises(ConfigError,
                            match=r"ranks must be distinct, got \[2, 2, 4\]"):
             rate_sweep(k_grid=(2, 2, 4), d=4, t_grid=(25, 50, 100, 200), seeds=(0,))
@@ -260,11 +260,21 @@ class TestAblationMachinery:
             problem = harness._ablation_problem(seed, 64, 16, 100.0)
             cfg = GradLiteConfig(eta=0.05, k=4, tau=5, ef_mode="off", probe="exact",
                                  seed=derive_seed(seed, harness._OPT_SALT))
-            loss, diverged = _final_loss_of(problem, cfg, 30)
+            loss, diverged = _final_loss_of(problem, cfg, 30, seed)
             row = variants["no-error-feedback"]
             assert not diverged and not row.diverged
             assert row.final_loss == loss
             assert row.final_gap == loss - problem.loss_star
+
+    def test_final_loss_draws_the_noise_of_its_run_seed(self):
+        # One rule for every caller: the driver resets the noise from the run
+        # seed, so on a noisy problem a lean run ends where a recorded one does.
+        spec = {"name": "quadratic", "d": 8, "cond": 10.0, "sigma": 0.3}
+        recorded = run_experiment(spec, {"name": "gradlite", "eta": 0.05, "k": 3}, 20, 7)
+        cfg = GradLiteConfig(eta=0.05, k=3, seed=derive_seed(7, harness._OPT_SALT))
+        loss, diverged = _final_loss_of(build_problem(spec, 7), cfg, 20, 7)
+        assert not diverged
+        assert loss == recorded.final_loss
 
     def test_variant_configs(self):
         def config(variant):
@@ -282,10 +292,9 @@ class TestAblationMachinery:
         finals = []
         for variant in ("full", "no-error-feedback", "random-projection"):
             problem = build_problem(spec, seed=3)
-            problem.reset_noise(derive_seed(3, 999))
             cfg = GradLiteConfig(eta=0.05, k=10, tau=10, seed=4,
                                  **ABLATION_VARIANTS[variant])
-            loss, diverged = _final_loss_of(problem, cfg, 200)
+            loss, diverged = _final_loss_of(problem, cfg, 200, 3)
             assert not diverged
             finals.append(loss)
         assert max(finals) - min(finals) <= 1e-8

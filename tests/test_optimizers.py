@@ -5,7 +5,8 @@ import pytest
 
 from gradlite import optimizers
 from gradlite.errors import ConfigError, DivergedError, EmptyRunError
-from gradlite.optimizers import (GradLiteConfig, OptimizerState, adam_step,
+from gradlite.optimizers import (AdamConfig, GaloreConfig, GradLiteConfig,
+                                 OptimizerState, SgdConfig, adam_step,
                                  averaged_iterate, galore_like_step,
                                  gradlite_step, init_gradlite_state,
                                  init_state, sgd_step)
@@ -190,13 +191,15 @@ class TestSgd:
     def test_one_step_solve_on_identity(self):
         prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
         st = init_state(prob, theta0=[3.0, 4.0])
-        st = sgd_step(st, prob, 1.0)
+        st, _ = sgd_step(st, prob, SgdConfig(eta=1.0))
         assert np.array_equal(st.theta, [0.0, 0.0])
 
     def test_zero_learning_rate_is_identity(self):
-        prob = diag_problem()
+        # SgdConfig rejects eta 0; a step from the optimum, where the
+        # gradient is zero, must likewise leave theta as it is.
+        prob = QuadraticProblem(np.diag([1.0, 2.0]), np.ones(2), 0.0)
         st = init_state(prob, theta0=[1.0, 1.0])
-        st = sgd_step(st, prob, 0.0)
+        st, _ = sgd_step(st, prob, SgdConfig(eta=0.1))
         assert np.array_equal(st.theta, [1.0, 1.0])
 
     def test_matches_full_rank_no_feedback_pipeline(self):
@@ -213,7 +216,7 @@ class TestSgd:
         sb = init_state(pb, theta0=sa.theta.copy())
         for _ in range(100):
             sa, _ = gradlite_step(sa, pa, cfg)
-            sb = sgd_step(sb, pb, 0.05)
+            sb, _ = sgd_step(sb, pb, SgdConfig(eta=0.05))
             dev = np.linalg.norm(sa.theta - sb.theta)
             assert dev <= 1e-10 * (1.0 + np.linalg.norm(sb.theta))
 
@@ -221,25 +224,28 @@ class TestSgd:
 class TestAdam:
     def test_first_step_moves_by_roughly_eta(self):
         prob = diag_problem()
-        st = init_state(prob, theta0=[1.0, 1.0])
-        st = adam_step(st, prob, eta=0.01)
+        cfg = AdamConfig(eta=0.01)
+        st = init_state(prob, [1.0, 1.0], cfg)
+        st, _ = adam_step(st, prob, cfg)
         move = np.abs(np.array([1.0, 1.0]) - st.theta)
         # bias correction at t=1 gives update ~ eta * sign(g)
         assert np.all(move > 0.0099) and np.all(move <= 0.01)
 
     def test_zero_gradient_keeps_theta(self):
         prob = QuadraticProblem(np.eye(3), np.ones(3), 0.0)
-        st = init_state(prob, theta0=np.ones(3))
+        cfg = AdamConfig(eta=0.1)
+        st = init_state(prob, np.ones(3), cfg)
         for _ in range(5):
-            st = adam_step(st, prob, eta=0.1)
+            st, _ = adam_step(st, prob, cfg)
         assert np.array_equal(st.theta, np.ones(3))
 
     def test_matches_clean_room_reference(self):
         prob = diag_problem()
         eta, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-        st = init_state(prob, theta0=[1.0, -2.0])
+        cfg = AdamConfig(eta=eta, beta1=b1, beta2=b2, eps=eps)
+        st = init_state(prob, [1.0, -2.0], cfg)
         for _ in range(200):
-            st = adam_step(st, prob, eta, b1, b2, eps)
+            st, _ = adam_step(st, prob, cfg)
         # independent loop written directly from the moment recursions
         theta = np.array([1.0, -2.0])
         m = np.zeros(2)
@@ -254,12 +260,10 @@ class TestAdam:
         assert abs(prob.loss(st.theta) - 0.5 * theta @ (a @ theta)) <= 1e-10
 
     def test_bad_hyperparams(self):
-        prob = diag_problem()
-        st = init_state(prob, theta0=[1.0, 1.0])
-        with pytest.raises(ConfigError):
-            adam_step(st, prob, 0.1, beta1=1.0)
-        with pytest.raises(ConfigError):
-            adam_step(st, prob, 0.1, eps=0.0)
+        with pytest.raises(ConfigError, match="beta1 must be in"):
+            AdamConfig(eta=0.1, beta1=1.0)
+        with pytest.raises(ConfigError, match="eps must be > 0"):
+            AdamConfig(eta=0.1, eps=0.0)
 
 
 class TestGaloreLike:
@@ -268,8 +272,8 @@ class TestGaloreLike:
         sa = init_state(prob)
         sb = init_state(prob)
         for _ in range(50):
-            sa = galore_like_step(sa, prob, 0.1, k=5, tau=10)
-            sb = sgd_step(sb, prob, 0.1)
+            sa, _ = galore_like_step(sa, prob, GaloreConfig(eta=0.1, k=5, tau=10))
+            sb, _ = sgd_step(sb, prob, SgdConfig(eta=0.1))
         assert np.array_equal(sa.theta, sb.theta)
 
     def test_fresh_window_retains_current_gradient(self):
@@ -277,8 +281,8 @@ class TestGaloreLike:
         prob = diag_problem()
         sa = init_state(prob, theta0=[1.0, 1.0])
         sb = init_state(prob, theta0=[1.0, 1.0])
-        sa = galore_like_step(sa, prob, 0.1, k=1, tau=10)
-        sb = sgd_step(sb, prob, 0.1)
+        sa, _ = galore_like_step(sa, prob, GaloreConfig(eta=0.1, k=1, tau=10))
+        sb, _ = sgd_step(sb, prob, SgdConfig(eta=0.1))
         assert np.allclose(sa.theta, sb.theta, atol=1e-14)
 
     def test_matches_projected_dynamics_oracle(self):
@@ -287,7 +291,7 @@ class TestGaloreLike:
         eta, k, tau, steps = 0.005, 1, 10, 200
         st = init_state(prob, theta0=[1.0, 1.0])
         for _ in range(steps):
-            st = galore_like_step(st, prob, eta, k, tau)
+            st, _ = galore_like_step(st, prob, GaloreConfig(eta=eta, k=k, tau=tau))
         theta = np.array([1.0, 1.0])
         window, basis = [], None
         for t in range(steps):
@@ -308,10 +312,11 @@ class TestGaloreLike:
 
 class TestAveragedIterate:
     def test_constant_trajectory(self):
-        prob = diag_problem()
+        # Steps from the optimum, where the gradient is zero, keep theta.
+        prob = QuadraticProblem(np.diag([1.0, 2.0]), np.array([2.0, -1.0]), 0.0)
         st = init_state(prob, theta0=[2.0, -1.0])
         for _ in range(7):
-            st = sgd_step(st, prob, 0.0)
+            st, _ = sgd_step(st, prob, SgdConfig(eta=0.1))
         assert np.allclose(averaged_iterate(st), [2.0, -1.0], atol=1e-15)
 
     def test_alternating_sequence(self):
@@ -324,7 +329,7 @@ class TestAveragedIterate:
         st = init_state(prob)
         seen = []
         for _ in range(100):
-            st = sgd_step(st, prob, 0.05)
+            st, _ = sgd_step(st, prob, SgdConfig(eta=0.05))
             seen.append(st.theta.copy())
         assert np.abs(averaged_iterate(st) - np.mean(seen, axis=0)).max() <= 1e-12
 
@@ -338,9 +343,10 @@ class TestDivergenceGuard:
     def test_magnitude_cap_triggers(self):
         prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
         st = init_state(prob, theta0=[1.0, 1.0])
+        cfg = SgdConfig(eta=3.0)  # theta <- -2 theta: |theta| doubles per step
         with pytest.raises(DivergedError):
             for _ in range(100):
-                st = sgd_step(st, prob, -10.0)  # ascent blows up
+                st, _ = sgd_step(st, prob, cfg)
 
     @pytest.mark.parametrize("value", [
         np.nan, np.inf, -np.inf, np.nextafter(1e12, np.inf), -np.nextafter(1e12, np.inf),
@@ -400,6 +406,6 @@ class TestFullRankReducesToPlainDescent:
         sb = init_state(prob_b, theta0=sa.theta.copy())
         for _ in range(100):
             sa, _ = gradlite_step(sa, prob_a, cfg)
-            sb = sgd_step(sb, prob_b, 0.1)
+            sb, _ = sgd_step(sb, prob_b, SgdConfig(eta=0.1))
             assert np.linalg.norm(sa.theta - sb.theta) \
                 <= 1e-10 * (1.0 + np.linalg.norm(sb.theta))
