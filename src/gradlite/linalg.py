@@ -4,14 +4,30 @@ Values are plain numpy arrays validated at the boundaries (`as_matrix`).
 `matvec` and `matvec_t` accumulate in a pinned order
 (ascending reduction index, starting from 0.0, no pairwise or compensated
 summation) so their results are bit-identical to a scalar double loop and
-reproducible across runs.  They pin the order with whole-array numpy
-operations: the elementwise products are formed in a C-ordered array whose
-outer axis is the reduction index, and that axis is reduced, which numpy
-does one row at a time.  numpy sums pairwise only along a contiguous inner
-axis, so the C order matters for Fortran-ordered or strided inputs, and a
-single-column product, which numpy would reduce as one contiguous run, is
-summed with a sequential cumsum instead.  Everything here is pure; nothing
-mutates its inputs.
+reproducible across runs.  Both stream through one kernel,
+`np.einsum("ij,i->j", a, y)`, which walks the rows of `a` in order and adds
+each rounded product `a[i, j] * y[i]` to `out[j]`, with no m x d product
+array.  `matvec` and `matvec_t` each call the kernel, never each other, so a
+tracer that wraps both books every call once (`tests/test_tracer.py`).
+The order rests on four conditions, each checked against the
+scalar loop in `tests/test_linalg.py`:
+
+- `a` is C-ordered, so the inner loop runs along a row and the row index
+  is the outer one; `matvec` hands the kernel a C-ordered copy of `a.T`
+  (the Fortran-ordered and strided inputs of `test_loop_oracle_property`).
+- `a` has at least 2 columns.  With one, einsum would reduce the
+  contiguous column with an unrolled dot-product kernel, so a single
+  column is summed with a sequential cumsum instead (the `d=1` examples of
+  `test_loop_oracle_property` and the one-column multiply-add probe).
+- Both operands are float64 before the call, so einsum casts nothing.  A
+  casting einsum copies its operands through buffers, whose walk numpy
+  does not document (the integer and float32 vector tests check the
+  result).
+- numpy's einsum rounds each product before adding it.  A build that
+  fused the multiply and the add would fail the multiply-add probe
+  (`test_products_are_rounded_before_the_add`); it gets no second kernel.
+
+Everything here is pure; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -40,34 +56,34 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
-def _pinned_row_sum(p: np.ndarray) -> np.ndarray:
-    """0.0 + p[0] + p[1] + ..., row by row, for a C-ordered 2-d p."""
-    if p.shape[1] == 1:
+def _pinned_sum(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """0.0 + a[0] * y[0] + a[1] * y[1] + ..., for C-ordered float64 a and y."""
+    if a.shape[1] == 1:
         # + 0.0 turns an all-(-0.0) sum into +0.0, as the loop's 0.0 start does.
-        return np.cumsum(p[:, 0])[-1:] + 0.0
-    return np.add.reduce(p, axis=0, initial=0.0)
+        return np.cumsum(a[:, 0] * y)[-1:] + 0.0
+    return np.einsum("ij,i->j", a, y)
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x with the summation over columns in ascending index order.
 
-    The products a[:, j] * x[j] go into a C-ordered (d, m) array, one row
-    per column of a, and its rows are summed in order (see the module doc).
+    The kernel walks the rows of a C-ordered copy of a.T (see the module doc).
     """
     if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
         raise DimError(f"matvec: {a.shape} @ {x.shape}")
-    return _pinned_row_sum(np.multiply(a.T, x[:, None], order="C", dtype=np.float64))
+    return _pinned_sum(np.ascontiguousarray(a.T, dtype=np.float64),
+                       np.asarray(x, dtype=np.float64))
 
 
 def matvec_t(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """a.T @ y summed over rows in ascending index order (row-major walk).
 
-    The products a[i] * y[i] go into a C-ordered (m, d) array and its rows
-    are summed in order (see the module doc).
+    The kernel walks the rows of a, C-ordered (see the module doc).
     """
     if a.ndim != 2 or y.ndim != 1 or a.shape[0] != y.shape[0]:
         raise DimError(f"matvec_t: {a.shape}.T @ {y.shape}")
-    return _pinned_row_sum(np.multiply(a, y[:, None], order="C", dtype=np.float64))
+    return _pinned_sum(np.ascontiguousarray(a, dtype=np.float64),
+                       np.asarray(y, dtype=np.float64))
 
 
 def frob_residual(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

@@ -32,12 +32,9 @@ NOISE_BLOCK = 64
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 from gradlite.errors import DimError, NumError, RankError
 from gradlite.harness import build_problem
 from gradlite.linalg import (frob_residual, matvec, matvec_t, truncated_svd)
+from gradlite.optimizers import GradLiteConfig, init_gradlite_state
 from gradlite.rng import SplitMix64
 
 J32 = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
@@ -14,6 +15,12 @@ BENCHMARK_SPECS = [
     {"name": "mlp", "layers": (8, 16, 16, 1), "n": 32},
     {"name": "quadratic", "d": 50, "cond": 100.0, "sigma": 0.5},
 ]
+
+# Each column sums -(1+2E)*1 + (1+E)*(1+E).  Rounding the product before the
+# add gives exactly 0.0; a fused multiply-add keeps E*E = 2**-54.
+E = 2.0 ** -27
+FMA_A = np.array([[-(1 + 2 * E), -(1 + 2 * E)], [1 + E, 1 + E]])
+FMA_Y = np.array([1.0, 1 + E])
 
 
 def loop_matvec(a, x):
@@ -84,6 +91,38 @@ class TestMatvec:
                             np.repeat(y, 2)[::2])):
             assert np.array_equal(matvec(a_, x_), want)
             assert np.array_equal(matvec_t(a_, y_), want_t)
+
+    # A single column of a (or a single row, for matvec) takes the cumsum path.
+    @pytest.mark.parametrize("cols", [2, 1], ids=["two-columns", "one-column"])
+    def test_products_are_rounded_before_the_add(self, cols):
+        a = FMA_A[:, :cols]
+        for got, want in ((matvec_t(a, FMA_Y), loop_matvec_t(a, FMA_Y)),
+                          (matvec(a.T, FMA_Y), loop_matvec(a.T, FMA_Y))):
+            assert got.tobytes() == np.zeros(cols).tobytes()
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_non_float64_vector_matches_loop(self, dtype):
+        stream = SplitMix64(5)
+        a = stream.normal_matrix(40, 7)
+        for b in (a, a[:, :1], a[:1]):
+            y = (stream.normals(b.shape[0]) * 1000).astype(dtype)
+            x = (stream.normals(b.shape[1]) * 1000).astype(dtype)
+            assert np.array_equal(matvec_t(b, y), loop_matvec_t(b, y))
+            assert np.array_equal(matvec(b, x), loop_matvec(b, x))
+
+    @pytest.mark.parametrize("spec", BENCHMARK_SPECS, ids=lambda s: s["name"])
+    def test_benchmark_jacobians_and_factors_match_loop(self, spec):
+        # Each block's J and the u, v of its step-0 factor, at the
+        # benchmark's rank, through both kernels.
+        problem = build_problem(spec, seed=0)
+        state = init_gradlite_state(problem, None, GradLiteConfig(eta=0.05, k=8, seed=0))
+        stream = SplitMix64(9)
+        for b, factor in enumerate(state.factors):
+            for a in (problem.jacobian(state.theta, block=b), factor.u, factor.v):
+                y, x = stream.normals(a.shape[0]), stream.normals(a.shape[1])
+                assert np.array_equal(matvec_t(a, y), loop_matvec_t(a, y))
+                assert np.array_equal(matvec(a, x), loop_matvec(a, x))
 
     @pytest.mark.parametrize("m, d", [(4, 3), (4, 1), (1, 3)])
     def test_all_negative_zero_terms_sum_to_positive_zero(self, m, d):

@@ -10,7 +10,7 @@ import gradlite
 from gradlite.errors import ConfigError, DataError, SpdError
 from gradlite.linalg import matvec_t
 from gradlite.problems import (NOISE_BLOCK, _NOISE_SALT, Dataset, LogisticProblem,
-                               MlpProblem, QuadraticProblem,
+                               MlpProblem, QuadraticProblem, _expit,
                                finite_difference_gradient, make_gaussian_logistic,
                                make_lowrank_logistic, make_mlp, make_quadratic,
                                synth_dataset)
@@ -103,7 +103,25 @@ class TestBlockNoise:
             assert np.array_equal(got, clean + sigma * stream.normals(self.D))
 
 
+def masked_expit(z):
+    """The sigmoid as two masked branches, each exp taken of a value <= 0."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class TestLogistic:
+    def test_expit_matches_masked_branches_bit_for_bit(self):
+        stream = SplitMix64(17)
+        zs = [np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0,
+                        1e4, -1e4])]
+        zs += [stream.normals(64) * 10.0 ** e for e in range(-3, 5)]
+        for z in zs:
+            assert _expit(z).tobytes() == masked_expit(z).tobytes()
+
     def test_zero_weights_signal(self):
         data = synth_dataset(5, 30, 6, "gaussian-logistic")
         prob = LogisticProblem(data)

@@ -54,8 +54,8 @@ def test_traced_step_times_each_block_jacobian_on_its_block():
     assert blocks == {0, 1, 2}
 
 
-def traced_span_counts(run):
-    """How many step and init spans a traced `run()` records."""
+def traced_spans(run):
+    """(name, parent's name or None) of each span a traced `run()` records."""
     module = load_tracer()
     tracer = module.Tracer()
     try:
@@ -65,7 +65,15 @@ def traced_span_counts(run):
     finally:
         tracer.remove()
     field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
-    names = [tracer.names[span[field["name_id"]]] for span in tracer.spans()]
+    spans = list(tracer.spans())
+    names = {span[field["span"]]: tracer.names[span[field["name_id"]]] for span in spans}
+    return [(names[span[field["span"]]], names.get(span[field["parent"]]))
+            for span in spans]
+
+
+def traced_span_counts(run):
+    """How many step and init spans a traced `run()` records."""
+    names = [name for name, _ in traced_spans(run)]
     return (names.count("optimizers.gradlite_step"),
             names.count("optimizers.init_gradlite_state"))
 
@@ -84,3 +92,17 @@ def test_traced_rate_check_records_one_span_per_step_and_run():
     t_grid, seeds = (2, 3, 4, 5), (0, 1)
     counts = traced_span_counts(lambda: harness.rate_check(spec, 2, t_grid, seeds, 0.3))
     assert counts == (sum(t_grid) * len(seeds), len(t_grid) * len(seeds))
+
+
+def test_traced_kernels_book_each_call_once():
+    # The projection and the exact probe are matvec_t calls, the lift a
+    # matvec call.  Were one kernel to call the other through the module,
+    # the tracer would book its calls under both names.
+    steps = 7
+    spans = traced_spans(lambda: harness.run_experiment(
+        {"name": "lowrank-logistic", "n": 64, "d": 16}, {"name": "gradlite", "k": 4},
+        steps, 0))
+    kernels = ("linalg.matvec_t", "linalg.matvec")
+    names = [name for name, _ in spans]
+    assert [names.count(kernel) for kernel in kernels] == [2 * steps, steps]
+    assert not [parent for name, parent in spans if name in kernels and parent in kernels]
