@@ -2,21 +2,22 @@
 
 Exit codes are a stable contract: 0 success, 1 a `run` diverged (metrics
 still written), 2 usage error, 3 bad configuration, 4 gradient-check
-failure, 5 I/O error.  A flat key=value file given via --config supplies
-defaults; explicit flags always win.  All randomness flows from --seed.
+failure, 5 I/O error.  A command takes only the flags it reads, unabbreviated.
+A flat key=value file given via --config supplies defaults for all but --out;
+explicit flags always win.  A `run` flag or key that the chosen problem or
+optimizer does not take exits 3.  Only `run` takes --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import ConfigError, GradLiteError
 from .feedback import PROBES
 from .harness import (OPTIMIZERS, PROBLEMS, ablation_suite, grad_check_suite,
-                      memory_report, rate_sweep, run_experiment)
+                      memory_report, rate_sweep, run_experiment, write_json)
 from .lowrank import BASIS_MODES
 from .optimizers import EF_MODES
 
@@ -43,15 +44,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     commands = {}
 
-    def add_config(p):
-        p.add_argument("--config", default=None, metavar="FILE",
-                       help="flat key=value file supplying defaults; "
-                            "flags override (default: none)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for all randomness (default: 0)")
+    def add_command(name: str, summary: str, config: bool = True):
+        p = commands[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if config:
+            p.add_argument("--config", default=None, metavar="FILE",
+                           help="flat key=value file supplying defaults; "
+                                "flags override (default: none)")
+        return p
 
-    run = sub.add_parser("run", help="one seeded optimization run with CSV metrics")
-    add_config(run)
+    run = add_command("run", "one seeded optimization run with CSV metrics")
+    run.add_argument("--seed", type=int, default=0,
+                     help="seed for all randomness (default: 0)")
     run.add_argument("--problem", default="quadratic", choices=list(PROBLEMS),
                      help="objective family (default: %(default)s)")
     run.add_argument("--dim", type=int, default=None,
@@ -70,34 +73,33 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     gradlite, adam = OPTIMIZERS["gradlite"].defaults, OPTIMIZERS["adam"].defaults
     run.add_argument("--opt", default="gradlite", choices=list(OPTIMIZERS),
                      help="optimizer (default: %(default)s)")
-    run.add_argument("--eta", type=float, default=gradlite["eta"],
-                     help="learning rate (default: %(default)s)")
-    run.add_argument("--k", type=int, default=gradlite["k"],
-                     help="rank for gradlite/galore (default: %(default)s)")
-    run.add_argument("--tau", type=int, default=gradlite["tau"],
-                     help="factor refresh period (default: %(default)s)")
-    run.add_argument("--ef-mode", default=gradlite["ef_mode"], choices=EF_MODES,
-                     help="feedback accumulator rule (default: %(default)s)")
-    run.add_argument("--probe", default=gradlite["probe"], choices=PROBES,
-                     help="residual estimator (default: %(default)s)")
-    run.add_argument("--basis", default=gradlite["basis_mode"], choices=BASIS_MODES,
-                     help="factor basis mode (default: %(default)s)")
-    run.add_argument("--beta1", type=float, default=adam["beta1"],
-                     help="adam first-moment decay (default: %(default)s)")
-    run.add_argument("--beta2", type=float, default=adam["beta2"],
-                     help="adam second-moment decay (default: %(default)s)")
-    run.add_argument("--eps", type=float, default=adam["eps"],
-                     help="adam denominator floor (default: %(default)s)")
+    # No default here: the optimizer's config applies its own.
+    run.add_argument("--eta", type=float,
+                     help=f"learning rate (default: {gradlite['eta']})")
+    run.add_argument("--k", type=int,
+                     help=f"rank for gradlite/galore (default: {gradlite['k']})")
+    run.add_argument("--tau", type=int,
+                     help=f"factor refresh period (default: {gradlite['tau']})")
+    run.add_argument("--ef-mode", choices=EF_MODES,
+                     help=f"feedback accumulator rule (default: {gradlite['ef_mode']})")
+    run.add_argument("--probe", choices=PROBES,
+                     help=f"residual estimator (default: {gradlite['probe']})")
+    run.add_argument("--basis", choices=BASIS_MODES,
+                     help=f"factor basis mode (default: {gradlite['basis_mode']})")
+    run.add_argument("--beta1", type=float,
+                     help=f"adam first-moment decay (default: {adam['beta1']})")
+    run.add_argument("--beta2", type=float,
+                     help=f"adam second-moment decay (default: {adam['beta2']})")
+    run.add_argument("--eps", type=float,
+                     help=f"adam denominator floor (default: {adam['eps']})")
     run.add_argument("--steps", type=int, default=1000,
                      help="number of optimization steps (default: 1000)")
     run.add_argument("--out", required=True, metavar="CSV",
                      help="metrics CSV path (required)")
     run.add_argument("--summary", default=None, metavar="JSON",
                      help="also write a JSON run summary (default: none)")
-    commands["run"] = run
 
-    abl = sub.add_parser("ablate", help="full vs no-feedback vs random basis")
-    add_config(abl)
+    abl = add_command("ablate", "full vs no-feedback vs random basis")
     abl.add_argument("--seeds", type=_int_list, default=[0, 1, 2],
                      help="comma list of seeds (default: 0,1,2)")
     abl.add_argument("--steps", type=int, default=3000,
@@ -116,10 +118,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                           "(default: auto-tune)")
     abl.add_argument("--out", required=True, metavar="CSV",
                      help="ablation table path (required)")
-    commands["ablate"] = abl
 
-    rate = sub.add_parser("rate-check", help="log-log rate fit over a T grid")
-    add_config(rate)
+    rate = add_command("rate-check", "log-log rate fit over a T grid")
     rate.add_argument("--t-grid", type=_int_list, default=[400, 1600, 6400, 25600],
                       help="comma list of step counts "
                            "(default: 400,1600,6400,25600)")
@@ -138,15 +138,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                       help="error-signal noise scale (default: 0.5)")
     rate.add_argument("--out", required=True, metavar="JSON",
                       help="rate-fit report path (required)")
-    commands["rate-check"] = rate
 
-    chk = sub.add_parser("grad-check",
-                         help="chain-rule and finite-difference oracles")
-    add_config(chk)
-    commands["grad-check"] = chk
+    add_command("grad-check", "chain-rule and finite-difference oracles", config=False)
 
-    mem = sub.add_parser("mem-report", help="exact scalar-count memory ledger")
-    add_config(mem)
+    mem = add_command("mem-report", "exact scalar-count memory ledger")
     mem.add_argument("--m", type=int, default=1000,
                      help="error-signal dimension (default: 1000)")
     mem.add_argument("--d", type=int, default=200,
@@ -157,7 +152,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     mem.add_argument("--out", default=None, metavar="JSON",
                      help="write the ledger as JSON instead of text "
                           "(default: print to stdout)")
-    commands["mem-report"] = mem
     return parser, commands
 
 
@@ -175,38 +169,34 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _apply_config(command: str, path: str, argv: list) -> argparse.Namespace:
-    overrides = load_config_file(path)
-    parser, commands = build_parser()
-    sub = commands[command]
+def _apply_config(parser: argparse.ArgumentParser, commands: dict,
+                  ns: argparse.Namespace, argv: list) -> argparse.Namespace:
+    """Parse `argv` again with the --config file's keys as its command's defaults."""
+    path, sub = ns.config, commands[ns.command]
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    mapped = {}
-    for key, raw in overrides.items():
+    for key, raw in load_config_file(path).items():
         dest = key.replace("-", "_")
         if dest not in actions:
-            raise ConfigError(f"{path}: unknown key {key!r} for {command!r}")
+            raise ConfigError(f"{path}: unknown key {key!r} for {ns.command!r}")
         action = actions[dest]
+        if action.required:
+            raise ConfigError(f"{path}: {key} must be given as a flag")
         try:
             value = action.type(raw) if action.type is not None else raw
         except (ValueError, argparse.ArgumentTypeError) as err:
             raise ConfigError(f"{path}: {key}={raw!r}: {err}") from err
         if action.choices is not None and value not in action.choices:
             raise ConfigError(f"{path}: {key}={raw!r} not in {sorted(action.choices)}")
-        mapped[dest] = value
-    sub.set_defaults(**mapped)
+        sub.set_defaults(**{dest: value})
     return parser.parse_args(argv)
 
 
-def _spec(ns: argparse.Namespace, name: str, keys) -> dict:
-    """The spec for `name` from the run flags that set `keys`."""
+def _spec(ns: argparse.Namespace, name: str, tables) -> dict:
+    """`name` and every run flag given that sets a key in `tables`, so that
+    `_resolve` refuses a flag that `name` does not take."""
+    keys = dict.fromkeys(key for table in tables for key in table)
     picks = {key: getattr(ns, _FLAG_DEST.get(key, key)) for key in keys}
     return {"name": name, **{k: v for k, v in picks.items() if v is not None}}
-
-
-def _write_json(path: str, payload: dict):
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _check_writable(path: str):
@@ -225,9 +215,10 @@ def dispatch(ns: argparse.Namespace) -> int:
             _check_writable(path)
 
     if ns.command == "run":
-        metrics = run_experiment(_spec(ns, ns.problem, PROBLEMS[ns.problem]),
-                                 _spec(ns, ns.opt, OPTIMIZERS[ns.opt].defaults),
-                                 ns.steps, ns.seed)
+        metrics = run_experiment(
+            _spec(ns, ns.problem, PROBLEMS.values()),
+            _spec(ns, ns.opt, [opt.defaults for opt in OPTIMIZERS.values()]),
+            ns.steps, ns.seed)
         metrics.write_csv(ns.out)
         if ns.summary:
             metrics.write_summary(ns.summary)
@@ -252,7 +243,7 @@ def dispatch(ns: argparse.Namespace) -> int:
     if ns.command == "rate-check":
         report = rate_sweep(t_grid=ns.t_grid, seeds=ns.seeds, k_grid=ns.k_grid,
                             c=ns.c, d=ns.dim, cond=ns.cond, sigma=ns.sigma)
-        _write_json(ns.out, report)
+        write_json(ns.out, report)
         print(f"full-rank slope {report['full_rank_slope']:.3f}; "
               f"floors {report['error_floors']} -> {ns.out}")
         return 0
@@ -264,7 +255,7 @@ def dispatch(ns: argparse.Namespace) -> int:
 
     report = memory_report(ns.m, ns.d, ns.k, ns.tau)
     if ns.out:
-        _write_json(ns.out, report.to_dict())
+        write_json(ns.out, report.to_dict())
         print(f"ledger -> {ns.out}")
     else:
         sys.stdout.write(report.to_text())
@@ -274,10 +265,10 @@ def dispatch(ns: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser, _ = build_parser()
+        parser, commands = build_parser()
         ns = parser.parse_args(argv)
         if getattr(ns, "config", None):
-            ns = _apply_config(ns.command, ns.config, argv)
+            ns = _apply_config(parser, commands, ns, argv)
         return dispatch(ns)
     except OSError as err:
         target = getattr(err, "filename", None) or ""

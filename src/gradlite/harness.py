@@ -29,6 +29,7 @@ _NOISE_SALT = 0x4A12_0002
 _OPT_SALT = 0x4A12_0003
 _ABLATION_SALT = 0x4A12_0004
 _CHECK_SALT = 0x4A12_0005
+_CHECK_SPREAD = 0.5  # scale of a gradient check's normal offset from theta0
 
 ETA_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
 # variant -> what it changes in the full method's GradLiteConfig
@@ -42,6 +43,13 @@ ABLATION_VARIANTS = {
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def write_json(path, payload: dict):
+    """Write `payload` as key-sorted, indented JSON ending in a newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _distinct_seeds(seeds, what: str) -> list:
@@ -220,9 +228,7 @@ class RunMetrics:
         }
 
     def write_summary(self, path):
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary_dict())
 
 
 def _norm(vec) -> float:
@@ -246,8 +252,10 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     bwd = mem.activation + mem.signal + mem.factor
     opt_scalars = mem.accumulator + mem.optimizer_state
 
+    # The optimizer as run: every config field, defaults included, but the seed.
+    resolved = {k: v for k, v in vars(cfg).items() if k != "seed"}
     metrics = RunMetrics(problem_spec=dict(problem_spec),
-                         optimizer_spec=dict(optimizer_spec), steps=steps,
+                         optimizer_spec={"name": opt_name, **resolved}, steps=steps,
                          seed=seed, initial_loss=problem.loss(problem.default_theta0()),
                          loss_star=problem.loss_star)
 
@@ -327,9 +335,8 @@ class MemoryReport:
     def signal_ratio(self) -> float:
         return self.methods["gradlite"].signal / self.methods["exact-sgd"].signal
 
-    def savings_vs_exact(self, method: str = "gradlite") -> float:
-        exact = self.methods["exact-sgd"].total
-        return 1.0 - self.methods[method].total / exact
+    def savings_vs_exact(self) -> float:
+        return 1.0 - self.methods["gradlite"].total / self.methods["exact-sgd"].total
 
     def to_dict(self) -> dict:
         return {
@@ -518,11 +525,10 @@ def _ablation_problem(seed: int, n: int, d: int, cond: float) -> Problem:
                                  seed=derive_seed(seed, _ABLATION_SALT))
 
 
-def tune_eta(problem: Problem, seed: int, steps: int, k: int, tau: int,
-             grid=ETA_GRID) -> float:
+def tune_eta(problem: Problem, seed: int, steps: int, k: int, tau: int) -> float:
     """Coarse grid search on the full variant only; ablations inherit it."""
     best_eta, best_loss = None, float("inf")
-    for eta in grid:
+    for eta in ETA_GRID:
         cfg = GradLiteConfig(eta=float(eta), k=k, tau=tau,
                              seed=derive_seed(seed, _OPT_SALT),
                              **ABLATION_VARIANTS["full"])
@@ -611,14 +617,14 @@ def default_check_problems() -> list:
     ]
 
 
-def _check_thetas(problem: Problem, count: int, spread: float = 0.5):
+def _check_thetas(problem: Problem, count: int):
     stream = SplitMix64(derive_seed(problem.seed, _CHECK_SALT))
     base = problem.default_theta0()
-    return [base + spread * stream.normals(problem.d) for _ in range(count)]
+    return [base + _CHECK_SPREAD * stream.normals(problem.d) for _ in range(count)]
 
 
 def grad_check_suite(problems=None, chain_draws: int = 100,
-                     fd_draws: int = 3, h: float = 1e-5) -> GradCheckReport:
+                     fd_draws: int = 3) -> GradCheckReport:
     """Chain-rule and finite-difference checks over every problem family."""
     if problems is None:
         problems = default_check_problems()
@@ -637,7 +643,7 @@ def grad_check_suite(problems=None, chain_draws: int = 100,
                 worst[b] = max(worst[b], err / (1.0 + float(np.linalg.norm(g))))
         worst_fd = [0.0] * problem.blocks
         for theta in thetas[:fd_draws]:
-            fd = finite_difference_gradient(problem, theta, h)
+            fd = finite_difference_gradient(problem, theta)
             g = problem.exact_gradient(theta)
             denom = max(float(np.linalg.norm(g)), 1e-12)
             for b in range(problem.blocks):

@@ -29,6 +29,7 @@ _LABEL_SALT = 0x0151_0004
 _THETA0_SALT = 0x0151_0005
 # Noise vectors drawn from the stream at once; see Problem._noise_vec.
 NOISE_BLOCK = 64
+_NEWTON_TOL = 1e-8  # solve_optimum stops when no gradient entry exceeds it
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -249,10 +250,10 @@ class LogisticProblem(Problem):
     def default_theta0(self) -> np.ndarray:
         return np.zeros(self.d)
 
-    def solve_optimum(self, tol: float = 1e-8, max_iter: int = 500) -> bool:
+    def solve_optimum(self, max_iter: int = 500) -> bool:
         """Damped Newton to a reference optimum; records loss_star on success.
 
-        The reference is accurate to roughly tol**2 / curvature in loss
+        The reference is accurate to roughly _NEWTON_TOL**2 / curvature in loss
         terms, ample for gap reporting; near-separable instances converge
         slowly along tiny-curvature directions, hence the generous cap.
         A line search that finds no lower loss is success when the Newton
@@ -265,7 +266,7 @@ class LogisticProblem(Problem):
         for _ in range(max_iter):
             p = _expit(self.data.x @ theta)
             g = self.data.x.T @ (p - self.data.y)
-            if float(np.abs(g).max()) <= tol:
+            if float(np.abs(g).max()) <= _NEWTON_TOL:
                 break
             w = p * (1.0 - p)
             h = (self.data.x.T * w[None, :]) @ self.data.x

@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, strategies as st
 
 from gradlite import optimizers
 from gradlite.cli import build_parser, load_config_file, main
+from gradlite.harness import run_experiment
+from gradlite.optimizers import GradLiteConfig
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -90,6 +93,70 @@ class TestConfigFile:
         cfg = tmp_path / "kv.cfg"
         cfg.write_text("a=1\nb = two\n")
         assert load_config_file(cfg) == {"a": "1", "b": "two"}
+
+
+class TestFlagsAreReadOrRefused:
+    """Every command takes only the flags it reads; `run` refuses a flag that
+    its problem or optimizer does not take."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--problem", "logistic", "--sigma", "0.5"], "sigma"),
+        (["--opt", "sgd", "--k", "3"], "k"),
+    ], ids=["logistic-sigma", "sgd-k"])
+    @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "file"])
+    def test_flag_the_run_does_not_take_exits_three(self, argv, key, via_file,
+                                                    tmp_path, capsys):
+        chosen, (flag, value) = argv[:2], argv[2:]
+        if via_file:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:]}={value}\n")
+            argv = chosen + ["--config", str(cfg)]
+        out = tmp_path / "m.csv"
+        assert main(["run", *argv, "--steps", "2", "--out", str(out)]) == 3
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_key_in_config_file_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={tmp_path / 'from_file.csv'}\n")
+        assert main(["run", "--config", str(cfg), "--steps", "2",
+                     "--out", str(tmp_path / "m.csv")]) == 3
+        assert "out must be given as a flag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--opt", "adam", "--beta1", "0.5"],
+        ["--opt", "galore", "--k", "4", "--tau", "10"],
+    ], ids=["adam-beta1", "galore-k-tau"])
+    def test_flag_the_optimizer_takes_still_runs(self, argv, tmp_path):
+        assert main(["run", *argv, "--steps", "2", "--out", str(tmp_path / "m.csv")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--seed", "1", "--out", "{out}"],
+        ["rate-check", "--seed", "1", "--out", "{out}"],
+        ["mem-report", "--seed", "1"],
+        ["grad-check", "--seed", "1"],
+        ["grad-check", "--config", "{cfg}"],
+        ["run", "--ste", "2", "--out", "{out}"],
+    ], ids=["ablate-seed", "rate-check-seed", "mem-report-seed", "grad-check-seed",
+            "grad-check-config", "run-abbreviated-steps"])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("")
+        argv = [arg.format(out=tmp_path / "out", cfg=cfg) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_summary_records_every_config_field_but_the_seed(self):
+        spec = {"name": "quadratic", "d": 12, "cond": 5.0, "sigma": 0.0}
+        names = {f.name for f in fields(GradLiteConfig)}
+        assert "seed" in names
+        recorded = run_experiment(spec, {"name": "gradlite"}, 2, 0).summary_dict()
+        assert recorded["optimizer"] == {
+            "name": "gradlite",
+            **{name: getattr(GradLiteConfig(), name) for name in names - {"seed"}}}
 
 
 class TestExitCodes:
@@ -226,16 +293,16 @@ _GRAMMAR = {
     "ablate": ({"--steps": _int("1", "3"), "--n": _int("4", "8"), "--dim": _int("2", "3"),
                 "--k": _int("1", "2")}, {
         "--seeds": _list("0", "0,1", "2,2"), "--tau": _int("1", "2"),
-        "--cond": _float("1", "10"), "--eta": _float("0.05", "1e8"), "--seed": _SEED}),
+        "--cond": _float("1", "10"), "--eta": _float("0.05", "1e8")}),
     "rate-check": ({"--t-grid": _list("1,2,3,4", "2,4,8,16", "1,2,2,3,4"),
                     "--dim": _int("3", "4"), "--k-grid": _list("1,2", "3,1,2")}, {
         "--seeds": _list("0", "0,1", "1,1"),
         "--c": _float("0.3", "1"), "--cond": _float("1", "10"),
-        "--sigma": _float("0", "0.5"), "--seed": _SEED}),
-    "grad-check": ({}, {"--seed": _SEED}),
+        "--sigma": _float("0", "0.5")}),
+    "grad-check": ({}, {}),
     "mem-report": ({}, {
         "--m": _int("1", "10", "1000000"), "--d": _int("1", "10", "1000000"),
-        "--k": _int("1", "8"), "--tau": _int("1", "10"), "--seed": _SEED}),
+        "--k": _int("1", "8"), "--tau": _int("1", "10")}),
 }
 
 
@@ -244,7 +311,9 @@ def _invocations(draw):
     """A command, its flags, and which of them go through a --config file."""
     command = draw(st.sampled_from(sorted(_GRAMMAR)))
     always, maybe = _GRAMMAR[command]
-    picked = draw(st.lists(st.sampled_from(sorted(maybe)), max_size=4, unique=True))
+    # sampled_from refuses an empty list, and grad-check takes no flag.
+    picked = draw(st.lists(st.sampled_from(sorted(maybe)), max_size=4, unique=True)) \
+        if maybe else []
     flags = {flag: draw(values) for flag, values in always.items()}
     flags.update({flag: draw(maybe[flag]) for flag in picked})
     in_file = {flag for flag in flags if draw(st.booleans())}
