@@ -1,11 +1,12 @@
 """Command-line harness: run, ablate, rate-check, grad-check, mem-report.
 
-Exit codes are a stable contract: 0 success, 1 a `run` diverged (metrics
-still written), 2 usage error, 3 bad configuration, 4 gradient-check
-failure, 5 I/O error.  A command takes only the flags it reads, unabbreviated.
-A flat key=value file given via --config supplies defaults for all but --out;
-explicit flags always win.  A `run` flag or key that the chosen problem or
-optimizer does not take exits 3.  Only `run` takes --seed.
+Exit codes are a stable contract: 0 success, 1 a run diverged (`run` still
+writes its truncated metrics, `rate-check` writes no report), 2 usage
+error, 3 bad configuration, 4 gradient-check failure, 5 I/O error.  A
+command takes only the flags it reads, unabbreviated.  A flat key=value
+file given via --config supplies defaults for all but --out; explicit flags
+always win.  A `run` flag or key that the chosen problem or optimizer does
+not take exits 3.  Only `run` takes --seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigError, GradLiteError
+from .errors import ConfigError, DivergedError, GradLiteError
 from .feedback import PROBES
 from .harness import (OPTIMIZERS, PROBLEMS, ablation_suite, grad_check_suite,
                       memory_report, rate_sweep, run_experiment, write_json)
@@ -241,8 +242,13 @@ def dispatch(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.command == "rate-check":
-        report = rate_sweep(t_grid=ns.t_grid, seeds=ns.seeds, k_grid=ns.k_grid,
-                            c=ns.c, d=ns.dim, cond=ns.cond, sigma=ns.sigma)
+        try:
+            report = rate_sweep(t_grid=ns.t_grid, seeds=ns.seeds, k_grid=ns.k_grid,
+                                c=ns.c, d=ns.dim, cond=ns.cond, sigma=ns.sigma)
+        except DivergedError as err:
+            print(f"diverged: {err.run}, step {err.step}: non-finite or oversized "
+                  f"{err.what}; no report written")
+            return 1
         write_json(ns.out, report)
         print(f"full-rank slope {report['full_rank_slope']:.3f}; "
               f"floors {report['error_floors']} -> {ns.out}")

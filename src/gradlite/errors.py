@@ -30,12 +30,17 @@ class ConfigError(GradLiteError):
 
 
 class DivergedError(GradLiteError):
-    """An iterate became non-finite or exceeded the magnitude cap."""
+    """An iterate became non-finite or exceeded the magnitude cap.
 
-    def __init__(self, step: int, what: str = "theta"):
+    `run`, when given, names the run of several that diverged.
+    """
+
+    def __init__(self, step: int, what: str = "theta", run: str | None = None):
         self.step = step
         self.what = what
-        super().__init__(f"diverged at step {step}: non-finite or oversized {what}")
+        self.run = run
+        where = f"{run}: " if run else ""
+        super().__init__(f"{where}diverged at step {step}: non-finite or oversized {what}")
 
 
 class EmptyRunError(GradLiteError):

@@ -260,11 +260,13 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
                          loss_star=problem.loss_star)
 
     def record(state, trace):
-        loss = problem.loss(state.theta)
+        # The new iterate's loss last: the next step's signal reads the same
+        # iterate, and a problem caches its latest evaluation.
         if problem.loss_star is not None:
             gap = problem.loss(averaged_iterate(state)) - problem.loss_star
         else:
             gap = float("nan")
+        loss = problem.loss(state.theta)
         if trace is not None:
             r_norm = _norm(np.concatenate(state.accumulators))
             gtilde_norm = _norm(trace.g_tilde)
@@ -383,29 +385,34 @@ class RateFit:
     k: int
 
 
-def rate_check(problem_spec: dict, k: int, t_grid, seeds, c: float,
+def rate_check(problem: Problem, k: int, t_grid, seeds, c: float,
                gradlite_overrides: dict | None = None,
                reference: tuple | None = None) -> RateFit:
     """Fit the log-log slope of the averaged-iterate gap over a T grid.
 
+    Every run drives the one given problem, built with `build_problem(spec,
+    0)`: it holds no run state but its noise stream, which each run resets
+    from its seed, so only the noise and the sketch seed vary between runs.
     The learning rate is c / sqrt(T) per grid point; gaps are averaged
     over the seeds.  The error floor is the excess of the largest-T gap
     over a fitted trend: by default this config's own fit, or, when
     `reference` = (slope, intercept) is given, an external trend (the
     exact method's fit), which measures the bias plateau directly even
-    when this config's own curve is flat.
+    when this config's own curve is flat.  A diverging run raises a
+    DivergedError that names the rank, T and seed.
     """
     t_grid = sorted(int(t) for t in t_grid)
     if len(set(t_grid)) < 4:
         raise ConfigError("rate fit needs at least 4 distinct values of T")
     if len(set(t_grid)) < len(t_grid):
         raise ConfigError(f"rate fit values of T must be distinct, got {t_grid}")
+    if t_grid[0] < 1:
+        raise ConfigError(f"rate fit values of T must be >= 1, got {t_grid}")
+    if not (np.isfinite(c) and c > 0.0):
+        raise ConfigError(f"c must be finite and > 0, got {c!r}")
     seeds = _distinct_seeds(seeds, "rate fit")
-    # The problem holds no state but its noise stream, which each run resets.
-    problem = build_problem(problem_spec, seed=0)
     if problem.loss_star is None:
-        raise NonPositiveGapError(
-            f"problem {problem_spec.get('name')!r} has no known optimal loss")
+        raise NonPositiveGapError(f"problem {problem.name!r} has no known optimal loss")
     mean_gaps = []
     for t_steps in t_grid:
         eta = c / np.sqrt(t_steps)
@@ -413,7 +420,11 @@ def rate_check(problem_spec: dict, k: int, t_grid, seeds, c: float,
         for seed in seeds:
             cfg = GradLiteConfig(eta=float(eta), k=k, seed=derive_seed(seed, _OPT_SALT),
                                  **(gradlite_overrides or {}))
-            state = _drive(problem, cfg, t_steps, seed)
+            try:
+                state = _drive(problem, cfg, t_steps, seed)
+            except DivergedError as err:
+                raise DivergedError(err.step, err.what,
+                                    run=f"rank {k}, T {t_steps}, seed {seed}") from err
             gaps.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
         mean_gaps.append(float(np.mean(gaps)))
     xs = np.log10(np.asarray(t_grid, dtype=np.float64))
@@ -444,9 +455,12 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     the full-rank trend; with feedback on, the floors collapse toward
     zero, which the ef-standard comparison entry documents.
 
-    The quadratic's Jacobian is constant, so each run keeps the one
-    factor it built at step 0.  That factor is the exact top-k SVD of the
-    Jacobian, so a floor prices the rank-k truncation bias alone.
+    One quadratic serves every fit.  Its Jacobian is one constant
+    read-only array, so every run of one rank keeps the factor that the
+    first such run built at step 0 (`optimizers.init_gradlite_state`): one
+    factorization per rank.  That factor is the exact top-k SVD of the
+    Jacobian, so a floor prices the rank-k truncation bias alone.  The
+    ranks, seeds, T grid and c are all checked before the first step.
     """
     if not k_grid:
         raise ConfigError("rate sweep needs at least one rank")
@@ -461,16 +475,16 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
         check_hyperparams(k=k)
         check_rank(problem, k)
     no_feedback = {"ef_mode": "off", "probe": "none"}
-    full = rate_check(spec, d, t_grid, seeds, c, gradlite_overrides=no_feedback)
+    full = rate_check(problem, d, t_grid, seeds, c, gradlite_overrides=no_feedback)
     ref = (full.slope, full.intercept)
     fits = {}
     for k in ranks:
-        fits[k] = full if k == d else rate_check(spec, k, t_grid, seeds, c,
+        fits[k] = full if k == d else rate_check(problem, k, t_grid, seeds, c,
                                                  gradlite_overrides=no_feedback,
                                                  reference=ref)
     mid_k = sorted(ranks)[1] if len(ranks) > 1 else ranks[0]
     # GradLiteConfig's defaults: ef-standard feedback with the exact probe.
-    with_feedback = rate_check(spec, mid_k, t_grid, seeds, c, reference=ref)
+    with_feedback = rate_check(problem, mid_k, t_grid, seeds, c, reference=ref)
     return {
         "problem": spec, "c": c, "t_grid": list(full.t_grid), "seeds": seeds,
         "fits": {str(k): asdict(f) for k, f in fits.items()},

@@ -45,7 +45,8 @@ def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
     top-k SVD of j, so its factor depends on j alone, not on step or seed;
     random-projection keeps u fixed by the seed alone (the same basis at
     every refresh) and sets v = j.T @ u.  The factor keeps a reference to
-    the given j as its `source`.
+    the given j as its `source`.  Its u and v are read-only, because one
+    factor may serve several runs (see `optimizers.init_gradlite_state`).
     """
     source, j = j, as_matrix(j, "j")
     m, d = j.shape
@@ -53,12 +54,14 @@ def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {j.shape}")
     if mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {mode!r}")
+    # v is Fortran-ordered, so the lift's `matvec` reads v.T in place.
     if mode == "svd":
         res = truncated_svd(j, k)
-        u, v = res.u, res.v * res.s[None, :]
+        u, v = res.u, np.multiply(res.v, res.s[None, :], order="F")
     else:
         u = static_basis(m, k, seed)
-        v = np.column_stack([matvec_t(j, u[:, c]) for c in range(k)])
+        v = np.array([matvec_t(j, u[:, c]) for c in range(k)]).T
+    u.flags.writeable = v.flags.writeable = False
     return LowRankFactor(u=u, v=v, birth_step=step, source=source)
 
 

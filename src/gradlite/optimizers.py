@@ -11,6 +11,7 @@ by identically seeded problems see identical noise.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,17 +153,49 @@ def check_rank(problem: Problem, k: int):
             raise ConfigError(f"rank {k} exceeds min(m, d_block)={cap} for block {b}")
 
 
+# Per live problem, the latest step-0 factor of each (block, k, basis_mode,
+# seed of a random projection or None); an entry goes with its problem.
+_STEP0_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _refresh(kept: LowRankFactor | None, j: np.ndarray, cfg: GradLiteConfig,
+             step: int) -> LowRankFactor:
+    """`kept`, re-dated to `step`, if j is the very array it was built from;
+    else a new factor of j.
+
+    Problems return read-only Jacobians, so the same array means the same J.
+    The caller hands in a `kept` of cfg's rank and basis and, for a random
+    projection, seed: a factor depends on nothing else.
+    """
+    if kept is not None and j is kept.source:
+        return replace(kept, birth_step=step)
+    return factorize(j, cfg.k, cfg.basis_mode, step, cfg.seed)
+
+
 def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> OptimizerState:
-    """Validate the rank per block and build the step-0 factors."""
+    """Validate the rank per block and build the step-0 factors.
+
+    A block whose Jacobian is the array an earlier init on this problem
+    factorized at the same rank, basis and (random projection only) seed
+    takes that factor, so the runs of a rate sweep factorize once per rank.
+    """
     check_rank(problem, cfg.k)
     state = init_state(problem, theta0)
-    state.factors = [
-        factorize(problem.jacobian(state.theta, block=b), cfg.k, cfg.basis_mode, 0,
-                  cfg.seed)
-        for b in range(problem.blocks)
-    ]
+    memo = _STEP0_FACTORS.setdefault(problem, {})
+    seed = cfg.seed if cfg.basis_mode == "random-projection" else None
+    state.factors = []
+    for b in range(problem.blocks):
+        key = (b, cfg.k, cfg.basis_mode, seed)
+        memo[key] = _refresh(memo.get(key), problem.jacobian(state.theta, block=b),
+                             cfg, 0)
+        state.factors.append(memo[key])
     state.accumulators = [np.zeros(w) for w in problem.block_dims]
     return state
+
+
+def _join(parts: list) -> np.ndarray:
+    """The blocks' vectors end to end; one block's vector is passed on as is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def gradlite_step(state: OptimizerState, problem: Problem,
@@ -170,10 +203,8 @@ def gradlite_step(state: OptimizerState, problem: Problem,
     """One full update: signal, projection, correction, residual, descent.
 
     A block's factor is refreshed once `cfg.tau` steps have passed since
-    the factor's birth.  If the block's Jacobian is the very array the
-    factor was built from (problems return read-only Jacobians, so the same
-    array means the same J), the factor is kept and only re-dated;
-    otherwise it is rebuilt from the current Jacobian.
+    the factor's birth: kept and only re-dated if the block's Jacobian is
+    the very array it was built from, otherwise rebuilt (`_refresh`).
     """
     t = state.step
     theta = state.theta
@@ -186,10 +217,8 @@ def gradlite_step(state: OptimizerState, problem: Problem,
         due = (t - factor.birth_step) >= cfg.tau
         need_j = due or cfg.probe == "exact"
         j_b = problem.jacobian(theta, block=b) if need_j else None
-        if due and j_b is factor.source:
-            state.factors[b] = replace(factor, birth_step=t)
-        elif due:
-            state.factors[b] = factorize(j_b, cfg.k, cfg.basis_mode, t, cfg.seed)
+        if due:
+            state.factors[b] = _refresh(factor, j_b, cfg, t)
         gt = approx_gradient(state.factors[b], delta)
         gh = correct(gt, state.accumulators[b]) if cfg.ef_mode != "off" else gt
         bd = estimate_delta(j_b, delta, gt, cfg.probe)
@@ -200,11 +229,10 @@ def gradlite_step(state: OptimizerState, problem: Problem,
         gh_parts.append(gh)
         bd_parts.append(bd)
 
-    g_tilde = np.concatenate(gt_parts)
-    g_hat = np.concatenate(gh_parts)
-    big_delta = np.concatenate(bd_parts)
+    g_tilde, g_hat, big_delta = _join(gt_parts), _join(gh_parts), _join(bd_parts)
     _require_finite(g_tilde, t, "g_tilde")
-    _require_finite(g_hat, t, "g_hat")
+    if g_hat is not g_tilde:  # feedback off applies g~ itself
+        _require_finite(g_hat, t, "g_hat")
     # g~ + (g - g~) reconstructs the probed gradient to one rounding step.
     g_exact = g_tilde + big_delta if cfg.probe == "exact" else None
     _descend(state, cfg.eta * g_hat, g_exact)

@@ -4,10 +4,11 @@ Every problem satisfies the chain-rule contract
 ``exact_gradient == jacobian.T @ error_signal`` (noiselessly, per block).
 Every evaluation uses all ``m`` rows.  Stochasticity enters through the
 error signal's noise stream, which is the only run state a problem holds
-and is owned by one run at a time; the MLP's evaluation cache is a pure
-function of theta.  Noise is drawn in blocks of NOISE_BLOCK (64) draws,
-one stream call per block, and `reset_noise` discards the rest of a
-block, so each draw equals one ``normals(m)`` call on the run's stream.
+and is owned by one run at a time; the MLP's evaluation cache and the
+logistic score cache are pure functions of theta.  Noise is drawn in
+blocks of NOISE_BLOCK (64) draws, one stream call per block, and
+`reset_noise` discards the rest of a block, so each draw equals one
+``normals(m)`` call on the run's stream.
 
 A Jacobian is returned read-only and is never changed in place, so the
 same array means the same J: the quadratic and logistic families return
@@ -221,7 +222,12 @@ class QuadraticProblem(Problem):
 
 
 class LogisticProblem(Problem):
-    """Summed logistic loss; jacobian is the design matrix itself."""
+    """Summed logistic loss; jacobian is the design matrix itself.
+
+    `loss` and `error_signal` read one cached, read-only `x @ theta` of the
+    latest theta, keyed on its contents, so a recorded step's loss at the
+    new iterate and the next step's signal share one product.
+    """
 
     name = "logistic"
 
@@ -233,13 +239,22 @@ class LogisticProblem(Problem):
         self.m = data.n
         self.block_dims = (data.d,)
         self._init_noise(data.seed)
+        self._key = None
+
+    def _scores(self, theta) -> np.ndarray:
+        """x @ theta, computed unless the cache already holds this theta."""
+        arr = np.asarray(theta)
+        key = (arr.dtype.str, arr.shape, arr.tobytes())
+        if key != self._key:
+            self._key, self._z = key, _read_only(self.data.x @ theta)
+        return self._z
 
     def loss(self, theta) -> float:
-        z = self.data.x @ theta
+        z = self._scores(theta)
         return float(np.sum(_log1pexp(z) - self.data.y * z))
 
     def error_signal(self, theta) -> np.ndarray:
-        return _expit(self.data.x @ theta) - self.data.y + self._noise_vec()
+        return _expit(self._scores(theta)) - self.data.y + self._noise_vec()
 
     def jacobian(self, theta, block: int = 0) -> np.ndarray:
         return self.data.x

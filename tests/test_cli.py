@@ -169,6 +169,18 @@ class TestExitCodes:
         assert code == 1
         assert 1 <= len(out.read_text().splitlines()) - 1 < 500
 
+    def test_diverging_rate_check_exits_one_and_writes_no_report(self, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "r.json"
+        code = main(["rate-check", "--t-grid", "25,50,100,200", "--seeds", "0",
+                     "--k-grid", "2,8", "--dim", "8", "--c", "300", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.startswith(
+            "diverged: rank 8, T 25, seed 0, step 7: non-finite or oversized theta")
+        assert captured.err == ""
+        assert not out.exists()
+
     def test_grad_check_passes_on_clean_build(self, capsys):
         assert main(["grad-check"]) == 0
         assert "0 failures" in capsys.readouterr().out
@@ -229,10 +241,14 @@ class TestExitCodes:
           "2,4", "--dim", "4"], None),
         (["rate-check", "--t-grid", "25,50,100,200", "--seeds", "0", "--k-grid",
           "2,2,4", "--dim", "4"], None),
+        (["rate-check", "--t-grid", "0,25,50,100", "--seeds", "0", "--k-grid", "2,4",
+          "--dim", "4"], None),
+        (["rate-check", "--c=-1", "--t-grid", "25,50,100,200", "--seeds", "0",
+          "--k-grid", "2,4", "--dim", "4"], None),
     ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
             "rank-above-dim", "infinite-eta", "nan-sigma", "config-l2", "zero-cond",
             "repeated-t-grid", "ablate-repeated-seeds", "rate-repeated-seeds",
-            "rate-repeated-t", "rate-repeated-k"])
+            "rate-repeated-t", "rate-repeated-k", "rate-zero-t", "rate-negative-c"])
     def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
                                                     capsys):
         if config is not None:

@@ -10,7 +10,7 @@ from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
                               default_check_problems, grad_check_suite,
                               memory_counts, memory_report, rate_check,
                               rate_sweep, run_experiment, validate_optimizer)
-from gradlite.optimizers import GradLiteConfig
+from gradlite.optimizers import GradLiteConfig, averaged_iterate
 from gradlite.problems import make_quadratic
 from gradlite.rng import derive_seed
 
@@ -153,41 +153,101 @@ class TestGradCheckSuite:
 class TestRateCheck:
     SPEC = {"name": "quadratic", "d": 8, "cond": 10.0, "sigma": 0.3}
 
+    def problem(self):
+        return build_problem(self.SPEC, 0)
+
     def test_requires_four_grid_points(self):
         with pytest.raises(ConfigError):
-            rate_check(self.SPEC, 2, (10, 20, 40), (0,), 0.3)
+            rate_check(self.problem(), 2, (10, 20, 40), (0,), 0.3)
 
     def test_requires_four_distinct_grid_points(self, monkeypatch):
         def gradlite_step(*args, **kwargs):
             raise AssertionError("a step ran before the T grid was checked")
         monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
         with pytest.raises(ConfigError, match="4 distinct values of T"):
-            rate_check(self.SPEC, 2, (10, 10, 20, 20, 40), (0,), 0.3)
+            rate_check(self.problem(), 2, (10, 10, 20, 20, 40), (0,), 0.3)
 
     def test_requires_known_optimum(self):
         with pytest.raises(NonPositiveGapError):
-            rate_check({"name": "mlp", "layers": (4, 6, 1), "n": 8}, 2,
-                       (10, 20, 40, 80), (0,), 0.3)
+            rate_check(build_problem({"name": "mlp", "layers": (4, 6, 1), "n": 8}, 0),
+                       2, (10, 20, 40, 80), (0,), 0.3)
 
     def test_fit_reproducible(self):
         grid, seeds = (25, 50, 100, 200), (0, 1)
-        f1 = rate_check(self.SPEC, 8, grid, seeds, 0.3)
-        f2 = rate_check(self.SPEC, 8, grid, seeds, 0.3)
+        f1 = rate_check(self.problem(), 8, grid, seeds, 0.3)
+        f2 = rate_check(self.problem(), 8, grid, seeds, 0.3)
         assert abs(f1.slope - f2.slope) < 0.02
         assert f1.mean_gaps == f2.mean_gaps
 
     def test_reference_trend_shifts_floor_only(self):
         grid, seeds = (25, 50, 100, 200), (0,)
-        own = rate_check(self.SPEC, 4, grid, seeds, 0.3,
+        own = rate_check(self.problem(), 4, grid, seeds, 0.3,
                          gradlite_overrides={"ef_mode": "off", "probe": "none"})
-        ref = rate_check(self.SPEC, 4, grid, seeds, 0.3,
+        ref = rate_check(self.problem(), 4, grid, seeds, 0.3,
                          gradlite_overrides={"ef_mode": "off", "probe": "none"},
                          reference=(own.slope, own.intercept))
         assert own.slope == ref.slope
         assert own.error_floor == ref.error_floor  # same trend by construction
 
+    @pytest.mark.parametrize("basis_mode", ["svd", "random-projection"])
+    @pytest.mark.parametrize("feedback", [{"ef_mode": "off", "probe": "none"}, {}],
+                             ids=["feedback-off", "feedback-on"])
+    def test_one_shared_problem_gives_the_gaps_of_fresh_ones(self, basis_mode, feedback):
+        # Fits at two ranks share one problem, and so its step-0 factors,
+        # as a sweep's do; every reference run builds its own problem.
+        grid, seeds, c = (5, 10, 20, 40), (0, 1), 0.3
+        overrides = {"basis_mode": basis_mode, **feedback}
+        shared = self.problem()
+        for k in (2, 4):
+            fit = rate_check(shared, k, grid, seeds, c, gradlite_overrides=overrides)
+            expected = []
+            for t_steps in grid:
+                gaps = []
+                for seed in seeds:
+                    problem = self.problem()
+                    cfg = GradLiteConfig(eta=float(c / np.sqrt(t_steps)), k=k,
+                                         seed=derive_seed(seed, harness._OPT_SALT),
+                                         **overrides)
+                    state = harness._drive(problem, cfg, t_steps, seed)
+                    gaps.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
+                expected.append(float(np.mean(gaps)))
+            assert fit.mean_gaps == tuple(expected)
+
+    @pytest.mark.parametrize("grid, c, message", [
+        ((0, 25, 50, 100), 0.3, r"values of T must be >= 1, got \[0, 25, 50, 100\]"),
+        ((25, 50, 100, 200), -1.0, "c must be finite and > 0, got -1.0"),
+        ((25, 50, 100, 200), float("nan"), "c must be finite and > 0, got nan"),
+    ], ids=["zero-t", "negative-c", "nan-c"])
+    def test_bad_grid_or_c_rejected_before_the_first_step(self, grid, c, message,
+                                                          monkeypatch):
+        def gradlite_step(*args, **kwargs):
+            raise AssertionError("a step ran before the grid and c were checked")
+        monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
+        with pytest.raises(ConfigError, match=message):
+            rate_check(self.problem(), 2, grid, (0,), c)
+        with pytest.raises(ConfigError, match=message):
+            rate_sweep(k_grid=(2, 4), d=4, t_grid=grid, seeds=(0,), c=c)
+
 
 class TestRateSweep:
+    def test_builds_once_and_factorizes_once_per_rank(self, monkeypatch):
+        built, factorized = [], []
+        build, factorize = harness.build_problem, optimizers.factorize
+
+        def counting_build(spec, seed):
+            built.append(spec)
+            return build(spec, seed)
+
+        def counting_factorize(j, k, mode, *args):
+            factorized.append((k, mode))
+            return factorize(j, k, mode, *args)
+        monkeypatch.setattr(harness, "build_problem", counting_build)
+        monkeypatch.setattr(optimizers, "factorize", counting_factorize)
+        # Fits: full rank 8, ranks 2 and 4 without feedback, rank 4 with it.
+        rate_sweep(k_grid=(2, 4, 8), d=8, t_grid=(5, 10, 20, 40), seeds=(0, 1))
+        assert len(built) == 1
+        assert sorted(factorized) == [(2, "svd"), (4, "svd"), (8, "svd")]
+
     def test_every_rank_checked_before_the_first_step(self, monkeypatch):
         def gradlite_step(*args, **kwargs):
             raise AssertionError("a step ran before every rank was checked")
@@ -208,7 +268,7 @@ class TestRepeatedSeeds:
             ablation_suite(seeds=(2, 2), steps=5, k=2, n=16, d=4, eta=0.05)
         spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
         with pytest.raises(ConfigError, match=r"seeds must be distinct, got \[1, 0, 1\]"):
-            rate_check(spec, 2, (1, 2, 3, 4), (1, 0, 1), 0.3)
+            rate_check(build_problem(spec, 0), 2, (1, 2, 3, 4), (1, 0, 1), 0.3)
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             rate_sweep(k_grid=(2, 3), d=4, t_grid=(1, 2, 3, 4), seeds=(1, 1))
 
@@ -221,7 +281,7 @@ class TestRepeatedT:
         spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
         with pytest.raises(ConfigError,
                            match=r"values of T must be distinct, got \[1, 2, 2, 3, 4\]"):
-            rate_check(spec, 2, (2, 1, 2, 3, 4), (0,), 0.3)
+            rate_check(build_problem(spec, 0), 2, (2, 1, 2, 3, 4), (0,), 0.3)
         with pytest.raises(ConfigError, match="values of T must be distinct"):
             rate_sweep(k_grid=(2, 3), d=4, t_grid=(25, 50, 50, 100, 200), seeds=(0,))
 

@@ -52,6 +52,17 @@ class TestFactorize:
             assert np.array_equal(fac.v, ref.v)
             assert fac.birth_step == step
 
+    @pytest.mark.parametrize("mode", [SVD, RP])
+    def test_factor_is_read_only_and_lifts_without_a_copy(self, mode):
+        # One factor may serve several runs, so no run may write into it;
+        # the lift reads v.T, which a Fortran-ordered v gives in C order.
+        fac = factorize(SplitMix64(7).normal_matrix(9, 6), 3, mode, 0, 0)
+        for arr in (fac.u, fac.v):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        assert fac.u.flags.c_contiguous and fac.v.T.flags.c_contiguous
+
     def test_rank_rejected_not_clamped(self):
         with pytest.raises(RankError):
             factorize(J32, 3, SVD, 0, 0)

@@ -112,22 +112,23 @@ CONSTANT_J = {
 }
 
 
+@pytest.fixture
+def factorized(monkeypatch):
+    """The Jacobians the optimizer factorizes, one entry per factorize call."""
+    calls, original = [], optimizers.factorize
+
+    def counting(j, *args):
+        calls.append(j)
+        return original(j, *args)
+    monkeypatch.setattr(optimizers, "factorize", counting)
+    return calls
+
+
 class TestRefreshReuse:
     """A due refresh keeps the factor when the Jacobian is the same array."""
 
     TAU = 4
     STEPS = 3 * TAU + 1
-
-    @pytest.fixture
-    def factorized(self, monkeypatch):
-        """The Jacobians the step factorizes, one entry per factorize call."""
-        calls, original = [], optimizers.factorize
-
-        def counting(j, *args):
-            calls.append(j)
-            return original(j, *args)
-        monkeypatch.setattr(optimizers, "factorize", counting)
-        return calls
 
     def run(self, problem, basis_mode):
         cfg = GradLiteConfig(eta=0.01, k=2, tau=self.TAU, basis_mode=basis_mode,
@@ -174,6 +175,52 @@ class TestRefreshReuse:
         assert len(factorized) == 1 + 3
         assert factors[-1].u is not factors[0].u
         assert factors[-1].birth_step == 3 * self.TAU
+
+
+class TestStep0FactorReuse:
+    """An init reuses a step-0 factor of the very Jacobian array, and no other."""
+
+    @staticmethod
+    def init(problem, k=2, basis_mode="svd", seed=9):
+        cfg = GradLiteConfig(eta=0.01, k=k, basis_mode=basis_mode, seed=seed)
+        return init_gradlite_state(problem, None, cfg).factors[0]
+
+    @pytest.mark.parametrize("mode", ["svd", "random-projection"])
+    def test_one_problem_factorizes_once_per_rank(self, mode, factorized):
+        problem = CONSTANT_J["quadratic"]()
+        first = self.init(problem, 2, mode)
+        again = self.init(problem, 2, mode)
+        assert again.u is first.u and again.v is first.v and again.birth_step == 0
+        self.init(problem, 3, mode)
+        self.init(problem, 3, mode)
+        assert len(factorized) == 2
+
+    def test_svd_reuse_ignores_the_seed(self, factorized):
+        problem = CONSTANT_J["quadratic"]()
+        assert self.init(problem, seed=1).u is self.init(problem, seed=2).u
+        assert len(factorized) == 1
+
+    def test_random_projection_with_another_seed_is_factorized_anew(self, factorized):
+        problem = CONSTANT_J["quadratic"]()
+        first = self.init(problem, basis_mode="random-projection", seed=1)
+        other = self.init(problem, basis_mode="random-projection", seed=2)
+        assert len(factorized) == 2
+        assert not np.array_equal(other.u, first.u)
+        assert self.init(problem, basis_mode="random-projection", seed=1).u is first.u
+        assert len(factorized) == 2
+
+    def test_a_copied_jacobian_is_factorized_at_every_init(self, factorized):
+        problem = CopyingJacobian(CONSTANT_J["quadratic"]())
+        for _ in range(3):
+            self.init(problem)
+        assert len(factorized) == 3
+
+    def test_an_equal_jacobian_of_another_problem_is_factorized_anew(self, factorized):
+        first, second = CONSTANT_J["quadratic"](), CONSTANT_J["quadratic"]()
+        theta = first.default_theta0()
+        assert np.array_equal(first.jacobian(theta), second.jacobian(theta))
+        assert self.init(second).u is not self.init(first).u
+        assert len(factorized) == 2
 
 
 class TestConfigValidation:

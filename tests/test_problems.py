@@ -160,6 +160,30 @@ print([s for s in range(16) if build_problem(spec, s).loss_star is None])
 """
 
 
+class TestLogisticScoreCache:
+    """loss and error_signal read one cached x @ theta per theta."""
+
+    @staticmethod
+    def fresh():
+        return make_gaussian_logistic(30, 5, seed=8)
+
+    def test_in_place_change_of_theta_gives_new_values(self):
+        prob = self.fresh()
+        theta = prob.default_theta0()
+        loss, signal = prob.loss(theta), prob.error_signal(theta)
+        theta[2] += 0.5
+        assert prob.loss(theta) == self.fresh().loss(theta) != loss
+        new_signal = prob.error_signal(theta)
+        assert np.array_equal(new_signal, self.fresh().error_signal(theta))
+        assert not np.array_equal(new_signal, signal)
+
+    def test_every_error_signal_call_draws_fresh_noise(self):
+        prob = self.fresh()
+        prob.noise_sigma = 0.5
+        theta = prob.default_theta0()
+        assert not np.array_equal(prob.error_signal(theta), prob.error_signal(theta))
+
+
 class TestReferenceOptimumAtBenchmarkSize:
     def test_every_seed_is_solved(self, capsys):
         exec(_SOLVE_SEEDS, {})

@@ -90,8 +90,19 @@ def test_traced_run_experiment_records_one_span_per_step_and_run():
 def test_traced_rate_check_records_one_span_per_step_and_run():
     spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
     t_grid, seeds = (2, 3, 4, 5), (0, 1)
-    counts = traced_span_counts(lambda: harness.rate_check(spec, 2, t_grid, seeds, 0.3))
+    counts = traced_span_counts(
+        lambda: harness.rate_check(build_problem(spec, 0), 2, t_grid, seeds, 0.3))
     assert counts == (sum(t_grid) * len(seeds), len(t_grid) * len(seeds))
+
+
+def test_traced_rate_sweep_records_one_span_per_step_and_run():
+    # Runs that reuse a step-0 factor still pass through the wrapped init,
+    # and every run-step through the wrapped step.
+    t_grid, seeds = (2, 3, 4, 5), (0, 1)
+    counts = traced_span_counts(lambda: harness.rate_sweep(
+        t_grid=t_grid, seeds=seeds, k_grid=(2, 4), d=4))
+    fits = 3  # full rank 4, rank 2 without feedback, rank 4 with it
+    assert counts == (fits * sum(t_grid) * len(seeds), fits * len(t_grid) * len(seeds))
 
 
 def test_traced_kernels_book_each_call_once():
