@@ -30,8 +30,8 @@ def estimate_delta(j, delta, g_tilde: np.ndarray, probe: str) -> np.ndarray:
     """Residual estimate D of g - g~ for this step.
 
     probe="exact" materializes the chain-rule gradient j.T @ delta (the
-    desk scale affords it) and returns g - g~; probe="none" returns zeros,
-    i.e. no feedback information at all.
+    desk scale affords it) and returns g - g~; probe="none" returns a fresh
+    float64 zero vector of g~'s shape, i.e. no feedback information at all.
     """
     if probe == "exact":
         g = matvec_t(j, delta)
@@ -39,7 +39,7 @@ def estimate_delta(j, delta, g_tilde: np.ndarray, probe: str) -> np.ndarray:
             raise DimError(f"estimate_delta: {g.shape} vs {g_tilde.shape}")
         return g - g_tilde
     if probe == "none":
-        return np.zeros_like(g_tilde)
+        return np.zeros(g_tilde.shape)
     raise ValueError(f"unknown probe {probe!r}")
 
 

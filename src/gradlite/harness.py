@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -232,7 +233,8 @@ class RunMetrics:
 
 
 def _norm(vec) -> float:
-    return float(np.linalg.norm(vec)) if vec is not None else float("nan")
+    """||vec|| of a 1-d float64 vector, as np.linalg.norm computes it."""
+    return math.sqrt(vec.dot(vec)) if vec is not None else float("nan")
 
 
 def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,

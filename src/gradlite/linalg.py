@@ -4,10 +4,14 @@ Values are plain numpy arrays validated at the boundaries (`as_matrix`).
 `matvec` and `matvec_t` accumulate in a pinned order
 (ascending reduction index, starting from 0.0, no pairwise or compensated
 summation) so their results are bit-identical to a scalar double loop and
-reproducible across runs.  Both stream through one kernel,
-`np.einsum("ij,i->j", a, y)`, which walks the rows of `a` in order and adds
-each rounded product `a[i, j] * y[i]` to `out[j]`, with no m x d product
-array.  `matvec` and `matvec_t` each call the kernel, never each other, so a
+reproducible across runs.  Both stream through one kernel, numpy's C
+einsum routine called directly as `c_einsum("ij,i->j", a, y)`, which walks
+the rows of `a` in order and adds each rounded product `a[i, j] * y[i]` to
+`out[j]`, with no m x d product array.  `np.einsum` with its default
+`optimize=False` only returns this same call, so the walk is the same;
+calling it directly skips a Python front end that costs more than the
+walk itself at these sizes (`test_kernel_bypasses_the_einsum_front_end`).
+`matvec` and `matvec_t` each call the kernel, never each other, so a
 tracer that wraps both books every call once (`tests/test_tracer.py`).
 The order rests on four conditions, each checked against the
 scalar loop in `tests/test_linalg.py`:
@@ -35,6 +39,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .errors import DimError, NumError, RankError
 
@@ -61,7 +66,7 @@ def _pinned_sum(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     if a.shape[1] == 1:
         # + 0.0 turns an all-(-0.0) sum into +0.0, as the loop's 0.0 start does.
         return np.cumsum(a[:, 0] * y)[-1:] + 0.0
-    return np.einsum("ij,i->j", a, y)
+    return c_einsum("ij,i->j", a, y)
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

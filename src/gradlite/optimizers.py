@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def _refresh(kept: LowRankFactor | None, j: np.ndarray, cfg: GradLiteConfig,
     projection, seed: a factor depends on nothing else.
     """
     if kept is not None and j is kept.source:
-        return replace(kept, birth_step=step)
+        return LowRankFactor(kept.u, kept.v, step, kept.source)
     return factorize(j, cfg.k, cfg.basis_mode, step, cfg.seed)
 
 

@@ -397,10 +397,19 @@ class MlpProblem(Problem):
             d_sens = np.ones((n, 1))
             jacobians = [None] * len(ws)
             for l in range(len(ws) - 1, -1, -1):
-                jw = np.einsum("ip,iq->ipq", d_sens, acts[l]).reshape(n, -1)
-                jacobians[l] = _read_only(np.concatenate([jw, d_sens], axis=1))
+                # Columns: weights (p x q, row-major), then biases (p).  A
+                # zero product keeps its sign (-0.0 where a unit saturates);
+                # every reader of J sums from +0.0, which drops it.
+                p, q = d_sens.shape[1], acts[l].shape[1]
+                jac = np.empty((n, p * q + p))
+                # Splitting the contiguous last axis gives a view, not a copy.
+                np.multiply(d_sens[:, :, None], acts[l][:, None, :],
+                            out=jac[:, :p * q].reshape(n, p, q))
+                jac[:, p * q:] = d_sens
+                jacobians[l] = _read_only(jac)
                 if l > 0:
-                    d_sens = (d_sens @ ws[l]) * (1.0 - np.tanh(pre[l - 1]) ** 2)
+                    # acts[l] is np.tanh(pre[l - 1]) itself, so this is tanh'.
+                    d_sens = (d_sens @ ws[l]) * (1.0 - acts[l] ** 2)
             self._jacobians = jacobians
         return self._jacobians[block]
 

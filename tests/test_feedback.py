@@ -47,6 +47,18 @@ class TestEstimateDelta:
         est = estimate_delta(None, None, np.array([1.0, 2.0]), "none")
         assert np.array_equal(est, [0.0, 0.0])
 
+    def test_probe_none_returns_a_fresh_writeable_zero_vector(self):
+        g_tilde = np.array([1.0, -2.0, 3.0])
+        first = estimate_delta(None, None, g_tilde, "none")
+        second = estimate_delta(None, None, g_tilde, "none")
+        for est in (first, second):
+            assert est.dtype == np.float64 and est.shape == g_tilde.shape
+            assert est.flags.writeable
+            assert est.tobytes() == np.zeros(3).tobytes()
+        assert not np.shares_memory(first, second)
+        first += 7.0
+        assert second.tobytes() == np.zeros(3).tobytes()
+
     def test_unknown_probe(self):
         with pytest.raises(ValueError):
             estimate_delta(J32, np.zeros(3), np.zeros(2), "sketchy")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gradlite import linalg
 from gradlite.errors import DimError, NumError, RankError
 from gradlite.harness import build_problem
 from gradlite.linalg import (frob_residual, matvec, matvec_t, truncated_svd)
@@ -130,6 +131,28 @@ class TestMatvec:
         a = -np.ones((m, d))
         for got in (matvec(a, np.zeros(d)), matvec_t(a, np.zeros(m))):
             assert not np.signbit(got).any()
+
+    # Shapes with at least 2 columns for both kernels (matvec's kernel walks
+    # a.T), including those of the three benchmark workloads' Jacobians.
+    KERNEL_SHAPES = [(2, 2), (5, 3), (3, 40), (32, 144), (32, 272), (32, 17),
+                     (50, 50), (512, 128), (300, 7)]
+
+    @pytest.mark.parametrize("m, d", KERNEL_SHAPES)
+    def test_kernel_bypasses_the_einsum_front_end(self, m, d, monkeypatch):
+        stream = SplitMix64(m * 1000 + d)
+        a, x, y = stream.normal_matrix(m, d), stream.normals(d), stream.normals(m)
+        want, want_t = loop_matvec(a, x), loop_matvec_t(a, y)
+        # The C entry the kernels call and the front end give the same bytes.
+        assert linalg.c_einsum("ij,i->j", a, y).tobytes() == want_t.tobytes()
+        assert np.einsum("ij,i->j", a, y).tobytes() == want_t.tobytes()
+
+        def front_end(*args, **kwargs):
+            raise AssertionError("the pinned kernel went through np.einsum")
+
+        monkeypatch.setattr(np, "einsum", front_end)
+        for a_ in (a, np.asfortranarray(a)):
+            assert matvec(a_, x).tobytes() == want.tobytes()
+            assert matvec_t(a_, y).tobytes() == want_t.tobytes()
 
 
 class TestMatvecT:

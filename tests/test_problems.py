@@ -8,7 +8,7 @@ import pytest
 
 import gradlite
 from gradlite.errors import ConfigError, DataError, SpdError
-from gradlite.linalg import matvec_t
+from gradlite.linalg import matvec_t, truncated_svd
 from gradlite.problems import (NOISE_BLOCK, _NOISE_SALT, Dataset, LogisticProblem,
                                MlpProblem, QuadraticProblem, _expit,
                                finite_difference_gradient, make_gaussian_logistic,
@@ -233,6 +233,21 @@ class TestMlp:
         fd = finite_difference_gradient(prob, theta, 1e-5)
         rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12)
         assert rel < 1e-4
+
+    def test_saturated_units_signed_zeros_reach_no_reader(self):
+        # Large weights saturate tanh, so some sensitivities and products
+        # are -0.0; the kernels and the factorization read J as its +0.0 copy.
+        prob = make_mlp([8, 4, 4, 4, 1], 32, seed=34)
+        theta = 30.0 * prob.default_theta0()
+        y = SplitMix64(35).normals(32)
+        jacobians = [prob.jacobian(theta, block=b) for b in range(prob.blocks)]
+        assert any((np.signbit(jac) & (jac == 0.0)).any() for jac in jacobians)
+        for jac in jacobians:
+            plain = jac + 0.0
+            assert matvec_t(jac, y).tobytes() == matvec_t(plain, y).tobytes()
+            for k in (1, min(jac.shape)):
+                for got, want in zip(truncated_svd(jac, k), truncated_svd(plain, k)):
+                    assert got.tobytes() == want.tobytes()
 
     def test_output_width_must_be_one(self):
         data = Dataset(np.ones((4, 3)), np.zeros(4))
