@@ -12,6 +12,7 @@ not take exits 3.  Only `run` takes --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -156,40 +157,57 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The process's one parser; `_apply_config` leaves its defaults as built."""
+    return build_parser()
+
+
 def load_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
 def _apply_config(parser: argparse.ArgumentParser, commands: dict,
                   ns: argparse.Namespace, argv: list) -> argparse.Namespace:
-    """Parse `argv` again with the --config file's keys as its command's defaults."""
+    """Parse `argv` again with the --config file's keys as its command's
+    defaults, then put the built defaults back."""
     path, sub = ns.config, commands[ns.command]
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    for key, raw in load_config_file(path).items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise ConfigError(f"{path}: unknown key {key!r} for {ns.command!r}")
-        action = actions[dest]
-        if action.required:
-            raise ConfigError(f"{path}: {key} must be given as a flag")
-        try:
-            value = action.type(raw) if action.type is not None else raw
-        except (ValueError, argparse.ArgumentTypeError) as err:
-            raise ConfigError(f"{path}: {key}={raw!r}: {err}") from err
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"{path}: {key}={raw!r} not in {sorted(action.choices)}")
-        sub.set_defaults(**{dest: value})
-    return parser.parse_args(argv)
+    built = {}
+    try:
+        for key, raw in load_config_file(path).items():
+            dest = key.replace("-", "_")
+            if dest not in actions:
+                raise ConfigError(f"{path}: unknown key {key!r} for {ns.command!r}")
+            action = actions[dest]
+            if action.required:
+                raise ConfigError(f"{path}: {key} must be given as a flag")
+            try:
+                value = action.type(raw) if action.type is not None else raw
+            except (ValueError, argparse.ArgumentTypeError) as err:
+                raise ConfigError(f"{path}: {key}={raw!r}: {err}") from err
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"{path}: {key}={raw!r} not in {sorted(action.choices)}")
+            built.setdefault(dest, action.default)
+            action.default = value
+        return parser.parse_args(argv)
+    finally:
+        for dest, default in built.items():
+            actions[dest].default = default
 
 
 def _spec(ns: argparse.Namespace, name: str, tables) -> dict:
@@ -271,7 +289,7 @@ def dispatch(ns: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser, commands = build_parser()
+        parser, commands = _parser()
         ns = parser.parse_args(argv)
         if getattr(ns, "config", None):
             ns = _apply_config(parser, commands, ns, argv)

@@ -316,14 +316,21 @@ def memory_counts(m: int, d: int, k: int | None = None,
                   tau: int | None = None) -> dict[str, MethodMemory]:
     if m < 1 or d < 1:
         raise ConfigError(f"dims m={m}, d={d} must be >= 1")
-    out = {
-        "exact-sgd": MethodMemory(m, m, 0, 0, 0),
-        "adam": MethodMemory(m, m, 0, 0, 2 * d),
-    }
-    if k is not None and tau is not None:
-        check_hyperparams(k=k, tau=tau)
-        out["galore"] = MethodMemory(m, m, d * k, 0, d * tau)
-        out["gradlite"] = MethodMemory(0, k, (m + d) * k / tau, d, 0)
+    try:
+        out = {
+            "exact-sgd": MethodMemory(m, m, 0, 0, 0),
+            "adam": MethodMemory(m, m, 0, 0, 2 * d),
+        }
+        if k is not None and tau is not None:
+            check_hyperparams(k=k, tau=tau)
+            out["galore"] = MethodMemory(m, m, d * k, 0, d * tau)
+            out["gradlite"] = MethodMemory(0, k, (m + d) * k / tau, d, 0)
+        finite = all(math.isfinite(mm.total) for mm in out.values())
+    except OverflowError:  # an integer count too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"m={m}, d={d}, k={k}, tau={tau}: a ledger total "
+                          "is not a finite float")
     return out
 
 
@@ -394,7 +401,9 @@ def rate_check(problem: Problem, k: int, t_grid, seeds, c: float,
 
     Every run drives the one given problem, built with `build_problem(spec,
     0)`: it holds no run state but its noise stream, which each run resets
-    from its seed, so only the noise and the sketch seed vary between runs.
+    from its seed.  So runs differ only in their noise and, when
+    `gradlite_overrides` asks for a random-projection basis, in the basis
+    seed; the default svd basis ignores the seed.
     The learning rate is c / sqrt(T) per grid point; gaps are averaged
     over the seeds.  The error floor is the excess of the largest-T gap
     over a fitted trend: by default this config's own fit, or, when

@@ -25,7 +25,6 @@ _BASIS_SALT = 0xBA515_0001
 class LowRankFactor:
     u: np.ndarray  # m x k, orthonormal columns
     v: np.ndarray  # d x k, singular values folded in
-    birth_step: int
     # The J it was built from, held by reference: a refresh that is handed
     # this same read-only array again keeps the factor.
     source: np.ndarray | None = None
@@ -38,11 +37,11 @@ def static_basis(m: int, k: int, seed: int) -> np.ndarray:
     return q[:, :k]
 
 
-def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
-    """Build a rank-k factor of j at the given step.
+def factorize(j, k: int, mode: str, seed: int) -> LowRankFactor:
+    """Build a rank-k factor of j.
 
     `mode` is one of BASIS_MODES.  svd mode takes both sides from the exact
-    top-k SVD of j, so its factor depends on j alone, not on step or seed;
+    top-k SVD of j, so its factor depends on j alone, not on the seed;
     random-projection keeps u fixed by the seed alone (the same basis at
     every refresh) and sets v = j.T @ u.  The factor keeps a reference to
     the given j as its `source`.  Its u and v are read-only, because one
@@ -62,7 +61,7 @@ def factorize(j, k: int, mode: str, step: int, seed: int) -> LowRankFactor:
         u = static_basis(m, k, seed)
         v = np.array([matvec_t(j, u[:, c]) for c in range(k)]).T
     u.flags.writeable = v.flags.writeable = False
-    return LowRankFactor(u=u, v=v, birth_step=step, source=source)
+    return LowRankFactor(u=u, v=v, source=source)
 
 
 def projected_signal(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:

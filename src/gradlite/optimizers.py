@@ -153,42 +153,40 @@ def check_rank(problem: Problem, k: int):
             raise ConfigError(f"rank {k} exceeds min(m, d_block)={cap} for block {b}")
 
 
-# Per live problem, the latest step-0 factor of each (block, k, basis_mode,
-# seed of a random projection or None); an entry goes with its problem.
-_STEP0_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# Per live problem, the latest factor of each (block, k, basis_mode, seed of
+# a random projection or None); an entry goes with its problem.
+_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _refresh(kept: LowRankFactor | None, j: np.ndarray, cfg: GradLiteConfig,
-             step: int) -> LowRankFactor:
-    """`kept`, re-dated to `step`, if j is the very array it was built from;
-    else a new factor of j.
+def _factor(problem: Problem, b: int, j: np.ndarray,
+            cfg: GradLiteConfig) -> LowRankFactor:
+    """The factor of block b's Jacobian j at cfg's rank and basis.
 
-    Problems return read-only Jacobians, so the same array means the same J.
-    The caller hands in a `kept` of cfg's rank and basis and, for a random
-    projection, seed: a factor depends on nothing else.
+    That is the latest factor built on this problem for the block, rank,
+    basis and (random projection only) seed when j is the very array it
+    was built from, else a new factor of j, which is remembered.  Problems
+    return read-only Jacobians, so the same array means the same J, and a
+    factor depends on nothing else.
     """
-    if kept is not None and j is kept.source:
-        return LowRankFactor(kept.u, kept.v, step, kept.source)
-    return factorize(j, cfg.k, cfg.basis_mode, step, cfg.seed)
+    memo = _FACTORS.setdefault(problem, {})
+    seed = cfg.seed if cfg.basis_mode == "random-projection" else None
+    key = (b, cfg.k, cfg.basis_mode, seed)
+    kept = memo.get(key)
+    if kept is None or j is not kept.source:
+        kept = memo[key] = factorize(j, cfg.k, cfg.basis_mode, cfg.seed)
+    return kept
 
 
 def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> OptimizerState:
-    """Validate the rank per block and build the step-0 factors.
+    """Validate the rank per block and build the step-0 factors (`_factor`).
 
-    A block whose Jacobian is the array an earlier init on this problem
-    factorized at the same rank, basis and (random projection only) seed
-    takes that factor, so the runs of a rate sweep factorize once per rank.
+    A constant Jacobian keeps one factor across the runs on its problem, so
+    the runs of a rate sweep factorize once per rank.
     """
     check_rank(problem, cfg.k)
     state = init_state(problem, theta0)
-    memo = _STEP0_FACTORS.setdefault(problem, {})
-    seed = cfg.seed if cfg.basis_mode == "random-projection" else None
-    state.factors = []
-    for b in range(problem.blocks):
-        key = (b, cfg.k, cfg.basis_mode, seed)
-        memo[key] = _refresh(memo.get(key), problem.jacobian(state.theta, block=b),
-                             cfg, 0)
-        state.factors.append(memo[key])
+    state.factors = [_factor(problem, b, problem.jacobian(state.theta, block=b), cfg)
+                     for b in range(problem.blocks)]
     state.accumulators = [np.zeros(w) for w in problem.block_dims]
     return state
 
@@ -202,23 +200,22 @@ def gradlite_step(state: OptimizerState, problem: Problem,
                   cfg: GradLiteConfig) -> tuple[OptimizerState, StepTrace]:
     """One full update: signal, projection, correction, residual, descent.
 
-    A block's factor is refreshed once `cfg.tau` steps have passed since
-    the factor's birth: kept and only re-dated if the block's Jacobian is
-    the very array it was built from, otherwise rebuilt (`_refresh`).
+    Every block's factor is refreshed at steps tau, 2 tau, ... of the run
+    (`_factor`: kept if the block's Jacobian is the very array it was
+    built from, otherwise rebuilt).
     """
     t = state.step
     theta = state.theta
     delta = problem.error_signal(theta)
     _require_finite(delta, t, "delta")
 
+    refresh = t > 0 and t % cfg.tau == 0
+    need_j = refresh or cfg.probe == "exact"
     gt_parts, gh_parts, bd_parts = [], [], []
     for b in range(problem.blocks):
-        factor = state.factors[b]
-        due = (t - factor.birth_step) >= cfg.tau
-        need_j = due or cfg.probe == "exact"
         j_b = problem.jacobian(theta, block=b) if need_j else None
-        if due:
-            state.factors[b] = _refresh(factor, j_b, cfg, t)
+        if refresh:
+            state.factors[b] = _factor(problem, b, j_b, cfg)
         gt = approx_gradient(state.factors[b], delta)
         gh = correct(gt, state.accumulators[b]) if cfg.ef_mode != "off" else gt
         bd = estimate_delta(j_b, delta, gt, cfg.probe)

@@ -31,6 +31,20 @@ _THETA0_SALT = 0x0151_0005
 # Noise vectors drawn from the stream at once; see Problem._noise_vec.
 NOISE_BLOCK = 64
 _NEWTON_TOL = 1e-8  # solve_optimum stops when no gradient entry exceeds it
+# Entries of the materialized m x d Jacobian a problem may have: 2**22
+# float64s (32 MiB), far above the largest instance used (512 x 128).
+MAX_JACOBIAN_ENTRIES = 2**22
+
+
+def _check_size(m: int, d: int):
+    """Refuse an m x d Jacobian above the desk-scale cap.
+
+    Makers call this before drawing any array.  Dimensions below 1 are
+    left to each maker's own check.
+    """
+    if min(m, d) >= 1 and m * d > MAX_JACOBIAN_ENTRIES:
+        raise ConfigError(f"Jacobian of {m} x {d} exceeds the desk-scale cap "
+                          f"of {MAX_JACOBIAN_ENTRIES} entries")
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -197,8 +211,8 @@ class QuadraticProblem(Problem):
         if self.theta_star.shape != (a.shape[0],):
             raise DimError("theta_star length does not match the matrix")
         self.noise_sigma = float(noise_sigma)
-        if not self.noise_sigma >= 0.0:
-            raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         self.m = a.shape[0]
         self.block_dims = (a.shape[0],)
         self.loss_star = 0.0
@@ -306,6 +320,12 @@ class LogisticProblem(Problem):
         return True
 
 
+def _mlp_block_dims(layers: list[int]) -> tuple[int, ...]:
+    """Parameters per layer block: weights, then biases."""
+    return tuple(layers[i + 1] * layers[i] + layers[i + 1]
+                 for i in range(len(layers) - 1))
+
+
 class MlpProblem(Problem):
     """Tanh MLP regression with mean squared-error loss 0.5*||f - y||^2 / n.
 
@@ -331,15 +351,11 @@ class MlpProblem(Problem):
             raise DimError(f"input width {layers[0]} != feature count {data.d}")
         if layers[-1] != 1:
             raise ConfigError("output width must be 1 (vector targets)")
-        total = sum(layers[i + 1] * layers[i] + layers[i + 1]
-                    for i in range(len(layers) - 1))
-        if total > 10**5:
-            raise ConfigError(f"{total} parameters exceeds the desk-scale cap")
+        self.block_dims = _mlp_block_dims(layers)
+        _check_size(data.n, self.d)
         self.layers = layers
         self.data = data
         self.m = data.n
-        self.block_dims = tuple(layers[i + 1] * layers[i] + layers[i + 1]
-                                for i in range(len(layers) - 1))
         self._init_noise(data.seed)
         self._key = None
 
@@ -460,6 +476,7 @@ def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticPro
     """Rotated quadratic with geometric spectrum 1 .. 1/cond (so L = 1)."""
     if d < 1 or not cond >= 1.0:
         raise ConfigError(f"bad quadratic spec d={d}, cond={cond}")
+    _check_size(d, d)
     stream = SplitMix64(derive_seed(seed, _MATRIX_SALT))
     if d == 1:
         lam = np.array([1.0])
@@ -473,6 +490,7 @@ def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticPro
 
 def make_gaussian_logistic(n: int, d: int, seed: int,
                            solve_optimum: bool = False) -> LogisticProblem:
+    _check_size(n, d)
     prob = LogisticProblem(synth_dataset(seed, n, d, "gaussian-logistic"))
     if solve_optimum:
         prob.solve_optimum()
@@ -488,6 +506,7 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int,
     """
     if n < 1 or d < 1 or not cond >= 1.0:
         raise ConfigError(f"bad low-rank logistic spec n={n}, d={d}, cond={cond}")
+    _check_size(n, d)
     feat = SplitMix64(derive_seed(seed, _DATA_SALT))
     lab = SplitMix64(derive_seed(seed, _LABEL_SALT))
     x = _lowrank_design(feat, n, d, cond=cond, top_sv=10.0)
@@ -506,5 +525,6 @@ def make_mlp(layers, n: int, seed: int) -> MlpProblem:
     layers = [int(w) for w in layers]
     if not layers:
         raise ConfigError("bad layer widths []")
+    _check_size(n, sum(_mlp_block_dims(layers)))
     data = synth_dataset(seed, n, layers[0], "low-rank-regression")
     return MlpProblem(layers, data)

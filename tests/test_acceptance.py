@@ -39,7 +39,7 @@ def test_criterion_1_factored_identity():
         u = stream.normal_matrix(m, k)
         v = stream.normal_matrix(d, k)
         delta = stream.normals(m)
-        fac = LowRankFactor(u=u, v=v, birth_step=0)
+        fac = LowRankFactor(u=u, v=v)
         fast = approx_gradient(fac, delta)
         ref = matvec_t(u @ v.T, delta)
         err = np.linalg.norm(fast - ref) / (1.0 + np.linalg.norm(ref))

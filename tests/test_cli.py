@@ -94,6 +94,17 @@ class TestConfigFile:
         cfg.write_text("a=1\nb = two\n")
         assert load_config_file(cfg) == {"a": "1", "b": "two"}
 
+    @pytest.mark.parametrize("text, code", [("steps=3\n", 0), ("steps=3\nwarp=9\n", 3)],
+                             ids=["applied", "refused-after-a-key"])
+    def test_file_keys_do_not_reach_a_later_call(self, text, code, tmp_path):
+        # One parser serves every call in a process.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        first, plain = tmp_path / "first.csv", tmp_path / "plain.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(first)]) == code
+        assert main(["run", "--out", str(plain)]) == 0
+        assert len(plain.read_text().splitlines()) == 1 + 1000
+
 
 class TestFlagsAreReadOrRefused:
     """Every command takes only the flags it reads; `run` refuses a flag that
@@ -184,6 +195,35 @@ class TestExitCodes:
     def test_grad_check_passes_on_clean_build(self, capsys):
         assert main(["grad-check"]) == 0
         assert "0 failures" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--config", "{binary}", "--out", "{out}"], 3),
+        (["run", "--sigma", "inf", "--steps", "3", "--out", "{out}"], 3),
+        (["rate-check", "--sigma", "inf", "--t-grid", "4,5,6,7", "--seeds", "0",
+          "--k-grid", "2", "--dim", "4", "--out", "{out}"], 3),
+        (["run", "--problem", "quadratic", "--dim", "1000000", "--steps", "1",
+          "--out", "{out}"], 3),
+        (["run", "--problem", "logistic", "--n", "1000000", "--dim", "1000",
+          "--steps", "1", "--out", "{out}"], 3),
+        (["run", "--problem", "mlp", "--layers", "8,100000,1", "--steps", "1",
+          "--out", "{out}"], 3),
+        (["ablate", "--n", "1000000", "--dim", "1000", "--out", "{out}"], 3),
+        (["mem-report", "--m", str(10**400), "--d", "5", "--k", "2", "--tau", "1"], 3),
+        (["run", "--k", "0", "--steps", "5", "--out", "{out}"], 3),
+        (["run", "--steps", "2", "--out", "{missing}"], 5),
+    ], ids=["non-utf8-config", "run-infinite-sigma", "rate-check-infinite-sigma",
+            "oversized-quadratic", "oversized-logistic", "oversized-mlp", "oversized-ablate",
+            "oversized-ledger", "zero-rank", "missing-directory"])
+    def test_main_returns_the_contract_code(self, argv, code, tmp_path, capsys):
+        # Oversized problems are refused before any array is drawn.
+        binary = tmp_path / "bin.cfg"
+        binary.write_bytes(b"\xff\xfe\x00bad\n")
+        argv = [arg.format(binary=binary, out=tmp_path / "out",
+                           missing=tmp_path / "no" / "out") for arg in argv]
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 3:
+            assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_unwritable_output_exits_five(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "m.csv"
