@@ -12,10 +12,10 @@ from .linalg import (SvdResult, as_matrix, frob_residual, matvec, matvec_t,
                      truncated_svd)
 from .lowrank import (LowRankFactor, approx_gradient, factorize,
                       projected_signal, static_basis)
-from .optimizers import (AdamConfig, GaloreConfig, GradLiteConfig,
-                         OptimizerState, SgdConfig, StepTrace, adam_step,
-                         averaged_iterate, galore_like_step, gradlite_step,
-                         init_gradlite_state, init_state, sgd_step,
+from .optimizers import (AdamConfig, AdamState, GaloreConfig, GaloreState,
+                         GradLiteConfig, GradLiteState, OptimizerState,
+                         SgdConfig, StepTrace, averaged_iterate, exact_step,
+                         gradlite_step, init_gradlite_state, init_state,
                          stochastic_gradient)
 from .problems import (Dataset, LogisticProblem, MlpProblem, Problem,
                        QuadraticProblem, finite_difference_gradient,

@@ -90,9 +90,9 @@ class Optimizer(NamedTuple):
 OPTIMIZERS = {
     "gradlite": Optimizer(GradLiteConfig, "gradlite", "init_gradlite_state",
                           "gradlite_step"),
-    "sgd": Optimizer(SgdConfig, "exact-sgd", "init_state", "sgd_step"),
-    "adam": Optimizer(AdamConfig, "adam", "init_state", "adam_step"),
-    "galore": Optimizer(GaloreConfig, "galore", "init_state", "galore_like_step"),
+    "sgd": Optimizer(SgdConfig, "exact-sgd", "init_state", "exact_step"),
+    "adam": Optimizer(AdamConfig, "adam", "init_state", "exact_step"),
+    "galore": Optimizer(GaloreConfig, "galore", "init_state", "exact_step"),
 }
 
 
@@ -394,6 +394,20 @@ class RateFit:
     k: int
 
 
+def _rate_grid(t_grid, seeds, c: float) -> tuple[list, list]:
+    """The T grid and seeds, sorted; ConfigError unless they and c fit a rate fit."""
+    t_grid = sorted(int(t) for t in t_grid)
+    if len(set(t_grid)) < 4:
+        raise ConfigError("rate fit needs at least 4 distinct values of T")
+    if len(set(t_grid)) < len(t_grid):
+        raise ConfigError(f"rate fit values of T must be distinct, got {t_grid}")
+    if t_grid[0] < 1:
+        raise ConfigError(f"rate fit values of T must be >= 1, got {t_grid}")
+    if not (np.isfinite(c) and c > 0.0):
+        raise ConfigError(f"c must be finite and > 0, got {c!r}")
+    return t_grid, _distinct_seeds(seeds, "rate fit")
+
+
 def rate_check(problem: Problem, k: int, t_grid, seeds, c: float,
                gradlite_overrides: dict | None = None,
                reference: tuple | None = None) -> RateFit:
@@ -412,16 +426,7 @@ def rate_check(problem: Problem, k: int, t_grid, seeds, c: float,
     when this config's own curve is flat.  A diverging run raises a
     DivergedError that names the rank, T and seed.
     """
-    t_grid = sorted(int(t) for t in t_grid)
-    if len(set(t_grid)) < 4:
-        raise ConfigError("rate fit needs at least 4 distinct values of T")
-    if len(set(t_grid)) < len(t_grid):
-        raise ConfigError(f"rate fit values of T must be distinct, got {t_grid}")
-    if t_grid[0] < 1:
-        raise ConfigError(f"rate fit values of T must be >= 1, got {t_grid}")
-    if not (np.isfinite(c) and c > 0.0):
-        raise ConfigError(f"c must be finite and > 0, got {c!r}")
-    seeds = _distinct_seeds(seeds, "rate fit")
+    t_grid, seeds = _rate_grid(t_grid, seeds, c)
     if problem.loss_star is None:
         raise NonPositiveGapError(f"problem {problem.name!r} has no known optimal loss")
     mean_gaps = []
@@ -471,20 +476,20 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     first such run built at step 0 (`optimizers.init_gradlite_state`): one
     factorization per rank.  That factor is the exact top-k SVD of the
     Jacobian, so a floor prices the rank-k truncation bias alone.  The
-    ranks, seeds, T grid and c are all checked before the first step.
+    ranks, against the d x d Jacobian, and the seeds, T grid and c are all
+    checked before the quadratic is built.
     """
     if not k_grid:
         raise ConfigError("rate sweep needs at least one rank")
     ranks = [int(k) for k in k_grid]
     if len(set(ranks)) < len(ranks):
         raise ConfigError(f"rate sweep ranks must be distinct, got {ranks}")
-    seeds = _distinct_seeds(seeds, "rate fit")
-    spec = {"name": "quadratic", "d": d, "cond": cond, "sigma": sigma}
-    # Every rank is checked before the full-rank fit, the longest part, runs.
-    problem = build_problem(spec, seed=0)
+    t_grid, seeds = _rate_grid(t_grid, seeds, c)
     for k in ranks:
         check_hyperparams(k=k)
-        check_rank(problem, k)
+        check_rank(d, (d,), k)
+    spec = {"name": "quadratic", "d": d, "cond": cond, "sigma": sigma}
+    problem = build_problem(spec, seed=0)
     no_feedback = {"ef_mode": "off", "probe": "none"}
     full = rate_check(problem, d, t_grid, seeds, c, gradlite_overrides=no_feedback)
     ref = (full.slope, full.intercept)
@@ -572,6 +577,10 @@ def ablation_suite(seeds=(0, 1, 2), steps: int = 3000, k: int = 8,
     seeds = _distinct_seeds(seeds, "ablation")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
+    # The configs' hyperparameters and the rank, against the n x d Jacobian,
+    # are checked before the first problem and its optimum are built.
+    check_hyperparams(**({} if eta is None else {"eta": eta}), k=k, tau=tau)
+    check_rank(n, (d,), k)
     # One problem per seed serves the tuning and every variant: it holds no
     # state but its noise stream, which _final_loss_of resets for each run.
     problems = {seed: _ablation_problem(seed, n, d, cond) for seed in seeds}

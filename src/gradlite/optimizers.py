@@ -2,7 +2,12 @@
 
 Each optimizer is a config, checked once when built, plus `init(problem,
 theta0, cfg)` and `step(state, problem, cfg) -> (state, StepTrace | None)`
-on a mutable :class:`OptimizerState` owned by a single run.  The per-step
+on a mutable state owned by a single run.  Each optimizer has its own
+state class (`STATES`): :class:`OptimizerState` holds what every run holds
+plus SGD's update rule, and :class:`AdamState`, :class:`GaloreState` and
+:class:`GradLiteState` add only their own fields.  The update rule is the
+state's `update(g, cfg)`, so SGD, Adam and GaLore share one step,
+`exact_step`, and `gradlite_step` descends by the same rule.  The per-step
 stochastic gradient is always the chain-rule product jacobian.T @
 error_signal with one error-signal draw per step, so two optimizers driven
 by identically seeded problems see identical noise.
@@ -84,20 +89,83 @@ class GradLiteConfig(SgdConfig):
 
 @dataclass
 class OptimizerState:
+    """What every run holds, and SGD's update rule.
+
+    A subclass adds only the fields its optimizer reads, and its own
+    `update` where the rule differs; a state class may inherit from two
+    others to pair one's gradient estimator with the other's rule.
+    """
+
     theta: np.ndarray
     step: int = 0
     theta_sum: np.ndarray | None = None
-    accumulators: list[np.ndarray] | None = None  # one residual r per block
-    factors: list[LowRankFactor] | None = None
-    adam_m: np.ndarray | float = 0.0  # Adam's moments start at zero
-    adam_v: np.ndarray | float = 0.0
-    galore_basis: np.ndarray | None = None
-    galore_window: list = field(default_factory=list)
-    last_grad: np.ndarray | None = None  # gradlite: the probed gradient, or None
+    last_grad: np.ndarray | None = None  # the exact or probed gradient, or None
 
     def __post_init__(self):
         if self.theta_sum is None:
             self.theta_sum = np.zeros_like(self.theta)
+
+    def update(self, g: np.ndarray, cfg: SgdConfig) -> np.ndarray:
+        """What the step subtracts from theta, given the gradient estimate g."""
+        return cfg.eta * g
+
+
+@dataclass
+class AdamState(OptimizerState):
+    m: np.ndarray | None = None  # the moments start at zero
+    v: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.m is None:
+            self.m = np.zeros_like(self.theta)
+        if self.v is None:
+            self.v = np.zeros_like(self.theta)
+
+    def update(self, g: np.ndarray, cfg: AdamConfig) -> np.ndarray:
+        """Adam's step from its bias-corrected moments, updated by g."""
+        t = self.step + 1
+        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * g
+        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * g * g
+        m_hat = self.m / (1.0 - cfg.beta1 ** t)
+        v_hat = self.v / (1.0 - cfg.beta2 ** t)
+        return cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+@dataclass
+class GaloreState(OptimizerState):
+    window: list = field(default_factory=list)  # the last tau gradients
+    basis: np.ndarray | None = None
+
+    def update(self, g: np.ndarray, cfg: GaloreConfig) -> np.ndarray:
+        """SGD on g projected onto a basis of recent gradients.
+
+        The basis is the top-k left singular subspace of a window of the
+        last `tau` gradients, refreshed every `tau` steps; no residual is
+        kept, so whatever the projection drops is simply lost.  k >= d
+        short-circuits to the identity.
+        """
+        self.window.append(g)
+        if len(self.window) > cfg.tau:
+            self.window.pop(0)
+        if cfg.k < self.theta.shape[0]:
+            if self.step % cfg.tau == 0:
+                u, _, _ = np.linalg.svd(np.column_stack(self.window),
+                                        full_matrices=False)
+                self.basis = u[:, :min(cfg.k, u.shape[1])]
+            g = self.basis @ (self.basis.T @ g)
+        return super().update(g, cfg)
+
+
+@dataclass
+class GradLiteState(OptimizerState):
+    factors: list[LowRankFactor] | None = None  # one per block
+    accumulators: list[np.ndarray] | None = None  # one residual r per block
+
+
+# The state class each config type runs on, read by `init_state` alone.
+STATES = {SgdConfig: OptimizerState, AdamConfig: AdamState,
+          GaloreConfig: GaloreState, GradLiteConfig: GradLiteState}
 
 
 @dataclass(frozen=True)
@@ -138,18 +206,22 @@ def stochastic_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
 
 
 def init_state(problem: Problem, theta0=None, cfg=None) -> OptimizerState:
-    """The step-0 state of SGD, Adam and GaLore, which start from theta alone."""
+    """The step-0 state of the class `STATES` gives cfg's type (SGD's for no cfg)."""
     theta = problem.default_theta0() if theta0 is None else np.array(theta0, dtype=np.float64)
     if theta.shape != (problem.d,):
         raise ConfigError(f"theta0 length {theta.shape} != problem dimension {problem.d}")
-    return OptimizerState(theta=theta)
+    return (OptimizerState if cfg is None else STATES[type(cfg)])(theta=theta)
 
 
-def check_rank(problem: Problem, k: int):
-    """Raise ConfigError if rank k exceeds min(m, d_block) for some block."""
-    for b, width in enumerate(problem.block_dims):
-        cap = min(problem.m, width)
-        if k > cap:
+def check_rank(m: int, block_dims, k: int):
+    """Raise ConfigError if rank k exceeds min(m, d_block) for some block.
+
+    It takes a problem's shape, not the problem, so a spec is checked before
+    its problem is built; a dimension below 1 is left to the maker's check.
+    """
+    for b, width in enumerate(block_dims):
+        cap = min(m, width)
+        if 1 <= cap < k:
             raise ConfigError(f"rank {k} exceeds min(m, d_block)={cap} for block {b}")
 
 
@@ -177,14 +249,14 @@ def _factor(problem: Problem, b: int, j: np.ndarray,
     return kept
 
 
-def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> OptimizerState:
+def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> GradLiteState:
     """Validate the rank per block and build the step-0 factors (`_factor`).
 
     A constant Jacobian keeps one factor across the runs on its problem, so
     the runs of a rate sweep factorize once per rank.
     """
-    check_rank(problem, cfg.k)
-    state = init_state(problem, theta0)
+    check_rank(problem.m, problem.block_dims, cfg.k)
+    state = init_state(problem, theta0, cfg)
     state.factors = [_factor(problem, b, problem.jacobian(state.theta, block=b), cfg)
                      for b in range(problem.blocks)]
     state.accumulators = [np.zeros(w) for w in problem.block_dims]
@@ -196,13 +268,14 @@ def _join(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def gradlite_step(state: OptimizerState, problem: Problem,
-                  cfg: GradLiteConfig) -> tuple[OptimizerState, StepTrace]:
+def gradlite_step(state: GradLiteState, problem: Problem,
+                  cfg: GradLiteConfig) -> tuple[GradLiteState, StepTrace]:
     """One full update: signal, projection, correction, residual, descent.
 
     Every block's factor is refreshed at steps tau, 2 tau, ... of the run
     (`_factor`: kept if the block's Jacobian is the very array it was
-    built from, otherwise rebuilt).
+    built from, otherwise rebuilt).  The descent applies the state's
+    update rule to the corrected gradient g_hat.
     """
     t = state.step
     theta = state.theta
@@ -232,56 +305,16 @@ def gradlite_step(state: OptimizerState, problem: Problem,
         _require_finite(g_hat, t, "g_hat")
     # g~ + (g - g~) reconstructs the probed gradient to one rounding step.
     g_exact = g_tilde + big_delta if cfg.probe == "exact" else None
-    _descend(state, cfg.eta * g_hat, g_exact)
+    _descend(state, state.update(g_hat, cfg), g_exact)
     return state, StepTrace(g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta)
 
 
-def sgd_step(state: OptimizerState, problem: Problem,
-             cfg: SgdConfig) -> tuple[OptimizerState, None]:
+def exact_step(state: OptimizerState, problem: Problem,
+               cfg: SgdConfig) -> tuple[OptimizerState, None]:
+    """SGD, Adam or GaLore: descend by the state's rule on the exact gradient."""
     g = stochastic_gradient(problem, state.theta)
     _require_finite(g, state.step, "gradient")
-    _descend(state, cfg.eta * g, g)
-    return state, None
-
-
-def adam_step(state: OptimizerState, problem: Problem,
-              cfg: AdamConfig) -> tuple[OptimizerState, None]:
-    g = stochastic_gradient(problem, state.theta)
-    _require_finite(g, state.step, "gradient")
-    t = state.step + 1
-    state.adam_m = cfg.beta1 * state.adam_m + (1.0 - cfg.beta1) * g
-    state.adam_v = cfg.beta2 * state.adam_v + (1.0 - cfg.beta2) * g * g
-    m_hat = state.adam_m / (1.0 - cfg.beta1 ** t)
-    v_hat = state.adam_v / (1.0 - cfg.beta2 ** t)
-    _descend(state, cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps), g)
-    return state, None
-
-
-def galore_like_step(state: OptimizerState, problem: Problem,
-                     cfg: GaloreConfig) -> tuple[OptimizerState, None]:
-    """Project the exact gradient onto a basis of recent gradients.
-
-    The basis is the top-k left singular subspace of a window of the last
-    `tau` gradients, refreshed every `tau` steps; no residual is kept, so
-    whatever the projection drops is simply lost.  k >= d short-circuits
-    to the identity.
-    """
-    g = stochastic_gradient(problem, state.theta)
-    _require_finite(g, state.step, "gradient")
-    state.galore_window.append(g)
-    if len(state.galore_window) > cfg.tau:
-        state.galore_window.pop(0)
-    d = state.theta.shape[0]
-    if cfg.k >= d:
-        _descend(state, cfg.eta * g, g)
-        return state, None
-    if state.step % cfg.tau == 0:
-        window = np.column_stack(state.galore_window)
-        u, _, _ = np.linalg.svd(window, full_matrices=False)
-        state.galore_basis = u[:, :min(cfg.k, u.shape[1])]
-    basis = state.galore_basis
-    pg = basis @ (basis.T @ g)
-    _descend(state, cfg.eta * pg, g)
+    _descend(state, state.update(g, cfg), g)
     return state, None
 
 

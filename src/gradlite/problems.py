@@ -185,6 +185,14 @@ class Problem:
         raise NotImplementedError
 
 
+def _noise_sigma(sigma) -> float:
+    """sigma as a float; ConfigError unless it is finite and >= 0."""
+    sigma = float(sigma)
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ConfigError(f"noise sigma must be finite and >= 0, got {sigma}")
+    return sigma
+
+
 class QuadraticProblem(Problem):
     """0.5 (theta - t*)' A (theta - t*) with jacobian sqrt(A).
 
@@ -210,9 +218,7 @@ class QuadraticProblem(Problem):
         self.theta_star = np.asarray(theta_star, dtype=np.float64)
         if self.theta_star.shape != (a.shape[0],):
             raise DimError("theta_star length does not match the matrix")
-        self.noise_sigma = float(noise_sigma)
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
+        self.noise_sigma = _noise_sigma(noise_sigma)
         self.m = a.shape[0]
         self.block_dims = (a.shape[0],)
         self.loss_star = 0.0
@@ -477,6 +483,7 @@ def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticPro
     if d < 1 or not cond >= 1.0:
         raise ConfigError(f"bad quadratic spec d={d}, cond={cond}")
     _check_size(d, d)
+    _noise_sigma(sigma)
     stream = SplitMix64(derive_seed(seed, _MATRIX_SALT))
     if d == 1:
         lam = np.array([1.0])

@@ -16,8 +16,8 @@ from gradlite.harness import (_NOISE_SALT, ablation_suite, build_problem,
                               grad_check_suite, memory_report, rate_sweep)
 from gradlite.linalg import matvec_t
 from gradlite.lowrank import LowRankFactor, approx_gradient
-from gradlite.optimizers import (GradLiteConfig, SgdConfig, gradlite_step,
-                                 init_gradlite_state, init_state, sgd_step)
+from gradlite.optimizers import (GradLiteConfig, SgdConfig, exact_step,
+                                 gradlite_step, init_gradlite_state, init_state)
 from gradlite.cli import main
 from gradlite.rng import SplitMix64, derive_seed
 
@@ -74,7 +74,7 @@ def test_criterion_2_full_rank_reproduces_sgd():
         sb = init_state(pb, theta0=sa.theta.copy())
         for _ in range(500):
             sa, _ = gradlite_step(sa, pa, cfg)
-            sb, _ = sgd_step(sb, pb, SgdConfig(eta=eta))
+            sb, _ = exact_step(sb, pb, SgdConfig(eta=eta))
             dev = np.linalg.norm(sa.theta - sb.theta) \
                 / (1.0 + np.linalg.norm(sb.theta))
             assert dev <= 1e-10, f"{spec['name']}: per-step deviation {dev:.3e}"

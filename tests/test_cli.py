@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from gradlite import optimizers
+from gradlite import harness, optimizers
 from gradlite.cli import build_parser, load_config_file, main
 from gradlite.harness import run_experiment
 from gradlite.optimizers import GradLiteConfig
+from gradlite.rng import SplitMix64
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -254,7 +255,7 @@ class TestExitCodes:
         ["--k", "60", "--dim", "50"],
     ], ids=["quadratic-dim5", "logistic-n5", "k60-dim50"])
     def test_galore_rank_above_min_dim_still_runs(self, argv, tmp_path):
-        # galore_like_step clips its basis to min(k, d); only mem-report's
+        # GaLore's update rule clips its basis to min(k, d); only mem-report's
         # ledger holds the gradlite row's rank rule.
         out = tmp_path / "g.csv"
         assert main(["run", "--opt", "galore", "--steps", "2", *argv,
@@ -405,6 +406,53 @@ class TestOutputPathsCheckedFirst:
         assert main(["run", "--out", str(good),
                      "--summary", str(tmp_path / "no" / "s.json")]) == 5
         assert good.read_text() == "earlier run\n"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("expensive work started before the spec was checked")
+
+
+class TestBadSpecRefusedBeforeExpensiveWork:
+    """A bad spec exits 3 with its error line before any problem is built."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--dim", "64", "--sigma", "-1", "--steps", "1"],
+         "noise sigma must be finite and >= 0, got -1.0"),
+        (["run", "--dim", "64", "--sigma", "nan", "--steps", "1"],
+         "noise sigma must be finite and >= 0, got nan"),
+        (["rate-check", "--dim", "64", "--sigma", "-1"],
+         "noise sigma must be finite and >= 0, got -1.0"),
+    ], ids=["run-negative", "run-nan", "rate-check-negative"])
+    def test_bad_sigma_draws_no_matrix(self, argv, message, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.setattr(SplitMix64, "normal_matrix", _refuse)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rate-check", "--dim", "64", "--k-grid", "0"], "k must be >= 1, got 0"),
+        (["rate-check", "--dim", "64", "--c", "-1"], "c must be finite and > 0, got -1.0"),
+        (["rate-check", "--dim", "64", "--t-grid", "1,2,3"],
+         "rate fit needs at least 4 distinct values of T"),
+        (["rate-check", "--dim", "64", "--k-grid", "2,128"],
+         "rank 128 exceeds min(m, d_block)=64 for block 0"),
+        (["ablate", "--n", "64", "--dim", "64", "--k", "0"], "k must be >= 1, got 0"),
+        (["ablate", "--n", "64", "--dim", "64", "--tau", "0"], "tau must be >= 1, got 0"),
+        (["ablate", "--n", "64", "--dim", "64", "--eta", "-1"],
+         "eta must be finite and > 0, got -1.0"),
+        (["ablate", "--n", "64", "--dim", "32", "--k", "40"],
+         "rank 40 exceeds min(m, d_block)=32 for block 0"),
+        (["ablate", "--n", "16", "--dim", "32", "--k", "20"],
+         "rank 20 exceeds min(m, d_block)=16 for block 0"),
+    ], ids=["rate-zero-k", "rate-negative-c", "rate-short-t-grid", "rate-rank-above-dim",
+            "ablate-zero-k", "ablate-zero-tau", "ablate-negative-eta",
+            "ablate-rank-above-dim", "ablate-rank-above-n"])
+    def test_bad_sweep_or_ablation_spec_builds_no_problem(self, argv, message, tmp_path,
+                                                          capsys, monkeypatch):
+        monkeypatch.setattr(harness, "build_problem", _refuse)
+        monkeypatch.setattr(harness, "_ablation_problem", _refuse)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestExitCodeProperty:

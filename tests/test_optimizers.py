@@ -1,15 +1,16 @@
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
 from gradlite import optimizers
 from gradlite.errors import ConfigError, DivergedError, EmptyRunError
-from gradlite.optimizers import (AdamConfig, GaloreConfig, GradLiteConfig,
-                                 OptimizerState, SgdConfig, adam_step,
-                                 averaged_iterate, galore_like_step,
-                                 gradlite_step, init_gradlite_state,
-                                 init_state, sgd_step)
+from gradlite.harness import (_NOISE_SALT, OPTIMIZERS, build_problem,
+                              validate_optimizer)
+from gradlite.optimizers import (AdamConfig, AdamState, GaloreConfig,
+                                 GradLiteConfig, GradLiteState, OptimizerState,
+                                 SgdConfig, averaged_iterate, exact_step,
+                                 gradlite_step, init_gradlite_state, init_state)
 from gradlite.problems import (QuadraticProblem, make_lowrank_logistic,
                                make_mlp, make_quadratic)
 from gradlite.rng import derive_seed
@@ -238,7 +239,7 @@ class TestSgd:
     def test_one_step_solve_on_identity(self):
         prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
         st = init_state(prob, theta0=[3.0, 4.0])
-        st, _ = sgd_step(st, prob, SgdConfig(eta=1.0))
+        st, _ = exact_step(st, prob, SgdConfig(eta=1.0))
         assert np.array_equal(st.theta, [0.0, 0.0])
 
     def test_zero_learning_rate_is_identity(self):
@@ -246,7 +247,7 @@ class TestSgd:
         # gradient is zero, must likewise leave theta as it is.
         prob = QuadraticProblem(np.diag([1.0, 2.0]), np.ones(2), 0.0)
         st = init_state(prob, theta0=[1.0, 1.0])
-        st, _ = sgd_step(st, prob, SgdConfig(eta=0.1))
+        st, _ = exact_step(st, prob, SgdConfig(eta=0.1))
         assert np.array_equal(st.theta, [1.0, 1.0])
 
     def test_matches_full_rank_no_feedback_pipeline(self):
@@ -263,7 +264,7 @@ class TestSgd:
         sb = init_state(pb, theta0=sa.theta.copy())
         for _ in range(100):
             sa, _ = gradlite_step(sa, pa, cfg)
-            sb, _ = sgd_step(sb, pb, SgdConfig(eta=0.05))
+            sb, _ = exact_step(sb, pb, SgdConfig(eta=0.05))
             dev = np.linalg.norm(sa.theta - sb.theta)
             assert dev <= 1e-10 * (1.0 + np.linalg.norm(sb.theta))
 
@@ -273,7 +274,7 @@ class TestAdam:
         prob = diag_problem()
         cfg = AdamConfig(eta=0.01)
         st = init_state(prob, [1.0, 1.0], cfg)
-        st, _ = adam_step(st, prob, cfg)
+        st, _ = exact_step(st, prob, cfg)
         move = np.abs(np.array([1.0, 1.0]) - st.theta)
         # bias correction at t=1 gives update ~ eta * sign(g)
         assert np.all(move > 0.0099) and np.all(move <= 0.01)
@@ -283,7 +284,7 @@ class TestAdam:
         cfg = AdamConfig(eta=0.1)
         st = init_state(prob, np.ones(3), cfg)
         for _ in range(5):
-            st, _ = adam_step(st, prob, cfg)
+            st, _ = exact_step(st, prob, cfg)
         assert np.array_equal(st.theta, np.ones(3))
 
     def test_matches_clean_room_reference(self):
@@ -292,7 +293,7 @@ class TestAdam:
         cfg = AdamConfig(eta=eta, beta1=b1, beta2=b2, eps=eps)
         st = init_state(prob, [1.0, -2.0], cfg)
         for _ in range(200):
-            st, _ = adam_step(st, prob, cfg)
+            st, _ = exact_step(st, prob, cfg)
         # independent loop written directly from the moment recursions
         theta = np.array([1.0, -2.0])
         m = np.zeros(2)
@@ -316,29 +317,32 @@ class TestAdam:
 class TestGaloreLike:
     def test_full_rank_equals_sgd(self):
         prob = make_quadratic(5, 10.0, 0.0, seed=4)
-        sa = init_state(prob)
+        cfg = GaloreConfig(eta=0.1, k=5, tau=10)
+        sa = init_state(prob, None, cfg)
         sb = init_state(prob)
         for _ in range(50):
-            sa, _ = galore_like_step(sa, prob, GaloreConfig(eta=0.1, k=5, tau=10))
-            sb, _ = sgd_step(sb, prob, SgdConfig(eta=0.1))
+            sa, _ = exact_step(sa, prob, cfg)
+            sb, _ = exact_step(sb, prob, SgdConfig(eta=0.1))
         assert np.array_equal(sa.theta, sb.theta)
 
     def test_fresh_window_retains_current_gradient(self):
         # at the first step the window holds only g0, so the projection keeps it
         prob = diag_problem()
-        sa = init_state(prob, theta0=[1.0, 1.0])
+        cfg = GaloreConfig(eta=0.1, k=1, tau=10)
+        sa = init_state(prob, [1.0, 1.0], cfg)
         sb = init_state(prob, theta0=[1.0, 1.0])
-        sa, _ = galore_like_step(sa, prob, GaloreConfig(eta=0.1, k=1, tau=10))
-        sb, _ = sgd_step(sb, prob, SgdConfig(eta=0.1))
+        sa, _ = exact_step(sa, prob, cfg)
+        sb, _ = exact_step(sb, prob, SgdConfig(eta=0.1))
         assert np.allclose(sa.theta, sb.theta, atol=1e-14)
 
     def test_matches_projected_dynamics_oracle(self):
         a = np.diag([100.0, 1.0])
         prob = QuadraticProblem(a, np.zeros(2), 0.0)
         eta, k, tau, steps = 0.005, 1, 10, 200
-        st = init_state(prob, theta0=[1.0, 1.0])
+        cfg = GaloreConfig(eta=eta, k=k, tau=tau)
+        st = init_state(prob, [1.0, 1.0], cfg)
         for _ in range(steps):
-            st, _ = galore_like_step(st, prob, GaloreConfig(eta=eta, k=k, tau=tau))
+            st, _ = exact_step(st, prob, cfg)
         theta = np.array([1.0, 1.0])
         window, basis = [], None
         for t in range(steps):
@@ -363,7 +367,7 @@ class TestAveragedIterate:
         prob = QuadraticProblem(np.diag([1.0, 2.0]), np.array([2.0, -1.0]), 0.0)
         st = init_state(prob, theta0=[2.0, -1.0])
         for _ in range(7):
-            st, _ = sgd_step(st, prob, SgdConfig(eta=0.1))
+            st, _ = exact_step(st, prob, SgdConfig(eta=0.1))
         assert np.allclose(averaged_iterate(st), [2.0, -1.0], atol=1e-15)
 
     def test_alternating_sequence(self):
@@ -376,7 +380,7 @@ class TestAveragedIterate:
         st = init_state(prob)
         seen = []
         for _ in range(100):
-            st, _ = sgd_step(st, prob, SgdConfig(eta=0.05))
+            st, _ = exact_step(st, prob, SgdConfig(eta=0.05))
             seen.append(st.theta.copy())
         assert np.abs(averaged_iterate(st) - np.mean(seen, axis=0)).max() <= 1e-12
 
@@ -393,7 +397,7 @@ class TestDivergenceGuard:
         cfg = SgdConfig(eta=3.0)  # theta <- -2 theta: |theta| doubles per step
         with pytest.raises(DivergedError):
             for _ in range(100):
-                st, _ = sgd_step(st, prob, cfg)
+                st, _ = exact_step(st, prob, cfg)
 
     @pytest.mark.parametrize("value", [
         np.nan, np.inf, -np.inf, np.nextafter(1e12, np.inf), -np.nextafter(1e12, np.inf),
@@ -453,6 +457,67 @@ class TestFullRankReducesToPlainDescent:
         sb = init_state(prob_b, theta0=sa.theta.copy())
         for _ in range(100):
             sa, _ = gradlite_step(sa, prob_a, cfg)
-            sb, _ = sgd_step(sb, prob_b, SgdConfig(eta=0.1))
+            sb, _ = exact_step(sb, prob_b, SgdConfig(eta=0.1))
             assert np.linalg.norm(sa.theta - sb.theta) \
                 <= 1e-10 * (1.0 + np.linalg.norm(sb.theta))
+
+
+class TestStatePerOptimizer:
+    """Each optimizer's state holds what every run holds plus its own fields."""
+
+    SHARED = {"theta", "step", "theta_sum", "last_grad"}
+
+    @pytest.mark.parametrize("name, own", [
+        ("sgd", set()), ("adam", {"m", "v"}), ("galore", {"window", "basis"}),
+        ("gradlite", {"factors", "accumulators"}),
+    ])
+    def test_fields_are_the_shared_ones_plus_the_optimizers_own(self, name, own):
+        problem = make_mlp([6, 12, 1], 8, seed=5)
+        _, cfg = validate_optimizer({"name": name})
+        opt = OPTIMIZERS[name]
+        state = getattr(optimizers, opt.init)(problem, None, cfg)
+        assert {f.name for f in fields(state)} == self.SHARED | own
+        state, _ = getattr(optimizers, opt.step)(state, problem, cfg)
+        assert {f.name for f in fields(state)} == self.SHARED | own
+        assert all(getattr(state, f) is not None for f in self.SHARED | own)
+
+
+# The update rule is an axis of the state classes: GradLite's estimator under
+# Adam's rule is one config and one state composed from existing ones.
+@dataclass(frozen=True)
+class AdamGradLiteConfig(GradLiteConfig, AdamConfig):
+    pass
+
+
+@dataclass
+class AdamGradLiteState(GradLiteState, AdamState):
+    pass
+
+
+class TestUpdateRuleIsAnAxis:
+    @pytest.fixture(autouse=True)
+    def composed(self, monkeypatch):
+        monkeypatch.setitem(optimizers.STATES, AdamGradLiteConfig, AdamGradLiteState)
+
+    @pytest.mark.parametrize("spec, tau", [
+        ({"name": "quadratic", "d": 12, "cond": 30.0, "sigma": 0.4}, 10),
+        # the mlp jacobian moves with theta, so the factor must be current
+        ({"name": "mlp", "layers": (6, 12, 1), "n": 8}, 1),
+    ], ids=["noisy-quadratic", "mlp"])
+    def test_full_rank_gradlite_under_adam_tracks_exact_adam(self, spec, tau):
+        pa = build_problem(spec, seed=7)
+        pb = build_problem(spec, seed=7)
+        pa.reset_noise(derive_seed(7, _NOISE_SALT))
+        pb.reset_noise(derive_seed(7, _NOISE_SALT))
+        k = min(pa.m, min(pa.block_dims))
+        cfg = AdamGradLiteConfig(eta=0.01, k=k, tau=tau, ef_mode="off",
+                                 probe="exact", seed=3)
+        adam = AdamConfig(eta=0.01)
+        sa = init_gradlite_state(pa, None, cfg)
+        sb = init_state(pb, sa.theta.copy(), adam)
+        assert type(sa) is AdamGradLiteState
+        for _ in range(300):
+            sa, _ = gradlite_step(sa, pa, cfg)
+            sb, _ = exact_step(sb, pb, adam)
+            dev = np.linalg.norm(sa.theta - sb.theta) / (1.0 + np.linalg.norm(sb.theta))
+            assert dev <= 1e-10
