@@ -19,7 +19,7 @@ from . import optimizers
 from .errors import ConfigError, DivergedError, NonPositiveGapError
 from .optimizers import (AdamConfig, GaloreConfig, GradLiteConfig, SgdConfig,
                          averaged_iterate, check_hyperparams, check_rank)
-from .problems import (Problem, finite_difference_gradient,
+from .problems import (Problem, _mlp_block_dims, finite_difference_gradient,
                        make_gaussian_logistic, make_lowrank_logistic,
                        make_mlp, make_quadratic)
 from .linalg import matvec_t
@@ -128,6 +128,14 @@ def _resolve(spec: dict, table: dict, kind: str) -> tuple[str, dict]:
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{kind} {name!r}: bad {key} {val!r}") from err
     return name, params
+
+
+def _problem_shape(spec: dict) -> tuple[int, tuple]:
+    """m and the block widths of the problem `build_problem(spec, ...)` builds."""
+    name, p = _resolve(spec, PROBLEMS, "problem")
+    if name == "mlp":
+        return p["n"], _mlp_block_dims(p["layers"])
+    return p.get("n", p["d"]), (p["d"],)
 
 
 def build_problem(spec: dict, seed: int) -> Problem:
@@ -247,6 +255,8 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     opt_name, cfg = validate_optimizer(optimizer_spec, seed)
+    if isinstance(cfg, GradLiteConfig):  # checked before the problem is built
+        check_rank(*_problem_shape(problem_spec), cfg.k)
     problem = build_problem(problem_spec, seed)
 
     mem = memory_counts(problem.m, problem.d, k=getattr(cfg, "k", None),

@@ -177,11 +177,6 @@ class StepTrace:
     big_delta: np.ndarray    # residual estimate
 
 
-def _require_finite(vec: np.ndarray, step: int, what: str):
-    if not np.isfinite(vec).all():
-        raise DivergedError(step, what)
-
-
 def _check_theta(theta: np.ndarray, step: int):
     # A NaN fails the comparison, so one reduction also catches non-finite.
     if not np.abs(theta).max() <= DIVERGENCE_CAP:
@@ -276,11 +271,15 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     (`_factor`: kept if the block's Jacobian is the very array it was
     built from, otherwise rebuilt).  The descent applies the state's
     update rule to the corrected gradient g_hat.
+
+    The one divergence check is on the new theta: a non-finite entry of
+    delta, g~ or g^ reaches it through every update rule.  When it fails,
+    the DivergedError names the first non-finite one of "delta",
+    "g_tilde" and "g_hat", in that order, or else "theta".
     """
     t = state.step
     theta = state.theta
     delta = problem.error_signal(theta)
-    _require_finite(delta, t, "delta")
 
     refresh = t > 0 and t % cfg.tau == 0
     need_j = refresh or cfg.probe == "exact"
@@ -300,12 +299,14 @@ def gradlite_step(state: GradLiteState, problem: Problem,
         bd_parts.append(bd)
 
     g_tilde, g_hat, big_delta = _join(gt_parts), _join(gh_parts), _join(bd_parts)
-    _require_finite(g_tilde, t, "g_tilde")
-    if g_hat is not g_tilde:  # feedback off applies g~ itself
-        _require_finite(g_hat, t, "g_hat")
     # g~ + (g - g~) reconstructs the probed gradient to one rounding step.
     g_exact = g_tilde + big_delta if cfg.probe == "exact" else None
-    _descend(state, state.update(g_hat, cfg), g_exact)
+    try:
+        _descend(state, state.update(g_hat, cfg), g_exact)
+    except DivergedError:
+        named = (("delta", delta), ("g_tilde", g_tilde), ("g_hat", g_hat))
+        what = next((w for w, vec in named if not np.isfinite(vec).all()), "theta")
+        raise DivergedError(t, what) from None
     return state, StepTrace(g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta)
 
 
@@ -313,7 +314,9 @@ def exact_step(state: OptimizerState, problem: Problem,
                cfg: SgdConfig) -> tuple[OptimizerState, None]:
     """SGD, Adam or GaLore: descend by the state's rule on the exact gradient."""
     g = stochastic_gradient(problem, state.theta)
-    _require_finite(g, state.step, "gradient")
+    # Checked before the rule reads it: GaLore's SVD raises on a non-finite g.
+    if not np.isfinite(g).all():
+        raise DivergedError(state.step, "gradient")
     _descend(state, state.update(g, cfg), g)
     return state, None
 

@@ -6,9 +6,11 @@ Every evaluation uses all ``m`` rows.  Stochasticity enters through the
 error signal's noise stream, which is the only run state a problem holds
 and is owned by one run at a time; the MLP's evaluation cache and the
 logistic score cache are pure functions of theta.  Noise is drawn in
-blocks of NOISE_BLOCK (64) draws, one stream call per block, and
-`reset_noise` discards the rest of a block, so each draw equals one
-``normals(m)`` call on the run's stream.
+blocks of NOISE_BLOCK (64) draws, one stream call per block, and each
+draw equals one ``normals(m)`` call on the run's stream.  A problem keeps
+the first blocks of its current stream, up to NOISE_KEEP entries, and
+`reset_noise` to that same stream replays them instead of drawing them
+again, so the runs of a one-seed rate sweep draw the kept rows once.
 
 A Jacobian is returned read-only and is never changed in place, so the
 same array means the same J: the quadratic and logistic families return
@@ -17,6 +19,8 @@ optimizer relies on this to keep a factor whose Jacobian has not changed.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -30,6 +34,11 @@ _LABEL_SALT = 0x0151_0004
 _THETA0_SALT = 0x0151_0005
 # Noise vectors drawn from the stream at once; see Problem._noise_vec.
 NOISE_BLOCK = 64
+# Entries of drawn noise a problem keeps for replay, in whole blocks; see
+# Problem.reset_noise.  2**17 float64s (1 MiB) hold a whole one-seed sweep
+# at d=50 and T <= 200 (12800 entries), and bound what a single run, which
+# never replays, holds for nothing.
+NOISE_KEEP = 2**17
 _NEWTON_TOL = 1e-8  # solve_optimum stops when no gradient entry exceeds it
 # Entries of the materialized m x d Jacobian a problem may have: 2**22
 # float64s (32 MiB), far above the largest instance used (512 x 128).
@@ -133,14 +142,28 @@ class Problem:
     theta_star: np.ndarray | None = None
     loss_star: float | None = None
     name: str = "problem"
+    _noise_seed: int | None = None  # the seed of the stream reset_noise attached
 
     def _init_noise(self, seed: int):
         self.seed = seed
         self.reset_noise(derive_seed(seed, _NOISE_SALT))
 
     def reset_noise(self, seed: int):
-        """Attach a fresh noise stream and drop the rest of the old block."""
-        self._noise = SplitMix64(seed)
+        """Go back to the first noise row of the stream seeded by `seed`.
+
+        For the seed of the stream the problem already holds, the blocks
+        kept from it are replayed, and the stream resumes where they end;
+        any other seed attaches a fresh stream and drops the kept blocks.
+        Either way the rest of the current block is dropped, and the k-th
+        draw after the reset equals the k-th ``normals(m)`` call on a
+        fresh ``SplitMix64(seed)``.
+        """
+        if seed != self._noise_seed:
+            self._noise_seed = seed
+            self._noise_kept = []  # the stream's first blocks, in order
+            self._noise_resume = SplitMix64(seed)  # the stream just past them
+        self._noise = copy.copy(self._noise_resume)
+        self._noise_next = 0  # index of the next block to take
         self._noise_rows = iter(())
 
     @property
@@ -164,10 +187,24 @@ class Problem:
         if self.noise_sigma > 0.0:
             row = next(self._noise_rows, None)
             if row is None:
-                self._noise_rows = iter(self._noise.normal_rows(self.m, NOISE_BLOCK))
+                self._noise_rows = iter(self._noise_block())
                 row = next(self._noise_rows)
             return self.noise_sigma * row
         return np.zeros(self.m)
+
+    def _noise_block(self) -> np.ndarray:
+        """The next block of raw rows: kept, or drawn (and kept if it fits)."""
+        i = self._noise_next
+        self._noise_next += 1
+        kept = self._noise_kept
+        if i < len(kept):
+            return kept[i]
+        block = self._noise.normal_rows(self.m, NOISE_BLOCK)
+        if i == len(kept) and (i + 1) * block.size <= NOISE_KEEP:
+            # Contiguous, so a kept block holds exactly its own entries.
+            kept.append(_read_only(np.ascontiguousarray(block)))
+            self._noise_resume = copy.copy(self._noise)
+        return block
 
     def loss(self, theta) -> float:
         raise NotImplementedError

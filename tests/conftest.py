@@ -1,5 +1,19 @@
 import hypothesis
+import pytest
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=25)
 hypothesis.settings.load_profile("ci")
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The row count of every SplitMix64.normal_rows call, in order."""
+    from gradlite.rng import SplitMix64
+    calls, normal_rows = [], SplitMix64.normal_rows
+
+    def counting(self, n, rows):
+        calls.append(rows)
+        return normal_rows(self, n, rows)
+    monkeypatch.setattr(SplitMix64, "normal_rows", counting)
+    return calls

@@ -455,6 +455,31 @@ class TestBadSpecRefusedBeforeExpensiveWork:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--dim", "2048", "--k", "4096", "--steps", "1"],
+         "rank 4096 exceeds min(m, d_block)=2048 for block 0"),
+        (["run", "--problem", "logistic", "--n", "2048", "--dim", "1024", "--k", "2000",
+          "--steps", "1"], "rank 2000 exceeds min(m, d_block)=1024 for block 0"),
+        (["run", "--problem", "mlp", "--layers", "8,4,1", "--n", "32", "--k", "6",
+          "--steps", "1"], "rank 6 exceeds min(m, d_block)=5 for block 1"),
+    ], ids=["quadratic", "logistic", "mlp-second-block"])
+    def test_run_rank_above_a_block_builds_no_problem(self, argv, message, tmp_path,
+                                                      capsys, monkeypatch):
+        built = []
+
+        def spy(name):
+            def builder(*args, **kwargs):
+                built.append(name)
+                raise AssertionError(f"{name} ran before the rank was checked")
+            return builder
+        for name in ("build_problem", "make_quadratic", "make_gaussian_logistic",
+                     "make_lowrank_logistic", "make_mlp"):
+            monkeypatch.setattr(harness, name, spy(name))
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == []
+
+
 class TestExitCodeProperty:
     @given(_invocations())
     def test_every_input_exits_by_the_contract(self, invocation):

@@ -11,7 +11,7 @@ from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
                               memory_counts, memory_report, rate_check,
                               rate_sweep, run_experiment, validate_optimizer)
 from gradlite.optimizers import GradLiteConfig, averaged_iterate
-from gradlite.problems import make_quadratic
+from gradlite.problems import NOISE_BLOCK, make_quadratic
 from gradlite.rng import derive_seed
 
 
@@ -247,6 +247,13 @@ class TestRateSweep:
         rate_sweep(k_grid=(2, 4, 8), d=8, t_grid=(5, 10, 20, 40), seeds=(0, 1))
         assert len(built) == 1
         assert sorted(factorized) == [(2, "svd"), (4, "svd"), (8, "svd")]
+
+    def test_one_seed_draws_each_noise_row_once(self, drawn):
+        # Five fits of T = 25..200 on one seed: the first fit's T=200 run
+        # draws 4 blocks of 64 rows; every other run replays them.
+        rate_sweep(t_grid=(25, 50, 100, 200), seeds=(0,), k_grid=(2, 8, 32, 50),
+                   d=50)
+        assert drawn == [NOISE_BLOCK] * 4
 
     def test_every_rank_checked_before_the_first_step(self, monkeypatch):
         def gradlite_step(*args, **kwargs):

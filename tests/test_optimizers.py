@@ -521,3 +521,115 @@ class TestUpdateRuleIsAnAxis:
             sb, _ = exact_step(sb, pb, adam)
             dev = np.linalg.norm(sa.theta - sb.theta) / (1.0 + np.linalg.norm(sb.theta))
             assert dev <= 1e-10
+
+
+# Each injection corrupts one quantity of the step at BAD_STEP; the labels
+# are those of a step that checks delta, g~, g^ and theta in that order.
+BAD_STEP = 3
+
+
+def _bad_delta(value):
+    def inject(prob, st, monkeypatch):
+        signal = prob.error_signal
+
+        def corrupted(theta):
+            delta = signal(theta).copy()
+            delta[1] = value
+            return delta
+        monkeypatch.setattr(prob, "error_signal", corrupted)
+    return inject
+
+
+def _nan_in_v(prob, st, monkeypatch):
+    b = prob.blocks - 1  # the last block: every block is scanned
+    v = st.factors[b].v.copy()
+    v[0, 0] = np.nan
+    st.factors[b] = replace(st.factors[b], v=v)
+
+
+def _nan_accumulator(prob, st, monkeypatch):
+    st.accumulators[0] = np.full(prob.block_dims[0], np.nan)
+
+
+def _theta_over_cap(prob, st, monkeypatch):
+    st.theta = st.theta.copy()
+    st.theta[0] = 4.0 * optimizers.DIVERGENCE_CAP
+
+
+INJECTIONS = {
+    "nan-delta": ([_bad_delta(np.nan)], "delta"),
+    "inf-delta": ([_bad_delta(np.inf)], "delta"),
+    "nan-v": ([_nan_in_v], "g_tilde"),
+    "nan-accumulator": ([_nan_accumulator], "g_hat"),
+    "theta-over-cap": ([_theta_over_cap], "theta"),
+    "inf-delta+nan-accumulator": ([_nan_accumulator, _bad_delta(np.inf)], "delta"),
+    "nan-v+nan-accumulator": ([_nan_accumulator, _nan_in_v], "g_tilde"),
+    "nan-accumulator+theta-over-cap": ([_theta_over_cap, _nan_accumulator], "g_hat"),
+}
+
+LABEL_PROBLEMS = {
+    "quadratic": {"name": "quadratic", "d": 6, "cond": 10.0, "sigma": 0.3},
+    "mlp-3-block": {"name": "mlp", "layers": (4, 5, 5, 1), "n": 12},
+}
+
+
+class TestOneDivergenceCheckPerStep:
+    """gradlite_step checks only the new theta, yet names what a check of
+    delta, g~, g^ and then theta would have named, at the same step."""
+
+    # An inf in delta meets inf - inf on its way to theta; numpy warns of it.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("rule", [GradLiteConfig, AdamGradLiteConfig],
+                             ids=["sgd-rule", "adam-rule"])
+    @pytest.mark.parametrize("injection", list(INJECTIONS))
+    @pytest.mark.parametrize("problem", list(LABEL_PROBLEMS))
+    def test_names_the_first_culprit_in_order(self, problem, injection, rule,
+                                              monkeypatch):
+        monkeypatch.setitem(optimizers.STATES, AdamGradLiteConfig, AdamGradLiteState)
+        prob = build_problem(LABEL_PROBLEMS[problem], seed=3)
+        prob.reset_noise(derive_seed(3, _NOISE_SALT))
+        # tau=2: BAD_STEP is no refresh, so an injected factor is the one used.
+        cfg = rule(eta=0.01, k=2, tau=2, seed=0)
+        st = init_gradlite_state(prob, None, cfg)
+        for _ in range(BAD_STEP):
+            st, _ = gradlite_step(st, prob, cfg)
+        injects, what = INJECTIONS[injection]
+        for inject in injects:
+            inject(prob, st, monkeypatch)
+        with pytest.raises(DivergedError) as err:
+            gradlite_step(st, prob, cfg)
+        assert (err.value.step, err.value.what) == (BAD_STEP, what)
+
+    def test_a_finite_step_runs_no_finiteness_scan(self, monkeypatch):
+        def isfinite(*args, **kwargs):
+            raise AssertionError("a finite step scanned for non-finite values")
+        # A constant J keeps its factor at a refresh, so no factorization
+        # (which checks its input) runs either.
+        prob = build_problem(LABEL_PROBLEMS["quadratic"], seed=3)
+        cfg = GradLiteConfig(eta=0.01, k=2, tau=2, seed=0)
+        st = init_gradlite_state(prob, None, cfg)
+        monkeypatch.setattr(optimizers.np, "isfinite", isfinite)
+        for _ in range(5):
+            st, _ = gradlite_step(st, prob, cfg)
+
+
+class TestExactStepChecksTheGradient:
+    """exact_step refuses a non-finite gradient before any update rule reads
+    it: GaLore's SVD of a window holding it would raise LinAlgError."""
+
+    @pytest.mark.parametrize("cfg", [SgdConfig(eta=0.05), AdamConfig(eta=0.05),
+                                     GaloreConfig(eta=0.05, k=1, tau=2)],
+                             ids=["sgd", "adam", "galore"])
+    def test_nan_error_signal_is_named_gradient(self, cfg, monkeypatch):
+        prob = make_quadratic(4, 5.0, 0.0, seed=2)
+        st = init_state(prob, None, cfg)
+        for _ in range(BAD_STEP):
+            st, _ = exact_step(st, prob, cfg)
+        monkeypatch.setattr(prob, "error_signal", lambda theta: np.full(prob.m, np.nan))
+        with pytest.raises(DivergedError) as err:
+            exact_step(st, prob, cfg)
+        assert (err.value.step, err.value.what) == (BAD_STEP, "gradient")
+
+    def test_galore_svd_of_a_non_finite_window_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(np.column_stack([[np.nan, 1.0, 2.0]]), full_matrices=False)

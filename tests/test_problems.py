@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import gradlite
+from gradlite import problems
 from gradlite.errors import ConfigError, DataError, SpdError
 from gradlite.linalg import matvec_t, truncated_svd
 from gradlite.problems import (NOISE_BLOCK, _NOISE_SALT, Dataset, LogisticProblem,
-                               MlpProblem, QuadraticProblem, _expit,
+                               MlpProblem, Problem, QuadraticProblem, _expit,
                                finite_difference_gradient, make_gaussian_logistic,
                                make_lowrank_logistic, make_mlp, make_quadratic,
                                synth_dataset)
@@ -101,6 +102,67 @@ class TestBlockNoise:
         rest = self.signals(prob, 3)
         for sigma, got in zip([0.5] * 3 + [2.0] * 3, first + rest):
             assert np.array_equal(got, clean + sigma * stream.normals(self.D))
+
+
+class TestNoiseReplay:
+    """A reset to the stream a problem holds replays its kept rows, and
+    each draw still equals one normals(m) call on a fresh stream."""
+
+    D, COND, SIGMA, SEED = 7, 10.0, 0.5, 31
+    signals = TestBlockNoise.signals
+
+    def expected(self, stream_seed, count):
+        clean = make_quadratic(self.D, self.COND, 0.0, seed=self.SEED)
+        base = clean.error_signal(clean.default_theta0())
+        stream = SplitMix64(stream_seed)
+        return [base + self.SIGMA * stream.normals(self.D) for _ in range(count)]
+
+    def test_same_seed_replays_the_same_bits_without_drawing(self, drawn):
+        prob = make_quadratic(self.D, self.COND, self.SIGMA, seed=self.SEED)
+        prob.reset_noise(99)
+        first = self.signals(prob, NOISE_BLOCK + 5)
+        assert drawn == [NOISE_BLOCK, NOISE_BLOCK]
+        for length in (3, NOISE_BLOCK + 5):  # partway through a block, then past it
+            prob.reset_noise(99)
+            again = self.signals(prob, length)
+            assert drawn == [NOISE_BLOCK, NOISE_BLOCK]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+        for a, b in zip(first, self.expected(99, NOISE_BLOCK + 5)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_another_seed_and_back_gives_the_same_bits(self):
+        prob = make_quadratic(self.D, self.COND, self.SIGMA, seed=self.SEED)
+        for seed in (99, 98, 99, 99, 98):
+            prob.reset_noise(seed)
+            got = self.signals(prob, NOISE_BLOCK + 5)
+            for a, b in zip(got, self.expected(seed, NOISE_BLOCK + 5)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_a_run_past_the_budget_keeps_only_the_budget(self, drawn, monkeypatch):
+        # A budget of two whole blocks and a bit: the odd width D makes each
+        # drawn block a strided view, which the problem keeps as a copy.
+        budget = 2 * NOISE_BLOCK * self.D + self.D
+        monkeypatch.setattr(problems, "NOISE_KEEP", budget)
+        prob = make_quadratic(self.D, self.COND, self.SIGMA, seed=self.SEED)
+        count = 5 * NOISE_BLOCK + 3
+        want = self.expected(99, count)
+        for rows_drawn in (6, 4):  # the replay draws all but the 2 kept blocks
+            prob.reset_noise(99)
+            drawn.clear()
+            got = self.signals(prob, count)
+            assert drawn == [NOISE_BLOCK] * rows_drawn
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            assert sum(b.nbytes for b in prob._noise_kept) == 2 * NOISE_BLOCK * self.D * 8
+
+    def test_default_budget_holds_on_wide_rows(self):
+        # One block of 2**11-entry rows fills the 2**17-entry budget exactly.
+        prob = Problem()
+        prob.m, prob.noise_sigma = 2**11, 1.0
+        prob.reset_noise(5)
+        for _ in range(2 * NOISE_BLOCK + 1):
+            prob._noise_vec()
+        assert NOISE_BLOCK * 2**11 == problems.NOISE_KEEP == 2**17
+        assert sum(b.size for b in prob._noise_kept) == problems.NOISE_KEEP
 
 
 def masked_expit(z):
