@@ -158,9 +158,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The process's one parser; `_apply_config` leaves its defaults as built."""
-    return build_parser()
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, never changed: `_apply_config` builds its own."""
+    return build_parser()[0]
 
 
 def load_config_file(path: str) -> dict:
@@ -181,33 +181,27 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _apply_config(parser: argparse.ArgumentParser, commands: dict,
-                  ns: argparse.Namespace, argv: list) -> argparse.Namespace:
-    """Parse `argv` again with the --config file's keys as its command's
-    defaults, then put the built defaults back."""
+def _apply_config(ns: argparse.Namespace, argv: list) -> argparse.Namespace:
+    """Parse `argv` again, on a parser built for this call, with the
+    --config file's keys as its command's defaults."""
+    parser, commands = build_parser()
     path, sub = ns.config, commands[ns.command]
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    built = {}
-    try:
-        for key, raw in load_config_file(path).items():
-            dest = key.replace("-", "_")
-            if dest not in actions:
-                raise ConfigError(f"{path}: unknown key {key!r} for {ns.command!r}")
-            action = actions[dest]
-            if action.required:
-                raise ConfigError(f"{path}: {key} must be given as a flag")
-            try:
-                value = action.type(raw) if action.type is not None else raw
-            except (ValueError, argparse.ArgumentTypeError) as err:
-                raise ConfigError(f"{path}: {key}={raw!r}: {err}") from err
-            if action.choices is not None and value not in action.choices:
-                raise ConfigError(f"{path}: {key}={raw!r} not in {sorted(action.choices)}")
-            built.setdefault(dest, action.default)
-            action.default = value
-        return parser.parse_args(argv)
-    finally:
-        for dest, default in built.items():
-            actions[dest].default = default
+    for key, raw in load_config_file(path).items():
+        dest = key.replace("-", "_")
+        if dest not in actions:
+            raise ConfigError(f"{path}: unknown key {key!r} for {ns.command!r}")
+        action = actions[dest]
+        if action.required:
+            raise ConfigError(f"{path}: {key} must be given as a flag")
+        try:
+            value = action.type(raw) if action.type is not None else raw
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise ConfigError(f"{path}: {key}={raw!r}: {err}") from err
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{path}: {key}={raw!r} not in {sorted(action.choices)}")
+        action.default = value
+    return parser.parse_args(argv)
 
 
 def _spec(ns: argparse.Namespace, name: str, tables) -> dict:
@@ -289,10 +283,9 @@ def dispatch(ns: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser, commands = _parser()
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         if getattr(ns, "config", None):
-            ns = _apply_config(parser, commands, ns, argv)
+            ns = _apply_config(ns, argv)
         return dispatch(ns)
     except OSError as err:
         target = getattr(err, "filename", None) or ""

@@ -3,14 +3,15 @@
 Every problem satisfies the chain-rule contract
 ``exact_gradient == jacobian.T @ error_signal`` (noiselessly, per block).
 Every evaluation uses all ``m`` rows.  Stochasticity enters through the
-error signal's noise stream, which is the only run state a problem holds
-and is owned by one run at a time; the MLP's evaluation cache and the
-logistic score cache are pure functions of theta.  Noise is drawn in
-blocks of NOISE_BLOCK (64) draws, one stream call per block, and each
-draw equals one ``normals(m)`` call on the run's stream.  A problem keeps
-the first blocks of its current stream, up to NOISE_KEEP entries, and
-`reset_noise` to that same stream replays them instead of drawing them
-again, so the runs of a one-seed rate sweep draw the kept rows once.
+error signal's noise, and the noise row index is the only run state a
+problem holds, owned by one run at a time; the MLP's evaluation cache and
+the logistic score cache are pure functions of theta.  Noise row t of a
+run seeded s is the (t+1)-th ``normals(m)`` call on ``SplitMix64(s)``, a
+pure function of (s, t).  Rows are drawn in blocks of NOISE_BLOCK (64),
+one stream call per block, each drawn by jumping the counter to the
+block's first row.  A problem keeps the first blocks of its seed, up to
+NOISE_KEEP entries, and returns a kept block instead of drawing it again,
+so the runs of a one-seed rate sweep draw the kept rows once.
 
 A Jacobian is returned read-only and is never changed in place, so the
 same array means the same J: the quadratic and logistic families return
@@ -19,8 +20,6 @@ optimizer relies on this to keep a factor whose Jacobian has not changed.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -32,10 +31,10 @@ _MATRIX_SALT = 0x0151_0002
 _DATA_SALT = 0x0151_0003
 _LABEL_SALT = 0x0151_0004
 _THETA0_SALT = 0x0151_0005
-# Noise vectors drawn from the stream at once; see Problem._noise_vec.
+# Noise rows drawn from the stream at once; see Problem._noise_block.
 NOISE_BLOCK = 64
 # Entries of drawn noise a problem keeps for replay, in whole blocks; see
-# Problem.reset_noise.  2**17 float64s (1 MiB) hold a whole one-seed sweep
+# Problem._noise_block.  2**17 float64s (1 MiB) hold a whole one-seed sweep
 # at d=50 and T <= 200 (12800 entries), and bound what a single run, which
 # never replays, holds for nothing.
 NOISE_KEEP = 2**17
@@ -142,29 +141,24 @@ class Problem:
     theta_star: np.ndarray | None = None
     loss_star: float | None = None
     name: str = "problem"
-    _noise_seed: int | None = None  # the seed of the stream reset_noise attached
+    _noise_seed: int | None = None  # the seed reset_noise set last
 
     def _init_noise(self, seed: int):
         self.seed = seed
         self.reset_noise(derive_seed(seed, _NOISE_SALT))
 
     def reset_noise(self, seed: int):
-        """Go back to the first noise row of the stream seeded by `seed`.
+        """Go back to noise row 0 of `seed`.
 
-        For the seed of the stream the problem already holds, the blocks
-        kept from it are replayed, and the stream resumes where they end;
-        any other seed attaches a fresh stream and drops the kept blocks.
-        Either way the rest of the current block is dropped, and the k-th
-        draw after the reset equals the k-th ``normals(m)`` call on a
-        fresh ``SplitMix64(seed)``.
+        The k-th draw after the reset is row k - 1 of `seed`, which equals
+        the k-th ``normals(m)`` call on a fresh ``SplitMix64(seed)``.  The
+        blocks kept for the previous seed are dropped only when `seed`
+        differs from it.
         """
         if seed != self._noise_seed:
             self._noise_seed = seed
-            self._noise_kept = []  # the stream's first blocks, in order
-            self._noise_resume = SplitMix64(seed)  # the stream just past them
-        self._noise = copy.copy(self._noise_resume)
-        self._noise_next = 0  # index of the next block to take
-        self._noise_rows = iter(())
+            self._noise_kept = []  # the seed's first blocks, in order
+        self._noise_row = 0
 
     @property
     def d(self) -> int:
@@ -181,29 +175,30 @@ class Problem:
             at += w
         return out
 
-    def _noise_vec(self) -> np.ndarray:
-        # Rows are raw normals, scaled as they are taken: the bits equal
-        # noise_sigma * normals(m) even if noise_sigma changed mid-block.
-        if self.noise_sigma > 0.0:
-            row = next(self._noise_rows, None)
-            if row is None:
-                self._noise_rows = iter(self._noise_block())
-                row = next(self._noise_rows)
-            return self.noise_sigma * row
-        return np.zeros(self.m)
+    def _add_noise(self, signal: np.ndarray) -> np.ndarray:
+        """signal plus noise_sigma times the next noise row; with sigma 0,
+        the signal itself, and no row is drawn."""
+        if self.noise_sigma == 0.0:
+            return signal
+        # Rows are read in order from row 0, so a block is entered at its
+        # first row.  They are raw normals, scaled as they are taken: the
+        # bits equal noise_sigma * normals(m) even if sigma changed mid-block.
+        b, i = divmod(self._noise_row, NOISE_BLOCK)
+        if i == 0:
+            self._noise_current = self._noise_block(b)
+        self._noise_row += 1
+        return signal + self.noise_sigma * self._noise_current[i]
 
-    def _noise_block(self) -> np.ndarray:
-        """The next block of raw rows: kept, or drawn (and kept if it fits)."""
-        i = self._noise_next
-        self._noise_next += 1
+    def _noise_block(self, b: int) -> np.ndarray:
+        """Block b of raw rows: kept, or drawn (and kept if it fits)."""
         kept = self._noise_kept
-        if i < len(kept):
-            return kept[i]
-        block = self._noise.normal_rows(self.m, NOISE_BLOCK)
-        if i == len(kept) and (i + 1) * block.size <= NOISE_KEEP:
+        if b < len(kept):
+            return kept[b]
+        stream = SplitMix64(self._noise_seed).skip_rows(self.m, b * NOISE_BLOCK)
+        block = stream.normal_rows(self.m, NOISE_BLOCK)
+        if b == len(kept) and (b + 1) * block.size <= NOISE_KEEP:
             # Contiguous, so a kept block holds exactly its own entries.
             kept.append(_read_only(np.ascontiguousarray(block)))
-            self._noise_resume = copy.copy(self._noise)
         return block
 
     def loss(self, theta) -> float:
@@ -266,7 +261,7 @@ class QuadraticProblem(Problem):
         return 0.5 * float(r @ (self.a @ r))
 
     def error_signal(self, theta) -> np.ndarray:
-        return self._sqrt_a @ (theta - self.theta_star) + self._noise_vec()
+        return self._add_noise(self._sqrt_a @ (theta - self.theta_star))
 
     def jacobian(self, theta, block: int = 0) -> np.ndarray:
         return self._sqrt_a
@@ -311,7 +306,7 @@ class LogisticProblem(Problem):
         return float(np.sum(_log1pexp(z) - self.data.y * z))
 
     def error_signal(self, theta) -> np.ndarray:
-        return _expit(self._scores(theta)) - self.data.y + self._noise_vec()
+        return self._add_noise(_expit(self._scores(theta)) - self.data.y)
 
     def jacobian(self, theta, block: int = 0) -> np.ndarray:
         return self.data.x
@@ -427,6 +422,7 @@ class MlpProblem(Problem):
 
     def _evaluate(self, theta):
         """Run the forward pass unless the cache already holds this theta."""
+        theta = np.asarray(theta, dtype=np.float64)
         key = (theta.dtype.str, theta.shape, theta.tobytes())
         if key == self._key:
             return
@@ -444,7 +440,7 @@ class MlpProblem(Problem):
 
     def error_signal(self, theta) -> np.ndarray:
         self._evaluate(theta)
-        return self._resid / self.data.n + self._noise_vec()
+        return self._add_noise(self._resid / self.data.n)
 
     def jacobian(self, theta, block: int = 0) -> np.ndarray:
         if not 0 <= block < self.blocks:
@@ -473,7 +469,7 @@ class MlpProblem(Problem):
         return self._jacobians[block]
 
     def exact_gradient(self, theta) -> np.ndarray:
-        ws, _, acts, pre = self._forward(theta)
+        ws, _, acts, pre = self._forward(np.asarray(theta, dtype=np.float64))
         n = self.data.n
         delta = (acts[-1][:, 0] - self.data.y)[:, None] / n
         grads = [None] * len(ws)

@@ -4,10 +4,11 @@ All randomness in the package flows through :class:`SplitMix64` so that
 datasets, noise draws, and random bases are reproducible bit-for-bit
 from a 64-bit seed, independent of numpy's own generators.  The stream is
 the splitmix64 mixer over a counter that advances by the 64-bit golden
-ratio; normals come from Box-Muller applied to consecutive outputs.
-``normal_rows`` draws a block of equal-length normal vectors in one call,
-bit for bit the vectors that as many ``normals`` calls would give, so a
-consumer that needs one vector at a time can buffer a block of them.
+ratio, so output i is a pure function of (seed, i); normals come from
+Box-Muller applied to consecutive outputs.  ``normal_rows`` draws a block
+of equal-length normal vectors in one call, bit for bit what as many
+``normals`` calls would give, and ``skip_rows`` jumps the counter past
+rows without drawing them, so row t of a seed is read by its index.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ class SplitMix64:
         """
         width = 2 * ((n + 1) // 2)
         return self.normals(rows * width).reshape(rows, width)[:, :n]
+
+    def skip_rows(self, n: int, rows: int) -> SplitMix64:
+        """Jump past `rows` rows of normals(n), 2*ceil(n/2) outputs each."""
+        self._state = (self._state + rows * 2 * ((n + 1) // 2) * _GOLDEN) & _MASK
+        return self
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)

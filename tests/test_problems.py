@@ -160,9 +160,47 @@ class TestNoiseReplay:
         prob.m, prob.noise_sigma = 2**11, 1.0
         prob.reset_noise(5)
         for _ in range(2 * NOISE_BLOCK + 1):
-            prob._noise_vec()
+            prob._add_noise(np.zeros(prob.m))
         assert NOISE_BLOCK * 2**11 == problems.NOISE_KEEP == 2**17
         assert sum(b.size for b in prob._noise_kept) == problems.NOISE_KEEP
+
+
+FAMILIES = {
+    "quadratic": lambda: make_quadratic(6, 10.0, 0.0, seed=3),
+    "logistic": lambda: make_gaussian_logistic(20, 5, seed=3),
+    "mlp": lambda: make_mlp([5, 7, 1], 9, seed=3),
+}
+
+
+def signal_formula(prob, theta):
+    """Each family's noiseless error signal, written out."""
+    if isinstance(prob, QuadraticProblem):
+        return prob.jacobian(theta) @ (theta - prob.theta_star)
+    if isinstance(prob, LogisticProblem):
+        return _expit(prob.data.x @ theta) - prob.data.y
+    return (prob._forward(theta)[2][-1][:, 0] - prob.data.y) / prob.data.n
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_noiseless_signal_is_the_formula_and_draws_nothing(family, drawn):
+    prob = FAMILIES[family]()
+    stream = SplitMix64(8)
+    for scale in (0.0, 0.5, 2.0):
+        theta = prob.default_theta0() + scale * stream.normals(prob.d)
+        assert prob.error_signal(theta).tobytes() == signal_formula(prob, theta).tobytes()
+    assert drawn == []
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_list_theta_reads_as_its_array(family):
+    prob = FAMILIES[family]()
+    theta = prob.default_theta0() + 0.25
+    listed = theta.tolist()
+    assert prob.loss(listed) == prob.loss(theta)
+    assert prob.error_signal(listed).tobytes() == prob.error_signal(theta).tobytes()
+    for b in range(prob.blocks):
+        assert np.array_equal(prob.jacobian(listed, block=b), prob.jacobian(theta, block=b))
+    assert prob.exact_gradient(listed).tobytes() == prob.exact_gradient(theta).tobytes()
 
 
 def masked_expit(z):

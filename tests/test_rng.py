@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from gradlite.rng import SplitMix64, derive_seed
+from gradlite.rng import _GOLDEN, SplitMix64, derive_seed
 
 
 def test_stream_is_deterministic():
@@ -54,3 +56,19 @@ def test_normal_rows_equal_consecutive_normals_calls(n, rows):
     assert block.shape == (rows, n)
     assert np.array_equal(block.view(np.uint64), calls.view(np.uint64))
     assert block_stream._state == call_stream._state
+
+
+# Seeds whose counter reaches 2**64 (and wraps to 0) within 4 outputs.
+WRAPPING_SEEDS = st.integers(0, 4).map(lambda j: (-j * _GOLDEN) % 2**64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 51])
+@given(seed=st.integers(0, 2**64 - 1) | WRAPPING_SEEDS,
+       start=st.integers(0, 70), rows=st.integers(1, 4))
+@example(seed=(-2 * _GOLDEN) % 2**64, start=65, rows=3)
+def test_rows_after_a_jump_equal_the_rows_of_one_long_draw(n, seed, start, rows):
+    whole = SplitMix64(seed)
+    long = whole.normal_rows(n, start + rows)
+    jumped = SplitMix64(seed).skip_rows(n, start)
+    assert jumped.normal_rows(n, rows).tobytes() == long[start:].tobytes()
+    assert jumped._state == whole._state
