@@ -72,7 +72,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     run.add_argument("--layers", type=_int_list, default=None,
                      help="mlp widths as comma list "
                           f"(default: {','.join(map(str, PROBLEMS['mlp']['layers']))})")
-    gradlite, adam = OPTIMIZERS["gradlite"].defaults, OPTIMIZERS["adam"].defaults
+    gradlite, adam = OPTIMIZERS["gradlite"].defaults(), OPTIMIZERS["adam"].defaults()
     run.add_argument("--opt", default="gradlite", choices=list(OPTIMIZERS),
                      help="optimizer (default: %(default)s)")
     # No default here: the optimizer's config applies its own.
@@ -230,7 +230,7 @@ def dispatch(ns: argparse.Namespace) -> int:
     if ns.command == "run":
         metrics = run_experiment(
             _spec(ns, ns.problem, PROBLEMS.values()),
-            _spec(ns, ns.opt, [opt.defaults for opt in OPTIMIZERS.values()]),
+            _spec(ns, ns.opt, [opt.defaults() for opt in OPTIMIZERS.values()]),
             ns.steps, ns.seed)
         metrics.write_csv(ns.out)
         if ns.summary:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,24 +76,9 @@ PROBLEMS = {
 }
 
 
-class Optimizer(NamedTuple):
-    config: type  # checked once when built; its field defaults are the CLI's
-    ledger: str   # its memory_counts row
-    init: str     # functions of `optimizers`, looked up by name as each run starts
-    step: str     # so that a wrapper installed there (perfbench's tracer) is called
-
-    @property
-    def defaults(self) -> dict:
-        return {f.name: f.default for f in fields(self.config) if f.name != "seed"}
-
-
-OPTIMIZERS = {
-    "gradlite": Optimizer(GradLiteConfig, "gradlite", "init_gradlite_state",
-                          "gradlite_step"),
-    "sgd": Optimizer(SgdConfig, "exact-sgd", "init_state", "exact_step"),
-    "adam": Optimizer(AdamConfig, "adam", "init_state", "exact_step"),
-    "galore": Optimizer(GaloreConfig, "galore", "init_state", "exact_step"),
-}
+# name -> config class, which says how its runs go; its defaults are the CLI's
+OPTIMIZERS = {"gradlite": GradLiteConfig, "sgd": SgdConfig, "adam": AdamConfig,
+              "galore": GaloreConfig}
 
 
 def _as_int(val) -> int:
@@ -151,24 +136,25 @@ def build_problem(spec: dict, seed: int) -> Problem:
     return make_mlp(p["layers"], p["n"], pseed)
 
 
-def validate_optimizer(spec: dict, seed: int = 0) -> tuple[str, SgdConfig]:
-    """The spec's name and config; gradlite's seed derives from the run seed."""
-    name, p = _resolve(spec, {n: o.defaults for n, o in OPTIMIZERS.items()},
+def validate_optimizer(spec: dict) -> tuple[str, SgdConfig]:
+    """The spec's name and config."""
+    name, p = _resolve(spec, {n: c.defaults() for n, c in OPTIMIZERS.items()},
                        "optimizer")
-    if name == "gradlite":
-        p["seed"] = derive_seed(seed, _OPT_SALT)
-    return name, OPTIMIZERS[name].config(**p)
+    return name, OPTIMIZERS[name](**p)
 
 
 def _drive(problem: Problem, cfg: SgdConfig, steps: int, seed: int, record=None):
-    """The one loop that advances an optimizer: reset the run's noise, init, step.
+    """The one loop that advances an optimizer: seed the run, init, step.
 
-    `record(state, trace)` runs after each step; a DivergedError reaches the caller.
+    The run seed sets the problem's noise and, in place of `cfg.seed`, a
+    GradLite basis seed.  `record(state, trace)` runs after each step; a
+    DivergedError reaches the caller.
     """
-    opt = next(o for o in OPTIMIZERS.values() if type(cfg) is o.config)
+    if isinstance(cfg, GradLiteConfig):
+        cfg = replace(cfg, seed=derive_seed(seed, _OPT_SALT))
     problem.reset_noise(derive_seed(seed, _NOISE_SALT))
-    state = getattr(optimizers, opt.init)(problem, None, cfg)
-    step = getattr(optimizers, opt.step)
+    state = getattr(optimizers, cfg.init)(problem, None, cfg)
+    step = getattr(optimizers, cfg.step)
     for _ in range(steps):
         state, trace = step(state, problem, cfg)
         if record is not None:
@@ -254,13 +240,13 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    opt_name, cfg = validate_optimizer(optimizer_spec, seed)
+    opt_name, cfg = validate_optimizer(optimizer_spec)
     if isinstance(cfg, GradLiteConfig):  # checked before the problem is built
         check_rank(*_problem_shape(problem_spec), cfg.k)
     problem = build_problem(problem_spec, seed)
 
     mem = memory_counts(problem.m, problem.d, k=getattr(cfg, "k", None),
-                        tau=getattr(cfg, "tau", None))[OPTIMIZERS[opt_name].ledger]
+                        tau=getattr(cfg, "tau", None))[cfg.ledger]
     bwd = mem.activation + mem.signal + mem.factor
     opt_scalars = mem.accumulator + mem.optimizer_state
 
@@ -378,8 +364,9 @@ class MemoryReport:
                          f"{mm.factor:>9g}{mm.accumulator:>7g}"
                          f"{mm.optimizer_state:>7g}{mm.total:>10g}")
         lines.append(f"signal ratio gradlite/exact: {self.signal_ratio:g}")
-        lines.append(f"gradlite total vs exact-backprop: "
-                     f"{100.0 * self.savings_vs_exact():.1f}% lower")
+        saving = self.savings_vs_exact()
+        lines.append(f"gradlite total vs exact-backprop: {100.0 * abs(saving):.1f}% "
+                     f"{'lower' if saving >= 0.0 else 'higher'}")
         return "\n".join(lines) + "\n"
 
 
@@ -418,22 +405,20 @@ def _rate_grid(t_grid, seeds, c: float) -> tuple[list, list]:
     return t_grid, _distinct_seeds(seeds, "rate fit")
 
 
-def rate_check(problem: Problem, k: int, t_grid, seeds, c: float,
-               gradlite_overrides: dict | None = None,
+def rate_check(problem: Problem, cfg: GradLiteConfig, t_grid, seeds, c: float,
                reference: tuple | None = None) -> RateFit:
-    """Fit the log-log slope of the averaged-iterate gap over a T grid.
+    """Fit the log-log slope of cfg's averaged-iterate gap over a T grid.
 
     Every run drives the one given problem, built with `build_problem(spec,
     0)`: it holds no run state but its noise stream, which each run resets
-    from its seed.  So runs differ only in their noise and, when
-    `gradlite_overrides` asks for a random-projection basis, in the basis
-    seed; the default svd basis ignores the seed.
-    The learning rate is c / sqrt(T) per grid point; gaps are averaged
-    over the seeds.  The error floor is the excess of the largest-T gap
-    over a fitted trend: by default this config's own fit, or, when
-    `reference` = (slope, intercept) is given, an external trend (the
-    exact method's fit), which measures the bias plateau directly even
-    when this config's own curve is flat.  A diverging run raises a
+    from its seed.  So runs differ only in their noise and, for a
+    random-projection basis, in the basis seed `_drive` derives from it.
+    cfg runs at the learning rate c / sqrt(T) at each grid point; gaps are
+    averaged over the seeds.  The error floor is the excess of the
+    largest-T gap over a fitted trend: by default this config's own fit,
+    or, when `reference` = (slope, intercept) is given, an external trend
+    (the exact method's fit), which measures the bias plateau directly
+    even when this config's own curve is flat.  A diverging run raises a
     DivergedError that names the rank, T and seed.
     """
     t_grid, seeds = _rate_grid(t_grid, seeds, c)
@@ -441,16 +426,14 @@ def rate_check(problem: Problem, k: int, t_grid, seeds, c: float,
         raise NonPositiveGapError(f"problem {problem.name!r} has no known optimal loss")
     mean_gaps = []
     for t_steps in t_grid:
-        eta = c / np.sqrt(t_steps)
+        run_cfg = replace(cfg, eta=float(c / np.sqrt(t_steps)))
         gaps = []
         for seed in seeds:
-            cfg = GradLiteConfig(eta=float(eta), k=k, seed=derive_seed(seed, _OPT_SALT),
-                                 **(gradlite_overrides or {}))
             try:
-                state = _drive(problem, cfg, t_steps, seed)
+                state = _drive(problem, run_cfg, t_steps, seed)
             except DivergedError as err:
                 raise DivergedError(err.step, err.what,
-                                    run=f"rank {k}, T {t_steps}, seed {seed}") from err
+                                    run=f"rank {cfg.k}, T {t_steps}, seed {seed}") from err
             gaps.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
         mean_gaps.append(float(np.mean(gaps)))
     xs = np.log10(np.asarray(t_grid, dtype=np.float64))
@@ -466,7 +449,7 @@ def rate_check(problem: Problem, k: int, t_grid, seeds, c: float,
     return RateFit(slope=float(slope), intercept=float(intercept),
                    error_floor=float(floor), r_squared=r_squared,
                    t_grid=tuple(t_grid), mean_gaps=tuple(mean_gaps),
-                   c=float(c), k=k)
+                   c=float(c), k=cfg.k)
 
 
 def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
@@ -486,8 +469,8 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     first such run built at step 0 (`optimizers.init_gradlite_state`): one
     factorization per rank.  That factor is the exact top-k SVD of the
     Jacobian, so a floor prices the rank-k truncation bias alone.  The
-    ranks, against the d x d Jacobian, and the seeds, T grid and c are all
-    checked before the quadratic is built.
+    configs, each rank against the d x d Jacobian, and the seeds, T grid
+    and c are all checked before the quadratic is built.
     """
     if not k_grid:
         raise ConfigError("rate sweep needs at least one rank")
@@ -495,22 +478,22 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     if len(set(ranks)) < len(ranks):
         raise ConfigError(f"rate sweep ranks must be distinct, got {ranks}")
     t_grid, seeds = _rate_grid(t_grid, seeds, c)
+    no_feedback = {k: GradLiteConfig(k=k, ef_mode="off", probe="none") for k in ranks}
     for k in ranks:
-        check_hyperparams(k=k)
         check_rank(d, (d,), k)
     spec = {"name": "quadratic", "d": d, "cond": cond, "sigma": sigma}
     problem = build_problem(spec, seed=0)
-    no_feedback = {"ef_mode": "off", "probe": "none"}
-    full = rate_check(problem, d, t_grid, seeds, c, gradlite_overrides=no_feedback)
+    # Built once the quadratic's maker has refused a bad d.
+    full = rate_check(problem, GradLiteConfig(k=d, ef_mode="off", probe="none"),
+                      t_grid, seeds, c)
     ref = (full.slope, full.intercept)
-    fits = {}
-    for k in ranks:
-        fits[k] = full if k == d else rate_check(problem, k, t_grid, seeds, c,
-                                                 gradlite_overrides=no_feedback,
-                                                 reference=ref)
+    fits = {k: full if k == d else rate_check(problem, cfg, t_grid, seeds, c,
+                                              reference=ref)
+            for k, cfg in no_feedback.items()}
     mid_k = sorted(ranks)[1] if len(ranks) > 1 else ranks[0]
     # GradLiteConfig's defaults: ef-standard feedback with the exact probe.
-    with_feedback = rate_check(problem, mid_k, t_grid, seeds, c, reference=ref)
+    with_feedback = rate_check(problem, GradLiteConfig(k=mid_k), t_grid, seeds, c,
+                               reference=ref)
     return {
         "problem": spec, "c": c, "t_grid": list(full.t_grid), "seeds": seeds,
         "fits": {str(k): asdict(f) for k, f in fits.items()},
@@ -565,14 +548,12 @@ def _ablation_problem(seed: int, n: int, d: int, cond: float) -> Problem:
                                  seed=derive_seed(seed, _ABLATION_SALT))
 
 
-def tune_eta(problem: Problem, seed: int, steps: int, k: int, tau: int) -> float:
-    """Coarse grid search on the full variant only; ablations inherit it."""
+def tune_eta(problem: Problem, cfg: SgdConfig, seed: int, steps: int) -> float:
+    """The ETA_GRID learning rate at which cfg's run of `steps` steps on
+    seed `seed` ends at the lowest loss."""
     best_eta, best_loss = None, float("inf")
     for eta in ETA_GRID:
-        cfg = GradLiteConfig(eta=float(eta), k=k, tau=tau,
-                             seed=derive_seed(seed, _OPT_SALT),
-                             **ABLATION_VARIANTS["full"])
-        loss, _ = _final_loss_of(problem, cfg, steps, seed)
+        loss, _ = _final_loss_of(problem, replace(cfg, eta=eta), steps, seed)
         if loss < best_loss:
             best_eta, best_loss = float(eta), loss
     if best_eta is None:
@@ -587,28 +568,27 @@ def ablation_suite(seeds=(0, 1, 2), steps: int = 3000, k: int = 8,
     seeds = _distinct_seeds(seeds, "ablation")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    # The configs' hyperparameters and the rank, against the n x d Jacobian,
+    # The full method's config and the rank, against the n x d Jacobian,
     # are checked before the first problem and its optimum are built.
-    check_hyperparams(**({} if eta is None else {"eta": eta}), k=k, tau=tau)
+    full = GradLiteConfig(k=k, tau=tau, **({} if eta is None else {"eta": eta}))
     check_rank(n, (d,), k)
     # One problem per seed serves the tuning and every variant: it holds no
     # state but its noise stream, which _final_loss_of resets for each run.
     problems = {seed: _ablation_problem(seed, n, d, cond) for seed in seeds}
     if eta is None:
-        eta = tune_eta(problems[seeds[0]], seeds[0], steps, k, tau)
+        full = replace(full, eta=tune_eta(problems[seeds[0]], full, seeds[0], steps))
     rows = []
     for variant, overrides in ABLATION_VARIANTS.items():
+        cfg = replace(full, **overrides)
         for seed in seeds:
             problem = problems[seed]
-            cfg = GradLiteConfig(eta=eta, k=k, tau=tau,
-                                 seed=derive_seed(seed, _OPT_SALT), **overrides)
             loss, diverged = _final_loss_of(problem, cfg, steps, seed)
             gap = loss - problem.loss_star if problem.loss_star is not None \
                 else float("nan")
             rows.append(AblationRow(variant=variant, seed=seed,
                                     final_loss=loss, final_gap=gap,
                                     diverged=diverged))
-    return AblationResult(rows=tuple(rows), eta=eta)
+    return AblationResult(rows=tuple(rows), eta=full.eta)
 
 
 # -- gradient checks ----------------------------------------------------------

@@ -2,22 +2,24 @@
 
 Each optimizer is a config, checked once when built, plus `init(problem,
 theta0, cfg)` and `step(state, problem, cfg) -> (state, StepTrace | None)`
-on a mutable state owned by a single run.  Each optimizer has its own
-state class (`STATES`): :class:`OptimizerState` holds what every run holds
-plus SGD's update rule, and :class:`AdamState`, :class:`GaloreState` and
-:class:`GradLiteState` add only their own fields.  The update rule is the
-state's `update(g, cfg)`, so SGD, Adam and GaLore share one step,
-`exact_step`, and `gradlite_step` descends by the same rule.  The per-step
-stochastic gradient is always the chain-rule product jacobian.T @
-error_signal with one error-signal draw per step, so two optimizers driven
-by identically seeded problems see identical noise.
+on a mutable state owned by a single run; the config's class names its
+state class, init and step.  Each optimizer has its own state class:
+:class:`OptimizerState` holds what every run holds plus SGD's update rule,
+and :class:`AdamState`, :class:`GaloreState` and :class:`GradLiteState`
+add only their own fields.  The update rule is the state's `update(g,
+cfg)`, so SGD, Adam and GaLore share one step, `exact_step`, and
+`gradlite_step` descends by the same rule.  The per-step stochastic
+gradient is always the chain-rule product jacobian.T @ error_signal with
+one error-signal draw per step, so two optimizers driven by identically
+seeded problems see identical noise.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,39 +54,6 @@ def check_hyperparams(**params):
         rule, need = _RANGES[name]
         if not rule(value):
             raise ConfigError(f"{name} must be {need}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SgdConfig:
-    """The learning rate, which every other optimizer's config extends."""
-
-    eta: float = 0.05
-
-    def __post_init__(self):
-        check_hyperparams(**{k: v for k, v in vars(self).items() if k != "seed"})
-
-
-@dataclass(frozen=True)
-class AdamConfig(SgdConfig):
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass(frozen=True)
-class GaloreConfig(SgdConfig):
-    k: int = 8
-    tau: int = 10
-
-
-@dataclass(frozen=True)
-class GradLiteConfig(SgdConfig):
-    k: int = 8
-    tau: int = 10
-    ef_mode: str = "ef-standard"
-    probe: str = "exact"
-    basis_mode: str = "svd"
-    seed: int = 0  # seeds a random-projection basis
 
 
 @dataclass
@@ -163,9 +132,59 @@ class GradLiteState(OptimizerState):
     accumulators: list[np.ndarray] | None = None  # one residual r per block
 
 
-# The state class each config type runs on, read by `init_state` alone.
-STATES = {SgdConfig: OptimizerState, AdamConfig: AdamState,
-          GaloreConfig: GaloreState, GradLiteConfig: GradLiteState}
+@dataclass(frozen=True)
+class SgdConfig:
+    """The learning rate, which every other optimizer's config extends.
+
+    The ClassVars say how a run goes: its state class, its `init` and `step`
+    by name (looked up in this module as each run starts, so that a wrapper
+    installed here is called) and its `memory_counts` row.
+    """
+
+    state: ClassVar[type] = OptimizerState
+    init: ClassVar[str] = "init_state"
+    step: ClassVar[str] = "exact_step"
+    ledger: ClassVar[str] = "exact-sgd"
+    eta: float = 0.05
+
+    def __post_init__(self):
+        check_hyperparams(**{k: v for k, v in vars(self).items() if k != "seed"})
+
+    @classmethod
+    def defaults(cls) -> dict:
+        """Every field's default but the seed, which the run seed sets."""
+        return {f.name: f.default for f in fields(cls) if f.name != "seed"}
+
+
+@dataclass(frozen=True)
+class AdamConfig(SgdConfig):
+    state: ClassVar[type] = AdamState
+    ledger: ClassVar[str] = "adam"
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+
+@dataclass(frozen=True)
+class GaloreConfig(SgdConfig):
+    state: ClassVar[type] = GaloreState
+    ledger: ClassVar[str] = "galore"
+    k: int = 8
+    tau: int = 10
+
+
+@dataclass(frozen=True)
+class GradLiteConfig(SgdConfig):
+    state: ClassVar[type] = GradLiteState
+    init: ClassVar[str] = "init_gradlite_state"
+    step: ClassVar[str] = "gradlite_step"
+    ledger: ClassVar[str] = "gradlite"
+    k: int = 8
+    tau: int = 10
+    ef_mode: str = "ef-standard"
+    probe: str = "exact"
+    basis_mode: str = "svd"
+    seed: int = 0  # seeds a random-projection basis
 
 
 @dataclass(frozen=True)
@@ -201,11 +220,11 @@ def stochastic_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
 
 
 def init_state(problem: Problem, theta0=None, cfg=None) -> OptimizerState:
-    """The step-0 state of the class `STATES` gives cfg's type (SGD's for no cfg)."""
+    """The step-0 state of cfg's state class (SGD's for no cfg)."""
     theta = problem.default_theta0() if theta0 is None else np.array(theta0, dtype=np.float64)
     if theta.shape != (problem.d,):
         raise ConfigError(f"theta0 length {theta.shape} != problem dimension {problem.d}")
-    return (OptimizerState if cfg is None else STATES[type(cfg)])(theta=theta)
+    return (OptimizerState if cfg is None else cfg.state)(theta=theta)
 
 
 def check_rank(m: int, block_dims, k: int):

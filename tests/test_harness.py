@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
                               default_check_problems, grad_check_suite,
                               memory_counts, memory_report, rate_check,
                               rate_sweep, run_experiment, validate_optimizer)
-from gradlite.optimizers import GradLiteConfig, averaged_iterate
+from gradlite.optimizers import (GradLiteConfig, averaged_iterate, gradlite_step,
+                                 init_gradlite_state)
 from gradlite.problems import NOISE_BLOCK, make_quadratic
 from gradlite.rng import derive_seed
 
@@ -129,6 +131,15 @@ class TestMemoryLedger:
             memory_report(10, 5, 50, 10)
         assert memory_report(10, 5, 5, 10).savings_vs_exact() > 0.0
 
+    def test_text_says_higher_when_gradlite_holds_more(self):
+        # m = d = k = tau = 1: gradlite holds 4 scalars to exact-backprop's 2.
+        rep = memory_report(1, 1, 1, 1)
+        assert rep.savings_vs_exact() == -1.0
+        last = rep.to_text().splitlines()[-1]
+        assert last == "gradlite total vs exact-backprop: 100.0% higher"
+        last = memory_report(1000, 200, 8, 10).to_text().splitlines()[-1]
+        assert last == "gradlite total vs exact-backprop: 41.6% lower"
+
 
 class TestGradCheckSuite:
     def test_clean_build_passes(self):
@@ -158,33 +169,33 @@ class TestRateCheck:
 
     def test_requires_four_grid_points(self):
         with pytest.raises(ConfigError):
-            rate_check(self.problem(), 2, (10, 20, 40), (0,), 0.3)
+            rate_check(self.problem(), GradLiteConfig(k=2), (10, 20, 40), (0,), 0.3)
 
     def test_requires_four_distinct_grid_points(self, monkeypatch):
         def gradlite_step(*args, **kwargs):
             raise AssertionError("a step ran before the T grid was checked")
         monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
         with pytest.raises(ConfigError, match="4 distinct values of T"):
-            rate_check(self.problem(), 2, (10, 10, 20, 20, 40), (0,), 0.3)
+            rate_check(self.problem(), GradLiteConfig(k=2), (10, 10, 20, 20, 40), (0,),
+                       0.3)
 
     def test_requires_known_optimum(self):
         with pytest.raises(NonPositiveGapError):
             rate_check(build_problem({"name": "mlp", "layers": (4, 6, 1), "n": 8}, 0),
-                       2, (10, 20, 40, 80), (0,), 0.3)
+                       GradLiteConfig(k=2), (10, 20, 40, 80), (0,), 0.3)
 
     def test_fit_reproducible(self):
         grid, seeds = (25, 50, 100, 200), (0, 1)
-        f1 = rate_check(self.problem(), 8, grid, seeds, 0.3)
-        f2 = rate_check(self.problem(), 8, grid, seeds, 0.3)
+        f1 = rate_check(self.problem(), GradLiteConfig(k=8), grid, seeds, 0.3)
+        f2 = rate_check(self.problem(), GradLiteConfig(k=8), grid, seeds, 0.3)
         assert abs(f1.slope - f2.slope) < 0.02
         assert f1.mean_gaps == f2.mean_gaps
 
     def test_reference_trend_shifts_floor_only(self):
         grid, seeds = (25, 50, 100, 200), (0,)
-        own = rate_check(self.problem(), 4, grid, seeds, 0.3,
-                         gradlite_overrides={"ef_mode": "off", "probe": "none"})
-        ref = rate_check(self.problem(), 4, grid, seeds, 0.3,
-                         gradlite_overrides={"ef_mode": "off", "probe": "none"},
+        cfg = GradLiteConfig(k=4, ef_mode="off", probe="none")
+        own = rate_check(self.problem(), cfg, grid, seeds, 0.3)
+        ref = rate_check(self.problem(), cfg, grid, seeds, 0.3,
                          reference=(own.slope, own.intercept))
         assert own.slope == ref.slope
         assert own.error_floor == ref.error_floor  # same trend by construction
@@ -199,15 +210,13 @@ class TestRateCheck:
         overrides = {"basis_mode": basis_mode, **feedback}
         shared = self.problem()
         for k in (2, 4):
-            fit = rate_check(shared, k, grid, seeds, c, gradlite_overrides=overrides)
+            fit = rate_check(shared, GradLiteConfig(k=k, **overrides), grid, seeds, c)
             expected = []
             for t_steps in grid:
                 gaps = []
                 for seed in seeds:
                     problem = self.problem()
-                    cfg = GradLiteConfig(eta=float(c / np.sqrt(t_steps)), k=k,
-                                         seed=derive_seed(seed, harness._OPT_SALT),
-                                         **overrides)
+                    cfg = GradLiteConfig(eta=float(c / np.sqrt(t_steps)), k=k, **overrides)
                     state = harness._drive(problem, cfg, t_steps, seed)
                     gaps.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
                 expected.append(float(np.mean(gaps)))
@@ -224,9 +233,55 @@ class TestRateCheck:
             raise AssertionError("a step ran before the grid and c were checked")
         monkeypatch.setattr(optimizers, "gradlite_step", gradlite_step)
         with pytest.raises(ConfigError, match=message):
-            rate_check(self.problem(), 2, grid, (0,), c)
+            rate_check(self.problem(), GradLiteConfig(k=2), grid, (0,), c)
         with pytest.raises(ConfigError, match=message):
             rate_sweep(k_grid=(2, 4), d=4, t_grid=grid, seeds=(0,), c=c)
+
+
+class TestRunSeedSetsTheBasisSeed:
+    """`_drive` alone turns the run seed into the basis seed, so random-
+    projection configs that differ only in `seed` run bit for bit alike, and
+    as a direct run on the derived seed does."""
+
+    SPEC = {"name": "quadratic", "d": 8, "cond": 10.0, "sigma": 0.3}
+    CONFIGS = [GradLiteConfig(eta=0.05, k=3, basis_mode="random-projection", seed=s)
+               for s in (0, 1, 12345)]
+
+    def direct(self, seed, steps, eta=0.05):
+        problem = build_problem(self.SPEC, 0)
+        problem.reset_noise(derive_seed(seed, harness._NOISE_SALT))
+        cfg = replace(self.CONFIGS[0], eta=eta, seed=derive_seed(seed, harness._OPT_SALT))
+        state = init_gradlite_state(problem, None, cfg)
+        for _ in range(steps):
+            state, _ = gradlite_step(state, problem, cfg)
+        return problem, state
+
+    def test_drive(self):
+        _, expected = self.direct(7, 20)
+        for cfg in self.CONFIGS:
+            state = harness._drive(build_problem(self.SPEC, 0), cfg, 20, 7)
+            assert np.array_equal(state.theta, expected.theta)
+            assert np.array_equal(state.theta_sum, expected.theta_sum)
+
+    def test_final_loss_of(self):
+        problem, expected = self.direct(7, 20)
+        for cfg in self.CONFIGS:
+            assert _final_loss_of(build_problem(self.SPEC, 0), cfg, 20, 7) \
+                == (problem.loss(expected.theta), False)
+
+    def test_rate_check(self):
+        grid, seeds, c = (5, 10, 20, 40), (0, 1), 0.3
+        fits = [rate_check(build_problem(self.SPEC, 0), cfg, grid, seeds, c)
+                for cfg in self.CONFIGS]
+        assert fits[1] == fits[0] and fits[2] == fits[0]
+        expected = []
+        for t_steps in grid:
+            gaps = []
+            for seed in seeds:
+                problem, state = self.direct(seed, t_steps, float(c / np.sqrt(t_steps)))
+                gaps.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
+            expected.append(float(np.mean(gaps)))
+        assert fits[0].mean_gaps == tuple(expected)
 
 
 class TestRateSweep:
@@ -275,7 +330,8 @@ class TestRepeatedSeeds:
             ablation_suite(seeds=(2, 2), steps=5, k=2, n=16, d=4, eta=0.05)
         spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
         with pytest.raises(ConfigError, match=r"seeds must be distinct, got \[1, 0, 1\]"):
-            rate_check(build_problem(spec, 0), 2, (1, 2, 3, 4), (1, 0, 1), 0.3)
+            rate_check(build_problem(spec, 0), GradLiteConfig(k=2), (1, 2, 3, 4),
+                       (1, 0, 1), 0.3)
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             rate_sweep(k_grid=(2, 3), d=4, t_grid=(1, 2, 3, 4), seeds=(1, 1))
 
@@ -288,7 +344,8 @@ class TestRepeatedT:
         spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
         with pytest.raises(ConfigError,
                            match=r"values of T must be distinct, got \[1, 2, 2, 3, 4\]"):
-            rate_check(build_problem(spec, 0), 2, (2, 1, 2, 3, 4), (0,), 0.3)
+            rate_check(build_problem(spec, 0), GradLiteConfig(k=2), (2, 1, 2, 3, 4),
+                       (0,), 0.3)
         with pytest.raises(ConfigError, match="values of T must be distinct"):
             rate_sweep(k_grid=(2, 3), d=4, t_grid=(25, 50, 50, 100, 200), seeds=(0,))
 
@@ -325,8 +382,7 @@ class TestAblationMachinery:
                                 cond=100.0, eta=0.05)
         for seed, variants in result.by_seed().items():
             problem = harness._ablation_problem(seed, 64, 16, 100.0)
-            cfg = GradLiteConfig(eta=0.05, k=4, tau=5, ef_mode="off", probe="exact",
-                                 seed=derive_seed(seed, harness._OPT_SALT))
+            cfg = GradLiteConfig(eta=0.05, k=4, tau=5, ef_mode="off", probe="exact")
             loss, diverged = _final_loss_of(problem, cfg, 30, seed)
             row = variants["no-error-feedback"]
             assert not diverged and not row.diverged
@@ -338,7 +394,7 @@ class TestAblationMachinery:
         # seed, so on a noisy problem a lean run ends where a recorded one does.
         spec = {"name": "quadratic", "d": 8, "cond": 10.0, "sigma": 0.3}
         recorded = run_experiment(spec, {"name": "gradlite", "eta": 0.05, "k": 3}, 20, 7)
-        cfg = GradLiteConfig(eta=0.05, k=3, seed=derive_seed(7, harness._OPT_SALT))
+        cfg = GradLiteConfig(eta=0.05, k=3)
         loss, diverged = _final_loss_of(build_problem(spec, 7), cfg, 20, 7)
         assert not diverged
         assert loss == recorded.final_loss
@@ -359,8 +415,7 @@ class TestAblationMachinery:
         finals = []
         for variant in ("full", "no-error-feedback", "random-projection"):
             problem = build_problem(spec, seed=3)
-            cfg = GradLiteConfig(eta=0.05, k=10, tau=10, seed=4,
-                                 **ABLATION_VARIANTS[variant])
+            cfg = GradLiteConfig(eta=0.05, k=10, tau=10, **ABLATION_VARIANTS[variant])
             loss, diverged = _final_loss_of(problem, cfg, 200, 3)
             assert not diverged
             finals.append(loss)

@@ -1,12 +1,12 @@
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
 from gradlite import optimizers
 from gradlite.errors import ConfigError, DivergedError, EmptyRunError
-from gradlite.harness import (_NOISE_SALT, OPTIMIZERS, build_problem,
-                              validate_optimizer)
+from gradlite.harness import _NOISE_SALT, build_problem, validate_optimizer
 from gradlite.optimizers import (AdamConfig, AdamState, GaloreConfig,
                                  GradLiteConfig, GradLiteState, OptimizerState,
                                  SgdConfig, averaged_iterate, exact_step,
@@ -474,31 +474,26 @@ class TestStatePerOptimizer:
     def test_fields_are_the_shared_ones_plus_the_optimizers_own(self, name, own):
         problem = make_mlp([6, 12, 1], 8, seed=5)
         _, cfg = validate_optimizer({"name": name})
-        opt = OPTIMIZERS[name]
-        state = getattr(optimizers, opt.init)(problem, None, cfg)
+        state = getattr(optimizers, cfg.init)(problem, None, cfg)
         assert {f.name for f in fields(state)} == self.SHARED | own
-        state, _ = getattr(optimizers, opt.step)(state, problem, cfg)
+        state, _ = getattr(optimizers, cfg.step)(state, problem, cfg)
         assert {f.name for f in fields(state)} == self.SHARED | own
         assert all(getattr(state, f) is not None for f in self.SHARED | own)
 
 
 # The update rule is an axis of the state classes: GradLite's estimator under
 # Adam's rule is one config and one state composed from existing ones.
-@dataclass(frozen=True)
-class AdamGradLiteConfig(GradLiteConfig, AdamConfig):
-    pass
-
-
 @dataclass
 class AdamGradLiteState(GradLiteState, AdamState):
     pass
 
 
-class TestUpdateRuleIsAnAxis:
-    @pytest.fixture(autouse=True)
-    def composed(self, monkeypatch):
-        monkeypatch.setitem(optimizers.STATES, AdamGradLiteConfig, AdamGradLiteState)
+@dataclass(frozen=True)
+class AdamGradLiteConfig(GradLiteConfig, AdamConfig):
+    state: ClassVar[type] = AdamGradLiteState
 
+
+class TestUpdateRuleIsAnAxis:
     @pytest.mark.parametrize("spec, tau", [
         ({"name": "quadratic", "d": 12, "cond": 30.0, "sigma": 0.4}, 10),
         # the mlp jacobian moves with theta, so the factor must be current
@@ -585,7 +580,6 @@ class TestOneDivergenceCheckPerStep:
     @pytest.mark.parametrize("problem", list(LABEL_PROBLEMS))
     def test_names_the_first_culprit_in_order(self, problem, injection, rule,
                                               monkeypatch):
-        monkeypatch.setitem(optimizers.STATES, AdamGradLiteConfig, AdamGradLiteState)
         prob = build_problem(LABEL_PROBLEMS[problem], seed=3)
         prob.reset_noise(derive_seed(3, _NOISE_SALT))
         # tau=2: BAD_STEP is no refresh, so an injected factor is the one used.

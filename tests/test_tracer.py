@@ -10,6 +10,7 @@ from pathlib import Path
 import gradlite.cli  # noqa: F401  (loads every module the tracer wraps)
 from gradlite import harness, linalg, lowrank, optimizers
 from gradlite.harness import build_problem
+from gradlite.optimizers import GradLiteConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -91,7 +92,8 @@ def test_traced_rate_check_records_one_span_per_step_and_run():
     spec = {"name": "quadratic", "d": 4, "sigma": 0.5}
     t_grid, seeds = (2, 3, 4, 5), (0, 1)
     counts = traced_span_counts(
-        lambda: harness.rate_check(build_problem(spec, 0), 2, t_grid, seeds, 0.3))
+        lambda: harness.rate_check(build_problem(spec, 0), GradLiteConfig(k=2), t_grid,
+                                   seeds, 0.3))
     assert counts == (sum(t_grid) * len(seeds), len(t_grid) * len(seeds))
 
 
