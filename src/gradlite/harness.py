@@ -294,7 +294,10 @@ class MethodMemory(NamedTuple):
     the forward activation cache (m) plus the backward error signal (m);
     the low-rank method holds only the k-dim compressed signal, the factor
     pair amortized over its refresh period, and the residual accumulator.
-    Verification probes are instrumentation, not method storage.
+    The row does not price the exact probe, though the default update
+    (`probe="exact"`) reads `J^T d` at every step and so holds the
+    activation cache and the m-vector signal; ROADMAP item 1 asks the
+    ledger to charge it.
     """
 
     activation: float
@@ -388,7 +391,7 @@ class RateFit:
     t_grid: tuple
     mean_gaps: tuple
     c: float
-    k: int
+    k: int | None  # the config's rank; None for one without a rank (SGD, Adam)
 
 
 def _rate_grid(t_grid, seeds, c: float) -> tuple[list, list]:
@@ -405,7 +408,7 @@ def _rate_grid(t_grid, seeds, c: float) -> tuple[list, list]:
     return t_grid, _distinct_seeds(seeds, "rate fit")
 
 
-def rate_check(problem: Problem, cfg: GradLiteConfig, t_grid, seeds, c: float,
+def rate_check(problem: Problem, cfg: SgdConfig, t_grid, seeds, c: float,
                reference: tuple | None = None) -> RateFit:
     """Fit the log-log slope of cfg's averaged-iterate gap over a T grid.
 
@@ -419,11 +422,14 @@ def rate_check(problem: Problem, cfg: GradLiteConfig, t_grid, seeds, c: float,
     or, when `reference` = (slope, intercept) is given, an external trend
     (the exact method's fit), which measures the bias plateau directly
     even when this config's own curve is flat.  A diverging run raises a
-    DivergedError that names the rank, T and seed.
+    DivergedError that names the rank (or, for a config without one, its
+    ledger row), T and seed.
     """
     t_grid, seeds = _rate_grid(t_grid, seeds, c)
     if problem.loss_star is None:
         raise NonPositiveGapError(f"problem {problem.name!r} has no known optimal loss")
+    k = getattr(cfg, "k", None)
+    method = cfg.ledger if k is None else f"rank {k}"
     mean_gaps = []
     for t_steps in t_grid:
         run_cfg = replace(cfg, eta=float(c / np.sqrt(t_steps)))
@@ -433,7 +439,7 @@ def rate_check(problem: Problem, cfg: GradLiteConfig, t_grid, seeds, c: float,
                 state = _drive(problem, run_cfg, t_steps, seed)
             except DivergedError as err:
                 raise DivergedError(err.step, err.what,
-                                    run=f"rank {cfg.k}, T {t_steps}, seed {seed}") from err
+                                    run=f"{method}, T {t_steps}, seed {seed}") from err
             gaps.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
         mean_gaps.append(float(np.mean(gaps)))
     xs = np.log10(np.asarray(t_grid, dtype=np.float64))
@@ -449,7 +455,7 @@ def rate_check(problem: Problem, cfg: GradLiteConfig, t_grid, seeds, c: float,
     return RateFit(slope=float(slope), intercept=float(intercept),
                    error_floor=float(floor), r_squared=r_squared,
                    t_grid=tuple(t_grid), mean_gaps=tuple(mean_gaps),
-                   c=float(c), k=cfg.k)
+                   c=float(c), k=k)
 
 
 def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),

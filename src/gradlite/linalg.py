@@ -17,8 +17,9 @@ The order rests on four conditions, each checked against the
 scalar loop in `tests/test_linalg.py`:
 
 - `a` is C-ordered, so the inner loop runs along a row and the row index
-  is the outer one; `matvec` hands the kernel a C-ordered copy of `a.T`
-  (the Fortran-ordered and strided inputs of `test_loop_oracle_property`).
+  is the outer one; `matvec` hands the kernel `a.T`, read in place when
+  `a` is Fortran-ordered and copied to C order otherwise (the
+  Fortran-ordered and strided inputs of `test_loop_oracle_property`).
 - `a` has at least 2 columns.  With one, einsum would reduce the
   contiguous column with an unrolled dot-product kernel, so a single
   column is summed with a sequential cumsum instead (the `d=1` examples of
@@ -26,7 +27,8 @@ scalar loop in `tests/test_linalg.py`:
 - Both operands are float64 before the call, so einsum casts nothing.  A
   casting einsum copies its operands through buffers, whose walk numpy
   does not document (the integer and float32 vector tests check the
-  result).
+  result).  An operand that is already C-contiguous float64 is passed
+  as is; any other is copied once.
 - numpy's einsum rounds each product before adding it.  A build that
   fused the multiply and the add would fail the multiply-add probe
   (`test_products_are_rounded_before_the_add`); it gets no second kernel.
@@ -42,6 +44,8 @@ import numpy as np
 from numpy._core.multiarray import c_einsum
 
 from .errors import DimError, NumError, RankError
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class SvdResult(NamedTuple):
@@ -62,7 +66,14 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
 
 
 def _pinned_sum(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """0.0 + a[0] * y[0] + a[1] * y[1] + ..., for C-ordered float64 a and y."""
+    """0.0 + a[0] * y[0] + a[1] * y[1] + ..., a's rows in order, in float64.
+
+    An operand that is not C-contiguous float64 is copied to one first.
+    """
+    if not (a.dtype is _FLOAT64 and a.flags.c_contiguous):
+        a = np.ascontiguousarray(a, dtype=np.float64)
+    if not (y.dtype is _FLOAT64 and y.flags.c_contiguous):
+        y = np.ascontiguousarray(y, dtype=np.float64)
     if a.shape[1] == 1:
         # + 0.0 turns an all-(-0.0) sum into +0.0, as the loop's 0.0 start does.
         return np.cumsum(a[:, 0] * y)[-1:] + 0.0
@@ -72,12 +83,12 @@ def _pinned_sum(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x with the summation over columns in ascending index order.
 
-    The kernel walks the rows of a C-ordered copy of a.T (see the module doc).
+    The kernel walks the rows of a.T, C-ordered: a Fortran-ordered a is
+    read in place, any other is copied (see the module doc).
     """
     if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
         raise DimError(f"matvec: {a.shape} @ {x.shape}")
-    return _pinned_sum(np.ascontiguousarray(a.T, dtype=np.float64),
-                       np.asarray(x, dtype=np.float64))
+    return _pinned_sum(a.T, x)
 
 
 def matvec_t(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,8 +98,7 @@ def matvec_t(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     if a.ndim != 2 or y.ndim != 1 or a.shape[0] != y.shape[0]:
         raise DimError(f"matvec_t: {a.shape}.T @ {y.shape}")
-    return _pinned_sum(np.ascontiguousarray(a, dtype=np.float64),
-                       np.asarray(y, dtype=np.float64))
+    return _pinned_sum(a, y)
 
 
 def frob_residual(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class OptimizerState:
 
     theta: np.ndarray
     step: int = 0
-    theta_sum: np.ndarray | None = None
+    theta_sum: np.ndarray | None = None  # the state's own; steps add to it in place
     last_grad: np.ndarray | None = None  # the exact or probed gradient, or None
 
     def __post_init__(self):
@@ -187,8 +187,7 @@ class GradLiteConfig(SgdConfig):
     seed: int = 0  # seeds a random-projection basis
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(NamedTuple):
     """The gradients of one step, each concatenated across blocks."""
 
     g_tilde: np.ndarray      # approximate gradient, length d
@@ -197,17 +196,24 @@ class StepTrace:
 
 
 def _check_theta(theta: np.ndarray, step: int):
-    # A NaN fails the comparison, so one reduction also catches non-finite.
-    if not np.abs(theta).max() <= DIVERGENCE_CAP:
+    # A NaN propagates through the max and fails the comparison, so one
+    # ufunc reduction also catches non-finite entries.
+    if not np.maximum.reduce(np.absolute(theta)) <= DIVERGENCE_CAP:
         raise DivergedError(step, "theta")
 
 
 def _descend(state: OptimizerState, update: np.ndarray, grad: np.ndarray | None):
+    """theta - update, checked, becomes the new iterate.
+
+    theta is a new array at every step, because callers and problem caches
+    may hold the old one; theta_sum belongs to the state, so it is added to
+    in place.
+    """
     theta_new = state.theta - update
     _check_theta(theta_new, state.step)
     state.theta = theta_new
     state.step += 1
-    state.theta_sum = state.theta_sum + theta_new
+    state.theta_sum += theta_new
     state.last_grad = grad
 
 
@@ -300,33 +306,33 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     theta = state.theta
     delta = problem.error_signal(theta)
 
+    probe, ef_mode = cfg.probe, cfg.ef_mode
+    feedback = ef_mode != "off"
     refresh = t > 0 and t % cfg.tau == 0
-    need_j = refresh or cfg.probe == "exact"
-    gt_parts, gh_parts, bd_parts = [], [], []
-    for b in range(problem.blocks):
+    need_j = refresh or probe == "exact"
+    factors, accumulators = state.factors, state.accumulators
+    n = len(factors)
+    gt_parts, gh_parts, bd_parts = [None] * n, [None] * n, [None] * n
+    for b, factor in enumerate(factors):
         j_b = problem.jacobian(theta, block=b) if need_j else None
         if refresh:
-            state.factors[b] = _factor(problem, b, j_b, cfg)
-        gt = approx_gradient(state.factors[b], delta)
-        gh = correct(gt, state.accumulators[b]) if cfg.ef_mode != "off" else gt
-        bd = estimate_delta(j_b, delta, gt, cfg.probe)
-        if cfg.ef_mode != "off":
-            state.accumulators[b] = update_accumulator(state.accumulators[b], bd,
-                                                       cfg.ef_mode)
-        gt_parts.append(gt)
-        gh_parts.append(gh)
-        bd_parts.append(bd)
+            factor = factors[b] = _factor(problem, b, j_b, cfg)
+        gt = gt_parts[b] = approx_gradient(factor, delta)
+        gh_parts[b] = correct(gt, accumulators[b]) if feedback else gt
+        bd = bd_parts[b] = estimate_delta(j_b, delta, gt, probe)
+        if feedback:
+            accumulators[b] = update_accumulator(accumulators[b], bd, ef_mode)
 
     g_tilde, g_hat, big_delta = _join(gt_parts), _join(gh_parts), _join(bd_parts)
     # g~ + (g - g~) reconstructs the probed gradient to one rounding step.
-    g_exact = g_tilde + big_delta if cfg.probe == "exact" else None
+    g_exact = g_tilde + big_delta if probe == "exact" else None
     try:
         _descend(state, state.update(g_hat, cfg), g_exact)
     except DivergedError:
         named = (("delta", delta), ("g_tilde", g_tilde), ("g_hat", g_hat))
         what = next((w for w, vec in named if not np.isfinite(vec).all()), "theta")
         raise DivergedError(t, what) from None
-    return state, StepTrace(g_tilde=g_tilde, g_hat=g_hat, big_delta=big_delta)
+    return state, StepTrace(g_tilde, g_hat, big_delta)
 
 
 def exact_step(state: OptimizerState, problem: Problem,

@@ -22,6 +22,7 @@ optimizer relies on this to keep a factor whose Jacobian has not changed.
 from __future__ import annotations
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .errors import ConfigError, DataError, DimError, SpdError
 from .rng import SplitMix64, derive_seed
@@ -178,16 +179,21 @@ class Problem:
     def _add_noise(self, signal: np.ndarray) -> np.ndarray:
         """signal plus noise_sigma times the next noise row; with sigma 0,
         the signal itself, and no row is drawn."""
-        if self.noise_sigma == 0.0:
+        sigma = self.noise_sigma
+        if sigma == 0.0:
             return signal
         # Rows are read in order from row 0, so a block is entered at its
-        # first row.  They are raw normals, scaled as they are taken: the
-        # bits equal noise_sigma * normals(m) even if sigma changed mid-block.
+        # first row.  The raw block is scaled by sigma once, when it is
+        # entered, and again from the raw rows if sigma has changed since:
+        # each row's bits equal noise_sigma * normals(m) at its draw.
         b, i = divmod(self._noise_row, NOISE_BLOCK)
         if i == 0:
-            self._noise_current = self._noise_block(b)
+            self._noise_raw = self._noise_block(b)
+        if i == 0 or sigma != self._noise_scale:
+            self._noise_scale = sigma
+            self._noise_current = sigma * self._noise_raw
         self._noise_row += 1
-        return signal + self.noise_sigma * self._noise_current[i]
+        return signal + self._noise_current[i]
 
     def _noise_block(self, b: int) -> np.ndarray:
         """Block b of raw rows: kept, or drawn (and kept if it fits)."""
@@ -452,14 +458,17 @@ class MlpProblem(Problem):
             d_sens = np.ones((n, 1))
             jacobians = [None] * len(ws)
             for l in range(len(ws) - 1, -1, -1):
-                # Columns: weights (p x q, row-major), then biases (p).  A
-                # zero product keeps its sign (-0.0 where a unit saturates);
-                # every reader of J sums from +0.0, which drops it.
+                # Columns: weights (p x q, row-major), then biases (p).  Each
+                # weight entry is the one rounded product d_sens[i, p] *
+                # acts[i, q], which einsum adds to a zeroed output, so a
+                # -0.0 product (where a unit saturates) is stored as +0.0;
+                # the bias columns copy d_sens, -0.0 and all.  Every reader
+                # of J sums from +0.0, which drops a zero's sign anyway.
                 p, q = d_sens.shape[1], acts[l].shape[1]
                 jac = np.empty((n, p * q + p))
                 # Splitting the contiguous last axis gives a view, not a copy.
-                np.multiply(d_sens[:, :, None], acts[l][:, None, :],
-                            out=jac[:, :p * q].reshape(n, p, q))
+                c_einsum("ip,iq->ipq", d_sens, acts[l],
+                         out=jac[:, :p * q].reshape(n, p, q))
                 jac[:, p * q:] = d_sens
                 jacobians[l] = _read_only(jac)
                 if l > 0:

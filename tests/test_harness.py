@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from gradlite import harness, optimizers
-from gradlite.errors import ConfigError, NonPositiveGapError
+from gradlite.errors import ConfigError, DivergedError, NonPositiveGapError
 from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
                               ablation_suite, build_problem,
                               default_check_problems, grad_check_suite,
                               memory_counts, memory_report, rate_check,
                               rate_sweep, run_experiment, validate_optimizer)
-from gradlite.optimizers import (GradLiteConfig, averaged_iterate, gradlite_step,
-                                 init_gradlite_state)
+from gradlite.optimizers import (AdamConfig, GradLiteConfig, SgdConfig, averaged_iterate,
+                                 gradlite_step, init_gradlite_state)
 from gradlite.problems import NOISE_BLOCK, make_quadratic
 from gradlite.rng import derive_seed
 
@@ -236,6 +236,34 @@ class TestRateCheck:
             rate_check(self.problem(), GradLiteConfig(k=2), grid, (0,), c)
         with pytest.raises(ConfigError, match=message):
             rate_sweep(k_grid=(2, 4), d=4, t_grid=grid, seeds=(0,), c=c)
+
+
+class TestRateCheckWithoutARank:
+    """SGD and Adam have no rank: the fit's k is None, and a diverged run is
+    named by the config's ledger row."""
+
+    SPEC = {"name": "quadratic", "d": 6, "sigma": 0.3}
+    GRID, SEEDS, C = (5, 10, 20, 40), (0,), 0.3
+
+    @pytest.mark.parametrize("cfg", [SgdConfig(), AdamConfig()], ids=["sgd", "adam"])
+    def test_fit(self, cfg):
+        fit = rate_check(build_problem(self.SPEC, 0), cfg, self.GRID, self.SEEDS, self.C)
+        assert fit.k is None
+        expected = []
+        for t_steps in self.GRID:
+            problem = build_problem(self.SPEC, 0)
+            run_cfg = replace(cfg, eta=float(self.C / np.sqrt(t_steps)))
+            state = harness._drive(problem, run_cfg, t_steps, self.SEEDS[0])
+            expected.append(problem.loss(averaged_iterate(state)) - problem.loss_star)
+        assert fit.mean_gaps == tuple(expected)
+        assert np.isfinite(fit.slope)
+
+    @pytest.mark.parametrize("cfg, method", [(SgdConfig(), "exact-sgd"),
+                                             (GradLiteConfig(k=2), "rank 2")],
+                             ids=["sgd", "gradlite"])
+    def test_diverged_run_is_named(self, cfg, method):
+        with pytest.raises(DivergedError, match=rf"^{method}, T 5, seed 0: diverged"):
+            rate_check(build_problem(self.SPEC, 0), cfg, self.GRID, self.SEEDS, 1e9)
 
 
 class TestRunSeedSetsTheBasisSeed:

@@ -384,6 +384,25 @@ class TestAveragedIterate:
             seen.append(st.theta.copy())
         assert np.abs(averaged_iterate(st) - np.mean(seen, axis=0)).max() <= 1e-12
 
+    @pytest.mark.parametrize("opt", ["sgd", "gradlite"])
+    def test_an_iterate_taken_is_unchanged_by_the_next_step(self, opt):
+        # A step adds to theta_sum in place; neither the averaged iterate nor
+        # the theta taken at step t may see step t + 1.
+        prob = make_quadratic(8, 20.0, 0.1, seed=6)
+        if opt == "sgd":
+            cfg = SgdConfig(eta=0.05)
+            st, step = init_state(prob, None, cfg), exact_step
+        else:
+            cfg = GradLiteConfig(eta=0.05, k=2)
+            st, step = init_gradlite_state(prob, None, cfg), gradlite_step
+        for _ in range(3):
+            st, _ = step(st, prob, cfg)
+        avg, theta = averaged_iterate(st), st.theta
+        kept = avg.tobytes(), theta.tobytes()
+        st, _ = step(st, prob, cfg)
+        assert (avg.tobytes(), theta.tobytes()) == kept
+        assert averaged_iterate(st).tobytes() != kept[0]
+
     def test_empty_run_rejected(self):
         st = init_state(diag_problem(), theta0=[0.0, 0.0])
         with pytest.raises(EmptyRunError):

@@ -103,6 +103,49 @@ class TestBlockNoise:
         for sigma, got in zip([0.5] * 3 + [2.0] * 3, first + rest):
             assert np.array_equal(got, clean + sigma * stream.normals(self.D))
 
+    def expected_rows(self, sigmas, stream_seed=None):
+        """clean + sigma * normals(D) for each sigma, from the run's stream."""
+        clean = make_quadratic(self.D, self.COND, 0.0, seed=self.SEED)
+        base = clean.error_signal(clean.default_theta0())
+        seed = derive_seed(self.SEED, _NOISE_SALT) if stream_seed is None else stream_seed
+        stream = SplitMix64(seed)
+        return [base + sigma * stream.normals(self.D) for sigma in sigmas]
+
+    def test_sigma_changed_at_a_block_boundary_scales_the_next_block(self):
+        prob = make_quadratic(self.D, self.COND, 0.5, seed=self.SEED)
+        first = self.signals(prob, NOISE_BLOCK)  # block 0 exactly
+        prob.noise_sigma = 2.0
+        rest = self.signals(prob, 3)  # enters block 1
+        want = self.expected_rows([0.5] * NOISE_BLOCK + [2.0] * 3)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first + rest, want))
+
+    def test_sigma_changed_inside_an_entered_block_scales_the_rows_after_it(self):
+        prob = make_quadratic(self.D, self.COND, 0.5, seed=self.SEED)
+        got = self.signals(prob, 5)  # block 0 entered at sigma 0.5
+        prob.noise_sigma = 2.0
+        got += self.signals(prob, 4)
+        prob.noise_sigma = 0.5  # and back, still inside block 0
+        got += self.signals(prob, NOISE_BLOCK)  # into block 1
+        want = self.expected_rows([0.5] * 5 + [2.0] * 4 + [0.5] * NOISE_BLOCK)
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_a_second_run_replays_the_raw_kept_rows(self, drawn):
+        # The first run scales its rows by 0.5; a replay at another sigma
+        # reads the same kept rows, raw, and scales them by its own sigma.
+        prob = make_quadratic(self.D, self.COND, 0.5, seed=self.SEED)
+        prob.reset_noise(99)
+        self.signals(prob, 5)
+        prob.noise_sigma = 2.0
+        self.signals(prob, NOISE_BLOCK)
+        for sigma in (2.0, 0.5):
+            prob.noise_sigma = sigma
+            prob.reset_noise(99)
+            again = self.signals(prob, NOISE_BLOCK + 5)
+            want = self.expected_rows([sigma] * (NOISE_BLOCK + 5), stream_seed=99)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(again, want))
+        assert drawn == [NOISE_BLOCK, NOISE_BLOCK]  # kept, never drawn again
+
 
 class TestNoiseReplay:
     """A reset to the stream a problem holds replays its kept rows, and
@@ -348,6 +391,27 @@ class TestMlp:
             for k in (1, min(jac.shape)):
                 for got, want in zip(truncated_svd(jac, k), truncated_svd(plain, k)):
                     assert got.tobytes() == want.tobytes()
+
+    def test_weight_columns_equal_the_broadcast_products_up_to_zero_signs(self):
+        # The weight columns come from one einsum per block; each entry is
+        # the single rounded product that np.multiply over a broadcast gives.
+        # Only the sign of a zero product may differ, which + 0.0 removes.
+        prob = make_mlp([8, 16, 16, 1], 32, seed=34)
+        theta = 30.0 * prob.default_theta0()
+        ws, _, acts, _ = prob._forward(theta)
+        n = prob.data.n
+        d_sens = np.ones((n, 1))
+        signed_zeros = 0
+        for l in range(len(ws) - 1, -1, -1):
+            p, q = d_sens.shape[1], acts[l].shape[1]
+            products = np.multiply(d_sens[:, :, None], acts[l][:, None, :]).reshape(n, p * q)
+            signed_zeros += int((np.signbit(products) & (products == 0.0)).sum())
+            want = np.concatenate([products, d_sens], axis=1)
+            got = prob.jacobian(theta, block=l)
+            assert got.shape == want.shape
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+            d_sens = (d_sens @ ws[l]) * (1.0 - acts[l] ** 2)
+        assert signed_zeros > 0  # the saturated net does make -0.0 products
 
     def test_output_width_must_be_one(self):
         data = Dataset(np.ones((4, 3)), np.zeros(4))

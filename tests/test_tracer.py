@@ -119,3 +119,32 @@ def test_traced_kernels_book_each_call_once():
     names = [name for name, _ in spans]
     assert [names.count(kernel) for kernel in kernels] == [2 * steps, steps]
     assert not [parent for name, parent in spans if name in kernels and parent in kernels]
+
+
+def test_traced_mlp_step_books_each_kernel_on_its_block():
+    # Per step and block, the default method projects and probes through
+    # matvec_t, lifts through matvec and reads the block's Jacobian once;
+    # the per-block layer metrics read these spans, so a fused kernel or
+    # a Jacobian read for all blocks at once would empty them.
+    module = load_tracer()
+    steps = 12  # past the refresh at step 10
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        tracer.start_invocation()
+        harness.run_experiment({"name": "mlp", "layers": [4, 8, 8, 1], "n": 16},
+                               {"name": "gradlite", "k": 2}, steps, 0)
+    finally:
+        tracer.remove()
+    field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
+    names = ("linalg.matvec_t", "linalg.matvec", "problems.jacobian")
+    per_step = {}
+    for span in tracer.spans():
+        name = tracer.names[span[field["name_id"]]]
+        if name in names and span[field["in_loop"]]:
+            key = (span[field["step"]], name)
+            per_step.setdefault(key, []).append(span[field["block"]])
+    for step in range(steps):
+        for name, per_block in zip(names, (2, 1, 1)):
+            blocks = sorted(per_step.get((step, name), []))
+            assert blocks == sorted([0, 1, 2] * per_block), (step, name)
