@@ -17,11 +17,10 @@ import os
 import sys
 
 from .errors import ConfigError, DivergedError, GradLiteError
-from .feedback import PROBES
+from .feedback import EF_MODES
 from .harness import (OPTIMIZERS, PROBLEMS, ablation_suite, grad_check_suite,
                       memory_report, rate_sweep, run_experiment, write_json)
 from .lowrank import BASIS_MODES
-from .optimizers import EF_MODES
 
 # run flags named apart from the spec keys they set
 _FLAG_DEST = {"d": "dim", "basis_mode": "basis"}
@@ -84,8 +83,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help=f"factor refresh period (default: {gradlite['tau']})")
     run.add_argument("--ef-mode", choices=EF_MODES,
                      help=f"feedback accumulator rule (default: {gradlite['ef_mode']})")
-    run.add_argument("--probe", choices=PROBES,
-                     help=f"residual estimator (default: {gradlite['probe']})")
+    run.add_argument("--probe", choices=("exact", "none"),
+                     help="exact with a feedback rule, none with off (default: --ef-mode's)")
     run.add_argument("--basis", choices=BASIS_MODES,
                      help=f"factor basis mode (default: {gradlite['basis_mode']})")
     run.add_argument("--beta1", type=float,
@@ -212,6 +211,15 @@ def _spec(ns: argparse.Namespace, name: str, tables) -> dict:
     return {"name": name, **{k: v for k, v in picks.items() if v is not None}}
 
 
+def _check_probe(ns: argparse.Namespace):
+    """Refuse a --probe other than the one --ef-mode runs; it sets nothing."""
+    if ns.probe is not None and ns.opt != "gradlite":
+        raise ConfigError(f"unknown key 'probe' for optimizer {ns.opt!r}")
+    ef_mode = ns.ef_mode or OPTIMIZERS["gradlite"].ef_mode
+    if ns.probe not in (None, "none" if ef_mode == "off" else "exact"):
+        raise ConfigError(f"probe {ns.probe!r} disagrees with ef_mode {ef_mode!r}")
+
+
 def _check_writable(path: str):
     """Raise the OSError that writing `path` would, and leave no new file behind."""
     existed = os.path.lexists(path)
@@ -228,6 +236,7 @@ def dispatch(ns: argparse.Namespace) -> int:
             _check_writable(path)
 
     if ns.command == "run":
+        _check_probe(ns)
         metrics = run_experiment(
             _spec(ns, ns.problem, PROBLEMS.values()),
             _spec(ns, ns.opt, [opt.defaults() for opt in OPTIMIZERS.values()]),

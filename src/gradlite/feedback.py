@@ -1,11 +1,11 @@
-"""Residual accumulator and both readings of the feedback rule.
+"""``ef_mode``, the one feedback switch: the exact residual and its rules.
 
-The accumulator of a block is one residual array ``r``.  "paper" mode
-keeps adding each step's residual without ever consuming it, which
-double-counts under persistent error and can grow without bound;
-"ef-standard" stores only the newest residual (consume-on-apply).  Both
-are exposed because the divergence behaviour of the additive rule is
-itself something the harness reports.
+Under a rule a step reads the exact probe ``g = J^T d`` and feeds the
+residual ``D = g - g~`` to one accumulator ``r`` per block, which the next
+update adds back.  "paper" keeps adding each ``D`` without ever consuming
+it, which double-counts under persistent error and can grow without bound
+(the harness reports that divergence); "ef-standard" keeps only the newest
+(consume-on-apply).  "off" reads no probe and keeps no accumulator.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 from .errors import DimError
 from .linalg import matvec_t
 
-MODES = ("paper", "ef-standard")
-PROBES = ("exact", "none")
+EF_MODES = ("paper", "ef-standard", "off")
 
 
 def correct(g_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -26,21 +25,12 @@ def correct(g_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     return g_tilde + r
 
 
-def estimate_delta(j, delta, g_tilde: np.ndarray, probe: str) -> np.ndarray:
-    """Residual estimate D of g - g~ for this step.
-
-    probe="exact" materializes the chain-rule gradient j.T @ delta (the
-    desk scale affords it) and returns g - g~; probe="none" returns a fresh
-    float64 zero vector of g~'s shape, i.e. no feedback information at all.
-    """
-    if probe == "exact":
-        g = matvec_t(j, delta)
-        if g.shape != g_tilde.shape:
-            raise DimError(f"estimate_delta: {g.shape} vs {g_tilde.shape}")
-        return g - g_tilde
-    if probe == "none":
-        return np.zeros(g_tilde.shape)
-    raise ValueError(f"unknown probe {probe!r}")
+def estimate_delta(j, delta, g_tilde: np.ndarray) -> np.ndarray:
+    """D = g - g~, from the exact probe g = j.T @ delta (the desk scale affords it)."""
+    g = matvec_t(j, delta)
+    if g.shape != g_tilde.shape:
+        raise DimError(f"estimate_delta: {g.shape} vs {g_tilde.shape}")
+    return g - g_tilde
 
 
 def update_accumulator(r: np.ndarray, residual: np.ndarray, mode: str) -> np.ndarray:

@@ -36,8 +36,7 @@ ETA_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
 # variant -> what it changes in the full method's GradLiteConfig
 ABLATION_VARIANTS = {
     "full": {},
-    # with feedback off no update reads the exact probe, so skip it
-    "no-error-feedback": {"ef_mode": "off", "probe": "none"},
+    "no-error-feedback": {"ef_mode": "off"},
     "random-projection": {"basis_mode": "random-projection"},
 }
 
@@ -248,7 +247,8 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     mem = memory_counts(problem.m, problem.d, k=getattr(cfg, "k", None),
                         tau=getattr(cfg, "tau", None))[cfg.ledger]
     bwd = mem.activation + mem.signal + mem.factor
-    opt_scalars = mem.accumulator + mem.optimizer_state
+    held = 0 if getattr(cfg, "ef_mode", None) == "off" else mem.accumulator  # r, if any
+    opt_scalars = held + mem.optimizer_state
 
     # The optimizer as run: every config field, defaults included, but the seed.
     resolved = {k: v for k, v in vars(cfg).items() if k != "seed"}
@@ -265,12 +265,11 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
         else:
             gap = float("nan")
         loss = problem.loss(state.theta)
+        r_norm = gtilde_norm = delta_norm = float("nan")
         if trace is not None:
-            r_norm = _norm(np.concatenate(state.accumulators))
-            gtilde_norm = _norm(trace.g_tilde)
-            delta_norm = _norm(trace.big_delta)
-        else:
-            r_norm = gtilde_norm = delta_norm = float("nan")
+            gtilde_norm, delta_norm = _norm(trace.g_tilde), _norm(trace.big_delta)
+            if state.accumulators is not None:
+                r_norm = _norm(np.concatenate(state.accumulators))
         metrics.records.append(StepRecord(
             step=state.step, loss=loss, gap=gap, g_norm=_norm(state.last_grad),
             gtilde_norm=gtilde_norm, r_norm=r_norm, delta_norm=delta_norm,
@@ -294,10 +293,10 @@ class MethodMemory(NamedTuple):
     the forward activation cache (m) plus the backward error signal (m);
     the low-rank method holds only the k-dim compressed signal, the factor
     pair amortized over its refresh period, and the residual accumulator.
-    The row does not price the exact probe, though the default update
-    (`probe="exact"`) reads `J^T d` at every step and so holds the
-    activation cache and the m-vector signal; ROADMAP item 1 asks the
-    ledger to charge it.
+    The row does not price the exact probe, though a feedback rule (the
+    default) reads `J^T d` at every step and so holds the activation cache
+    and the m-vector signal; ROADMAP item 1 asks the ledger to charge it.
+    `run` prices no accumulator for `ef_mode="off"`, which keeps none.
     """
 
     activation: float
@@ -484,20 +483,19 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     if len(set(ranks)) < len(ranks):
         raise ConfigError(f"rate sweep ranks must be distinct, got {ranks}")
     t_grid, seeds = _rate_grid(t_grid, seeds, c)
-    no_feedback = {k: GradLiteConfig(k=k, ef_mode="off", probe="none") for k in ranks}
+    no_feedback = {k: GradLiteConfig(k=k, ef_mode="off") for k in ranks}
     for k in ranks:
         check_rank(d, (d,), k)
     spec = {"name": "quadratic", "d": d, "cond": cond, "sigma": sigma}
     problem = build_problem(spec, seed=0)
     # Built once the quadratic's maker has refused a bad d.
-    full = rate_check(problem, GradLiteConfig(k=d, ef_mode="off", probe="none"),
-                      t_grid, seeds, c)
+    full = rate_check(problem, GradLiteConfig(k=d, ef_mode="off"), t_grid, seeds, c)
     ref = (full.slope, full.intercept)
     fits = {k: full if k == d else rate_check(problem, cfg, t_grid, seeds, c,
                                               reference=ref)
             for k, cfg in no_feedback.items()}
     mid_k = sorted(ranks)[1] if len(ranks) > 1 else ranks[0]
-    # GradLiteConfig's defaults: ef-standard feedback with the exact probe.
+    # GradLiteConfig's default: ef-standard feedback, which reads the exact probe.
     with_feedback = rate_check(problem, GradLiteConfig(k=mid_k), t_grid, seeds, c,
                                reference=ref)
     return {

@@ -24,15 +24,12 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergedError, EmptyRunError
-from .feedback import (MODES, PROBES, correct, estimate_delta,
-                       update_accumulator)
+from .feedback import EF_MODES, correct, estimate_delta, update_accumulator
 from .linalg import matvec_t
 from .lowrank import BASIS_MODES, LowRankFactor, approx_gradient, factorize
 from .problems import Problem
 
 DIVERGENCE_CAP = 1e12
-
-EF_MODES = MODES + ("off",)
 
 # name -> (rule, what the rule requires), one entry per hyperparameter.
 _RANGES = {
@@ -43,7 +40,6 @@ _RANGES = {
     "beta2": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "eps": (lambda v: v > 0.0, "> 0"),
     "ef_mode": (lambda v: v in EF_MODES, f"one of {EF_MODES}"),
-    "probe": (lambda v: v in PROBES, f"one of {PROBES}"),
     "basis_mode": (lambda v: v in BASIS_MODES, f"one of {BASIS_MODES}"),
 }
 
@@ -129,7 +125,7 @@ class GaloreState(OptimizerState):
 @dataclass
 class GradLiteState(OptimizerState):
     factors: list[LowRankFactor] | None = None  # one per block
-    accumulators: list[np.ndarray] | None = None  # one residual r per block
+    accumulators: list[np.ndarray] | None = None  # one r per block; None if ef_mode="off"
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,6 @@ class GradLiteConfig(SgdConfig):
     k: int = 8
     tau: int = 10
     ef_mode: str = "ef-standard"
-    probe: str = "exact"
     basis_mode: str = "svd"
     seed: int = 0  # seeds a random-projection basis
 
@@ -191,8 +186,8 @@ class StepTrace(NamedTuple):
     """The gradients of one step, each concatenated across blocks."""
 
     g_tilde: np.ndarray      # approximate gradient, length d
-    g_hat: np.ndarray        # corrected gradient actually applied
-    big_delta: np.ndarray    # residual estimate
+    g_hat: np.ndarray        # corrected gradient actually applied; g~ if ef_mode="off"
+    big_delta: np.ndarray | None  # exact residual g - g~; None if ef_mode="off"
 
 
 def _check_theta(theta: np.ndarray, step: int):
@@ -279,7 +274,8 @@ def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> GradLi
     state = init_state(problem, theta0, cfg)
     state.factors = [_factor(problem, b, problem.jacobian(state.theta, block=b), cfg)
                      for b in range(problem.blocks)]
-    state.accumulators = [np.zeros(w) for w in problem.block_dims]
+    if cfg.ef_mode != "off":
+        state.accumulators = [np.zeros(w) for w in problem.block_dims]
     return state
 
 
@@ -294,8 +290,9 @@ def gradlite_step(state: GradLiteState, problem: Problem,
 
     Every block's factor is refreshed at steps tau, 2 tau, ... of the run
     (`_factor`: kept if the block's Jacobian is the very array it was
-    built from, otherwise rebuilt).  The descent applies the state's
-    update rule to the corrected gradient g_hat.
+    built from, otherwise rebuilt).  A feedback rule reads every J for the
+    exact probe at every step, "off" only to refresh.  The descent applies
+    the state's update rule to the corrected gradient g_hat (g~ if "off").
 
     The one divergence check is on the new theta: a non-finite entry of
     delta, g~ or g^ reaches it through every update rule.  When it fails,
@@ -306,26 +303,26 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     theta = state.theta
     delta = problem.error_signal(theta)
 
-    probe, ef_mode = cfg.probe, cfg.ef_mode
+    ef_mode = cfg.ef_mode
     feedback = ef_mode != "off"
     refresh = t > 0 and t % cfg.tau == 0
-    need_j = refresh or probe == "exact"
     factors, accumulators = state.factors, state.accumulators
     n = len(factors)
     gt_parts, gh_parts, bd_parts = [None] * n, [None] * n, [None] * n
     for b, factor in enumerate(factors):
-        j_b = problem.jacobian(theta, block=b) if need_j else None
+        j_b = problem.jacobian(theta, block=b) if feedback or refresh else None
         if refresh:
             factor = factors[b] = _factor(problem, b, j_b, cfg)
         gt = gt_parts[b] = approx_gradient(factor, delta)
-        gh_parts[b] = correct(gt, accumulators[b]) if feedback else gt
-        bd = bd_parts[b] = estimate_delta(j_b, delta, gt, probe)
         if feedback:
+            gh_parts[b] = correct(gt, accumulators[b])
+            bd = bd_parts[b] = estimate_delta(j_b, delta, gt)
             accumulators[b] = update_accumulator(accumulators[b], bd, ef_mode)
 
-    g_tilde, g_hat, big_delta = _join(gt_parts), _join(gh_parts), _join(bd_parts)
+    g_tilde = _join(gt_parts)
+    g_hat, big_delta = (_join(gh_parts), _join(bd_parts)) if feedback else (g_tilde, None)
     # g~ + (g - g~) reconstructs the probed gradient to one rounding step.
-    g_exact = g_tilde + big_delta if probe == "exact" else None
+    g_exact = g_tilde + big_delta if feedback else None
     try:
         _descend(state, state.update(g_hat, cfg), g_exact)
     except DivergedError:

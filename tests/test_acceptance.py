@@ -67,8 +67,7 @@ def test_criterion_2_full_rank_reproduces_sgd():
         pa.reset_noise(derive_seed(7, _NOISE_SALT))
         pb.reset_noise(derive_seed(7, _NOISE_SALT))
         k = min(pa.m, min(pa.block_dims))
-        cfg = GradLiteConfig(eta=eta, k=k, tau=tau, ef_mode="off",
-                             probe="exact", basis_mode="svd",
+        cfg = GradLiteConfig(eta=eta, k=k, tau=tau, ef_mode="off", basis_mode="svd",
                              seed=derive_seed(7, 77))
         sa = init_gradlite_state(pa, None, cfg)
         sb = init_state(pb, theta0=sa.theta.copy())
@@ -107,8 +106,7 @@ def test_criterion_4_feedback_telescoping():
 
     prob = build_problem(spec, seed=3)
     prob.reset_noise(derive_seed(3, _NOISE_SALT))
-    cfg = GradLiteConfig(eta=0.02, k=4, tau=10, ef_mode="ef-standard",
-                         probe="exact", basis_mode="svd",
+    cfg = GradLiteConfig(eta=0.02, k=4, tau=10, ef_mode="ef-standard", basis_mode="svd",
                          seed=derive_seed(3, 77))
     st = init_gradlite_state(prob, None, cfg)
     sum_ghat = np.zeros(prob.d)
@@ -126,8 +124,7 @@ def test_criterion_4_feedback_telescoping():
 
     prob2 = build_problem(spec, seed=3)
     prob2.reset_noise(derive_seed(3, _NOISE_SALT))
-    cfg2 = GradLiteConfig(eta=0.005, k=4, tau=10, ef_mode="paper",
-                          probe="exact", basis_mode="svd",
+    cfg2 = GradLiteConfig(eta=0.005, k=4, tau=10, ef_mode="paper", basis_mode="svd",
                           seed=derive_seed(3, 77))
     st2 = init_gradlite_state(prob2, None, cfg2)
     running = np.zeros(prob2.d)

@@ -161,6 +161,26 @@ class TestFlagsAreReadOrRefused:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ef_mode, probe", [
+        ("paper", "exact"), ("ef-standard", "exact"), ("off", "none"),
+    ])
+    @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "file"])
+    def test_probe_that_agrees_with_ef_mode_moves_no_byte(self, ef_mode, probe,
+                                                          via_file, tmp_path):
+        # --ef-mode alone decides the probe; spelling it out changes nothing.
+        argv = ["run", "--dim", "6", "--sigma", "0.3", "--k", "2", "--tau", "3",
+                "--steps", "12", "--ef-mode", ef_mode]
+        plain, spelled = tmp_path / "plain.csv", tmp_path / "spelled.csv"
+        assert main(argv + ["--out", str(plain)]) == 0
+        if via_file:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"probe={probe}\n")
+            extra = ["--config", str(cfg)]
+        else:
+            extra = ["--probe", probe]
+        assert main(argv + extra + ["--out", str(spelled)]) == 0
+        assert spelled.read_bytes() == plain.read_bytes()
+
     def test_summary_records_every_config_field_but_the_seed(self):
         spec = {"name": "quadratic", "d": 12, "cond": 5.0, "sigma": 0.0}
         names = {f.name for f in fields(GradLiteConfig)}
@@ -286,10 +306,17 @@ class TestExitCodes:
           "--dim", "4"], None),
         (["rate-check", "--c=-1", "--t-grid", "25,50,100,200", "--seeds", "0",
           "--k-grid", "2,4", "--dim", "4"], None),
+        (["run", "--probe", "none", "--steps", "2"], None),
+        (["run", "--ef-mode", "paper", "--probe", "none", "--steps", "2"], None),
+        (["run", "--ef-mode", "off", "--probe", "exact", "--steps", "2"], None),
+        (["run", "--ef-mode", "off", "--steps", "2"], "probe=exact\n"),
+        (["run", "--opt", "adam", "--probe", "exact", "--steps", "2"], None),
     ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
             "rank-above-dim", "infinite-eta", "nan-sigma", "config-l2", "zero-cond",
             "repeated-t-grid", "ablate-repeated-seeds", "rate-repeated-seeds",
-            "rate-repeated-t", "rate-repeated-k", "rate-zero-t", "rate-negative-c"])
+            "rate-repeated-t", "rate-repeated-k", "rate-zero-t", "rate-negative-c",
+            "probe-none-alone", "paper-probe-none", "off-probe-exact",
+            "config-off-probe-exact", "adam-probe-exact"])
     def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
                                                     capsys):
         if config is not None:

@@ -29,8 +29,7 @@ class TestCorrect:
 
 class TestEstimateDelta:
     def test_hand_example(self):
-        est = estimate_delta(J32, np.array([1.0, 1.0, 1.0]),
-                             np.array([0.0, 2.0]), "exact")
+        est = estimate_delta(J32, np.array([1.0, 1.0, 1.0]), np.array([0.0, 2.0]))
         assert np.allclose(est, [1.0, 0.0], atol=1e-12)
 
     def test_full_rank_residual_vanishes(self):
@@ -39,29 +38,8 @@ class TestEstimateDelta:
         delta = stream.normals(6)
         from gradlite.linalg import matvec_t
         g = matvec_t(a, delta)
-        est = estimate_delta(a, delta, g, "exact")
+        est = estimate_delta(a, delta, g)
         assert np.linalg.norm(est) <= 1e-10
-
-    def test_probe_none_returns_zero_inexact(self):
-        # No probe: a zero residual, whatever the Jacobian and signal.
-        est = estimate_delta(None, None, np.array([1.0, 2.0]), "none")
-        assert np.array_equal(est, [0.0, 0.0])
-
-    def test_probe_none_returns_a_fresh_writeable_zero_vector(self):
-        g_tilde = np.array([1.0, -2.0, 3.0])
-        first = estimate_delta(None, None, g_tilde, "none")
-        second = estimate_delta(None, None, g_tilde, "none")
-        for est in (first, second):
-            assert est.dtype == np.float64 and est.shape == g_tilde.shape
-            assert est.flags.writeable
-            assert est.tobytes() == np.zeros(3).tobytes()
-        assert not np.shares_memory(first, second)
-        first += 7.0
-        assert second.tobytes() == np.zeros(3).tobytes()
-
-    def test_unknown_probe(self):
-        with pytest.raises(ValueError):
-            estimate_delta(J32, np.zeros(3), np.zeros(2), "sketchy")
 
 
 class TestUpdateAccumulator:

@@ -94,6 +94,14 @@ class TestRunExperiment:
         assert np.isnan(rec.gtilde_norm) and np.isnan(rec.r_norm)
         assert np.isfinite(rec.g_norm)
 
+    def test_no_feedback_rows_price_and_show_no_residual(self):
+        # ef_mode="off" keeps no accumulator and reads no probe.
+        spec = {"name": "quadratic", "d": 6, "cond": 5.0, "sigma": 0.0}
+        opt = {"name": "gradlite", "k": 2, "ef_mode": "off"}
+        for rec in run_experiment(spec, opt, 3, 0).records:
+            assert rec.opt_scalars == 0 and np.isfinite(rec.gtilde_norm)
+            assert np.isnan(rec.g_norm) and np.isnan(rec.r_norm) and np.isnan(rec.delta_norm)
+
 
 class TestMemoryLedger:
     def test_pinned_reference_numbers(self):
@@ -193,7 +201,7 @@ class TestRateCheck:
 
     def test_reference_trend_shifts_floor_only(self):
         grid, seeds = (25, 50, 100, 200), (0,)
-        cfg = GradLiteConfig(k=4, ef_mode="off", probe="none")
+        cfg = GradLiteConfig(k=4, ef_mode="off")
         own = rate_check(self.problem(), cfg, grid, seeds, 0.3)
         ref = rate_check(self.problem(), cfg, grid, seeds, 0.3,
                          reference=(own.slope, own.intercept))
@@ -201,7 +209,7 @@ class TestRateCheck:
         assert own.error_floor == ref.error_floor  # same trend by construction
 
     @pytest.mark.parametrize("basis_mode", ["svd", "random-projection"])
-    @pytest.mark.parametrize("feedback", [{"ef_mode": "off", "probe": "none"}, {}],
+    @pytest.mark.parametrize("feedback", [{"ef_mode": "off"}, {}],
                              ids=["feedback-off", "feedback-on"])
     def test_one_shared_problem_gives_the_gaps_of_fresh_ones(self, basis_mode, feedback):
         # Fits at two ranks share one problem, and so its step-0 factors,
@@ -403,20 +411,6 @@ class TestAblationMachinery:
         assert sorted(built) == [0, 1, 2]
         assert len(result.rows) == 3 * len(ABLATION_VARIANTS)
 
-    def test_no_feedback_rows_equal_runs_with_the_probe_on(self):
-        # With feedback off no update reads the probe, so skipping it moves
-        # no bit of the ablation's output.
-        result = ablation_suite(seeds=(0, 1), steps=30, k=4, tau=5, n=64, d=16,
-                                cond=100.0, eta=0.05)
-        for seed, variants in result.by_seed().items():
-            problem = harness._ablation_problem(seed, 64, 16, 100.0)
-            cfg = GradLiteConfig(eta=0.05, k=4, tau=5, ef_mode="off", probe="exact")
-            loss, diverged = _final_loss_of(problem, cfg, 30, seed)
-            row = variants["no-error-feedback"]
-            assert not diverged and not row.diverged
-            assert row.final_loss == loss
-            assert row.final_gap == loss - problem.loss_star
-
     def test_final_loss_draws_the_noise_of_its_run_seed(self):
         # One rule for every caller: the driver resets the noise from the run
         # seed, so on a noisy problem a lean run ends where a recorded one does.
@@ -433,7 +427,7 @@ class TestAblationMachinery:
         full = config("full")
         assert full.ef_mode == "ef-standard" and full.basis_mode == "svd"
         noef = config("no-error-feedback")
-        assert noef.ef_mode == "off" and noef.probe == "none"
+        assert noef.ef_mode == "off"
         rp = config("random-projection")
         assert rp.basis_mode == "random-projection"
 

@@ -23,8 +23,7 @@ def diag_problem():
 class TestGradLiteStep:
     def test_full_rank_is_one_gradient_descent_step(self):
         prob = diag_problem()
-        cfg = GradLiteConfig(eta=0.1, k=2, tau=10, ef_mode="off",
-                             probe="exact", seed=0)
+        cfg = GradLiteConfig(eta=0.1, k=2, tau=10, seed=0)
         st = init_gradlite_state(prob, [1.0, 1.0], cfg)
         st, tr = gradlite_step(st, prob, cfg)
         assert np.allclose(st.last_grad, [1.0, 2.0], atol=1e-12)
@@ -32,8 +31,7 @@ class TestGradLiteStep:
 
     def test_rank_one_leaves_weak_direction_untouched(self):
         prob = diag_problem()
-        cfg = GradLiteConfig(eta=0.1, k=1, tau=10, ef_mode="off",
-                             probe="exact", seed=0)
+        cfg = GradLiteConfig(eta=0.1, k=1, tau=10, ef_mode="off", seed=0)
         st = init_gradlite_state(prob, [1.0, 1.0], cfg)
         st, tr = gradlite_step(st, prob, cfg)
         assert np.allclose(tr.g_tilde, [0.0, 2.0], atol=1e-10)
@@ -41,8 +39,7 @@ class TestGradLiteStep:
 
     def test_residual_applied_one_step_later(self):
         prob = diag_problem()
-        cfg = GradLiteConfig(eta=0.1, k=1, tau=10, ef_mode="ef-standard",
-                             probe="exact", seed=0)
+        cfg = GradLiteConfig(eta=0.1, k=1, tau=10, ef_mode="ef-standard", seed=0)
         st = init_gradlite_state(prob, [1.0, 1.0], cfg)
         st, tr1 = gradlite_step(st, prob, cfg)
         assert np.allclose(tr1.big_delta, [1.0, 0.0], atol=1e-10)
@@ -52,18 +49,17 @@ class TestGradLiteStep:
 
     def test_trace_shapes_and_probe_flag(self):
         prob = make_quadratic(6, 10.0, 0.0, seed=3)
-        cfg = GradLiteConfig(eta=0.05, k=2, ef_mode="ef-standard",
-                             probe="exact", seed=1)
+        cfg = GradLiteConfig(eta=0.05, k=2, ef_mode="ef-standard", seed=1)
         st = init_gradlite_state(prob, None, cfg)
         st, tr = gradlite_step(st, prob, cfg)
         assert tr.g_tilde.shape == (6,)
         assert st.last_grad is not None
 
-        cfg2 = GradLiteConfig(eta=0.05, k=2, ef_mode="off", probe="none", seed=1)
+        cfg2 = GradLiteConfig(eta=0.05, k=2, ef_mode="off", seed=1)
         st2 = init_gradlite_state(prob, None, cfg2)
         st2, tr2 = gradlite_step(st2, prob, cfg2)
-        assert st2.last_grad is None
-        assert np.array_equal(tr2.big_delta, np.zeros(6))
+        assert st2.last_grad is None and st2.accumulators is None
+        assert tr2.big_delta is None and tr2.g_hat is tr2.g_tilde
 
     def test_rank_above_block_cap_rejected(self):
         prob = make_quadratic(4, 5.0, 0.0, seed=1)
@@ -85,10 +81,29 @@ class TestGradLiteStep:
             assert len(factorized) - calls == (3 if refreshed else 0)
             assert all((a is b) != refreshed for a, b in zip(st.factors, before))
 
+    def test_no_feedback_reads_each_jacobian_only_to_refresh(self, monkeypatch):
+        # No update reads the probe with feedback off, so a block's J is
+        # read at init and at steps tau, 2 tau, ... only, and no
+        # accumulator is kept.
+        prob = make_mlp([4, 5, 5, 1], 12, seed=7)
+        reads, jacobian = [], prob.jacobian
+
+        def counting(theta, block=0):
+            reads.append(block)
+            return jacobian(theta, block=block)
+        monkeypatch.setattr(prob, "jacobian", counting)
+        cfg = GradLiteConfig(eta=0.01, k=2, tau=3, ef_mode="off", seed=0)
+        st = init_gradlite_state(prob, None, cfg)
+        assert reads == [0, 1, 2] and st.accumulators is None
+        for t in range(10):
+            before = len(reads)
+            st, _ = gradlite_step(st, prob, cfg)
+            assert reads[before:] == ([0, 1, 2] if t in (3, 6, 9) else [])
+        assert st.accumulators is None
+
     def test_divergence_raises_with_step_index(self):
         prob = make_quadratic(4, 5.0, 0.0, seed=2)
-        cfg = GradLiteConfig(eta=1e9, k=4, tau=1, ef_mode="paper",
-                             probe="exact", seed=0)
+        cfg = GradLiteConfig(eta=1e9, k=4, tau=1, ef_mode="paper", seed=0)
         st = init_gradlite_state(prob, None, cfg)
         with pytest.raises(DivergedError) as err:
             for _ in range(200):
@@ -228,7 +243,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(eta=0.0, k=1), dict(eta=-1.0, k=1), dict(eta=0.1, k=0),
         dict(eta=0.1, k=1, tau=0), dict(eta=0.1, k=1, ef_mode="bogus"),
-        dict(eta=0.1, k=1, probe="guess"), dict(eta=0.1, k=1, basis_mode="qr"),
+        dict(eta=0.1, k=1, basis_mode="qr"),
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -258,8 +273,7 @@ class TestSgd:
         pb = build_problem(spec, seed=5)
         pa.reset_noise(derive_seed(5, _NOISE_SALT))
         pb.reset_noise(derive_seed(5, _NOISE_SALT))
-        cfg = GradLiteConfig(eta=0.05, k=12, tau=10, ef_mode="off",
-                             probe="exact", seed=9)
+        cfg = GradLiteConfig(eta=0.05, k=12, tau=10, ef_mode="off", seed=9)
         sa = init_gradlite_state(pa, None, cfg)
         sb = init_state(pb, theta0=sa.theta.copy())
         for _ in range(100):
@@ -454,8 +468,7 @@ class TestDescentSanity:
     def test_loss_nonincreasing_after_warmup_on_deterministic_quadratic(self):
         prob = make_quadratic(8, 20.0, 0.0, seed=11)  # smoothness 1
         tau = 5
-        cfg = GradLiteConfig(eta=0.5, k=2, tau=tau, ef_mode="ef-standard",
-                             probe="exact", seed=1)
+        cfg = GradLiteConfig(eta=0.5, k=2, tau=tau, ef_mode="ef-standard", seed=1)
         st = init_gradlite_state(prob, None, cfg)
         losses = [prob.loss(st.theta)]
         for _ in range(200):
@@ -470,8 +483,7 @@ class TestFullRankReducesToPlainDescent:
     def test_both_feedback_modes_inert_at_full_rank(self, mode):
         prob_a = make_quadratic(6, 8.0, 0.0, seed=13)
         prob_b = make_quadratic(6, 8.0, 0.0, seed=13)
-        cfg = GradLiteConfig(eta=0.1, k=6, tau=10, ef_mode=mode,
-                             probe="exact", seed=2)
+        cfg = GradLiteConfig(eta=0.1, k=6, tau=10, ef_mode=mode, seed=2)
         sa = init_gradlite_state(prob_a, None, cfg)
         sb = init_state(prob_b, theta0=sa.theta.copy())
         for _ in range(100):
@@ -524,8 +536,7 @@ class TestUpdateRuleIsAnAxis:
         pa.reset_noise(derive_seed(7, _NOISE_SALT))
         pb.reset_noise(derive_seed(7, _NOISE_SALT))
         k = min(pa.m, min(pa.block_dims))
-        cfg = AdamGradLiteConfig(eta=0.01, k=k, tau=tau, ef_mode="off",
-                                 probe="exact", seed=3)
+        cfg = AdamGradLiteConfig(eta=0.01, k=k, tau=tau, ef_mode="off", seed=3)
         adam = AdamConfig(eta=0.01)
         sa = init_gradlite_state(pa, None, cfg)
         sb = init_state(pb, sa.theta.copy(), adam)
