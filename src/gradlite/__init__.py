@@ -15,8 +15,7 @@ from .lowrank import (LowRankFactor, approx_gradient, factorize,
 from .optimizers import (AdamConfig, AdamState, GaloreConfig, GaloreState,
                          GradLiteConfig, GradLiteState, OptimizerState,
                          SgdConfig, StepTrace, averaged_iterate, exact_step,
-                         gradlite_step, init_gradlite_state, init_state,
-                         stochastic_gradient)
+                         gradlite_step, init_gradlite_state, init_state)
 from .problems import (Dataset, LogisticProblem, MlpProblem, Problem,
                        QuadraticProblem, finite_difference_gradient,
                        make_gaussian_logistic, make_lowrank_logistic, make_mlp,

@@ -231,7 +231,10 @@ def _check_writable(path: str):
 
 def dispatch(ns: argparse.Namespace) -> int:
     # Every output path is checked before the work, so a bad one costs no run.
-    for path in (getattr(ns, "out", None), getattr(ns, "summary", None)):
+    out, summary = getattr(ns, "out", None), getattr(ns, "summary", None)
+    if summary and os.path.realpath(summary) == os.path.realpath(out):
+        raise ConfigError(f"--summary {summary} and --out {out} name the same file")
+    for path in (out, summary):
         if path:
             _check_writable(path)
 

@@ -146,8 +146,8 @@ def _drive(problem: Problem, cfg: SgdConfig, steps: int, seed: int, record=None)
     """The one loop that advances an optimizer: seed the run, init, step.
 
     The run seed sets the problem's noise and, in place of `cfg.seed`, a
-    GradLite basis seed.  `record(state, trace)` runs after each step; a
-    DivergedError reaches the caller.
+    GradLite basis seed.  `record(state, trace)` takes each step's new state
+    and StepTrace; a DivergedError reaches the caller.
     """
     if isinstance(cfg, GradLiteConfig):
         cfg = replace(cfg, seed=derive_seed(seed, _OPT_SALT))
@@ -265,15 +265,11 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
         else:
             gap = float("nan")
         loss = problem.loss(state.theta)
-        r_norm = gtilde_norm = delta_norm = float("nan")
-        if trace is not None:
-            gtilde_norm, delta_norm = _norm(trace.g_tilde), _norm(trace.big_delta)
-            if state.accumulators is not None:
-                r_norm = _norm(np.concatenate(state.accumulators))
         metrics.records.append(StepRecord(
-            step=state.step, loss=loss, gap=gap, g_norm=_norm(state.last_grad),
-            gtilde_norm=gtilde_norm, r_norm=r_norm, delta_norm=delta_norm,
-            bwd_scalars=bwd, opt_scalars=opt_scalars))
+            step=state.step, loss=loss, gap=gap, g_norm=_norm(trace.g),
+            gtilde_norm=_norm(trace.g_tilde), r_norm=_norm(trace.r),
+            delta_norm=_norm(trace.big_delta), bwd_scalars=bwd,
+            opt_scalars=opt_scalars))
 
     try:
         _drive(problem, cfg, steps, seed, record)

@@ -1,17 +1,18 @@
 """The low-rank error-feedback step plus plain baselines.
 
 Each optimizer is a config, checked once when built, plus `init(problem,
-theta0, cfg)` and `step(state, problem, cfg) -> (state, StepTrace | None)`
-on a mutable state owned by a single run; the config's class names its
-state class, init and step.  Each optimizer has its own state class:
-:class:`OptimizerState` holds what every run holds plus SGD's update rule,
-and :class:`AdamState`, :class:`GaloreState` and :class:`GradLiteState`
-add only their own fields.  The update rule is the state's `update(g,
-cfg)`, so SGD, Adam and GaLore share one step, `exact_step`, and
-`gradlite_step` descends by the same rule.  The per-step stochastic
-gradient is always the chain-rule product jacobian.T @ error_signal with
-one error-signal draw per step, so two optimizers driven by identically
-seeded problems see identical noise.
+theta0, cfg)` and `step(state, problem, cfg) -> (state, StepTrace)` on a
+mutable state owned by a single run; the config's class names its state
+class, init and step.  A step reports through its StepTrace alone; the
+state holds only what the next step reads.  Each optimizer has its own
+state class: :class:`OptimizerState` holds what every run holds plus SGD's
+update rule, and :class:`AdamState`, :class:`GaloreState` and
+:class:`GradLiteState` add only their own fields.  The update rule is the
+state's `update(g, cfg)`, so SGD, Adam and GaLore share one step,
+`exact_step`, and `gradlite_step` descends by the same rule.  The per-step
+stochastic gradient is always the chain-rule product jacobian.T @
+error_signal with one error-signal draw per step, so two optimizers driven
+by identically seeded problems see identical noise.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class OptimizerState:
     theta: np.ndarray
     step: int = 0
     theta_sum: np.ndarray | None = None  # the state's own; steps add to it in place
-    last_grad: np.ndarray | None = None  # the exact or probed gradient, or None
 
     def __post_init__(self):
         if self.theta_sum is None:
@@ -183,11 +183,20 @@ class GradLiteConfig(SgdConfig):
 
 
 class StepTrace(NamedTuple):
-    """The gradients of one step, each concatenated across blocks."""
+    """What one step read and applied, each vector concatenated across blocks."""
 
-    g_tilde: np.ndarray      # approximate gradient, length d
-    g_hat: np.ndarray        # corrected gradient actually applied; g~ if ef_mode="off"
-    big_delta: np.ndarray | None  # exact residual g - g~; None if ef_mode="off"
+    g_tilde: np.ndarray | None  # approximate gradient, length d; None if exact
+    g_hat: np.ndarray        # gradient the update rule read; g~ if ef_mode="off"
+    big_delta: np.ndarray | None = None  # exact residual g - g~; None if "off"
+    r: np.ndarray | None = None  # the accumulators after the step; None if "off"
+
+    @property
+    def g(self) -> np.ndarray | None:
+        """The gradient the step read: g_hat for an exact step, the probed
+        gradient g~ + D under a feedback rule, None under "off"."""
+        if self.g_tilde is None:
+            return self.g_hat
+        return None if self.big_delta is None else self.g_tilde + self.big_delta
 
 
 def _check_theta(theta: np.ndarray, step: int):
@@ -197,7 +206,7 @@ def _check_theta(theta: np.ndarray, step: int):
         raise DivergedError(step, "theta")
 
 
-def _descend(state: OptimizerState, update: np.ndarray, grad: np.ndarray | None):
+def _descend(state: OptimizerState, update: np.ndarray):
     """theta - update, checked, becomes the new iterate.
 
     theta is a new array at every step, because callers and problem caches
@@ -209,15 +218,6 @@ def _descend(state: OptimizerState, update: np.ndarray, grad: np.ndarray | None)
     state.theta = theta_new
     state.step += 1
     state.theta_sum += theta_new
-    state.last_grad = grad
-
-
-def stochastic_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
-    """Chain-rule gradient for one error-signal draw, all blocks concatenated."""
-    delta = problem.error_signal(theta)
-    parts = [matvec_t(problem.jacobian(theta, block=b), delta)
-             for b in range(problem.blocks)]
-    return np.concatenate(parts)
 
 
 def init_state(problem: Problem, theta0=None, cfg=None) -> OptimizerState:
@@ -320,27 +320,28 @@ def gradlite_step(state: GradLiteState, problem: Problem,
             accumulators[b] = update_accumulator(accumulators[b], bd, ef_mode)
 
     g_tilde = _join(gt_parts)
-    g_hat, big_delta = (_join(gh_parts), _join(bd_parts)) if feedback else (g_tilde, None)
-    # g~ + (g - g~) reconstructs the probed gradient to one rounding step.
-    g_exact = g_tilde + big_delta if feedback else None
+    trace = (StepTrace(g_tilde, _join(gh_parts), _join(bd_parts), _join(accumulators))
+             if feedback else StepTrace(g_tilde, g_tilde))
     try:
-        _descend(state, state.update(g_hat, cfg), g_exact)
+        _descend(state, state.update(trace.g_hat, cfg))
     except DivergedError:
-        named = (("delta", delta), ("g_tilde", g_tilde), ("g_hat", g_hat))
+        named = (("delta", delta), ("g_tilde", g_tilde), ("g_hat", trace.g_hat))
         what = next((w for w, vec in named if not np.isfinite(vec).all()), "theta")
         raise DivergedError(t, what) from None
-    return state, StepTrace(g_tilde, g_hat, big_delta)
+    return state, trace
 
 
 def exact_step(state: OptimizerState, problem: Problem,
-               cfg: SgdConfig) -> tuple[OptimizerState, None]:
-    """SGD, Adam or GaLore: descend by the state's rule on the exact gradient."""
-    g = stochastic_gradient(problem, state.theta)
+               cfg: SgdConfig) -> tuple[OptimizerState, StepTrace]:
+    """SGD, Adam or GaLore: descend by the state's rule on the exact gradient J^T d."""
+    delta = problem.error_signal(state.theta)
+    g = _join([matvec_t(problem.jacobian(state.theta, block=b), delta)
+               for b in range(problem.blocks)])
     # Checked before the rule reads it: GaLore's SVD raises on a non-finite g.
     if not np.isfinite(g).all():
         raise DivergedError(state.step, "gradient")
-    _descend(state, state.update(g, cfg), g)
-    return state, None
+    _descend(state, state.update(g, cfg))
+    return state, StepTrace(None, g)
 
 
 def averaged_iterate(state: OptimizerState) -> np.ndarray:

@@ -522,7 +522,7 @@ def finite_difference_gradient(problem: Problem, theta, h: float = 1e-5) -> np.n
 
 def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticProblem:
     """Rotated quadratic with geometric spectrum 1 .. 1/cond (so L = 1)."""
-    if d < 1 or not cond >= 1.0:
+    if d < 1 or not 1.0 <= cond < np.inf:  # NaN fails too
         raise ConfigError(f"bad quadratic spec d={d}, cond={cond}")
     _check_size(d, d)
     _noise_sigma(sigma)
@@ -553,7 +553,7 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int,
     Labels are Bernoulli draws from a hidden linear scorer over the same
     features, scaled so flips are common enough to keep the optimum finite.
     """
-    if n < 1 or d < 1 or not cond >= 1.0:
+    if n < 1 or d < 1 or not 1.0 <= cond < np.inf:
         raise ConfigError(f"bad low-rank logistic spec n={n}, d={d}, cond={cond}")
     _check_size(n, d)
     feat = SplitMix64(derive_seed(seed, _DATA_SALT))

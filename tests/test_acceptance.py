@@ -116,8 +116,8 @@ def test_criterion_4_feedback_telescoping():
     for _ in range(1000):
         st, tr = gradlite_step(st, prob, cfg)
         sum_ghat += tr.g_hat
-        sum_g += st.last_grad
-        sum_gnorm += np.linalg.norm(st.last_grad)
+        sum_g += tr.g
+        sum_gnorm += np.linalg.norm(tr.g)
         last_delta = tr.big_delta
     resid = np.linalg.norm(sum_ghat - sum_g + last_delta)
     assert resid <= 1e-9 * sum_gnorm

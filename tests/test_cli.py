@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import re
+import shlex
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -10,16 +12,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradlite import harness, optimizers
-from gradlite.cli import build_parser, load_config_file, main
+from gradlite.cli import _parser, build_parser, load_config_file, main
 from gradlite.harness import run_experiment
 from gradlite.optimizers import GradLiteConfig
 from gradlite.rng import SplitMix64
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `gradlite ...` line in the README's sh blocks,
+    a line ending in a backslash joined to the next."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gradlite"]:
+                commands.append(words[1:])
+    return commands
 
 
 class TestParsing:
@@ -30,6 +45,15 @@ class TestParsing:
                      "--seed", "0", "--out", str(out)])
         assert code == 0
         assert out.exists()
+
+    def test_readme_examples_parse(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == set(build_parser()[1])
+        for argv in commands:
+            try:
+                _parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: gradlite {shlex.join(argv)}")
 
     def test_zero_rank_is_config_error(self, tmp_path):
         code = main(["run", "--k", "0", "--steps", "5", "--seed", "0",
@@ -311,12 +335,19 @@ class TestExitCodes:
         (["run", "--ef-mode", "off", "--probe", "exact", "--steps", "2"], None),
         (["run", "--ef-mode", "off", "--steps", "2"], "probe=exact\n"),
         (["run", "--opt", "adam", "--probe", "exact", "--steps", "2"], None),
+        (["run", "--cond", "inf", "--steps", "2"], None),
+        (["run", "--problem", "lowrank-logistic", "--cond", "inf", "--steps", "2"], None),
+        (["ablate", "--cond", "inf", "--seeds", "0", "--steps", "2", "--k", "2", "--n",
+          "16", "--dim", "4", "--eta", "0.05"], None),
+        (["rate-check", "--cond", "inf", "--t-grid", "25,50,100,200", "--seeds", "0",
+          "--k-grid", "2,4", "--dim", "4"], None),
     ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
             "rank-above-dim", "infinite-eta", "nan-sigma", "config-l2", "zero-cond",
             "repeated-t-grid", "ablate-repeated-seeds", "rate-repeated-seeds",
             "rate-repeated-t", "rate-repeated-k", "rate-zero-t", "rate-negative-c",
             "probe-none-alone", "paper-probe-none", "off-probe-exact",
-            "config-off-probe-exact", "adam-probe-exact"])
+            "config-off-probe-exact", "adam-probe-exact", "quadratic-infinite-cond",
+            "lowrank-infinite-cond", "ablate-infinite-cond", "rate-infinite-cond"])
     def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
                                                     capsys):
         if config is not None:
@@ -405,7 +436,8 @@ def _invocations(draw):
 
 
 class TestOutputPathsCheckedFirst:
-    """A bad output path exits 5 before any step runs and writes no file."""
+    """A bad output path exits 5, and two that name one file exit 3, before
+    any step runs and with no file written."""
 
     @pytest.fixture(autouse=True)
     def no_steps(self, monkeypatch):
@@ -426,6 +458,19 @@ class TestOutputPathsCheckedFirst:
         assert main(argv) == 5
         assert f"io error: {bad}:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["same-path", "symlink"])
+    def test_summary_naming_the_csv_exits_three(self, via_link, tmp_path, capsys):
+        out = summary = tmp_path / "same.csv"
+        if via_link:
+            summary = tmp_path / "link.json"
+            summary.symlink_to(out)
+        assert main(["run", "--steps", "3", "--out", str(out),
+                     "--summary", str(summary)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_an_existing_output_is_left_as_it_was(self, tmp_path):
         good = tmp_path / "good.csv"

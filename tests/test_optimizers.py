@@ -6,10 +6,12 @@ import pytest
 
 from gradlite import optimizers
 from gradlite.errors import ConfigError, DivergedError, EmptyRunError
-from gradlite.harness import _NOISE_SALT, build_problem, validate_optimizer
+from gradlite.feedback import EF_MODES
+from gradlite.harness import (_NOISE_SALT, OPTIMIZERS, _drive, build_problem,
+                              validate_optimizer)
 from gradlite.optimizers import (AdamConfig, AdamState, GaloreConfig,
                                  GradLiteConfig, GradLiteState, OptimizerState,
-                                 SgdConfig, averaged_iterate, exact_step,
+                                 SgdConfig, StepTrace, averaged_iterate, exact_step,
                                  gradlite_step, init_gradlite_state, init_state)
 from gradlite.problems import (QuadraticProblem, make_lowrank_logistic,
                                make_mlp, make_quadratic)
@@ -26,7 +28,7 @@ class TestGradLiteStep:
         cfg = GradLiteConfig(eta=0.1, k=2, tau=10, seed=0)
         st = init_gradlite_state(prob, [1.0, 1.0], cfg)
         st, tr = gradlite_step(st, prob, cfg)
-        assert np.allclose(st.last_grad, [1.0, 2.0], atol=1e-12)
+        assert np.allclose(tr.g, [1.0, 2.0], atol=1e-12)
         assert np.allclose(st.theta, [0.9, 0.8], atol=1e-12)
 
     def test_rank_one_leaves_weak_direction_untouched(self):
@@ -53,12 +55,12 @@ class TestGradLiteStep:
         st = init_gradlite_state(prob, None, cfg)
         st, tr = gradlite_step(st, prob, cfg)
         assert tr.g_tilde.shape == (6,)
-        assert st.last_grad is not None
+        assert tr.g is not None
 
         cfg2 = GradLiteConfig(eta=0.05, k=2, ef_mode="off", seed=1)
         st2 = init_gradlite_state(prob, None, cfg2)
         st2, tr2 = gradlite_step(st2, prob, cfg2)
-        assert st2.last_grad is None and st2.accumulators is None
+        assert tr2.g is None and st2.accumulators is None
         assert tr2.big_delta is None and tr2.g_hat is tr2.g_tilde
 
     def test_rank_above_block_cap_rejected(self):
@@ -496,7 +498,7 @@ class TestFullRankReducesToPlainDescent:
 class TestStatePerOptimizer:
     """Each optimizer's state holds what every run holds plus its own fields."""
 
-    SHARED = {"theta", "step", "theta_sum", "last_grad"}
+    SHARED = {"theta", "step", "theta_sum"}
 
     @pytest.mark.parametrize("name, own", [
         ("sgd", set()), ("adam", {"m", "v"}), ("galore", {"window", "basis"}),
@@ -510,6 +512,52 @@ class TestStatePerOptimizer:
         state, _ = getattr(optimizers, cfg.step)(state, problem, cfg)
         assert {f.name for f in fields(state)} == self.SHARED | own
         assert all(getattr(state, f) is not None for f in self.SHARED | own)
+
+
+# Every optimizer's defaults, at a rank and refresh period that fit the MLP's
+# smallest block and refresh twice in the run, plus GradLite under each rule.
+_SMALL = {"eta": 0.01, "k": 2, "tau": 3}
+_CONFIGS = {**{name: cls(**{key: v for key, v in _SMALL.items() if key in cls.defaults()})
+               for name, cls in OPTIMIZERS.items()},
+            **{f"gradlite-{mode}": GradLiteConfig(ef_mode=mode, **_SMALL)
+               for mode in EF_MODES}}
+
+
+class TestStepTraceContract:
+    """Every step reports through one StepTrace, whatever the optimizer."""
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "quadratic", "d": 6, "cond": 10.0, "sigma": 0.3},
+        {"name": "mlp", "layers": (4, 5, 5, 1), "n": 8},
+    ], ids=["quadratic", "mlp"])
+    @pytest.mark.parametrize("cfg", _CONFIGS.values(), ids=_CONFIGS.keys())
+    def test_trace_carries_what_the_step_read(self, cfg, spec):
+        problem = build_problem(spec, seed=1)
+        exact, rule = cfg.step == "exact_step", getattr(cfg, "ef_mode", "off") != "off"
+        thetas = [problem.default_theta0()]  # _drive starts from it
+        kept = []  # (trace, a copy of its r)
+
+        def record(state, trace):
+            assert isinstance(trace, StepTrace)
+            if type(state).update is OptimizerState.update:  # SGD's rule
+                assert np.array_equal(state.theta, thetas[-1] - cfg.eta * trace.g_hat)
+            if exact:
+                assert trace.g_tilde is None and trace.g is trace.g_hat
+            elif rule:
+                assert np.array_equal(trace.g, trace.g_tilde + trace.big_delta)
+            else:
+                assert trace.g is None
+            if rule:
+                assert np.array_equal(trace.r, np.concatenate(state.accumulators))
+            else:
+                assert trace.r is None
+            thetas.append(state.theta)
+            kept.append((trace, None if trace.r is None else trace.r.copy()))
+
+        _drive(problem, cfg, 7, seed=1, record=record)
+        assert len(kept) == 7
+        # A later step leaves an earlier step's accumulators as they were.
+        assert all(r is None or np.array_equal(trace.r, r) for trace, r in kept)
 
 
 # The update rule is an axis of the state classes: GradLite's estimator under
