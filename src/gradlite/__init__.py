@@ -19,7 +19,7 @@ from .optimizers import (AdamConfig, AdamState, GaloreConfig, GaloreState,
 from .problems import (Dataset, LogisticProblem, MlpProblem, Problem,
                        QuadraticProblem, finite_difference_gradient,
                        make_gaussian_logistic, make_lowrank_logistic, make_mlp,
-                       make_quadratic, synth_dataset)
+                       make_quadratic)
 from .rng import SplitMix64, derive_seed
 
 __version__ = "0.1.0"

@@ -124,15 +124,11 @@ def _problem_shape(spec: dict) -> tuple[int, tuple]:
 
 def build_problem(spec: dict, seed: int) -> Problem:
     """Instantiate the named problem; its data derives from the run seed."""
-    name, p = _resolve(spec, PROBLEMS, "problem")
-    pseed = derive_seed(seed, _PROBLEM_SALT)
-    if name == "quadratic":
-        return make_quadratic(p["d"], p["cond"], p["sigma"], pseed)
-    if name == "logistic":
-        return make_gaussian_logistic(p["n"], p["d"], pseed, solve_optimum=True)
-    if name == "lowrank-logistic":
-        return make_lowrank_logistic(p["n"], p["d"], p["cond"], pseed)
-    return make_mlp(p["layers"], p["n"], pseed)
+    name, params = _resolve(spec, PROBLEMS, "problem")
+    # Looked up at each call, so a patched `harness.make_*` is the one called.
+    maker = {"quadratic": make_quadratic, "logistic": make_gaussian_logistic,
+             "lowrank-logistic": make_lowrank_logistic, "mlp": make_mlp}[name]
+    return maker(**params, seed=derive_seed(seed, _PROBLEM_SALT))
 
 
 def validate_optimizer(spec: dict) -> tuple[str, SgdConfig]:
@@ -370,8 +366,7 @@ class MemoryReport:
 
 def memory_report(m: int, d: int, k: int, tau: int) -> MemoryReport:
     methods = memory_counts(m, d, k=k, tau=tau)
-    if k > min(m, d):
-        raise ConfigError(f"rank {k} exceeds min(m, d)={min(m, d)}")
+    check_rank(m, (d,), k)
     return MemoryReport(m=m, d=d, k=k, tau=tau, methods=methods)
 
 

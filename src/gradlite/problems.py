@@ -17,6 +17,12 @@ A Jacobian is returned read-only and is never changed in place, so the
 same array means the same J: the quadratic and logistic families return
 one array for every theta, and the MLP a new one for each new theta.  The
 optimizer relies on this to keep a factor whose Jacobian has not changed.
+
+Each family has one seeded maker (`make_quadratic`, `make_gaussian_logistic`,
+`make_lowrank_logistic`, `make_mlp`), whose parameters are the family's spec
+keys plus the seed.  A maker checks its spec before it draws any array,
+then draws its own data; the logistic makers also solve the reference
+optimum.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ NOISE_BLOCK = 64
 # never replays, holds for nothing.
 NOISE_KEEP = 2**17
 _NEWTON_TOL = 1e-8  # solve_optimum stops when no gradient entry exceeds it
+# Largest quadratic condition number, refused before any array is drawn.  Up
+# to 1e16 the built matrix's computed spectrum stayed positive on every seed
+# tried (d 2 to 2048); from 2e16 some seeds give a smallest eigenvalue <= 0,
+# which QuadraticProblem refuses only after the O(d^3) build.
+MAX_QUADRATIC_COND = 1e16
 # Entries of the materialized m x d Jacobian a problem may have: 2**22
 # float64s (32 MiB), far above the largest instance used (512 x 128).
 MAX_JACOBIAN_ENTRIES = 2**22
@@ -94,30 +105,12 @@ class Dataset:
         return self.x.shape[1]
 
 
-def synth_dataset(seed: int, n: int, d: int, kind: str) -> Dataset:
-    """Deterministic synthetic data.
-
-    gaussian-logistic: iid N(0,1) features, Bernoulli {0,1} labels from a
-    hidden linear scorer.  low-rank-regression: features with a geometric
-    singular-value decay of condition 1e3, real targets from a hidden
-    linear map plus small noise.
-    """
+def _data_streams(n: int, d: int, seed: int) -> tuple[SplitMix64, SplitMix64]:
+    """The feature and label streams of an n x d dataset seeded `seed`."""
     if n < 1 or d < 1:
         raise ConfigError(f"dataset dims n={n}, d={d} must be >= 1")
-    feat = SplitMix64(derive_seed(seed, _DATA_SALT))
-    lab = SplitMix64(derive_seed(seed, _LABEL_SALT))
-    if kind == "gaussian-logistic":
-        x = feat.normal_matrix(n, d)
-        w = lab.normals(d) / np.sqrt(d) * 2.0
-        p = _expit(x @ w)
-        y = (lab.uniforms(n) < p).astype(np.float64)
-        return Dataset(x, y, seed=seed)
-    if kind == "low-rank-regression":
-        x = _lowrank_design(feat, n, d, cond=1e3, top_sv=10.0)
-        w = lab.normals(d) / np.sqrt(d)
-        y = x @ w + 0.1 * lab.normals(n)
-        return Dataset(x, y, seed=seed)
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    return (SplitMix64(derive_seed(seed, _DATA_SALT)),
+            SplitMix64(derive_seed(seed, _LABEL_SALT)))
 
 
 def _lowrank_design(stream: SplitMix64, n: int, d: int, cond: float,
@@ -416,15 +409,14 @@ class MlpProblem(Problem):
 
     def _forward(self, theta):
         ws, bs = self._unpack(theta)
-        acts, pre = [self.data.x], []
+        acts = [self.data.x]
         h = self.data.x
         last = len(ws) - 1
         for i, (w, b) in enumerate(zip(ws, bs)):
             z = h @ w.T + b[None, :]
-            pre.append(z)
             h = z if i == last else np.tanh(z)
             acts.append(h)
-        return ws, bs, acts, pre
+        return ws, bs, acts
 
     def _evaluate(self, theta):
         """Run the forward pass unless the cache already holds this theta."""
@@ -433,10 +425,10 @@ class MlpProblem(Problem):
         if key == self._key:
             return
         # A private copy: callers may mutate theta in place after the call.
-        ws, _, acts, pre = self._forward(_read_only(theta.copy()))
-        for a in pre + acts[1:]:
+        ws, _, acts = self._forward(_read_only(theta.copy()))
+        for a in acts[1:]:
             _read_only(a)
-        self._key, self._ws, self._acts, self._pre = key, ws, acts, pre
+        self._key, self._ws, self._acts = key, ws, acts
         self._resid = _read_only(acts[-1][:, 0] - self.data.y)
         self._jacobians = None
 
@@ -453,7 +445,7 @@ class MlpProblem(Problem):
             raise DimError(f"block {block} outside 0..{self.blocks - 1}")
         self._evaluate(theta)
         if self._jacobians is None:
-            ws, acts, pre, n = self._ws, self._acts, self._pre, self.data.n
+            ws, acts, n = self._ws, self._acts, self.data.n
             # dpred[i] / dz_l[i, p], built top-down; the output layer is linear.
             d_sens = np.ones((n, 1))
             jacobians = [None] * len(ws)
@@ -472,13 +464,13 @@ class MlpProblem(Problem):
                 jac[:, p * q:] = d_sens
                 jacobians[l] = _read_only(jac)
                 if l > 0:
-                    # acts[l] is np.tanh(pre[l - 1]) itself, so this is tanh'.
+                    # acts[l] is tanh(z) of layer l - 1, so this is tanh'(z).
                     d_sens = (d_sens @ ws[l]) * (1.0 - acts[l] ** 2)
             self._jacobians = jacobians
         return self._jacobians[block]
 
     def exact_gradient(self, theta) -> np.ndarray:
-        ws, _, acts, pre = self._forward(np.asarray(theta, dtype=np.float64))
+        ws, _, acts = self._forward(np.asarray(theta, dtype=np.float64))
         n = self.data.n
         delta = (acts[-1][:, 0] - self.data.y)[:, None] / n
         grads = [None] * len(ws)
@@ -487,7 +479,7 @@ class MlpProblem(Problem):
             gb = delta.sum(axis=0)
             grads[l] = np.concatenate([gw.ravel(), gb])
             if l > 0:
-                delta = (delta @ ws[l]) * (1.0 - np.tanh(pre[l - 1]) ** 2)
+                delta = (delta @ ws[l]) * (1.0 - acts[l] ** 2)
         return np.concatenate(grads)
 
     def default_theta0(self) -> np.ndarray:
@@ -522,8 +514,10 @@ def finite_difference_gradient(problem: Problem, theta, h: float = 1e-5) -> np.n
 
 def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticProblem:
     """Rotated quadratic with geometric spectrum 1 .. 1/cond (so L = 1)."""
-    if d < 1 or not 1.0 <= cond < np.inf:  # NaN fails too
-        raise ConfigError(f"bad quadratic spec d={d}, cond={cond}")
+    if d < 1 or not 1.0 <= cond <= MAX_QUADRATIC_COND:  # NaN fails too
+        above = (f" above the bound {MAX_QUADRATIC_COND:g}"
+                 if MAX_QUADRATIC_COND < cond < np.inf else "")
+        raise ConfigError(f"bad quadratic spec d={d}, cond={cond}{above}")
     _check_size(d, d)
     _noise_sigma(sigma)
     stream = SplitMix64(derive_seed(seed, _MATRIX_SALT))
@@ -537,17 +531,19 @@ def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticPro
     return QuadraticProblem(a, np.zeros(d), noise_sigma=sigma, seed=seed)
 
 
-def make_gaussian_logistic(n: int, d: int, seed: int,
-                           solve_optimum: bool = False) -> LogisticProblem:
+def make_gaussian_logistic(n: int, d: int, seed: int) -> LogisticProblem:
+    """Logistic instance on iid N(0,1) features, labels from a hidden linear scorer."""
     _check_size(n, d)
-    prob = LogisticProblem(synth_dataset(seed, n, d, "gaussian-logistic"))
-    if solve_optimum:
-        prob.solve_optimum()
+    feat, lab = _data_streams(n, d, seed)
+    x = feat.normal_matrix(n, d)
+    w = lab.normals(d) / np.sqrt(d) * 2.0
+    y = (lab.uniforms(n) < _expit(x @ w)).astype(np.float64)
+    prob = LogisticProblem(Dataset(x, y, seed=seed))
+    prob.solve_optimum()
     return prob
 
 
-def make_lowrank_logistic(n: int, d: int, cond: float, seed: int,
-                          solve_optimum: bool = True) -> LogisticProblem:
+def make_lowrank_logistic(n: int, d: int, cond: float, seed: int) -> LogisticProblem:
     """Logistic instance on an ill-conditioned low-rank design matrix.
 
     Labels are Bernoulli draws from a hidden linear scorer over the same
@@ -556,8 +552,7 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int,
     if n < 1 or d < 1 or not 1.0 <= cond < np.inf:
         raise ConfigError(f"bad low-rank logistic spec n={n}, d={d}, cond={cond}")
     _check_size(n, d)
-    feat = SplitMix64(derive_seed(seed, _DATA_SALT))
-    lab = SplitMix64(derive_seed(seed, _LABEL_SALT))
+    feat, lab = _data_streams(n, d, seed)
     x = _lowrank_design(feat, n, d, cond=cond, top_sv=10.0)
     w = lab.normals(d)
     s = x @ w
@@ -565,15 +560,19 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int,
     p = _expit(s * scale)
     y = (lab.uniforms(n) < p).astype(np.float64)
     prob = LogisticProblem(Dataset(x, y, seed=seed))
-    if solve_optimum:
-        prob.solve_optimum()
+    prob.solve_optimum()
     return prob
 
 
 def make_mlp(layers, n: int, seed: int) -> MlpProblem:
+    """Tanh MLP on features of condition 1e3; targets a hidden linear map plus noise."""
     layers = [int(w) for w in layers]
     if not layers:
         raise ConfigError("bad layer widths []")
     _check_size(n, sum(_mlp_block_dims(layers)))
-    data = synth_dataset(seed, n, layers[0], "low-rank-regression")
-    return MlpProblem(layers, data)
+    d = layers[0]
+    feat, lab = _data_streams(n, d, seed)
+    x = _lowrank_design(feat, n, d, cond=1e3, top_sv=10.0)
+    w = lab.normals(d) / np.sqrt(d)
+    y = x @ w + 0.1 * lab.normals(n)
+    return MlpProblem(layers, Dataset(x, y, seed=seed))

@@ -341,13 +341,17 @@ class TestExitCodes:
           "16", "--dim", "4", "--eta", "0.05"], None),
         (["rate-check", "--cond", "inf", "--t-grid", "25,50,100,200", "--seeds", "0",
           "--k-grid", "2,4", "--dim", "4"], None),
+        (["run", "--cond", "1e17", "--steps", "2"], None),
+        (["rate-check", "--cond", "1e17", "--t-grid", "25,50,100,200", "--seeds", "0",
+          "--k-grid", "2,4", "--dim", "4"], None),
     ], ids=["config-steps", "config-seeds", "empty-layers", "empty-k-grid",
             "rank-above-dim", "infinite-eta", "nan-sigma", "config-l2", "zero-cond",
             "repeated-t-grid", "ablate-repeated-seeds", "rate-repeated-seeds",
             "rate-repeated-t", "rate-repeated-k", "rate-zero-t", "rate-negative-c",
             "probe-none-alone", "paper-probe-none", "off-probe-exact",
             "config-off-probe-exact", "adam-probe-exact", "quadratic-infinite-cond",
-            "lowrank-infinite-cond", "ablate-infinite-cond", "rate-infinite-cond"])
+            "lowrank-infinite-cond", "ablate-infinite-cond", "rate-infinite-cond",
+            "quadratic-cond-above-bound", "rate-cond-above-bound"])
     def test_bad_value_exits_three_with_error_line(self, argv, config, tmp_path,
                                                     capsys):
         if config is not None:

@@ -1,10 +1,11 @@
+import inspect
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gradlite import harness, optimizers
+from gradlite import harness, optimizers, problems
 from gradlite.errors import ConfigError, DivergedError, NonPositiveGapError
 from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
                               ablation_suite, build_problem,
@@ -135,7 +136,8 @@ class TestMemoryLedger:
 
     def test_rank_above_min_dim_rejected(self):
         # The rule sits in the ledger, so library callers meet it too.
-        with pytest.raises(ConfigError, match=r"rank 50 exceeds min\(m, d\)=5"):
+        with pytest.raises(ConfigError,
+                           match=r"^rank 50 exceeds min\(m, d_block\)=5 for block 0$"):
             memory_report(10, 5, 50, 10)
         assert memory_report(10, 5, 5, 10).savings_vs_exact() > 0.0
 
@@ -442,6 +444,31 @@ class TestAblationMachinery:
             assert not diverged
             finals.append(loss)
         assert max(finals) - min(finals) <= 1e-8
+
+
+# Each family's maker, named here apart from the table build_problem reads.
+_MAKERS = {"quadratic": problems.make_quadratic,
+           "logistic": problems.make_gaussian_logistic,
+           "lowrank-logistic": problems.make_lowrank_logistic,
+           "mlp": problems.make_mlp}
+
+
+@pytest.mark.parametrize("name", list(harness.PROBLEMS))
+def test_build_problem_is_the_family_maker_with_the_spec_defaults(name):
+    maker, defaults = _MAKERS[name], harness.PROBLEMS[name]
+    assert set(inspect.signature(maker).parameters) == {*defaults, "seed"}
+    seed = 6
+    built = build_problem({"name": name}, seed)
+    direct = maker(**defaults, seed=derive_seed(seed, harness._PROBLEM_SALT))
+    assert type(built) is type(direct)
+    if name == "quadratic":
+        pairs = [(built.a, direct.a)]
+    else:
+        pairs = [(built.data.x, direct.data.x), (built.data.y, direct.data.y)]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+    assert built.loss_star == direct.loss_star
+    assert built.default_theta0().tobytes() == direct.default_theta0().tobytes()
 
 
 def test_validate_optimizer_rejects_nonsense():

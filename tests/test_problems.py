@@ -13,8 +13,7 @@ from gradlite.linalg import matvec_t, truncated_svd
 from gradlite.problems import (NOISE_BLOCK, _NOISE_SALT, Dataset, LogisticProblem,
                                MlpProblem, Problem, QuadraticProblem, _expit,
                                finite_difference_gradient, make_gaussian_logistic,
-                               make_lowrank_logistic, make_mlp, make_quadratic,
-                               synth_dataset)
+                               make_lowrank_logistic, make_mlp, make_quadratic)
 from gradlite.rng import SplitMix64, derive_seed
 
 
@@ -266,7 +265,7 @@ class TestLogistic:
             assert _expit(z).tobytes() == masked_expit(z).tobytes()
 
     def test_zero_weights_signal(self):
-        data = synth_dataset(5, 30, 6, "gaussian-logistic")
+        data = make_gaussian_logistic(30, 6, 5).data
         prob = LogisticProblem(data)
         delta = prob.error_signal(np.zeros(6))
         assert np.allclose(delta, 0.5 - data.y, atol=1e-12)
@@ -282,13 +281,13 @@ class TestLogistic:
             LogisticProblem(Dataset(np.ones((2, 2)), np.array([0.0, 2.0])))
 
     def test_newton_reference_optimum(self):
-        prob = make_gaussian_logistic(60, 5, seed=8, solve_optimum=True)
+        prob = make_gaussian_logistic(60, 5, seed=8)
         assert prob.loss_star is not None
         assert prob.loss_star <= prob.loss(np.zeros(5))
         assert np.abs(prob.exact_gradient(prob.theta_hat)).max() <= 1e-8
 
     def test_newton_gives_up_at_its_iteration_cap(self):
-        prob = make_gaussian_logistic(60, 5, seed=8)
+        prob = LogisticProblem(make_gaussian_logistic(60, 5, seed=8).data)
         assert prob.solve_optimum(max_iter=1) is False
         assert prob.loss_star is None
 
@@ -398,7 +397,7 @@ class TestMlp:
         # Only the sign of a zero product may differ, which + 0.0 removes.
         prob = make_mlp([8, 16, 16, 1], 32, seed=34)
         theta = 30.0 * prob.default_theta0()
-        ws, _, acts, _ = prob._forward(theta)
+        ws, _, acts = prob._forward(theta)
         n = prob.data.n
         d_sens = np.ones((n, 1))
         signed_zeros = 0
@@ -505,7 +504,7 @@ class TestChainRuleContract:
     @pytest.mark.parametrize("factory", [
         lambda: make_quadratic(12, 10.0, 0.0, seed=41),
         lambda: make_gaussian_logistic(40, 12, seed=42),
-        lambda: make_lowrank_logistic(48, 12, 1e3, seed=43, solve_optimum=False),
+        lambda: make_lowrank_logistic(48, 12, 1e3, seed=43),
         lambda: make_mlp([6, 10, 1], 12, seed=44),
     ])
     def test_jacobian_times_signal_equals_gradient(self, factory):
@@ -551,22 +550,18 @@ class TestFiniteDifferences:
 
 class TestDatasets:
     def test_reproducible_from_seed(self):
-        a = synth_dataset(9, 25, 6, "gaussian-logistic")
-        b = synth_dataset(9, 25, 6, "gaussian-logistic")
+        a = make_gaussian_logistic(25, 6, 9).data
+        b = make_gaussian_logistic(25, 6, 9).data
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_logistic_labels_are_binary(self):
-        data = synth_dataset(10, 200, 5, "gaussian-logistic")
+        data = make_gaussian_logistic(200, 5, 10).data
         assert set(np.unique(data.y)) <= {0.0, 1.0}
 
     def test_lowrank_condition_number(self):
-        data = synth_dataset(11, 60, 20, "low-rank-regression")
+        data = make_mlp([20, 1], 60, 11).data
         s = np.linalg.svd(data.x, compute_uv=False)
         assert abs(s[0] / s[-1] - 1e3) <= 0.05 * 1e3
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            synth_dataset(0, 4, 2, "mystery")
 
 
 def test_lowrank_logistic_benchmark_properties():
@@ -581,3 +576,15 @@ def test_lowrank_logistic_benchmark_properties():
 def test_lowrank_logistic_rejects_condition_below_one(cond):
     with pytest.raises(ConfigError, match="bad low-rank logistic spec"):
         make_lowrank_logistic(16, 4, cond, seed=0)
+
+
+def test_quadratic_refuses_cond_above_its_bound_before_drawing(monkeypatch):
+    bound = problems.MAX_QUADRATIC_COND
+    assert make_quadratic(4, bound, 0.0, seed=0).a.shape == (4, 4)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an array was drawn before the spec was checked")
+    monkeypatch.setattr(problems, "SplitMix64", no_draw)
+    with pytest.raises(ConfigError, match=r"^bad quadratic spec d=2048, cond=2e\+16 "
+                                          r"above the bound 1e\+16$"):
+        make_quadratic(2048, 2.0 * bound, 0.0, seed=0)
