@@ -33,6 +33,13 @@ scalar loop in `tests/test_linalg.py`:
   fused the multiply and the add would fail the multiply-add probe
   (`test_products_are_rounded_before_the_add`); it gets no second kernel.
 
+`truncated_svd` calls numpy's LAPACK gufuncs (`eigh_lo`, `qr_r_raw`,
+`qr_reduced`) directly, the same calls `np.linalg.eigh` and `np.linalg.qr`
+make, under the errstate those wrappers set; at these sizes the wrappers'
+Python glue cost about a fifth of the MLP's refresh.  A test keeps the
+wrapper route as an oracle and checks the two bit for bit
+(`test_matches_the_wrapper_route_bit_for_bit`).
+
 Everything here is pure; nothing mutates its inputs.
 """
 
@@ -42,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy._core.multiarray import c_einsum
+from numpy.linalg._umath_linalg import eigh_lo, qr_r_raw, qr_reduced
 
 from .errors import DimError, NumError, RankError
 
@@ -60,7 +68,7 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DimError(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumError(f"{name} contains non-finite entries")
     return arr
 
@@ -110,6 +118,10 @@ def frob_residual(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(np.sum(diff * diff)))
 
 
+def _raise_linalg_error(err, flag):
+    raise np.linalg.LinAlgError("eigh or QR failed in truncated_svd")
+
+
 def truncated_svd(a, k: int) -> SvdResult:
     """Exact leading-k SVD from the eigendecomposition of the smaller Gram.
 
@@ -119,6 +131,15 @@ def truncated_svd(a, k: int) -> SvdResult:
     keeps that side orthonormal even where a singular value is zero.  The
     output is a pure function of (a, k); each (u_j, v_j) pair is flipped so
     the largest-magnitude entry of u_j is positive.
+
+    The eigh and the QR call numpy's LAPACK gufuncs (`eigh_lo`, `qr_r_raw`,
+    `qr_reduced`) directly: they are the calls `np.linalg.eigh` and
+    `np.linalg.qr` make, without those wrappers' Python glue, so the bits
+    are the same.  They run under the errstate those wrappers set, in which
+    a LAPACK failure (flagged as invalid) raises `LinAlgError`.  diag(R) is
+    read from the raw QR output, and each side's sign flips are one multiply
+    by +-1, which is exact.  `test_matches_the_wrapper_route_bit_for_bit`
+    keeps the wrapper route as the oracle and checks the two bit for bit.
     """
     a = as_matrix(a)
     m, d = a.shape
@@ -126,13 +147,20 @@ def truncated_svd(a, k: int) -> SvdResult:
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {a.shape}")
 
     b = a if m <= d else a.T
-    _, evecs = np.linalg.eigh(b @ b.T)
-    w = evecs[:, ::-1][:, :k]
-    q, r = np.linalg.qr(b.T @ w)
-    diag = np.diagonal(r)
+    # Formed outside the errstate, so an overflowing Gram warns as a caller's
+    # own `b @ b.T` would.
+    gram = b @ b.T
+    with np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        w = eigh_lo(gram)[1][:, ::-1][:, :k]
+        # qr_r_raw leaves R in the upper triangle of `raw`, in place.
+        raw = b.T @ w
+        q = qr_reduced(raw, qr_r_raw(raw))
+    diag = np.diagonal(raw)
     s = np.abs(diag)
-    x = q * np.where(diag < 0.0, -1.0, 1.0)
-    u, v = (w, x) if m <= d else (x, w)
-    lead = u[np.argmax(np.abs(u), axis=0), np.arange(k)]
+    x_sign = np.where(diag < 0.0, -1.0, 1.0)  # the long side is q * x_sign
+    u0, u_sign = (w, 1.0) if m <= d else (q, x_sign)
+    lead = u0[np.argmax(np.abs(u0), axis=0), np.arange(k)] * u_sign
     flip = np.where(lead < 0.0, -1.0, 1.0)
-    return SvdResult(u * flip, s, v * flip)
+    w, x = w * flip, q * (x_sign * flip)
+    return SvdResult(w, s, x) if m <= d else SvdResult(x, s, w)

@@ -47,21 +47,21 @@ def factorize(j, k: int, mode: str, seed: int) -> LowRankFactor:
     the given j as its `source`.  Its u and v are read-only, because one
     factor may serve several runs (see `optimizers.init_gradlite_state`).
     """
-    source, j = j, as_matrix(j, "j")
-    m, d = j.shape
-    if not 1 <= k <= min(m, d):
-        raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {j.shape}")
     if mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {mode!r}")
     # v is Fortran-ordered, so the lift's `matvec` reads v.T in place.
     if mode == "svd":
-        res = truncated_svd(j, k)
+        res = truncated_svd(j, k)  # checks j and k once
         u, v = res.u, np.multiply(res.v, res.s[None, :], order="F")
     else:
+        a = as_matrix(j, "j")
+        m, d = a.shape
+        if not 1 <= k <= min(m, d):
+            raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {a.shape}")
         u = static_basis(m, k, seed)
-        v = np.array([matvec_t(j, u[:, c]) for c in range(k)]).T
+        v = np.array([matvec_t(a, u[:, c]) for c in range(k)]).T
     u.flags.writeable = v.flags.writeable = False
-    return LowRankFactor(u=u, v=v, source=source)
+    return LowRankFactor(u=u, v=v, source=j)
 
 
 def projected_signal(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:

@@ -357,8 +357,17 @@ class LogisticProblem(Problem):
         return True
 
 
-def _mlp_block_dims(layers: list[int]) -> tuple[int, ...]:
-    """Parameters per layer block: weights, then biases."""
+def _mlp_block_dims(layers) -> tuple[int, ...]:
+    """Parameters per layer block (weights, then biases); the one width rule.
+
+    `make_mlp`, `MlpProblem` and the harness's spec-shape check all call it,
+    so bad widths are refused before the rank or any array is looked at.
+    """
+    layers = [int(w) for w in layers]
+    if len(layers) < 2 or any(w < 1 for w in layers):
+        raise ConfigError(f"bad layer widths {layers}")
+    if layers[-1] != 1:
+        raise ConfigError("output width must be 1 (vector targets)")
     return tuple(layers[i + 1] * layers[i] + layers[i + 1]
                  for i in range(len(layers) - 1))
 
@@ -381,14 +390,10 @@ class MlpProblem(Problem):
     name = "mlp"
 
     def __init__(self, layers, data: Dataset):
+        self.block_dims = _mlp_block_dims(layers)
         layers = [int(w) for w in layers]
-        if len(layers) < 2 or any(w < 1 for w in layers):
-            raise ConfigError(f"bad layer widths {layers}")
         if layers[0] != data.d:
             raise DimError(f"input width {layers[0]} != feature count {data.d}")
-        if layers[-1] != 1:
-            raise ConfigError("output width must be 1 (vector targets)")
-        self.block_dims = _mlp_block_dims(layers)
         _check_size(data.n, self.d)
         self.layers = layers
         self.data = data
@@ -413,8 +418,11 @@ class MlpProblem(Problem):
         h = self.data.x
         last = len(ws) - 1
         for i, (w, b) in enumerate(zip(ws, bs)):
-            z = h @ w.T + b[None, :]
-            h = z if i == last else np.tanh(z)
+            # Each product is a fresh array, so the bias and tanh write into it.
+            h = h @ w.T
+            h += b
+            if i != last:
+                np.tanh(h, out=h)
             acts.append(h)
         return ws, bs, acts
 
@@ -464,8 +472,12 @@ class MlpProblem(Problem):
                 jac[:, p * q:] = d_sens
                 jacobians[l] = _read_only(jac)
                 if l > 0:
-                    # acts[l] is tanh(z) of layer l - 1, so this is tanh'(z).
-                    d_sens = (d_sens @ ws[l]) * (1.0 - acts[l] ** 2)
+                    # acts[l] is tanh(z) of layer l - 1, so this is tanh'(z),
+                    # computed in place in the fresh square.
+                    tanh_prime = acts[l] ** 2
+                    np.subtract(1.0, tanh_prime, out=tanh_prime)
+                    d_sens = d_sens @ ws[l]
+                    d_sens *= tanh_prime
             self._jacobians = jacobians
         return self._jacobians[block]
 
@@ -566,11 +578,8 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int) -> LogisticPro
 
 def make_mlp(layers, n: int, seed: int) -> MlpProblem:
     """Tanh MLP on features of condition 1e3; targets a hidden linear map plus noise."""
-    layers = [int(w) for w in layers]
-    if not layers:
-        raise ConfigError("bad layer widths []")
     _check_size(n, sum(_mlp_block_dims(layers)))
-    d = layers[0]
+    d = int(layers[0])
     feat, lab = _data_streams(n, d, seed)
     x = _lowrank_design(feat, n, d, cond=1e3, top_sv=10.0)
     w = lab.normals(d) / np.sqrt(d)

@@ -488,6 +488,21 @@ def _refuse(*args, **kwargs):
     raise AssertionError("expensive work started before the spec was checked")
 
 
+def _spy_on_makers(monkeypatch):
+    """Make `build_problem` and every `harness.make_*` fail and log their call."""
+    built = []
+
+    def spy(name):
+        def builder(*args, **kwargs):
+            built.append(name)
+            raise AssertionError(f"{name} ran before the spec was checked")
+        return builder
+    for name in ("build_problem", "make_quadratic", "make_gaussian_logistic",
+                 "make_lowrank_logistic", "make_mlp"):
+        monkeypatch.setattr(harness, name, spy(name))
+    return built
+
+
 class TestBadSpecRefusedBeforeExpensiveWork:
     """A bad spec exits 3 with its error line before any problem is built."""
 
@@ -541,17 +556,30 @@ class TestBadSpecRefusedBeforeExpensiveWork:
     ], ids=["quadratic", "logistic", "mlp-second-block"])
     def test_run_rank_above_a_block_builds_no_problem(self, argv, message, tmp_path,
                                                       capsys, monkeypatch):
-        built = []
-
-        def spy(name):
-            def builder(*args, **kwargs):
-                built.append(name)
-                raise AssertionError(f"{name} ran before the rank was checked")
-            return builder
-        for name in ("build_problem", "make_quadratic", "make_gaussian_logistic",
-                     "make_lowrank_logistic", "make_mlp"):
-            monkeypatch.setattr(harness, name, spy(name))
+        built = _spy_on_makers(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == []
+
+    @pytest.mark.parametrize("layers, message", [
+        ("8,0,1", "bad layer widths [8, 0, 1]"),
+        ("8", "bad layer widths [8]"),
+        ("8,16,2", "output width must be 1 (vector targets)"),
+    ], ids=["zero-width", "one-width", "wide-output"])
+    @pytest.mark.parametrize("opt", ["gradlite", "sgd"])
+    def test_run_checks_layer_widths_before_the_rank(self, layers, message, opt,
+                                                     tmp_path, capsys, monkeypatch):
+        # The default rank 8 exceeds the zero-width block's min(m, d_block),
+        # so the rank check alone would name the wrong fault.  Without a rank
+        # to check, the maker refuses the widths before it draws any data.
+        built = []
+        if opt == "gradlite":
+            built = _spy_on_makers(monkeypatch)
+        else:
+            monkeypatch.setattr(SplitMix64, "normal_matrix", _refuse)
+        argv = ["run", "--problem", "mlp", "--layers", layers, "--opt", opt,
+                "--steps", "2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert built == []
 

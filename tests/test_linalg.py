@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -56,6 +58,42 @@ def assert_matches_oracle(a, k):
     assert np.abs(res.u.T @ res.u - np.eye(k)).max() <= 1e-12
     # sign convention: the largest-magnitude entry of each u_j is positive
     assert np.all(res.u[np.argmax(np.abs(res.u), axis=0), np.arange(k)] > 0.0)
+
+
+
+def wrapper_route_svd(a, k):
+    """truncated_svd through np.linalg.eigh and np.linalg.qr, as it was
+    written before it called their LAPACK gufuncs directly."""
+    m, d = a.shape
+    b = a if m <= d else a.T
+    _, evecs = np.linalg.eigh(b @ b.T)
+    w = evecs[:, ::-1][:, :k]
+    q, r = np.linalg.qr(b.T @ w)
+    diag = np.diagonal(r)
+    s = np.abs(diag)
+    x = q * np.where(diag < 0.0, -1.0, 1.0)
+    u, v = (w, x) if m <= d else (x, w)
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(k)]
+    flip = np.where(lead < 0.0, -1.0, 1.0)
+    return u * flip, s, v * flip
+
+
+def svd_oracle_cases():
+    """(id, a, k): both orientations and square, k = 1 and k = min(m, d),
+    rank-deficient inputs and entries scaled by 1e+-150."""
+    cases = []
+    for m, d in ((7, 19), (19, 7), (9, 9), (1, 5), (5, 1)):
+        a = SplitMix64(m * 100 + d).normal_matrix(m, d)
+        for k in sorted({1, min(m, d) // 2 or 1, min(m, d)}):
+            cases.append((f"{m}x{d}-k{k}", a, k))
+            for exp in (150, -150):
+                cases.append((f"{m}x{d}-k{k}-1e{exp}", a * 10.0 ** exp, k))
+    for m, d in ((6, 10), (10, 6)):
+        rank2 = SplitMix64(m + d).normal_matrix(m, 2) @ SplitMix64(m * d).normal_matrix(2, d)
+        for name, a in (("zero", np.zeros((m, d))), ("rank2", rank2)):
+            for k in (1, 4, 6):
+                cases.append((f"{name}-{m}x{d}-k{k}", a, k))
+    return cases
 
 
 class TestMatvec:
@@ -250,9 +288,11 @@ class TestTruncatedSvd:
         theta = problem.default_theta0()
         for b in range(problem.blocks):
             j = problem.jacobian(theta, block=b)
-            for k in (2, 8, 32, 50):
+            for k in (1, 2, 8, 32, 50):
                 if k <= min(j.shape):
                     assert_matches_oracle(j, k)
+                    for g, w in zip(truncated_svd(j, k), wrapper_route_svd(j, k)):
+                        assert (g.strides, g.tobytes()) == (w.strides, w.tobytes())
 
     @pytest.mark.parametrize("a", [
         np.zeros((4, 6)), np.zeros((6, 4)),
@@ -265,6 +305,32 @@ class TestTruncatedSvd:
             assert np.all(np.isfinite(part))
         assert np.abs(res.u.T @ res.u - np.eye(3)).max() <= 1e-12
         assert np.abs((res.u * res.s[None, :]) @ res.v.T - a).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("a, k", [c[1:] for c in svd_oracle_cases()],
+                             ids=[c[0] for c in svd_oracle_cases()])
+    def test_matches_the_wrapper_route_bit_for_bit(self, a, k, monkeypatch):
+        want = wrapper_route_svd(a, k)
+
+        def wrapper(*args, **kwargs):
+            raise AssertionError("truncated_svd went through a numpy.linalg wrapper")
+
+        monkeypatch.setattr(np.linalg, "eigh", wrapper)
+        monkeypatch.setattr(np.linalg, "qr", wrapper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = truncated_svd(a, k)
+        for g, w in zip(got, want):
+            assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
+
+    def test_lapack_failure_raises_linalg_error(self, monkeypatch):
+        # A LAPACK failure shows as an invalid flag, as in numpy's wrappers.
+        def failing(a, tau):
+            return np.full(a.shape, np.inf) - np.inf
+
+        monkeypatch.setattr(linalg, "qr_reduced", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            truncated_svd(SplitMix64(1).normal_matrix(6, 4), 2)
 
 
 class TestFrobResidual:

@@ -121,13 +121,10 @@ def test_traced_kernels_book_each_call_once():
     assert not [parent for name, parent in spans if name in kernels and parent in kernels]
 
 
-def test_traced_mlp_step_books_each_kernel_on_its_block():
-    # Per step and block, the default method projects and probes through
-    # matvec_t, lifts through matvec and reads the block's Jacobian once;
-    # the per-block layer metrics read these spans, so a fused kernel or
-    # a Jacobian read for all blocks at once would empty them.
+def traced_mlp_run(steps):
+    """The field index of each SPAN_FIELDS name, and the tracer after a
+    traced `steps`-step run of the default method on a 3-block MLP."""
     module = load_tracer()
-    steps = 12  # past the refresh at step 10
     tracer = module.Tracer()
     try:
         tracer.install()
@@ -136,7 +133,16 @@ def test_traced_mlp_step_books_each_kernel_on_its_block():
                                {"name": "gradlite", "k": 2}, steps, 0)
     finally:
         tracer.remove()
-    field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
+    return {name: i for i, name in enumerate(module.SPAN_FIELDS)}, tracer
+
+
+def test_traced_mlp_step_books_each_kernel_on_its_block():
+    # Per step and block, the default method projects and probes through
+    # matvec_t, lifts through matvec and reads the block's Jacobian once;
+    # the per-block layer metrics read these spans, so a fused kernel or
+    # a Jacobian read for all blocks at once would empty them.
+    steps = 12  # past the refresh at step 10
+    field, tracer = traced_mlp_run(steps)
     names = ("linalg.matvec_t", "linalg.matvec", "problems.jacobian")
     per_step = {}
     for span in tracer.spans():
@@ -148,3 +154,26 @@ def test_traced_mlp_step_books_each_kernel_on_its_block():
         for name, per_block in zip(names, (2, 1, 1)):
             blocks = sorted(per_step.get((step, name), []))
             assert blocks == sorted([0, 1, 2] * per_block), (step, name)
+
+
+def test_traced_mlp_refresh_books_one_svd_inside_each_factorize():
+    # The per-layer `linalg.truncated_svd` and `lowrank.factorize.*.b<i>`
+    # metrics read these spans: a refresh that reached the SVD other than
+    # through the wrapped `truncated_svd`, or called it twice, would empty
+    # or double them.
+    field, tracer = traced_mlp_run(12)  # one in-loop refresh, at step 10
+    spans = list(tracer.spans())
+    name = tracer.names.index
+    refreshes = [span for span in spans if span[field["in_loop"]]
+                 and span[field["name_id"]] == name("lowrank.factorize")]
+    assert sorted(span[field["block"]] for span in refreshes) == [0, 1, 2]
+    svds = [span for span in spans if span[field["name_id"]] == name("linalg.truncated_svd")]
+    for refresh in refreshes:
+        inside = [svd for svd in svds if svd[field["parent"]] == refresh[field["span"]]]
+        assert [svd[field["block"]] for svd in inside] == [refresh[field["block"]]]
+    # Besides them, only the three step-0 factors of set-up run an SVD, and
+    # every SVD sits inside a factorize.
+    assert len(svds) == 3 + len(refreshes)
+    assert {svd[field["parent"]] for svd in svds} <= {
+        span[field["span"]] for span in spans
+        if span[field["name_id"]] == name("lowrank.factorize")}
