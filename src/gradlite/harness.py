@@ -462,8 +462,11 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
 
     One quadratic serves every fit.  Its Jacobian is one constant
     read-only array, so every run of one rank keeps the factor that the
-    first such run built at step 0 (`optimizers.init_gradlite_state`): one
-    factorization per rank.  That factor is the exact top-k SVD of the
+    first such run built at step 0 (`optimizers.init_gradlite_state`), and
+    every rank's factor comes from one Gram eigendecomposition: one eigh for
+    the sweep, plus one QR per rank (`optimizers._factor`).  Its optimum is
+    zero, so each step's signal skips the subtraction of it
+    (`QuadraticProblem`).  A factor is the exact top-k SVD of the
     Jacobian, so a floor prices the rank-k truncation bias alone.  The
     configs, each rank against the d x d Jacobian, and the seeds, T grid
     and c are all checked before the quadratic is built.

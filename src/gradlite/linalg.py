@@ -38,7 +38,9 @@ scalar loop in `tests/test_linalg.py`:
 make, under the errstate those wrappers set; at these sizes the wrappers'
 Python glue cost about a fifth of the MLP's refresh.  A test keeps the
 wrapper route as an oracle and checks the two bit for bit
-(`test_matches_the_wrapper_route_bit_for_bit`).
+(`test_matches_the_wrapper_route_bit_for_bit`).  Its eigendecomposition
+does not depend on the rank, so it returns it (`SvdResult.gram_vecs`) and
+takes it back to factor the same matrix at another rank with one QR.
 
 Everything here is pure; nothing mutates its inputs.
 """
@@ -57,11 +59,17 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 class SvdResult(NamedTuple):
-    """Leading-k factors: u (m x k), s (k, nonincreasing), v (d x k)."""
+    """Leading-k factors: u (m x k), s (k, nonincreasing), v (d x k).
+
+    `gram_vecs` holds every eigenvector of the input's smaller Gram, by
+    descending eigenvalue (read-only); `truncated_svd` takes it back to
+    factor the same matrix at another rank without a second eigh.
+    """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
+    gram_vecs: np.ndarray | None = None
 
 
 def as_matrix(a, name: str = "a") -> np.ndarray:
@@ -122,7 +130,7 @@ def _raise_linalg_error(err, flag):
     raise np.linalg.LinAlgError("eigh or QR failed in truncated_svd")
 
 
-def truncated_svd(a, k: int) -> SvdResult:
+def truncated_svd(a, k: int, gram_vecs: np.ndarray | None = None) -> SvdResult:
     """Exact leading-k SVD from the eigendecomposition of the smaller Gram.
 
     With b = a when m <= d and b = a.T otherwise, `eigh(b @ b.T)` gives the
@@ -131,6 +139,13 @@ def truncated_svd(a, k: int) -> SvdResult:
     keeps that side orthonormal even where a singular value is zero.  The
     output is a pure function of (a, k); each (u_j, v_j) pair is flipped so
     the largest-magnitude entry of u_j is positive.
+
+    Only the top-k slice, the QR and the sign fix depend on k.  The
+    eigenvectors come back as the result's `gram_vecs`; handed back as
+    `gram_vecs` with the same a, they replace the Gram and its eigh, and
+    the result is bit for bit the one this call would compute itself
+    (`test_a_supplied_decomposition_gives_the_same_bits`).  The caller
+    vouches that they came from this a.
 
     The eigh and the QR call numpy's LAPACK gufuncs (`eigh_lo`, `qr_r_raw`,
     `qr_reduced`) directly: they are the calls `np.linalg.eigh` and
@@ -147,12 +162,18 @@ def truncated_svd(a, k: int) -> SvdResult:
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {a.shape}")
 
     b = a if m <= d else a.T
-    # Formed outside the errstate, so an overflowing Gram warns as a caller's
-    # own `b @ b.T` would.
-    gram = b @ b.T
+    if gram_vecs is None:
+        # Formed outside the errstate, so an overflowing Gram warns as a
+        # caller's own `b @ b.T` would.
+        gram = b @ b.T
+    elif gram_vecs.shape != (b.shape[0], b.shape[0]):
+        raise DimError(f"gram_vecs {gram_vecs.shape} do not fit shape {a.shape}")
     with np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
-        w = eigh_lo(gram)[1][:, ::-1][:, :k]
+        if gram_vecs is None:
+            gram_vecs = eigh_lo(gram)[1][:, ::-1]
+            gram_vecs.flags.writeable = False
+        w = gram_vecs[:, :k]
         # qr_r_raw leaves R in the upper triangle of `raw`, in place.
         raw = b.T @ w
         q = qr_reduced(raw, qr_r_raw(raw))
@@ -163,4 +184,4 @@ def truncated_svd(a, k: int) -> SvdResult:
     lead = u0[np.argmax(np.abs(u0), axis=0), np.arange(k)] * u_sign
     flip = np.where(lead < 0.0, -1.0, 1.0)
     w, x = w * flip, q * (x_sign * flip)
-    return SvdResult(w, s, x) if m <= d else SvdResult(x, s, w)
+    return SvdResult(w, s, x, gram_vecs) if m <= d else SvdResult(x, s, w, gram_vecs)

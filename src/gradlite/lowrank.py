@@ -4,7 +4,9 @@ A factor holds u (m x k, orthonormal columns) and v (d x k, singular
 values folded in), so the approximate gradient is the two-matvec pipeline
 v @ (u.T @ delta) with a k-length intermediate and no m x d product ever
 materialized.  An svd-mode factor is the exact top-k SVD of the Jacobian
-(`linalg.truncated_svd`), so it depends on the Jacobian alone.
+(`linalg.truncated_svd`), so it depends on the Jacobian alone, and it keeps
+the Jacobian's Gram eigendecomposition, from which a factor of the same
+Jacobian at another rank is built with one QR.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ class LowRankFactor:
     # The J it was built from, held by reference: a refresh that is handed
     # this same read-only array again keeps the factor.
     source: np.ndarray | None = None
+    # svd mode: every eigenvector of source's smaller Gram (`SvdResult.gram_vecs`).
+    gram_vecs: np.ndarray | None = None
 
 
 def static_basis(m: int, k: int, seed: int) -> np.ndarray:
@@ -37,7 +41,8 @@ def static_basis(m: int, k: int, seed: int) -> np.ndarray:
     return q[:, :k]
 
 
-def factorize(j, k: int, mode: str, seed: int) -> LowRankFactor:
+def factorize(j, k: int, mode: str, seed: int,
+              gram_vecs: np.ndarray | None = None) -> LowRankFactor:
     """Build a rank-k factor of j.
 
     `mode` is one of BASIS_MODES.  svd mode takes both sides from the exact
@@ -46,13 +51,17 @@ def factorize(j, k: int, mode: str, seed: int) -> LowRankFactor:
     every refresh) and sets v = j.T @ u.  The factor keeps a reference to
     the given j as its `source`.  Its u and v are read-only, because one
     factor may serve several runs (see `optimizers.init_gradlite_state`).
+    An svd factor also keeps j's Gram eigenvectors; passed back as
+    `gram_vecs` with the same j, they spare the eigh and give the same bits
+    (random projection ignores them).
     """
     if mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {mode!r}")
     # v is Fortran-ordered, so the lift's `matvec` reads v.T in place.
     if mode == "svd":
-        res = truncated_svd(j, k)  # checks j and k once
+        res = truncated_svd(j, k, gram_vecs)  # checks j and k once
         u, v = res.u, np.multiply(res.v, res.s[None, :], order="F")
+        gram_vecs = res.gram_vecs
     else:
         a = as_matrix(j, "j")
         m, d = a.shape
@@ -60,8 +69,9 @@ def factorize(j, k: int, mode: str, seed: int) -> LowRankFactor:
             raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {a.shape}")
         u = static_basis(m, k, seed)
         v = np.array([matvec_t(a, u[:, c]) for c in range(k)]).T
+        gram_vecs = None
     u.flags.writeable = v.flags.writeable = False
-    return LowRankFactor(u=u, v=v, source=j)
+    return LowRankFactor(u=u, v=v, source=j, gram_vecs=gram_vecs)
 
 
 def projected_signal(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:

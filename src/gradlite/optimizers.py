@@ -241,8 +241,14 @@ def check_rank(m: int, block_dims, k: int):
 
 
 # Per live problem, the latest factor of each (block, k, basis_mode, seed of
-# a random projection or None); an entry goes with its problem.
+# a random projection or None), and under the key `block` the latest svd
+# factor of that block; an entry goes with its problem.
 _FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _built_from(factor: LowRankFactor | None, j: np.ndarray) -> bool:
+    """Whether factor was built from j, the very array and a read-only one."""
+    return factor is not None and j is factor.source and not j.flags.writeable
 
 
 def _factor(problem: Problem, b: int, j: np.ndarray,
@@ -250,17 +256,24 @@ def _factor(problem: Problem, b: int, j: np.ndarray,
     """The factor of block b's Jacobian j at cfg's rank and basis.
 
     That is the latest factor built on this problem for the block, rank,
-    basis and (random projection only) seed when j is the very array it
-    was built from, else a new factor of j, which is remembered.  Problems
-    return read-only Jacobians, so the same array means the same J, and a
-    factor depends on nothing else.
+    basis and (random projection only) seed when j is the very read-only
+    array it was built from, else a new factor of j, which is remembered.
+    Problems return read-only Jacobians, so the same array means the same
+    J, and a factor depends on nothing else.  A new svd factor of the J
+    that the block's latest svd factor was built from, at another rank,
+    reuses that factor's Gram eigendecomposition: one eigh per J serves
+    every rank, and the bits are the same (`linalg.truncated_svd`).
     """
     memo = _FACTORS.setdefault(problem, {})
     seed = cfg.seed if cfg.basis_mode == "random-projection" else None
     key = (b, cfg.k, cfg.basis_mode, seed)
     kept = memo.get(key)
-    if kept is None or j is not kept.source:
-        kept = memo[key] = factorize(j, cfg.k, cfg.basis_mode, cfg.seed)
+    if not _built_from(kept, j):
+        last_svd = memo.get(b)
+        gram_vecs = last_svd.gram_vecs if _built_from(last_svd, j) else None
+        kept = memo[key] = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, gram_vecs)
+        if kept.gram_vecs is not None:
+            memo[b] = kept
     return kept
 
 
@@ -268,7 +281,8 @@ def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> GradLi
     """Validate the rank per block and build the step-0 factors (`_factor`).
 
     A constant Jacobian keeps one factor across the runs on its problem, so
-    the runs of a rate sweep factorize once per rank.
+    the runs of a rate sweep factorize once per rank, from one Gram
+    eigendecomposition.
     """
     check_rank(problem.m, problem.block_dims, cfg.k)
     state = init_state(problem, theta0, cfg)

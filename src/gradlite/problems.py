@@ -56,14 +56,15 @@ MAX_QUADRATIC_COND = 1e16
 MAX_JACOBIAN_ENTRIES = 2**22
 
 
-def _check_size(m: int, d: int):
-    """Refuse an m x d Jacobian above the desk-scale cap.
+def _check_size(m: int, d: int, what: str = "Jacobian"):
+    """Refuse an m x d Jacobian (or another m x d matrix, `what`) above the
+    desk-scale cap.
 
     Makers call this before drawing any array.  Dimensions below 1 are
     left to each maker's own check.
     """
     if min(m, d) >= 1 and m * d > MAX_JACOBIAN_ENTRIES:
-        raise ConfigError(f"Jacobian of {m} x {d} exceeds the desk-scale cap "
+        raise ConfigError(f"{what} of {m} x {d} exceeds the desk-scale cap "
                           f"of {MAX_JACOBIAN_ENTRIES} entries")
 
 
@@ -229,7 +230,11 @@ class QuadraticProblem(Problem):
 
     The error signal is sqrt(A)(theta - t*) plus optional Gaussian noise
     of scale sigma per draw, so stochasticity passes through the same
-    projection pipeline as the signal itself.
+    projection pipeline as the signal itself.  When every entry of t* is
+    +0.0, as in every `make_quadratic` problem, the signal multiplies theta
+    itself: x - (+0.0) is x for every float x, so the bits are the same.
+    A t* with any other entry, -0.0 included, is subtracted.  t* is kept
+    as a private read-only copy, so this stays true of it.
     """
 
     name = "quadratic"
@@ -246,9 +251,10 @@ class QuadraticProblem(Problem):
         self.a = a
         sqrt_a = (evecs * np.sqrt(evals)[None, :]) @ evecs.T
         self._sqrt_a = _read_only(0.5 * (sqrt_a + sqrt_a.T))
-        self.theta_star = np.asarray(theta_star, dtype=np.float64)
+        self.theta_star = _read_only(np.array(theta_star, dtype=np.float64))
         if self.theta_star.shape != (a.shape[0],):
             raise DimError("theta_star length does not match the matrix")
+        self._centred = not (self.theta_star.any() or np.signbit(self.theta_star).any())
         self.noise_sigma = _noise_sigma(noise_sigma)
         self.m = a.shape[0]
         self.block_dims = (a.shape[0],)
@@ -260,7 +266,8 @@ class QuadraticProblem(Problem):
         return 0.5 * float(r @ (self.a @ r))
 
     def error_signal(self, theta) -> np.ndarray:
-        return self._add_noise(self._sqrt_a @ (theta - self.theta_star))
+        r = theta if self._centred else theta - self.theta_star
+        return self._add_noise(self._sqrt_a @ r)
 
     def jacobian(self, theta, block: int = 0) -> np.ndarray:
         return self._sqrt_a
@@ -325,12 +332,14 @@ class LogisticProblem(Problem):
         A line search that finds no lower loss is success when the Newton
         decrease ``0.5 * g @ step`` is under 16 ulps of the loss, more than
         the rounding of its pairwise sum: the point is optimal to float
-        precision.
+        precision.  Each step forms a d x d Hessian; the makers refuse a d
+        whose Hessian is above the desk-scale cap before drawing any data.
         """
         theta = np.zeros(self.d)
         loss = self.loss(theta)
         for _ in range(max_iter):
-            p = _expit(self.data.x @ theta)
+            # theta is the last point `loss` scored, so its x @ theta is cached.
+            p = _expit(self._scores(theta))
             g = self.data.x.T @ (p - self.data.y)
             if float(np.abs(g).max()) <= _NEWTON_TOL:
                 break
@@ -547,6 +556,7 @@ def make_gaussian_logistic(n: int, d: int, seed: int) -> LogisticProblem:
     """Logistic instance on iid N(0,1) features, labels from a hidden linear scorer."""
     _check_size(n, d)
     feat, lab = _data_streams(n, d, seed)
+    _check_size(d, d, "Newton Hessian")
     x = feat.normal_matrix(n, d)
     w = lab.normals(d) / np.sqrt(d) * 2.0
     y = (lab.uniforms(n) < _expit(x @ w)).astype(np.float64)
@@ -564,6 +574,7 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int) -> LogisticPro
     if n < 1 or d < 1 or not 1.0 <= cond < np.inf:
         raise ConfigError(f"bad low-rank logistic spec n={n}, d={d}, cond={cond}")
     _check_size(n, d)
+    _check_size(d, d, "Newton Hessian")
     feat, lab = _data_streams(n, d, seed)
     x = _lowrank_design(feat, n, d, cond=cond, top_sv=10.0)
     w = lab.normals(d)

@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gradlite import harness, optimizers
 from gradlite.cli import _parser, build_parser, load_config_file, main
@@ -253,12 +253,17 @@ class TestExitCodes:
         (["run", "--problem", "mlp", "--layers", "8,100000,1", "--steps", "1",
           "--out", "{out}"], 3),
         (["ablate", "--n", "1000000", "--dim", "1000", "--out", "{out}"], 3),
+        (["run", "--problem", "logistic", "--n", "12", "--dim", "65536", "--steps", "1",
+          "--out", "{out}"], 3),
+        (["ablate", "--n", "12", "--dim", "65536", "--steps", "1", "--seeds", "0",
+          "--eta", "0.1", "--out", "{out}"], 3),
         (["mem-report", "--m", str(10**400), "--d", "5", "--k", "2", "--tau", "1"], 3),
         (["run", "--k", "0", "--steps", "5", "--out", "{out}"], 3),
         (["run", "--steps", "2", "--out", "{missing}"], 5),
     ], ids=["non-utf8-config", "run-infinite-sigma", "rate-check-infinite-sigma",
             "oversized-quadratic", "oversized-logistic", "oversized-mlp", "oversized-ablate",
-            "oversized-ledger", "zero-rank", "missing-directory"])
+            "oversized-logistic-hessian", "oversized-ablate-hessian", "oversized-ledger",
+            "zero-rank", "missing-directory"])
     def test_main_returns_the_contract_code(self, argv, code, tmp_path, capsys):
         # Oversized problems are refused before any array is drawn.
         binary = tmp_path / "bin.cfg"
@@ -399,7 +404,9 @@ _SEED = st.sampled_from(["0", "3", "-1", "18446744073709551616"])
 _GRAMMAR = {
     "run": ({"--steps": _int("1", "3")}, {
         "--problem": _choice("quadratic", "logistic", "lowrank-logistic", "mlp"),
-        "--dim": _int("1", "2", "5"), "--n": _int("1", "3", "8"),
+        # A --dim of 65536 passes the n x d cap at these n, but no logistic
+        # maker builds its 65536 x 65536 Hessian: every spec is refused at once.
+        "--dim": _int("1", "2", "5", "65536"), "--n": _int("1", "3", "8"),
         "--cond": _float("1", "100"), "--sigma": _float("0", "0.5"),
         "--layers": _list("2,3,1", "3,1", "8,2,1"),
         "--opt": _choice("gradlite", "sgd", "adam", "galore"),
@@ -409,7 +416,8 @@ _GRAMMAR = {
         "--basis": _choice("svd", "random-projection"),
         "--beta1": _float("0.5"), "--beta2": _float("0.9"), "--eps": _float("1e-8"),
         "--seed": _SEED}),
-    "ablate": ({"--steps": _int("1", "3"), "--n": _int("4", "8"), "--dim": _int("2", "3"),
+    "ablate": ({"--steps": _int("1", "3"), "--n": _int("4", "8"),
+                "--dim": _int("2", "3", "65536"),
                 "--k": _int("1", "2")}, {
         "--seeds": _list("0", "0,1", "2,2"), "--tau": _int("1", "2"),
         "--cond": _float("1", "10"), "--eta": _float("0.05", "1e8")}),
@@ -520,6 +528,20 @@ class TestBadSpecRefusedBeforeExpensiveWork:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "logistic", "--n", "12", "--dim", "65536", "--steps", "1"],
+        ["run", "--problem", "lowrank-logistic", "--n", "12", "--dim", "65536",
+         "--steps", "1"],
+        ["ablate", "--n", "12", "--dim", "65536", "--steps", "1", "--seeds", "0",
+         "--eta", "0.1"],
+    ], ids=["run-logistic", "run-lowrank-logistic", "ablate"])
+    def test_oversized_hessian_draws_no_matrix(self, argv, tmp_path, capsys, monkeypatch):
+        # Inside the m x d cap, but the optimum solve's d x d Hessian is not.
+        monkeypatch.setattr(SplitMix64, "normal_matrix", _refuse)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == ("error: Newton Hessian of 65536 x 65536 exceeds "
+                                           "the desk-scale cap of 4194304 entries\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["rate-check", "--dim", "64", "--k-grid", "0"], "k must be >= 1, got 0"),
         (["rate-check", "--dim", "64", "--c", "-1"], "c must be finite and > 0, got -1.0"),
@@ -586,6 +608,10 @@ class TestBadSpecRefusedBeforeExpensiveWork:
 
 class TestExitCodeProperty:
     @given(_invocations())
+    @example(("run", {"--steps": "1", "--problem": "logistic", "--n": "8",
+                      "--dim": "65536"}, set()))
+    @example(("ablate", {"--steps": "1", "--n": "8", "--dim": "65536", "--k": "2"},
+              {"--dim"}))
     def test_every_input_exits_by_the_contract(self, invocation):
         command, flags, in_file = invocation
         with tempfile.TemporaryDirectory() as tmp:

@@ -323,6 +323,32 @@ class TestTruncatedSvd:
         for g, w in zip(got, want):
             assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
 
+    @pytest.mark.parametrize("a, k", [c[1:] for c in svd_oracle_cases()],
+                             ids=[c[0] for c in svd_oracle_cases()])
+    def test_a_supplied_decomposition_gives_the_same_bits(self, a, k, monkeypatch):
+        # The decomposition of a full-rank call serves rank k with no eigh.
+        want = truncated_svd(a, k)
+        gram_vecs = truncated_svd(a, min(a.shape)).gram_vecs
+        assert not gram_vecs.flags.writeable
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("a supplied decomposition was decomposed again")
+
+        monkeypatch.setattr(linalg, "eigh_lo", no_eigh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = truncated_svd(a, k, gram_vecs)
+        assert got.gram_vecs is gram_vecs
+        for g, w in zip(got, want):
+            assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
+
+    def test_a_decomposition_of_another_shape_is_refused(self):
+        gram_vecs = truncated_svd(J32, 2).gram_vecs
+        with pytest.raises(DimError):
+            truncated_svd(J32.T[:, :2], 1, gram_vecs[:1, :1])
+        with pytest.raises(DimError):
+            truncated_svd(np.ones((3, 4)), 1, gram_vecs)
+
     def test_lapack_failure_raises_linalg_error(self, monkeypatch):
         # A LAPACK failure shows as an invalid flag, as in numpy's wrappers.
         def failing(a, tau):

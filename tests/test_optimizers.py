@@ -4,7 +4,7 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
-from gradlite import optimizers
+from gradlite import linalg, optimizers
 from gradlite.errors import ConfigError, DivergedError, EmptyRunError
 from gradlite.feedback import EF_MODES
 from gradlite.harness import (_NOISE_SALT, OPTIMIZERS, _drive, build_problem,
@@ -239,6 +239,66 @@ class TestStep0FactorReuse:
         assert np.array_equal(first.jacobian(theta), second.jacobian(theta))
         assert self.init(second).u is not self.init(first).u
         assert len(factorized) == 2
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """The Gram matrices truncated_svd decomposes, one entry per eigh."""
+    calls, original = [], linalg.eigh_lo
+
+    def counting(gram, *args, **kwargs):
+        calls.append(gram)
+        return original(gram, *args, **kwargs)
+    monkeypatch.setattr(linalg, "eigh_lo", counting)
+    return calls
+
+
+class TestOneDecompositionPerJacobian:
+    """Factors of one read-only J at any ranks share one Gram eigh, bit for bit."""
+
+    @staticmethod
+    def factor(problem, b, j, k):
+        return optimizers._factor(problem, b, j, GradLiteConfig(k=k))
+
+    @pytest.mark.parametrize("name", ["quadratic", "lowrank-logistic", "mlp"])
+    def test_every_rank_matches_a_writable_copy(self, name, decomposed):
+        problem = {**CONSTANT_J, "mlp": lambda: make_mlp([3, 5, 1], 8, seed=6)}[name]()
+        theta = problem.default_theta0()
+        for b in range(problem.blocks):
+            j = problem.jacobian(theta, block=b)
+            ranks = list(range(1, min(j.shape) + 1))
+            np.random.default_rng(b).shuffle(ranks)
+            before = len(decomposed)
+            kept = {k: self.factor(problem, b, j, k) for k in ranks}
+            assert len(decomposed) - before == 1
+            copy = np.array(j)  # writable: never served a kept decomposition
+            for k in ranks:
+                fresh = self.factor(problem, b, copy, k)
+                assert fresh.gram_vecs is not kept[k].gram_vecs
+                for got, want in ((kept[k].u, fresh.u), (kept[k].v, fresh.v)):
+                    assert (got.shape, got.strides, got.tobytes()) \
+                        == (want.shape, want.strides, want.tobytes())
+            assert len(decomposed) - before == 1 + len(ranks)
+
+    def test_each_new_mlp_jacobian_is_decomposed_afresh(self, decomposed):
+        # tau 4 over 10 steps: step-0 factors, then refreshes at steps 4 and 8.
+        cfg = GradLiteConfig(eta=0.05, k=2, tau=4)
+        states = []
+        for clear_before_refresh in (False, True):
+            problem = make_mlp([3, 5, 4, 1], 8, seed=6)
+            st = init_gradlite_state(problem, None, cfg)
+            for t in range(10):
+                if clear_before_refresh and t > 0 and t % cfg.tau == 0:
+                    optimizers._FACTORS.pop(problem, None)
+                st, _ = gradlite_step(st, problem, cfg)
+            states.append(st)
+        assert len(decomposed) == 2 * 3 * 3  # two runs, 3 blocks, 3 factorizations
+        kept, cleared = states
+        for got, want in ((kept.theta, cleared.theta), (kept.theta_sum, cleared.theta_sum),
+                          *zip(kept.accumulators, cleared.accumulators),
+                          *((f.u, g.u) for f, g in zip(kept.factors, cleared.factors)),
+                          *((f.v, g.v) for f, g in zip(kept.factors, cleared.factors))):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestConfigValidation:

@@ -39,6 +39,38 @@ class TestQuadratic:
         assert np.allclose(prob.exact_gradient(theta), [1.0, 4.0], atol=1e-12)
         assert np.allclose(matvec_t(j, delta), [1.0, 4.0], atol=1e-12)
 
+    def test_centred_signal_multiplies_theta_with_the_same_bits(self):
+        prob = make_quadratic(6, 10.0, 0.0, seed=4)
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        thetas = [np.array([0.0, -0.0, 0.0, -0.0, 1.0, -2.0]),
+                  np.array([tiny, -tiny, 1e-310, -1e-310, 0.0, -0.0]),
+                  np.array([np.inf, 1.0, -np.inf, 0.0, -0.0, 2.0]),
+                  np.array([np.nan, 1.0, -0.0, 0.0, tiny, 3.0]),
+                  prob.default_theta0()]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for theta in thetas:
+                want = prob.jacobian(theta) @ (theta - np.zeros(6))
+                assert prob.error_signal(theta).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("theta_star, subtracts", [
+        ([0.0, 0.0, 0.0], False), ([0.0, -0.0, 0.0], True), ([0.0, 1.0, 0.0], True),
+        ([np.nan, 0.0, 0.0], True)], ids=["zeros", "negative-zero", "one", "nan"])
+    def test_only_an_all_positive_zero_optimum_skips_the_subtraction(self, theta_star,
+                                                                    subtracts):
+        class Spy(np.ndarray):
+            subtracted = False
+
+            def __sub__(self, other):
+                Spy.subtracted = True
+                return np.subtract(np.asarray(self), other)
+
+        prob = QuadraticProblem(np.diag([1.0, 2.0, 3.0]), theta_star, 0.0)
+        theta = np.array([-0.0, 1.0, 2.0])
+        got = prob.error_signal(theta.view(Spy))
+        assert Spy.subtracted is subtracts
+        want = prob.jacobian(theta) @ (theta - np.array(theta_star))
+        assert np.asarray(got).tobytes() == want.tobytes()
+
     def test_asymmetric_rejected(self):
         with pytest.raises(SpdError):
             QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
