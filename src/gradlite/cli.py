@@ -2,11 +2,12 @@
 
 Exit codes are a stable contract: 0 success, 1 a run diverged (`run` still
 writes its truncated metrics, `rate-check` writes no report), 2 usage
-error, 3 bad configuration, 4 gradient-check failure, 5 I/O error.  A
-command takes only the flags it reads, unabbreviated.  A flat key=value
-file given via --config supplies defaults for all but --out; explicit flags
-always win.  A `run` flag or key that the chosen problem or optimizer does
-not take exits 3.  Only `run` takes --seed.
+error, 3 bad configuration (one the process runs out of memory on
+included), 4 gradient-check failure, 5 I/O error.  A command takes only
+the flags it reads, unabbreviated.  A flat key=value file given via
+--config supplies defaults for all but --out; explicit flags always win.
+A `run` flag or key that the chosen problem or optimizer does not take
+exits 3.  Only `run` takes --seed.
 """
 
 from __future__ import annotations
@@ -305,6 +306,11 @@ def main(argv=None) -> int:
         return 5
     except GradLiteError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        # A spec inside every size cap can still need more memory than the
+        # process may take: a configuration this machine cannot run.
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 3
 
 

@@ -9,9 +9,9 @@ the logistic score cache are pure functions of theta.  Noise row t of a
 run seeded s is the (t+1)-th ``normals(m)`` call on ``SplitMix64(s)``, a
 pure function of (s, t).  Rows are drawn in blocks of NOISE_BLOCK (64),
 one stream call per block, each drawn by jumping the counter to the
-block's first row.  A problem keeps the first blocks of its seed, up to
-NOISE_KEEP entries, and returns a kept block instead of drawing it again,
-so the runs of a one-seed rate sweep draw the kept rows once.
+block's first row, and scaled by the noise level.  A problem keeps the
+first scaled blocks of its seed, up to NOISE_KEEP entries, and replays a
+kept block itself, so the runs of a one-seed rate sweep draw them once.
 
 A Jacobian is returned read-only and is never changed in place, so the
 same array means the same J: the quadratic and logistic families return
@@ -114,26 +114,25 @@ def _data_streams(n: int, d: int, seed: int) -> tuple[SplitMix64, SplitMix64]:
             SplitMix64(derive_seed(seed, _LABEL_SALT)))
 
 
-def _lowrank_design(stream: SplitMix64, n: int, d: int, cond: float,
-                    top_sv: float) -> np.ndarray:
-    """n x d matrix with exact geometric singular values top_sv..top_sv/cond."""
+def _lowrank_design(stream: SplitMix64, n: int, d: int, cond: float) -> np.ndarray:
+    """n x d matrix with exact geometric singular values 10..10/cond."""
     r = min(n, d)
     qu, _ = np.linalg.qr(stream.normal_matrix(n, r))
     qv, _ = np.linalg.qr(stream.normal_matrix(d, r))
     if r == 1:
-        s = np.array([top_sv])
+        s = np.array([10.0])
     else:
-        s = top_sv * (1.0 / cond) ** (np.arange(r) / (r - 1))
+        s = 10.0 * (1.0 / cond) ** (np.arange(r) / (r - 1))
     return (qu * s[None, :]) @ qv.T
 
 
 class Problem:
-    """Shared plumbing; subclasses fill in the math."""
+    """Shared plumbing; subclasses fill in the math.  `noise_sigma` is read
+    when a noise block is drawn and must not change after that."""
 
     m: int
     block_dims: tuple[int, ...]
     noise_sigma: float = 0.0
-    theta_star: np.ndarray | None = None
     loss_star: float | None = None
     name: str = "problem"
     _noise_seed: int | None = None  # the seed reset_noise set last
@@ -173,32 +172,26 @@ class Problem:
     def _add_noise(self, signal: np.ndarray) -> np.ndarray:
         """signal plus noise_sigma times the next noise row; with sigma 0,
         the signal itself, and no row is drawn."""
-        sigma = self.noise_sigma
-        if sigma == 0.0:
+        if self.noise_sigma == 0.0:
             return signal
         # Rows are read in order from row 0, so a block is entered at its
-        # first row.  The raw block is scaled by sigma once, when it is
-        # entered, and again from the raw rows if sigma has changed since:
-        # each row's bits equal noise_sigma * normals(m) at its draw.
+        # first row; each row's bits equal noise_sigma * normals(m).
         b, i = divmod(self._noise_row, NOISE_BLOCK)
         if i == 0:
-            self._noise_raw = self._noise_block(b)
-        if i == 0 or sigma != self._noise_scale:
-            self._noise_scale = sigma
-            self._noise_current = sigma * self._noise_raw
+            self._noise_current = self._noise_block(b)
         self._noise_row += 1
         return signal + self._noise_current[i]
 
     def _noise_block(self, b: int) -> np.ndarray:
-        """Block b of raw rows: kept, or drawn (and kept if it fits)."""
+        """Block b, scaled by noise_sigma: kept, or drawn (and kept if it fits)."""
         kept = self._noise_kept
         if b < len(kept):
             return kept[b]
         stream = SplitMix64(self._noise_seed).skip_rows(self.m, b * NOISE_BLOCK)
-        block = stream.normal_rows(self.m, NOISE_BLOCK)
+        # A fresh contiguous product, so a kept block holds only its entries.
+        block = _read_only(self.noise_sigma * stream.normal_rows(self.m, NOISE_BLOCK))
         if b == len(kept) and (b + 1) * block.size <= NOISE_KEEP:
-            # Contiguous, so a kept block holds exactly its own entries.
-            kept.append(_read_only(np.ascontiguousarray(block)))
+            kept.append(block)
         return block
 
     def loss(self, theta) -> float:
@@ -226,20 +219,16 @@ def _noise_sigma(sigma) -> float:
 
 
 class QuadraticProblem(Problem):
-    """0.5 (theta - t*)' A (theta - t*) with jacobian sqrt(A).
+    """0.5 theta' A theta, minimized at the origin, with jacobian sqrt(A).
 
-    The error signal is sqrt(A)(theta - t*) plus optional Gaussian noise
-    of scale sigma per draw, so stochasticity passes through the same
-    projection pipeline as the signal itself.  When every entry of t* is
-    +0.0, as in every `make_quadratic` problem, the signal multiplies theta
-    itself: x - (+0.0) is x for every float x, so the bits are the same.
-    A t* with any other entry, -0.0 included, is subtracted.  t* is kept
-    as a private read-only copy, so this stays true of it.
+    The error signal is sqrt(A) theta plus optional Gaussian noise of scale
+    sigma per draw, so stochasticity passes through the same projection
+    pipeline as the signal itself.
     """
 
     name = "quadratic"
 
-    def __init__(self, a, theta_star, noise_sigma: float = 0.0, seed: int = 0):
+    def __init__(self, a, noise_sigma: float = 0.0, seed: int = 0):
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise SpdError(f"matrix must be square, got {a.shape}")
@@ -251,10 +240,6 @@ class QuadraticProblem(Problem):
         self.a = a
         sqrt_a = (evecs * np.sqrt(evals)[None, :]) @ evecs.T
         self._sqrt_a = _read_only(0.5 * (sqrt_a + sqrt_a.T))
-        self.theta_star = _read_only(np.array(theta_star, dtype=np.float64))
-        if self.theta_star.shape != (a.shape[0],):
-            raise DimError("theta_star length does not match the matrix")
-        self._centred = not (self.theta_star.any() or np.signbit(self.theta_star).any())
         self.noise_sigma = _noise_sigma(noise_sigma)
         self.m = a.shape[0]
         self.block_dims = (a.shape[0],)
@@ -262,21 +247,19 @@ class QuadraticProblem(Problem):
         self._init_noise(seed)
 
     def loss(self, theta) -> float:
-        r = theta - self.theta_star
-        return 0.5 * float(r @ (self.a @ r))
+        return 0.5 * float(theta @ (self.a @ theta))
 
     def error_signal(self, theta) -> np.ndarray:
-        r = theta if self._centred else theta - self.theta_star
-        return self._add_noise(self._sqrt_a @ r)
+        return self._add_noise(self._sqrt_a @ theta)
 
     def jacobian(self, theta, block: int = 0) -> np.ndarray:
         return self._sqrt_a
 
     def exact_gradient(self, theta) -> np.ndarray:
-        return self.a @ (theta - self.theta_star)
+        return self.a @ theta
 
     def default_theta0(self) -> np.ndarray:
-        return self.theta_star + np.ones(self.d)
+        return np.ones(self.d)
 
 
 class LogisticProblem(Problem):
@@ -549,7 +532,7 @@ def make_quadratic(d: int, cond: float, sigma: float, seed: int) -> QuadraticPro
     q, _ = np.linalg.qr(stream.normal_matrix(d, d))
     a = (q * lam[None, :]) @ q.T
     a = 0.5 * (a + a.T)
-    return QuadraticProblem(a, np.zeros(d), noise_sigma=sigma, seed=seed)
+    return QuadraticProblem(a, noise_sigma=sigma, seed=seed)
 
 
 def make_gaussian_logistic(n: int, d: int, seed: int) -> LogisticProblem:
@@ -576,7 +559,7 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int) -> LogisticPro
     _check_size(n, d)
     _check_size(d, d, "Newton Hessian")
     feat, lab = _data_streams(n, d, seed)
-    x = _lowrank_design(feat, n, d, cond=cond, top_sv=10.0)
+    x = _lowrank_design(feat, n, d, cond=cond)
     w = lab.normals(d)
     s = x @ w
     scale = 2.0 / max(float(np.std(s)), 1e-12)
@@ -592,7 +575,7 @@ def make_mlp(layers, n: int, seed: int) -> MlpProblem:
     _check_size(n, sum(_mlp_block_dims(layers)))
     d = int(layers[0])
     feat, lab = _data_streams(n, d, seed)
-    x = _lowrank_design(feat, n, d, cond=1e3, top_sv=10.0)
+    x = _lowrank_design(feat, n, d, cond=1e3)
     w = lab.normals(d) / np.sqrt(d)
     y = x @ w + 0.1 * lab.normals(n)
     return MlpProblem(layers, Dataset(x, y, seed=seed))

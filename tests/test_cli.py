@@ -1,9 +1,13 @@
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gradlite import harness, optimizers
+import gradlite
+from gradlite import cli, harness, optimizers
 from gradlite.cli import _parser, build_parser, load_config_file, main
 from gradlite.harness import run_experiment
 from gradlite.optimizers import GradLiteConfig
@@ -275,6 +280,18 @@ class TestExitCodes:
         if code == 3:
             assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("raised, line", [
+        (MemoryError("Unable to allocate 32.0 MiB"),
+         "error: out of memory: Unable to allocate 32.0 MiB\n"),
+        (MemoryError(), "error: out of memory: allocation failed\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_exits_three(self, raised, line, tmp_path, capsys, monkeypatch):
+        def run_experiment(*args, **kwargs):
+            raise raised
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        assert main(["run", "--steps", "1", "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == line
+
     def test_unwritable_output_exits_five(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "m.csv"
         code = main(["run", "--steps", "2", "--out", str(target)])
@@ -399,8 +416,9 @@ def _choice(*valid):
 
 _SEED = st.sampled_from(["0", "3", "-1", "18446744073709551616"])
 
-# command -> (flags always given, flags that may be given); every size and
-# step count stays tiny, so one example runs in milliseconds.
+# command -> (flags always given, flags that may be given), over every flag
+# but --config and --out, which the test itself adds; every size and step
+# count stays tiny, so one example runs in milliseconds.
 _GRAMMAR = {
     "run": ({"--steps": _int("1", "3")}, {
         "--problem": _choice("quadratic", "logistic", "lowrank-logistic", "mlp"),
@@ -415,7 +433,10 @@ _GRAMMAR = {
         "--probe": _choice("exact", "none"),
         "--basis": _choice("svd", "random-projection"),
         "--beta1": _float("0.5"), "--beta2": _float("0.9"), "--eps": _float("1e-8"),
-        "--seed": _SEED}),
+        "--seed": _SEED,
+        # A fresh path, or the --out path, which exits 3; {tmp} is the run's
+        # own directory.
+        "--summary": st.sampled_from(["{tmp}/summary.json", "{tmp}/out"])}),
     "ablate": ({"--steps": _int("1", "3"), "--n": _int("4", "8"),
                 "--dim": _int("2", "3", "65536"),
                 "--k": _int("1", "2")}, {
@@ -606,15 +627,84 @@ class TestBadSpecRefusedBeforeExpensiveWork:
         assert built == []
 
 
+# A child runs `cli.main` on its own argv; the probe makes the same imports
+# and prints its own status, so both hold the same address space after them.
+_CHILD = "import sys; from gradlite.cli import main; sys.exit(main())"
+_PROBE = "from gradlite.cli import main; print(open('/proc/self/status').read())"
+
+
+@pytest.fixture(scope="module")
+def limited_child():
+    """Run the CLI in a child whose address space may grow only 24 MiB past
+    its imports, less than the 32 MiB any refused array needs."""
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/<pid>/status to read a child's address space")
+    src = str(Path(gradlite.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    status = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+                            capture_output=True, text=True, timeout=60).stdout
+    vm_kib = int(re.search(r"^VmSize:\s+(\d+) kB$", status, re.M).group(1))
+    limit = vm_kib * 1024 + 24 * 2**20
+
+    def set_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    def run(argv):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                              preexec_fn=set_limit, capture_output=True, text=True,
+                              timeout=60)
+        return done, time.perf_counter() - start
+    return run
+
+
+class TestSizeRefusalsUnderAMemoryLimit:
+    """Each size cap refuses a spec just above it before any array is drawn,
+    so the refusal exits 3 inside a small address space, and quickly."""
+
+    @pytest.mark.parametrize("argv, what", [
+        (["run", "--problem", "quadratic", "--dim", "2049", "--steps", "1"],
+         "Jacobian of 2049 x 2049"),
+        (["rate-check", "--dim", "2049"], "Jacobian of 2049 x 2049"),
+        (["run", "--problem", "logistic", "--n", "8", "--dim", "2049", "--steps", "1"],
+         "Newton Hessian of 2049 x 2049"),
+        (["ablate", "--n", "8", "--dim", "2049"], "Newton Hessian of 2049 x 2049"),
+        (["run", "--problem", "logistic", "--n", "4097", "--dim", "1024", "--steps", "1"],
+         "Jacobian of 4097 x 1024"),
+        # 433 parameters: 9686 rows fit under 2**22 entries, 9687 do not.
+        (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "9687",
+          "--steps", "1"], "Jacobian of 9687 x 433"),
+    ], ids=["quadratic-run", "quadratic-rate-check", "logistic-hessian-run",
+            "logistic-hessian-ablate", "logistic-n-by-d", "mlp-n-by-params"])
+    def test_refusal_just_above_the_cap(self, argv, what, limited_child, tmp_path):
+        done, seconds = limited_child(argv + ["--out", str(tmp_path / "out")])
+        assert (done.returncode, done.stderr) == (
+            3, f"error: {what} exceeds the desk-scale cap of 4194304 entries\n")
+        assert seconds < 1.0
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExitCodeProperty:
+    def test_the_grammar_has_every_flag_of_each_command(self):
+        _, commands = build_parser()
+        assert sorted(commands) == sorted(_GRAMMAR)
+        for name, sub in commands.items():
+            flags = {flag for action in sub._actions if action.dest != "help"
+                     for flag in action.option_strings} - {"--config", "--out"}
+            always, maybe = _GRAMMAR[name]
+            assert flags == set(always) | set(maybe), name
+
     @given(_invocations())
     @example(("run", {"--steps": "1", "--problem": "logistic", "--n": "8",
                       "--dim": "65536"}, set()))
     @example(("ablate", {"--steps": "1", "--n": "8", "--dim": "65536", "--k": "2"},
               {"--dim"}))
+    @example(("run", {"--steps": "1", "--summary": "{tmp}/out"}, {"--summary"}))
     def test_every_input_exits_by_the_contract(self, invocation):
         command, flags, in_file = invocation
         with tempfile.TemporaryDirectory() as tmp:
+            flags = {flag: value.replace("{tmp}", tmp) for flag, value in flags.items()}
             argv = [command]
             for flag, value in flags.items():
                 if flag not in in_file:

@@ -19,7 +19,7 @@ from gradlite.rng import derive_seed
 
 
 def diag_problem():
-    return QuadraticProblem(np.diag([1.0, 2.0]), np.zeros(2), 0.0)
+    return QuadraticProblem(np.diag([1.0, 2.0]), 0.0)
 
 
 class TestGradLiteStep:
@@ -314,7 +314,7 @@ class TestConfigValidation:
 
 class TestSgd:
     def test_one_step_solve_on_identity(self):
-        prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.eye(2), 0.0)
         st = init_state(prob, theta0=[3.0, 4.0])
         st, _ = exact_step(st, prob, SgdConfig(eta=1.0))
         assert np.array_equal(st.theta, [0.0, 0.0])
@@ -322,10 +322,10 @@ class TestSgd:
     def test_zero_learning_rate_is_identity(self):
         # SgdConfig rejects eta 0; a step from the optimum, where the
         # gradient is zero, must likewise leave theta as it is.
-        prob = QuadraticProblem(np.diag([1.0, 2.0]), np.ones(2), 0.0)
-        st = init_state(prob, theta0=[1.0, 1.0])
+        prob = QuadraticProblem(np.diag([1.0, 2.0]), 0.0)
+        st = init_state(prob, theta0=[0.0, 0.0])
         st, _ = exact_step(st, prob, SgdConfig(eta=0.1))
-        assert np.array_equal(st.theta, [1.0, 1.0])
+        assert np.array_equal(st.theta, [0.0, 0.0])
 
     def test_matches_full_rank_no_feedback_pipeline(self):
         # same seed, same noise stream: trajectories agree to 1e-10 per step
@@ -356,12 +356,12 @@ class TestAdam:
         assert np.all(move > 0.0099) and np.all(move <= 0.01)
 
     def test_zero_gradient_keeps_theta(self):
-        prob = QuadraticProblem(np.eye(3), np.ones(3), 0.0)
+        prob = QuadraticProblem(np.eye(3), 0.0)
         cfg = AdamConfig(eta=0.1)
-        st = init_state(prob, np.ones(3), cfg)
+        st = init_state(prob, np.zeros(3), cfg)
         for _ in range(5):
             st, _ = exact_step(st, prob, cfg)
-        assert np.array_equal(st.theta, np.ones(3))
+        assert np.array_equal(st.theta, np.zeros(3))
 
     def test_matches_clean_room_reference(self):
         prob = diag_problem()
@@ -413,7 +413,7 @@ class TestGaloreLike:
 
     def test_matches_projected_dynamics_oracle(self):
         a = np.diag([100.0, 1.0])
-        prob = QuadraticProblem(a, np.zeros(2), 0.0)
+        prob = QuadraticProblem(a, 0.0)
         eta, k, tau, steps = 0.005, 1, 10, 200
         cfg = GaloreConfig(eta=eta, k=k, tau=tau)
         st = init_state(prob, [1.0, 1.0], cfg)
@@ -440,11 +440,11 @@ class TestGaloreLike:
 class TestAveragedIterate:
     def test_constant_trajectory(self):
         # Steps from the optimum, where the gradient is zero, keep theta.
-        prob = QuadraticProblem(np.diag([1.0, 2.0]), np.array([2.0, -1.0]), 0.0)
-        st = init_state(prob, theta0=[2.0, -1.0])
+        prob = QuadraticProblem(np.diag([1.0, 2.0]), 0.0)
+        st = init_state(prob, theta0=[0.0, 0.0])
         for _ in range(7):
             st, _ = exact_step(st, prob, SgdConfig(eta=0.1))
-        assert np.allclose(averaged_iterate(st), [2.0, -1.0], atol=1e-15)
+        assert np.allclose(averaged_iterate(st), [0.0, 0.0], atol=1e-15)
 
     def test_alternating_sequence(self):
         st = OptimizerState(theta=np.array([2.0, 2.0]), step=6,
@@ -487,7 +487,7 @@ class TestAveragedIterate:
 
 class TestDivergenceGuard:
     def test_magnitude_cap_triggers(self):
-        prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.eye(2), 0.0)
         st = init_state(prob, theta0=[1.0, 1.0])
         cfg = SgdConfig(eta=3.0)  # theta <- -2 theta: |theta| doubles per step
         with pytest.raises(DivergedError):

@@ -19,18 +19,18 @@ from gradlite.rng import SplitMix64, derive_seed
 
 class TestQuadratic:
     def test_identity_loss_and_gradient(self):
-        prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.eye(2), 0.0)
         theta = np.array([3.0, 4.0])
         assert prob.loss(theta) == 12.5
         assert np.allclose(prob.exact_gradient(theta), [3.0, 4.0])
 
     def test_optimum_is_flat_and_silent(self):
-        prob = QuadraticProblem(np.diag([2.0, 5.0]), np.array([1.0, -1.0]), 0.0)
-        assert np.allclose(prob.error_signal(prob.theta_star), 0.0, atol=1e-14)
-        assert np.allclose(prob.exact_gradient(prob.theta_star), 0.0, atol=1e-14)
+        prob = QuadraticProblem(np.diag([2.0, 5.0]), 0.0)
+        assert np.allclose(prob.error_signal(np.zeros(2)), 0.0, atol=1e-14)
+        assert np.allclose(prob.exact_gradient(np.zeros(2)), 0.0, atol=1e-14)
 
     def test_diagonal_factorization(self):
-        prob = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.diag([1.0, 4.0]), 0.0)
         theta = np.array([1.0, 1.0])
         j = prob.jacobian(theta)
         assert np.allclose(j, np.diag([1.0, 2.0]), atol=1e-12)
@@ -52,32 +52,13 @@ class TestQuadratic:
                 want = prob.jacobian(theta) @ (theta - np.zeros(6))
                 assert prob.error_signal(theta).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("theta_star, subtracts", [
-        ([0.0, 0.0, 0.0], False), ([0.0, -0.0, 0.0], True), ([0.0, 1.0, 0.0], True),
-        ([np.nan, 0.0, 0.0], True)], ids=["zeros", "negative-zero", "one", "nan"])
-    def test_only_an_all_positive_zero_optimum_skips_the_subtraction(self, theta_star,
-                                                                    subtracts):
-        class Spy(np.ndarray):
-            subtracted = False
-
-            def __sub__(self, other):
-                Spy.subtracted = True
-                return np.subtract(np.asarray(self), other)
-
-        prob = QuadraticProblem(np.diag([1.0, 2.0, 3.0]), theta_star, 0.0)
-        theta = np.array([-0.0, 1.0, 2.0])
-        got = prob.error_signal(theta.view(Spy))
-        assert Spy.subtracted is subtracts
-        want = prob.jacobian(theta) @ (theta - np.array(theta_star))
-        assert np.asarray(got).tobytes() == want.tobytes()
-
     def test_asymmetric_rejected(self):
         with pytest.raises(SpdError):
-            QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+            QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_indefinite_rejected(self):
         with pytest.raises(SpdError):
-            QuadraticProblem(np.diag([1.0, -0.1]), np.zeros(2))
+            QuadraticProblem(np.diag([1.0, -0.1]))
 
     def test_noise_contract(self):
         # mean of many noisy draws approaches the noiseless signal
@@ -123,59 +104,30 @@ class TestBlockNoise:
                         self.signals(fresh, NOISE_BLOCK + 5)):
             assert np.array_equal(a, b)
 
-    def test_sigma_set_after_construction_scales_each_draw(self):
-        prob = make_quadratic(self.D, self.COND, 0.0, seed=self.SEED)
-        clean = prob.error_signal(prob.default_theta0())
-        stream = SplitMix64(derive_seed(self.SEED, _NOISE_SALT))
-        prob.noise_sigma = 0.5
-        first = self.signals(prob, 3)
-        prob.noise_sigma = 2.0  # mid-block: the rows already drawn follow it
-        rest = self.signals(prob, 3)
-        for sigma, got in zip([0.5] * 3 + [2.0] * 3, first + rest):
-            assert np.array_equal(got, clean + sigma * stream.normals(self.D))
-
-    def expected_rows(self, sigmas, stream_seed=None):
-        """clean + sigma * normals(D) for each sigma, from the run's stream."""
-        clean = make_quadratic(self.D, self.COND, 0.0, seed=self.SEED)
-        base = clean.error_signal(clean.default_theta0())
-        seed = derive_seed(self.SEED, _NOISE_SALT) if stream_seed is None else stream_seed
-        stream = SplitMix64(seed)
-        return [base + sigma * stream.normals(self.D) for sigma in sigmas]
-
-    def test_sigma_changed_at_a_block_boundary_scales_the_next_block(self):
-        prob = make_quadratic(self.D, self.COND, 0.5, seed=self.SEED)
-        first = self.signals(prob, NOISE_BLOCK)  # block 0 exactly
-        prob.noise_sigma = 2.0
-        rest = self.signals(prob, 3)  # enters block 1
-        want = self.expected_rows([0.5] * NOISE_BLOCK + [2.0] * 3)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(first + rest, want))
-
-    def test_sigma_changed_inside_an_entered_block_scales_the_rows_after_it(self):
-        prob = make_quadratic(self.D, self.COND, 0.5, seed=self.SEED)
-        got = self.signals(prob, 5)  # block 0 entered at sigma 0.5
-        prob.noise_sigma = 2.0
-        got += self.signals(prob, 4)
-        prob.noise_sigma = 0.5  # and back, still inside block 0
-        got += self.signals(prob, NOISE_BLOCK)  # into block 1
-        want = self.expected_rows([0.5] * 5 + [2.0] * 4 + [0.5] * NOISE_BLOCK)
-        assert len(got) == len(want)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-
-    def test_a_second_run_replays_the_raw_kept_rows(self, drawn):
-        # The first run scales its rows by 0.5; a replay at another sigma
-        # reads the same kept rows, raw, and scales them by its own sigma.
-        prob = make_quadratic(self.D, self.COND, 0.5, seed=self.SEED)
+    def test_a_replay_returns_the_kept_scaled_block_itself(self, drawn):
+        # Kept blocks hold rows already scaled by sigma, so a second run
+        # reads each one as it is: no draw, and no multiply.
+        prob = make_quadratic(self.D, self.COND, self.SIGMA, seed=self.SEED)
         prob.reset_noise(99)
-        self.signals(prob, 5)
-        prob.noise_sigma = 2.0
-        self.signals(prob, NOISE_BLOCK)
-        for sigma in (2.0, 0.5):
-            prob.noise_sigma = sigma
-            prob.reset_noise(99)
-            again = self.signals(prob, NOISE_BLOCK + 5)
-            want = self.expected_rows([sigma] * (NOISE_BLOCK + 5), stream_seed=99)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(again, want))
-        assert drawn == [NOISE_BLOCK, NOISE_BLOCK]  # kept, never drawn again
+        self.signals(prob, NOISE_BLOCK + 5)
+        kept = list(prob._noise_kept)
+        assert len(kept) == 2 and not any(b.flags.writeable for b in kept)
+        stream = SplitMix64(99)
+        for b in kept:
+            assert b.tobytes() == (self.SIGMA * stream.normal_rows(self.D, NOISE_BLOCK)).tobytes()
+        drawn.clear()
+
+        class NoMultiply(float):
+            def __mul__(self, other):
+                raise AssertionError("a replayed block was scaled again")
+            __rmul__ = __mul__
+
+        prob.noise_sigma = NoMultiply(self.SIGMA)  # the same level, as a spy
+        prob.reset_noise(99)
+        for b in (0, 1):
+            assert prob._noise_block(b) is kept[b]
+        self.signals(prob, NOISE_BLOCK + 5)
+        assert drawn == []
 
 
 class TestNoiseReplay:
@@ -249,7 +201,7 @@ FAMILIES = {
 def signal_formula(prob, theta):
     """Each family's noiseless error signal, written out."""
     if isinstance(prob, QuadraticProblem):
-        return prob.jacobian(theta) @ (theta - prob.theta_star)
+        return prob.jacobian(theta) @ theta
     if isinstance(prob, LogisticProblem):
         return _expit(prob.data.x @ theta) - prob.data.y
     return (prob._forward(theta)[2][-1][:, 0] - prob.data.y) / prob.data.n
@@ -556,7 +508,7 @@ class TestChainRuleContract:
 
 class TestFiniteDifferences:
     def test_quadratic_is_exact_up_to_rounding(self):
-        prob = QuadraticProblem(np.eye(2), np.zeros(2), 0.0)
+        prob = QuadraticProblem(np.eye(2), 0.0)
         fd = finite_difference_gradient(prob, np.array([3.0, 4.0]), 1e-5)
         assert np.abs(fd - [3.0, 4.0]).max() <= 1e-8
 
