@@ -143,17 +143,20 @@ def _drive(problem: Problem, cfg: SgdConfig, steps: int, seed: int, record=None)
 
     The run seed sets the problem's noise and, in place of `cfg.seed`, a
     GradLite basis seed.  `record(state, trace)` takes each step's new state
-    and StepTrace; a DivergedError reaches the caller.
+    and StepTrace; a DivergedError reaches the caller.  The steps run with
+    numpy's overflow and invalid-value warnings off: an overflow inside a
+    run is data, which the divergence check reports.
     """
     if isinstance(cfg, GradLiteConfig):
         cfg = replace(cfg, seed=derive_seed(seed, _OPT_SALT))
     problem.reset_noise(derive_seed(seed, _NOISE_SALT))
     state = getattr(optimizers, cfg.init)(problem, None, cfg)
     step = getattr(optimizers, cfg.step)
-    for _ in range(steps):
-        state, trace = step(state, problem, cfg)
-        if record is not None:
-            record(state, trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            state, trace = step(state, problem, cfg)
+            if record is not None:
+                record(state, trace)
     return state
 
 

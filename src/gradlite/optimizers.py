@@ -31,6 +31,8 @@ from .lowrank import BASIS_MODES, LowRankFactor, approx_gradient, factorize
 from .problems import Problem
 
 DIVERGENCE_CAP = 1e12
+# theta . theta at or below this bounds every entry by about CAP/2; see _check_theta.
+_FAST_THETA_BOUND = DIVERGENCE_CAP**2 / 4
 
 # name -> (rule, what the rule requires), one entry per hyperparameter.
 _RANGES = {
@@ -200,8 +202,17 @@ class StepTrace(NamedTuple):
 
 
 def _check_theta(theta: np.ndarray, step: int):
-    # A NaN propagates through the max and fails the comparison, so one
-    # ufunc reduction also catches non-finite entries.
+    """Raise DivergedError unless every entry of theta is within DIVERGENCE_CAP.
+
+    The computed sum of squares is at least about max theta_i**2 (1 - d u),
+    so passing the one-dot test bounds every entry near CAP/2 and the
+    exact test would pass too.  NaN, an infinity or an overflowing square
+    fails it and falls through to the exact max-abs test, in which a NaN
+    propagates through the max and fails the comparison.  `np.vdot`, unlike
+    `ndarray.dot`, reads no floating-point flags, so it never warns.
+    """
+    if np.vdot(theta, theta) <= _FAST_THETA_BOUND:
+        return
     if not np.maximum.reduce(np.absolute(theta)) <= DIVERGENCE_CAP:
         raise DivergedError(step, "theta")
 
@@ -321,16 +332,18 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     feedback = ef_mode != "off"
     refresh = t > 0 and t % cfg.tau == 0
     factors, accumulators = state.factors, state.accumulators
-    n = len(factors)
-    gt_parts, gh_parts, bd_parts = [None] * n, [None] * n, [None] * n
+    # Filled block by block; the g^ and D lists stay empty under "off".
+    gt_parts, gh_parts, bd_parts = [], [], []
     for b, factor in enumerate(factors):
         j_b = problem.jacobian(theta, block=b) if feedback or refresh else None
         if refresh:
             factor = factors[b] = _factor(problem, b, j_b, cfg)
-        gt = gt_parts[b] = approx_gradient(factor, delta)
+        gt = approx_gradient(factor, delta)
+        gt_parts.append(gt)
         if feedback:
-            gh_parts[b] = correct(gt, accumulators[b])
-            bd = bd_parts[b] = estimate_delta(j_b, delta, gt)
+            gh_parts.append(correct(gt, accumulators[b]))
+            bd = estimate_delta(j_b, delta, gt)
+            bd_parts.append(bd)
             accumulators[b] = update_accumulator(accumulators[b], bd, ef_mode)
 
     g_tilde = _join(gt_parts)

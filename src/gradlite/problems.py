@@ -54,6 +54,11 @@ MAX_QUADRATIC_COND = 1e16
 # Entries of the materialized m x d Jacobian a problem may have: 2**22
 # float64s (32 MiB), far above the largest instance used (512 x 128).
 MAX_JACOBIAN_ENTRIES = 2**22
+# Largest work of one Newton step of an n x d logistic solve: n d^2 to form
+# the Hessian plus d^3 to solve it.  1024 x 1024, exactly at the cap, builds
+# in about 2 s on one BLAS thread; 2048 x 2048, inside both size caps, took
+# 11 s and 214 MB.
+MAX_NEWTON_WORK = 2**31
 
 
 def _check_size(m: int, d: int, what: str = "Jacobian"):
@@ -66,6 +71,15 @@ def _check_size(m: int, d: int, what: str = "Jacobian"):
     if min(m, d) >= 1 and m * d > MAX_JACOBIAN_ENTRIES:
         raise ConfigError(f"{what} of {m} x {d} exceeds the desk-scale cap "
                           f"of {MAX_JACOBIAN_ENTRIES} entries")
+
+
+def _check_newton_work(n: int, d: int):
+    """Refuse an n x d logistic spec whose Newton step does more than
+    MAX_NEWTON_WORK (n d^2 + d^3).  The logistic makers call this after
+    checking n, d >= 1 and the Hessian's size, before drawing any array."""
+    if n * d * d + d**3 > MAX_NEWTON_WORK:
+        raise ConfigError(f"Newton solve of {n} x {d} exceeds the desk-scale cap "
+                          f"of {MAX_NEWTON_WORK} for n*d^2 + d^3")
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -250,7 +264,9 @@ class QuadraticProblem(Problem):
         return 0.5 * float(theta @ (self.a @ theta))
 
     def error_signal(self, theta) -> np.ndarray:
-        return self._add_noise(self._sqrt_a @ theta)
+        # ndarray.dot is the BLAS gemv that `@` calls, without matmul's
+        # gufunc dispatch: the same bits.
+        return self._add_noise(self._sqrt_a.dot(theta))
 
     def jacobian(self, theta, block: int = 0) -> np.ndarray:
         return self._sqrt_a
@@ -316,7 +332,8 @@ class LogisticProblem(Problem):
         decrease ``0.5 * g @ step`` is under 16 ulps of the loss, more than
         the rounding of its pairwise sum: the point is optimal to float
         precision.  Each step forms a d x d Hessian; the makers refuse a d
-        whose Hessian is above the desk-scale cap before drawing any data.
+        whose Hessian is above the desk-scale cap, and an n x d whose Newton
+        step is above MAX_NEWTON_WORK, before drawing any data.
         """
         theta = np.zeros(self.d)
         loss = self.loss(theta)
@@ -540,6 +557,7 @@ def make_gaussian_logistic(n: int, d: int, seed: int) -> LogisticProblem:
     _check_size(n, d)
     feat, lab = _data_streams(n, d, seed)
     _check_size(d, d, "Newton Hessian")
+    _check_newton_work(n, d)
     x = feat.normal_matrix(n, d)
     w = lab.normals(d) / np.sqrt(d) * 2.0
     y = (lab.uniforms(n) < _expit(x @ w)).astype(np.float64)
@@ -558,6 +576,7 @@ def make_lowrank_logistic(n: int, d: int, cond: float, seed: int) -> LogisticPro
         raise ConfigError(f"bad low-rank logistic spec n={n}, d={d}, cond={cond}")
     _check_size(n, d)
     _check_size(d, d, "Newton Hessian")
+    _check_newton_work(n, d)
     feat, lab = _data_streams(n, d, seed)
     x = _lowrank_design(feat, n, d, cond=cond)
     w = lab.normals(d)

@@ -3,6 +3,8 @@ import pytest
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=25)
+# A long search, chosen with `pytest --hypothesis-profile=fuzz`.
+hypothesis.settings.register_profile("fuzz", deadline=None, max_examples=2000)
 hypothesis.settings.load_profile("ci")
 
 

@@ -659,28 +659,38 @@ def limited_child():
     return run
 
 
+_OVER_SIZE_CAP = "exceeds the desk-scale cap of 4194304 entries"
+_OVER_WORK_CAP = "exceeds the desk-scale cap of 2147483648 for n*d^2 + d^3"
+
+
 class TestSizeRefusalsUnderAMemoryLimit:
     """Each size cap refuses a spec just above it before any array is drawn,
     so the refusal exits 3 inside a small address space, and quickly."""
 
-    @pytest.mark.parametrize("argv, what", [
+    @pytest.mark.parametrize("argv, line", [
         (["run", "--problem", "quadratic", "--dim", "2049", "--steps", "1"],
-         "Jacobian of 2049 x 2049"),
-        (["rate-check", "--dim", "2049"], "Jacobian of 2049 x 2049"),
+         f"Jacobian of 2049 x 2049 {_OVER_SIZE_CAP}"),
+        (["rate-check", "--dim", "2049"], f"Jacobian of 2049 x 2049 {_OVER_SIZE_CAP}"),
         (["run", "--problem", "logistic", "--n", "8", "--dim", "2049", "--steps", "1"],
-         "Newton Hessian of 2049 x 2049"),
-        (["ablate", "--n", "8", "--dim", "2049"], "Newton Hessian of 2049 x 2049"),
+         f"Newton Hessian of 2049 x 2049 {_OVER_SIZE_CAP}"),
+        (["ablate", "--n", "8", "--dim", "2049"],
+         f"Newton Hessian of 2049 x 2049 {_OVER_SIZE_CAP}"),
         (["run", "--problem", "logistic", "--n", "4097", "--dim", "1024", "--steps", "1"],
-         "Jacobian of 4097 x 1024"),
+         f"Jacobian of 4097 x 1024 {_OVER_SIZE_CAP}"),
+        # n*d^2 + d^3 = 3 * 2**30, above the Newton work cap of 2**31.
+        (["run", "--problem", "logistic", "--n", "2048", "--dim", "1024", "--steps", "1"],
+         f"Newton solve of 2048 x 1024 {_OVER_WORK_CAP}"),
+        (["ablate", "--n", "2048", "--dim", "1024"],
+         f"Newton solve of 2048 x 1024 {_OVER_WORK_CAP}"),
         # 433 parameters: 9686 rows fit under 2**22 entries, 9687 do not.
         (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "9687",
-          "--steps", "1"], "Jacobian of 9687 x 433"),
+          "--steps", "1"], f"Jacobian of 9687 x 433 {_OVER_SIZE_CAP}"),
     ], ids=["quadratic-run", "quadratic-rate-check", "logistic-hessian-run",
-            "logistic-hessian-ablate", "logistic-n-by-d", "mlp-n-by-params"])
-    def test_refusal_just_above_the_cap(self, argv, what, limited_child, tmp_path):
+            "logistic-hessian-ablate", "logistic-n-by-d", "logistic-newton-work-run",
+            "logistic-newton-work-ablate", "mlp-n-by-params"])
+    def test_refusal_just_above_the_cap(self, argv, line, limited_child, tmp_path):
         done, seconds = limited_child(argv + ["--out", str(tmp_path / "out")])
-        assert (done.returncode, done.stderr) == (
-            3, f"error: {what} exceeds the desk-scale cap of 4194304 entries\n")
+        assert (done.returncode, done.stderr) == (3, f"error: {line}\n")
         assert seconds < 1.0
         assert list(tmp_path.iterdir()) == []
 
@@ -701,6 +711,13 @@ class TestExitCodeProperty:
     @example(("ablate", {"--steps": "1", "--n": "8", "--dim": "65536", "--k": "2"},
               {"--dim"}))
     @example(("run", {"--steps": "1", "--summary": "{tmp}/out"}, {"--summary"}))
+    # Overflow inside a run (noise, the update, theta . theta) is data that
+    # the divergence check reports, with no numpy warning on stderr.
+    @example(("run", {"--steps": "2", "--problem": "quadratic", "--sigma": "1e308"},
+              set()))
+    @example(("run", {"--steps": "2", "--problem": "logistic", "--eta": "1e308"}, set()))
+    @example(("rate-check", {"--t-grid": "1,2,3,4", "--dim": "3", "--k-grid": "1,2",
+                             "--c": "1e308"}, set()))
     def test_every_input_exits_by_the_contract(self, invocation):
         command, flags, in_file = invocation
         with tempfile.TemporaryDirectory() as tmp:
@@ -725,6 +742,11 @@ class TestExitCodeProperty:
         assert "Traceback" not in err.getvalue(), argv
         if code == 1:
             assert "diverged" in out.getvalue(), argv
+            assert err.getvalue() == "", argv
+        if code in (3, 5):
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, (argv, lines)
+            assert lines[0].startswith(("error: ", "io error: ")), (argv, lines)
 
 
 class TestGapNote:
@@ -790,8 +812,12 @@ class TestDeterminism:
            [f"mlp_{opt}_run_seed3.csv", f"mlp_{opt}_run_seed3.json"])
           for opt, extra in (("sgd", []), ("adam", []),
                              ("galore", ["--k", "4", "--tau", "10"]))],
+        # Gradlite without feedback: every block's factor, no probe.
+        (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
+          "--eta", "0.05", "--steps", "60", "--seed", "3", "--ef-mode", "off"],
+         ["mlp_off_run_seed3.csv", "mlp_off_run_seed3.json"]),
     ], ids=["run-quadratic", "run-lowrank-logistic", "ablate", "rate-check",
-            "run-mlp-sgd", "run-mlp-adam", "run-mlp-galore"])
+            "run-mlp-sgd", "run-mlp-adam", "run-mlp-galore", "run-mlp-off"])
     def test_outputs_match_pinned_bytes(self, argv, goldens, tmp_path):
         # Criterion 8's run, ablate and rate-check commands, a logistic run
         # and one MLP run per baseline (galore refreshes its basis at steps

@@ -1,8 +1,10 @@
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gradlite import linalg, optimizers
 from gradlite.errors import ConfigError, DivergedError, EmptyRunError
@@ -485,6 +487,22 @@ class TestAveragedIterate:
             averaged_iterate(st)
 
 
+_CAP = optimizers.DIVERGENCE_CAP
+_TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+_EDGES = [np.nan, np.inf, 0.0, _TINY, 2.2250738585072014e-308, 1.0, _CAP,
+          np.nextafter(_CAP, np.inf), np.nextafter(_CAP, 0.0), _CAP * (1 + 1e-9),
+          _CAP * (1 - 1e-9), _CAP / 2, np.nextafter(_CAP / 2, np.inf),
+          np.nextafter(_CAP / 2, 0.0), 1e154, 1e155, 1e308, np.finfo(np.float64).max]
+_magnitudes = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+    st.floats(1e154, 1e308),  # squares that overflow
+    st.floats(0.4 * _CAP, 1.2 * _CAP),
+    st.floats(0.0, 10.0))
+_entries = st.tuples(_magnitudes, st.booleans()).map(lambda e: -e[0] if e[1] else e[0])
+_thetas = st.lists(_entries, min_size=1, max_size=64).map(np.array)
+
+
 class TestDivergenceGuard:
     def test_magnitude_cap_triggers(self):
         prob = QuadraticProblem(np.eye(2), 0.0)
@@ -506,6 +524,20 @@ class TestDivergenceGuard:
     def test_check_theta_accepts_the_cap_itself(self, value):
         assert optimizers.DIVERGENCE_CAP == 1e12
         optimizers._check_theta(np.array([0.0, value, 1.0]), 4)
+
+    @given(_thetas)
+    def test_check_theta_is_the_max_abs_test_and_never_warns(self, theta):
+        exact_ok = bool(np.maximum.reduce(np.absolute(theta)) <= _CAP)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                optimizers._check_theta(theta, 7)
+                raised = False
+            except DivergedError as err:
+                assert (err.step, err.what) == (7, "theta")
+                raised = True
+        assert raised == (not exact_ok), theta
+        assert caught == []
 
     @pytest.mark.parametrize("what", ["delta", "g_tilde", "g_hat"])
     def test_gradlite_step_names_the_non_finite_vector(self, what, monkeypatch):

@@ -52,6 +52,16 @@ class TestQuadratic:
                 want = prob.jacobian(theta) @ (theta - np.zeros(6))
                 assert prob.error_signal(theta).tobytes() == want.tobytes()
 
+    def test_dot_is_the_matmul_gemv_bit_for_bit(self):
+        # error_signal computes sqrt(A).dot(theta) in place of `@`.
+        stream = SplitMix64(28)
+        sizes = [1, 2, 3, 7, 8, 16, 31, 50, 64, 65, 127, 200, 256, 257, 513]
+        for d in sizes + [int(1 + stream.uniforms(1)[0] * 400) for _ in range(40)]:
+            a = stream.normal_matrix(d, d)
+            for theta in (stream.normals(d), stream.normals(d) * 1e-300,
+                          stream.normals(d) * 1e150):
+                assert a.dot(theta).tobytes() == (a @ theta).tobytes(), d
+
     def test_asymmetric_rejected(self):
         with pytest.raises(SpdError):
             QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -572,3 +582,31 @@ def test_quadratic_refuses_cond_above_its_bound_before_drawing(monkeypatch):
     with pytest.raises(ConfigError, match=r"^bad quadratic spec d=2048, cond=2e\+16 "
                                           r"above the bound 1e\+16$"):
         make_quadratic(2048, 2.0 * bound, 0.0, seed=0)
+
+
+class TestNewtonWorkCap:
+    """Both logistic makers refuse an n x d whose Newton step, n d^2 for the
+    Hessian plus d^3 for its solve, is above MAX_NEWTON_WORK, before any
+    array is drawn."""
+
+    @pytest.mark.parametrize("n, d", [(1024, 1024), (2048, 512), (4096, 256)])
+    def test_accepts_a_spec_at_or_under_the_cap(self, n, d):
+        assert n * d * d + d**3 <= problems.MAX_NEWTON_WORK == 2**31
+        problems._check_newton_work(n, d)  # the check alone; nothing is built
+
+    @pytest.mark.parametrize("maker", [
+        lambda n, d: make_gaussian_logistic(n, d, seed=0),
+        lambda n, d: make_lowrank_logistic(n, d, 10.0, seed=0),
+    ], ids=["gaussian", "lowrank"])
+    @pytest.mark.parametrize("n, d", [(1025, 1024), (1024, 1025), (2048, 1024),
+                                      (512, 2048)])
+    def test_refuses_a_spec_above_the_cap_before_drawing(self, maker, n, d,
+                                                         monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an array was drawn before the spec was checked")
+        monkeypatch.setattr(SplitMix64, "normal_matrix", no_draw)
+        with pytest.raises(ConfigError, match=rf"^Newton solve of {n} x {d} exceeds "
+                                              r"the desk-scale cap of 2147483648 for "
+                                              r"n\*d\^2 \+ d\^3$"):
+            maker(n, d)
+
