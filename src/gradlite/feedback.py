@@ -1,11 +1,11 @@
 """``ef_mode``, the one feedback switch: the exact residual and its rules.
 
 Under a rule a step reads the exact probe ``g = J^T d`` and feeds the
-residual ``D = g - g~`` to one accumulator ``r`` per block, which the next
-update adds back.  "paper" keeps adding each ``D`` without ever consuming
-it, which double-counts under persistent error and can grow without bound
-(the harness reports that divergence); "ef-standard" keeps only the newest
-(consume-on-apply).  "off" reads no probe and keeps no accumulator.
+residual ``D = g - g~`` to one accumulator ``r`` of length d, which the
+next update adds back.  "paper" keeps adding each ``D`` without ever
+consuming it, which double-counts under persistent error and can grow
+without bound (the harness reports that divergence); "ef-standard" keeps
+only the newest (consume-on-apply).  "off" reads no probe and keeps none.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ def estimate_delta(j, delta, g_tilde: np.ndarray) -> np.ndarray:
 
 
 def update_accumulator(r: np.ndarray, residual: np.ndarray, mode: str) -> np.ndarray:
-    """paper: r' = r + D (additive); ef-standard: r' = D."""
+    """paper: r' = r + D (additive); ef-standard: r' = D itself, not a copy."""
     if r.shape != residual.shape:
         raise DimError(f"update_accumulator: {r.shape} vs {residual.shape}")
     if mode == "paper":
         return r + residual
     if mode == "ef-standard":
-        return residual.copy()
+        return residual
     raise ValueError(f"unknown accumulator mode {mode!r}")

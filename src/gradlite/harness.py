@@ -656,26 +656,19 @@ def grad_check_suite(problems=None, chain_draws: int = 100,
     rows = []
     for problem in problems:
         fd_tol = 1e-4 if problem.name == "mlp" else 1e-5
-        thetas = _check_thetas(problem, chain_draws)
-        slices = problem.block_slices()
-        worst = [0.0] * problem.blocks
-        for theta in thetas:
-            delta = problem.error_signal(theta)  # sigma=0 instances: noiseless
+        worst = [[0.0] * problem.blocks for _ in range(2)]  # chain rule, then fd
+        for i, theta in enumerate(_check_thetas(problem, chain_draws)):
             g = problem.exact_gradient(theta)
-            for b in range(problem.blocks):
-                gb = matvec_t(problem.jacobian(theta, block=b), delta)
-                err = float(np.linalg.norm(gb - g[slices[b]]))
-                worst[b] = max(worst[b], err / (1.0 + float(np.linalg.norm(g))))
-        worst_fd = [0.0] * problem.blocks
-        for theta in thetas[:fd_draws]:
-            fd = finite_difference_gradient(problem, theta)
-            g = problem.exact_gradient(theta)
-            denom = max(float(np.linalg.norm(g)), 1e-12)
-            for b in range(problem.blocks):
-                err = float(np.linalg.norm(fd[slices[b]] - g[slices[b]])) / denom
-                worst_fd[b] = max(worst_fd[b], err)
-        for check, errs, tol in (("chain-rule", worst, 1e-10),
-                                 ("finite-difference", worst_fd, fd_tol)):
+            norm_g = float(np.linalg.norm(g))
+            # sigma=0 instances: the signal is noiseless.
+            diffs = [(matvec_t(problem.jacobian(theta), problem.error_signal(theta)) - g,
+                      1.0 + norm_g)]
+            if i < fd_draws:
+                diffs.append((finite_difference_gradient(problem, theta) - g, max(norm_g, 1e-12)))
+            for errs, (diff, scale) in zip(worst, diffs):
+                for b, sl in enumerate(problem.block_slices()):
+                    errs[b] = max(errs[b], float(np.linalg.norm(diff[sl])) / scale)
+        for check, errs, tol in zip(("chain-rule", "finite-difference"), worst, (1e-10, fd_tol)):
             rows.extend(CheckRow(problem=problem.name, block=b, check=check,
                                  max_rel_err=err, tol=tol) for b, err in enumerate(errs))
     return GradCheckReport(rows=tuple(rows))

@@ -1,12 +1,12 @@
 """Low-rank factor pairs standing in for the full Jacobian.
 
-A factor holds u (m x k, orthonormal columns) and v (d x k, singular
-values folded in), so the approximate gradient is the two-matvec pipeline
-v @ (u.T @ delta) with a k-length intermediate and no m x d product ever
-materialized.  An svd-mode factor is the exact top-k SVD of the Jacobian
-(`linalg.truncated_svd`), so it depends on the Jacobian alone, and it keeps
-the Jacobian's Gram eigendecomposition, from which a factor of the same
-Jacobian at another rank is built with one QR.
+A block's factor holds u (m x k, orthonormal columns) and v (d_b x k,
+singular values folded in); `pack` makes the blocks' factors one, so the
+approximate gradient of every block is the two-matvec pipeline
+v @ (u.T @ delta), with no m x d product ever materialized.  An svd-mode
+factor is the exact top-k SVD of its J (`linalg.truncated_svd`), so it
+depends on J alone, and it keeps J's Gram eigendecomposition, from which
+a factor of the same J at another rank is built with one QR.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ _BASIS_SALT = 0xBA515_0001
 
 @dataclass(frozen=True)
 class LowRankFactor:
-    u: np.ndarray  # m x k, orthonormal columns
-    v: np.ndarray  # d x k, singular values folded in
+    u: np.ndarray  # m x k, orthonormal columns (within each block, if packed)
+    v: np.ndarray  # d x k, singular values folded in; block-diagonal if packed
     # The J it was built from, held by reference: a refresh that is handed
     # this same read-only array again keeps the factor.
     source: np.ndarray | None = None
@@ -72,6 +72,22 @@ def factorize(j, k: int, mode: str, seed: int,
         gram_vecs = None
     u.flags.writeable = v.flags.writeable = False
     return LowRankFactor(u=u, v=v, source=j, gram_vecs=gram_vecs)
+
+
+def pack(factors: list[LowRankFactor]) -> LowRankFactor:
+    """The blocks' factors as one: u side by side, v block-diagonal (one
+    block's factor as it is).  The other blocks' zeros add +-0 to a lift's
+    finite partial sums, which leaves them, and so the bits, unchanged."""
+    if len(factors) == 1:
+        return factors[0]
+    u = np.hstack([f.u for f in factors])
+    v = np.zeros((sum(f.v.shape[0] for f in factors), u.shape[1]), order="F")
+    row = col = 0
+    for f in factors:
+        v[row:row + f.v.shape[0], col:col + f.v.shape[1]] = f.v
+        row, col = row + f.v.shape[0], col + f.v.shape[1]
+    u.flags.writeable = v.flags.writeable = False
+    return LowRankFactor(u=u, v=v)
 
 
 def projected_signal(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DivergedError, EmptyRunError
 from .feedback import EF_MODES, correct, estimate_delta, update_accumulator
 from .linalg import matvec_t
-from .lowrank import BASIS_MODES, LowRankFactor, approx_gradient, factorize
+from .lowrank import BASIS_MODES, LowRankFactor, approx_gradient, factorize, pack
 from .problems import Problem
 
 DIVERGENCE_CAP = 1e12
@@ -126,8 +126,8 @@ class GaloreState(OptimizerState):
 
 @dataclass
 class GradLiteState(OptimizerState):
-    factors: list[LowRankFactor] | None = None  # one per block
-    accumulators: list[np.ndarray] | None = None  # one r per block; None if ef_mode="off"
+    factor: LowRankFactor | None = None  # every block's, packed (`lowrank.pack`)
+    r: np.ndarray | None = None  # the accumulator, length d; None if ef_mode="off"
 
 
 @dataclass(frozen=True)
@@ -185,12 +185,12 @@ class GradLiteConfig(SgdConfig):
 
 
 class StepTrace(NamedTuple):
-    """What one step read and applied, each vector concatenated across blocks."""
+    """What one step read and applied, each vector of length d."""
 
     g_tilde: np.ndarray | None  # approximate gradient, length d; None if exact
     g_hat: np.ndarray        # gradient the update rule read; g~ if ef_mode="off"
     big_delta: np.ndarray | None = None  # exact residual g - g~; None if "off"
-    r: np.ndarray | None = None  # the accumulators after the step; None if "off"
+    r: np.ndarray | None = None  # the accumulator after the step; None if "off"
 
     @property
     def g(self) -> np.ndarray | None:
@@ -288,8 +288,14 @@ def _factor(problem: Problem, b: int, j: np.ndarray,
     return kept
 
 
+def _packed_factor(problem: Problem, theta, cfg: GradLiteConfig) -> LowRankFactor:
+    """Every block's factor at theta (`_factor`), packed into one (`lowrank.pack`)."""
+    return pack([_factor(problem, b, problem.jacobian(theta, block=b), cfg)
+                 for b in range(problem.blocks)])
+
+
 def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> GradLiteState:
-    """Validate the rank per block and build the step-0 factors (`_factor`).
+    """Validate the rank per block and build the step-0 factor (`_packed_factor`).
 
     A constant Jacobian keeps one factor across the runs on its problem, so
     the runs of a rate sweep factorize once per rank, from one Gram
@@ -297,27 +303,21 @@ def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> GradLi
     """
     check_rank(problem.m, problem.block_dims, cfg.k)
     state = init_state(problem, theta0, cfg)
-    state.factors = [_factor(problem, b, problem.jacobian(state.theta, block=b), cfg)
-                     for b in range(problem.blocks)]
+    state.factor = _packed_factor(problem, state.theta, cfg)
     if cfg.ef_mode != "off":
-        state.accumulators = [np.zeros(w) for w in problem.block_dims]
+        state.r = np.zeros(problem.d)
     return state
-
-
-def _join(parts: list) -> np.ndarray:
-    """The blocks' vectors end to end; one block's vector is passed on as is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def gradlite_step(state: GradLiteState, problem: Problem,
                   cfg: GradLiteConfig) -> tuple[GradLiteState, StepTrace]:
     """One full update: signal, projection, correction, residual, descent.
 
-    Every block's factor is refreshed at steps tau, 2 tau, ... of the run
-    (`_factor`: kept if the block's Jacobian is the very array it was
-    built from, otherwise rebuilt).  A feedback rule reads every J for the
-    exact probe at every step, "off" only to refresh.  The descent applies
-    the state's update rule to the corrected gradient g_hat (g~ if "off").
+    Each block's factor is refreshed at steps tau, 2 tau, ... (`_factor`:
+    kept if the block's J is the very array it was built from); the rest
+    works on whole vectors, with one exact probe of the whole J per step
+    under a feedback rule ("off" reads J only to refresh).  The descent
+    applies the state's update rule to g_hat (g~ if "off").
 
     The one divergence check is on the new theta: a non-finite entry of
     delta, g~ or g^ reaches it through every update rule.  When it fails,
@@ -328,27 +328,17 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     theta = state.theta
     delta = problem.error_signal(theta)
 
-    ef_mode = cfg.ef_mode
-    feedback = ef_mode != "off"
-    refresh = t > 0 and t % cfg.tau == 0
-    factors, accumulators = state.factors, state.accumulators
-    # Filled block by block; the g^ and D lists stay empty under "off".
-    gt_parts, gh_parts, bd_parts = [], [], []
-    for b, factor in enumerate(factors):
-        j_b = problem.jacobian(theta, block=b) if feedback or refresh else None
-        if refresh:
-            factor = factors[b] = _factor(problem, b, j_b, cfg)
-        gt = approx_gradient(factor, delta)
-        gt_parts.append(gt)
-        if feedback:
-            gh_parts.append(correct(gt, accumulators[b]))
-            bd = estimate_delta(j_b, delta, gt)
-            bd_parts.append(bd)
-            accumulators[b] = update_accumulator(accumulators[b], bd, ef_mode)
-
-    g_tilde = _join(gt_parts)
-    trace = (StepTrace(g_tilde, _join(gh_parts), _join(bd_parts), _join(accumulators))
-             if feedback else StepTrace(g_tilde, g_tilde))
+    if t > 0 and t % cfg.tau == 0:
+        state.factor = _packed_factor(problem, theta, cfg)
+    # Read before the kernels run, so a tracer books them to block 0.
+    j = None if cfg.ef_mode == "off" else problem.jacobian(theta)
+    g_tilde = approx_gradient(state.factor, delta)
+    if j is None:
+        trace = StepTrace(g_tilde, g_tilde)
+    else:
+        g_hat, big_delta = correct(g_tilde, state.r), estimate_delta(j, delta, g_tilde)
+        state.r = update_accumulator(state.r, big_delta, cfg.ef_mode)
+        trace = StepTrace(g_tilde, g_hat, big_delta, state.r)
     try:
         _descend(state, state.update(trace.g_hat, cfg))
     except DivergedError:
@@ -362,8 +352,7 @@ def exact_step(state: OptimizerState, problem: Problem,
                cfg: SgdConfig) -> tuple[OptimizerState, StepTrace]:
     """SGD, Adam or GaLore: descend by the state's rule on the exact gradient J^T d."""
     delta = problem.error_signal(state.theta)
-    g = _join([matvec_t(problem.jacobian(state.theta, block=b), delta)
-               for b in range(problem.blocks)])
+    g = matvec_t(problem.jacobian(state.theta), delta)
     # Checked before the rule reads it: GaLore's SVD raises on a non-finite g.
     if not np.isfinite(g).all():
         raise DivergedError(state.step, "gradient")

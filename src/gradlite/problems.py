@@ -1,7 +1,7 @@
 """Desk-scale objectives exposing the (jacobian, error-signal) split.
 
 Every problem satisfies the chain-rule contract
-``exact_gradient == jacobian.T @ error_signal`` (noiselessly, per block).
+``exact_gradient == jacobian.T @ error_signal`` (noiselessly).
 Every evaluation uses all ``m`` rows.  Stochasticity enters through the
 error signal's noise, and the noise row index is the only run state a
 problem holds, owned by one run at a time; the MLP's evaluation cache and
@@ -13,10 +13,10 @@ block's first row, and scaled by the noise level.  A problem keeps the
 first scaled blocks of its seed, up to NOISE_KEEP entries, and replays a
 kept block itself, so the runs of a one-seed rate sweep draw them once.
 
-A Jacobian is returned read-only and is never changed in place, so the
-same array means the same J: the quadratic and logistic families return
-one array for every theta, and the MLP a new one for each new theta.  The
-optimizer relies on this to keep a factor whose Jacobian has not changed.
+A Jacobian is read-only and never changed in place, so the same array
+means the same J: the quadratic and logistic families return one array for
+every theta and block, the MLP a new one per theta (and for ``block=b`` one
+view of b's columns).  The optimizer keeps a factor whose J is unchanged.
 
 Each family has one seeded maker (`make_quadratic`, `make_gaussian_logistic`,
 `make_lowrank_logistic`, `make_mlp`), whose parameters are the family's spec
@@ -214,7 +214,7 @@ class Problem:
     def error_signal(self, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, theta, block: int = 0) -> np.ndarray:
+    def jacobian(self, theta, block: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def exact_gradient(self, theta) -> np.ndarray:
@@ -268,7 +268,7 @@ class QuadraticProblem(Problem):
         # gufunc dispatch: the same bits.
         return self._add_noise(self._sqrt_a.dot(theta))
 
-    def jacobian(self, theta, block: int = 0) -> np.ndarray:
+    def jacobian(self, theta, block: int | None = None) -> np.ndarray:
         return self._sqrt_a
 
     def exact_gradient(self, theta) -> np.ndarray:
@@ -313,7 +313,7 @@ class LogisticProblem(Problem):
     def error_signal(self, theta) -> np.ndarray:
         return self._add_noise(_expit(self._scores(theta)) - self.data.y)
 
-    def jacobian(self, theta, block: int = 0) -> np.ndarray:
+    def jacobian(self, theta, block: int | None = None) -> np.ndarray:
         return self.data.x
 
     def exact_gradient(self, theta) -> np.ndarray:
@@ -385,15 +385,15 @@ class MlpProblem(Problem):
     """Tanh MLP regression with mean squared-error loss 0.5*||f - y||^2 / n.
 
     One parameter block per layer (weights row-major, then biases).  The
-    per-block jacobian of the predictions is materialized explicitly,
-    which is O(n * block params) memory, fine at desk scale; the exact
-    gradient goes through an independent reverse pass.
+    jacobian of the predictions is materialized explicitly, which is
+    O(n * params) memory, fine at desk scale; the exact gradient goes
+    through an independent reverse pass.
 
     `loss`, `error_signal` and `jacobian` read one cached, read-only
     evaluation of the latest theta, keyed on its contents: one forward
-    pass, plus every block's jacobian from one top-down sweep on the first
-    jacobian request.  A step's signal and jacobians and the loss at the
-    previous step's new iterate thus share a single forward pass.
+    pass, plus one top-down sweep, writing each block into its columns of
+    J, on the first jacobian request.  A step's signal and jacobians and
+    the loss at the previous step's new iterate share one forward pass.
     """
 
     name = "mlp"
@@ -447,7 +447,7 @@ class MlpProblem(Problem):
             _read_only(a)
         self._key, self._ws, self._acts = key, ws, acts
         self._resid = _read_only(acts[-1][:, 0] - self.data.y)
-        self._jacobians = None
+        self._jacobian = None
 
     def loss(self, theta) -> float:
         self._evaluate(theta)
@@ -457,29 +457,27 @@ class MlpProblem(Problem):
         self._evaluate(theta)
         return self._add_noise(self._resid / self.data.n)
 
-    def jacobian(self, theta, block: int = 0) -> np.ndarray:
-        if not 0 <= block < self.blocks:
+    def jacobian(self, theta, block: int | None = None) -> np.ndarray:
+        if block is not None and not 0 <= block < self.blocks:
             raise DimError(f"block {block} outside 0..{self.blocks - 1}")
         self._evaluate(theta)
-        if self._jacobians is None:
+        if self._jacobian is None:
             ws, acts, n = self._ws, self._acts, self.data.n
+            jac, slices = np.empty((n, self.d)), self.block_slices()
             # dpred[i] / dz_l[i, p], built top-down; the output layer is linear.
             d_sens = np.ones((n, 1))
-            jacobians = [None] * len(ws)
             for l in range(len(ws) - 1, -1, -1):
-                # Columns: weights (p x q, row-major), then biases (p).  Each
-                # weight entry is the one rounded product d_sens[i, p] *
+                # Block l's columns: weights (p x q, row-major), biases (p).
+                # Each weight entry is the one rounded product d_sens[i, p] *
                 # acts[i, q], which einsum adds to a zeroed output, so a
                 # -0.0 product (where a unit saturates) is stored as +0.0;
                 # the bias columns copy d_sens, -0.0 and all.  Every reader
                 # of J sums from +0.0, which drops a zero's sign anyway.
                 p, q = d_sens.shape[1], acts[l].shape[1]
-                jac = np.empty((n, p * q + p))
+                lo, hi = slices[l].start, slices[l].stop
                 # Splitting the contiguous last axis gives a view, not a copy.
-                c_einsum("ip,iq->ipq", d_sens, acts[l],
-                         out=jac[:, :p * q].reshape(n, p, q))
-                jac[:, p * q:] = d_sens
-                jacobians[l] = _read_only(jac)
+                c_einsum("ip,iq->ipq", d_sens, acts[l], out=jac[:, lo:hi - p].reshape(n, p, q))
+                jac[:, hi - p:hi] = d_sens
                 if l > 0:
                     # acts[l] is tanh(z) of layer l - 1, so this is tanh'(z),
                     # computed in place in the fresh square.
@@ -487,8 +485,10 @@ class MlpProblem(Problem):
                     np.subtract(1.0, tanh_prime, out=tanh_prime)
                     d_sens = d_sens @ ws[l]
                     d_sens *= tanh_prime
-            self._jacobians = jacobians
-        return self._jacobians[block]
+            self._jacobian, self._blocks = _read_only(jac), None
+        if block is not None and self._blocks is None:  # read-only, as views of J
+            self._blocks = [self._jacobian[:, sl] for sl in self.block_slices()]
+        return self._jacobian if block is None else self._blocks[block]
 
     def exact_gradient(self, theta) -> np.ndarray:
         ws, _, acts = self._forward(np.asarray(theta, dtype=np.float64))

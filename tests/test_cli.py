@@ -816,8 +816,18 @@ class TestDeterminism:
         (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
           "--eta", "0.05", "--steps", "60", "--seed", "3", "--ef-mode", "off"],
          ["mlp_off_run_seed3.csv", "mlp_off_run_seed3.json"]),
+        # The paper rule on every block, and a random basis at rank 1, where a
+        # block's one-column lift takes the kernel's cumsum path.
+        (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
+          "--eta", "0.05", "--steps", "60", "--seed", "3", "--ef-mode", "paper"],
+         ["mlp_paper_run_seed3.csv", "mlp_paper_run_seed3.json"]),
+        (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
+          "--eta", "0.05", "--steps", "60", "--seed", "3",
+          "--basis", "random-projection", "--k", "1"],
+         ["mlp_rp_k1_run_seed3.csv", "mlp_rp_k1_run_seed3.json"]),
     ], ids=["run-quadratic", "run-lowrank-logistic", "ablate", "rate-check",
-            "run-mlp-sgd", "run-mlp-adam", "run-mlp-galore", "run-mlp-off"])
+            "run-mlp-sgd", "run-mlp-adam", "run-mlp-galore", "run-mlp-off",
+            "run-mlp-paper", "run-mlp-rp-k1"])
     def test_outputs_match_pinned_bytes(self, argv, goldens, tmp_path):
         # Criterion 8's run, ablate and rate-check commands, a logistic run
         # and one MLP run per baseline (galore refreshes its basis at steps

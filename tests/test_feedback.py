@@ -58,11 +58,15 @@ class TestUpdateAccumulator:
         r = update_accumulator(r, np.array([1.0, 0.0]), "ef-standard")
         assert np.array_equal(r, [1.0, 0.0])
 
-    def test_standard_mode_stores_a_copy(self):
+    def test_standard_mode_keeps_the_residual_itself(self):
+        # The step's residual is a fresh array that nothing writes to, so
+        # the accumulator is that array, not a copy; the paper rule's sum is
+        # a new array and leaves r as it was.
         residual = np.array([1.0, 0.0])
-        r = update_accumulator(np.zeros(2), residual, "ef-standard")
-        residual[0] = 9.0
-        assert np.array_equal(r, [1.0, 0.0])
+        assert update_accumulator(np.zeros(2), residual, "ef-standard") is residual
+        r = np.array([0.5, 0.5])
+        summed = update_accumulator(r, residual, "paper")
+        assert summed is not r and np.array_equal(r, [0.5, 0.5])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimError):

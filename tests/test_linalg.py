@@ -152,16 +152,16 @@ class TestMatvec:
 
     @pytest.mark.parametrize("spec", BENCHMARK_SPECS, ids=lambda s: s["name"])
     def test_benchmark_jacobians_and_factors_match_loop(self, spec):
-        # Each block's J and the u, v of its step-0 factor, at the
-        # benchmark's rank, through both kernels.
+        # The whole J, each block's view of it and the u, v of the packed
+        # step-0 factor, at the benchmark's rank, through both kernels.
         problem = build_problem(spec, seed=0)
         state = init_gradlite_state(problem, None, GradLiteConfig(eta=0.05, k=8, seed=0))
         stream = SplitMix64(9)
-        for b, factor in enumerate(state.factors):
-            for a in (problem.jacobian(state.theta, block=b), factor.u, factor.v):
-                y, x = stream.normals(a.shape[0]), stream.normals(a.shape[1])
-                assert np.array_equal(matvec_t(a, y), loop_matvec_t(a, y))
-                assert np.array_equal(matvec(a, x), loop_matvec(a, x))
+        blocks = [problem.jacobian(state.theta, block=b) for b in range(problem.blocks)]
+        for a in (problem.jacobian(state.theta), *blocks, state.factor.u, state.factor.v):
+            y, x = stream.normals(a.shape[0]), stream.normals(a.shape[1])
+            assert np.array_equal(matvec_t(a, y), loop_matvec_t(a, y))
+            assert np.array_equal(matvec(a, x), loop_matvec(a, x))
 
     @pytest.mark.parametrize("m, d", [(4, 3), (4, 1), (1, 3)])
     def test_all_negative_zero_terms_sum_to_positive_zero(self, m, d):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradlite.errors import RankError
-from gradlite.linalg import frob_residual, matvec_t
-from gradlite.lowrank import (LowRankFactor, approx_gradient, factorize,
+from gradlite.linalg import frob_residual, matvec, matvec_t
+from gradlite.lowrank import (LowRankFactor, approx_gradient, factorize, pack,
                               projected_signal, static_basis)
 from gradlite.rng import SplitMix64
 
@@ -156,6 +156,54 @@ class TestApproxGradient:
         delta = np.array([0.3, -1.2, 0.9])
         assert np.allclose(approx_gradient(fac, delta),
                            approx_gradient(flipped, delta), atol=1e-14)
+
+
+def with_zeros(stream, a):
+    """a with about a fifth of its entries replaced by +0.0 or -0.0."""
+    zero = (stream.uniforms(a.size) < 0.2).reshape(a.shape)
+    signed = np.where(stream.uniforms(a.size) < 0.5, 0.0, -0.0).reshape(a.shape)
+    return np.where(zero, signed, a)
+
+
+@st.composite
+def block_layouts(draw):
+    """(m, block widths, a rank every block admits, seed): 1-4 blocks."""
+    m = draw(st.integers(1, 40))
+    widths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    return m, widths, draw(st.integers(1, min(m, *widths))), draw(st.integers(0, 2**32))
+
+
+class TestPack:
+    """One projection and one lift through the packed factor give the
+    per-block kernels' bits end to end."""
+
+    @given(block_layouts())
+    def test_packed_kernels_are_the_per_block_kernels_bit_for_bit(self, layout):
+        m, widths, k, seed = layout
+        stream = SplitMix64(seed)
+        factors = [LowRankFactor(u=with_zeros(stream, stream.normal_matrix(m, k)),
+                                 v=np.asfortranarray(with_zeros(stream, stream.normal_matrix(w, k))))
+                   for w in widths]
+        packed = pack(factors)
+        assert packed.u.shape == (m, k * len(widths))
+        assert packed.v.shape == (sum(widths), k * len(widths))
+        if len(factors) == 1:
+            assert packed is factors[0]
+        else:
+            assert not (packed.u.flags.writeable or packed.v.flags.writeable)
+        delta = with_zeros(stream, stream.normals(m))
+        signal = with_zeros(stream, stream.normals(k * len(widths)))
+        signals = np.split(signal, len(widths))
+        for got, want in (
+                (matvec_t(packed.u, delta), [matvec_t(f.u, delta) for f in factors]),
+                (matvec(packed.v, signal),
+                 [matvec(f.v, s) for f, s in zip(factors, signals)]),
+                (approx_gradient(packed, delta), [approx_gradient(f, delta) for f in factors])):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_one_block_is_its_own_factor(self):
+        fac = factorize(J32, 1, SVD, 0)
+        assert pack([fac]) is fac
 
 
 def test_static_basis_deterministic_and_orthonormal():

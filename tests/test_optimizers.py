@@ -62,7 +62,7 @@ class TestGradLiteStep:
         cfg2 = GradLiteConfig(eta=0.05, k=2, ef_mode="off", seed=1)
         st2 = init_gradlite_state(prob, None, cfg2)
         st2, tr2 = gradlite_step(st2, prob, cfg2)
-        assert tr2.g is None and st2.accumulators is None
+        assert tr2.g is None and st2.r is None
         assert tr2.big_delta is None and tr2.g_hat is tr2.g_tilde
 
     def test_rank_above_block_cap_rejected(self):
@@ -73,37 +73,44 @@ class TestGradLiteStep:
 
     def test_each_block_refreshes_once_tau_steps_have_passed(self, factorized):
         # An MLP's Jacobian is a new array at every theta, so every block
-        # refactorizes at steps tau, 2 tau, ... and at no other step.
+        # refactorizes at steps tau, 2 tau, ... and at no other step, each
+        # from its own columns of J, and the packed factor is rebuilt.
         prob = make_mlp([4, 5, 5, 1], 12, seed=7)
         cfg = GradLiteConfig(eta=0.01, k=2, tau=3, seed=0)
         st = init_gradlite_state(prob, None, cfg)
         assert len(factorized) == 3
         for t in range(10):
-            before, calls = list(st.factors), len(factorized)
+            before, calls = st.factor, len(factorized)
+            theta = st.theta
             st, _ = gradlite_step(st, prob, cfg)
             refreshed = t in (3, 6, 9)
             assert len(factorized) - calls == (3 if refreshed else 0)
-            assert all((a is b) != refreshed for a, b in zip(st.factors, before))
+            assert (st.factor is before) != refreshed
+            if refreshed:
+                assert factorized[calls:] == [prob.jacobian(theta, block=b)
+                                              for b in range(prob.blocks)]
+                assert st.factor.u.shape == (prob.m, 3 * cfg.k)
+                assert st.factor.v.shape == (prob.d, 3 * cfg.k)
 
     def test_no_feedback_reads_each_jacobian_only_to_refresh(self, monkeypatch):
         # No update reads the probe with feedback off, so a block's J is
-        # read at init and at steps tau, 2 tau, ... only, and no
-        # accumulator is kept.
+        # read at init and at steps tau, 2 tau, ... only, the whole J never,
+        # and no accumulator is kept.
         prob = make_mlp([4, 5, 5, 1], 12, seed=7)
         reads, jacobian = [], prob.jacobian
 
-        def counting(theta, block=0):
+        def counting(theta, block=None):
             reads.append(block)
             return jacobian(theta, block=block)
         monkeypatch.setattr(prob, "jacobian", counting)
         cfg = GradLiteConfig(eta=0.01, k=2, tau=3, ef_mode="off", seed=0)
         st = init_gradlite_state(prob, None, cfg)
-        assert reads == [0, 1, 2] and st.accumulators is None
+        assert reads == [0, 1, 2] and st.r is None
         for t in range(10):
             before = len(reads)
             st, _ = gradlite_step(st, prob, cfg)
             assert reads[before:] == ([0, 1, 2] if t in (3, 6, 9) else [])
-        assert st.accumulators is None
+        assert st.r is None
 
     def test_divergence_raises_with_step_index(self):
         prob = make_quadratic(4, 5.0, 0.0, seed=2)
@@ -124,7 +131,7 @@ class CopyingJacobian:
     def __getattr__(self, name):
         return getattr(self._problem, name)
 
-    def jacobian(self, theta, block: int = 0):
+    def jacobian(self, theta, block: int | None = None):
         return self._problem.jacobian(theta, block=block).copy()
 
 
@@ -156,10 +163,10 @@ class TestRefreshReuse:
         cfg = GradLiteConfig(eta=0.01, k=2, tau=self.TAU, basis_mode=basis_mode,
                              seed=9)
         st = init_gradlite_state(problem, None, cfg)
-        factors = [st.factors[0]]
+        factors = [st.factor]
         for _ in range(self.STEPS):
             st, _ = gradlite_step(st, problem, cfg)
-            factors.append(st.factors[0])
+            factors.append(st.factor)
         return st, factors
 
     @pytest.mark.parametrize("name", sorted(CONSTANT_J))
@@ -176,7 +183,7 @@ class TestRefreshReuse:
         assert len(factorized) - 1 == 1 + 3  # the copies force every refresh
         assert np.array_equal(kept.theta, rebuilt.theta)
         assert np.array_equal(kept.theta_sum, rebuilt.theta_sum)
-        assert np.array_equal(kept.accumulators[0], rebuilt.accumulators[0])
+        assert np.array_equal(kept.r, rebuilt.r)
 
     @pytest.mark.parametrize("name", sorted(CONSTANT_J))
     def test_random_projection_reuse_is_bit_exact(self, name, factorized):
@@ -203,7 +210,7 @@ class TestStep0FactorReuse:
     @staticmethod
     def init(problem, k=2, basis_mode="svd", seed=9):
         cfg = GradLiteConfig(eta=0.01, k=k, basis_mode=basis_mode, seed=seed)
-        return init_gradlite_state(problem, None, cfg).factors[0]
+        return init_gradlite_state(problem, None, cfg).factor
 
     @pytest.mark.parametrize("mode", ["svd", "random-projection"])
     def test_one_problem_factorizes_once_per_rank(self, mode, factorized):
@@ -297,9 +304,8 @@ class TestOneDecompositionPerJacobian:
         assert len(decomposed) == 2 * 3 * 3  # two runs, 3 blocks, 3 factorizations
         kept, cleared = states
         for got, want in ((kept.theta, cleared.theta), (kept.theta_sum, cleared.theta_sum),
-                          *zip(kept.accumulators, cleared.accumulators),
-                          *((f.u, g.u) for f, g in zip(kept.factors, cleared.factors)),
-                          *((f.v, g.v) for f, g in zip(kept.factors, cleared.factors))):
+                          (kept.r, cleared.r), (kept.factor.u, cleared.factor.u),
+                          (kept.factor.v, cleared.factor.v)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -548,11 +554,11 @@ class TestDivergenceGuard:
             monkeypatch.setattr(prob, "error_signal",
                                 lambda theta: np.full(prob.m, np.nan))
         elif what == "g_tilde":
-            v = st.factors[0].v.copy()
+            v = st.factor.v.copy()
             v[0, 0] = np.nan
-            st.factors[0] = replace(st.factors[0], v=v)
+            st.factor = replace(st.factor, v=v)
         else:
-            st.accumulators[0] = np.full(prob.d, np.nan)
+            st.r = np.full(prob.d, np.nan)
         with pytest.raises(DivergedError) as err:
             gradlite_step(st, prob, cfg)
         assert (err.value.step, err.value.what) == (0, what)
@@ -594,7 +600,7 @@ class TestStatePerOptimizer:
 
     @pytest.mark.parametrize("name, own", [
         ("sgd", set()), ("adam", {"m", "v"}), ("galore", {"window", "basis"}),
-        ("gradlite", {"factors", "accumulators"}),
+        ("gradlite", {"factor", "r"}),
     ])
     def test_fields_are_the_shared_ones_plus_the_optimizers_own(self, name, own):
         problem = make_mlp([6, 12, 1], 8, seed=5)
@@ -640,7 +646,7 @@ class TestStepTraceContract:
             else:
                 assert trace.g is None
             if rule:
-                assert np.array_equal(trace.r, np.concatenate(state.accumulators))
+                assert np.array_equal(trace.r, state.r)
             else:
                 assert trace.r is None
             thetas.append(state.theta)
@@ -706,14 +712,18 @@ def _bad_delta(value):
 
 
 def _nan_in_v(prob, st, monkeypatch):
-    b = prob.blocks - 1  # the last block: every block is scanned
-    v = st.factors[b].v.copy()
-    v[0, 0] = np.nan
-    st.factors[b] = replace(st.factors[b], v=v)
+    # The first entry of the last block's v in the packed factor: every
+    # block is scanned.  Every block has the same rank.
+    b = prob.blocks - 1
+    k = st.factor.v.shape[1] // prob.blocks
+    v = st.factor.v.copy()
+    v[prob.block_slices()[b].start, b * k] = np.nan
+    st.factor = replace(st.factor, v=v)
 
 
 def _nan_accumulator(prob, st, monkeypatch):
-    st.accumulators[0] = np.full(prob.block_dims[0], np.nan)
+    st.r = st.r.copy()
+    st.r[prob.block_slices()[0]] = np.nan
 
 
 def _theta_over_cap(prob, st, monkeypatch):

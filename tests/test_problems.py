@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gradlite
 from gradlite import problems
@@ -514,6 +516,46 @@ class TestChainRuleContract:
                      for b in range(prob.blocks)]
             err = np.linalg.norm(np.concatenate(parts) - g)
             assert err <= 1e-10 * (1.0 + np.linalg.norm(g))
+
+
+class TestWholeJacobian:
+    """jacobian(theta) is the whole J; jacobian(theta, block=b) its block b."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(seed=st.integers(0, 2**32))
+    def test_whole_probe_is_the_block_probes_end_to_end(self, family, seed):
+        prob = whole_j_problem(family)
+        stream = SplitMix64(seed)
+        theta = prob.default_theta0() + stream.normals(prob.d)
+        delta = stream.normals(prob.m)
+        parts = [matvec_t(prob.jacobian(theta, block=b), delta) for b in range(prob.blocks)]
+        assert matvec_t(prob.jacobian(theta), delta).tobytes() \
+            == np.concatenate(parts).tobytes()
+
+    @given(layers=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           n=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_mlp_whole_j_is_its_read_only_blocks_side_by_side(self, layers, n, seed):
+        # 1-4 blocks; a large theta saturates units, so J holds signed zeros.
+        prob = make_mlp([*layers, 1], n, seed % 1000)
+        stream = SplitMix64(seed)
+        theta = 10.0 * stream.uniforms(1)[0] * stream.normals(prob.d)
+        whole = prob.jacobian(theta)
+        views = [prob.jacobian(theta, block=b) for b in range(prob.blocks)]
+        assert whole.shape == (prob.m, prob.d)
+        assert np.hstack(views).tobytes() == whole.tobytes()
+        assert not any(a.flags.writeable for a in (whole, *views))
+        assert prob.jacobian(theta) is whole
+        assert all(prob.jacobian(theta, block=b) is view for b, view in enumerate(views))
+        delta = stream.normals(prob.m)
+        assert matvec_t(whole, delta).tobytes() == np.concatenate(
+            [matvec_t(view, delta) for view in views]).tobytes()
+
+
+@functools.cache
+def whole_j_problem(family):
+    """One problem per family for every example: a logistic maker solves its
+    optimum."""
+    return FAMILIES[family]()
 
 
 class TestFiniteDifferences:

@@ -4,9 +4,11 @@
 in the package would break traced benchmark runs, and this test catches it.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
+import gradlite
 import gradlite.cli  # noqa: F401  (loads every module the tracer wraps)
 from gradlite import harness, linalg, lowrank, optimizers
 from gradlite.harness import build_problem
@@ -35,24 +37,48 @@ def test_tracer_installs_and_removes_cleanly():
 
 
 def test_traced_step_times_each_block_jacobian_on_its_block():
-    # The tracer reads the block from the `block` keyword (or the fourth
-    # positional argument); a step that passed it positionally after theta
-    # would book every block's Jacobian time to block 0.
+    # A refresh reads each block's Jacobian by the `block` keyword, then the
+    # step reads the whole J, which the tracer books to block 0.  A step
+    # that passed the block positionally would book every block's Jacobian
+    # time to block 0: the tracer takes the block from the keyword.
     module = load_tracer()
     problem = build_problem({"name": "mlp", "layers": [4, 8, 8, 1], "n": 16}, 0)
-    cfg = optimizers.GradLiteConfig(eta=0.05, k=2, seed=0)
+    cfg = optimizers.GradLiteConfig(eta=0.05, k=2, tau=1, seed=0)  # refresh at step 1
     tracer = module.Tracer()
     try:
         tracer.install()
         state = optimizers.init_gradlite_state(problem, None, cfg)
-        optimizers.gradlite_step(state, problem, cfg)
+        for _ in range(2):
+            state, _ = optimizers.gradlite_step(state, problem, cfg)
     finally:
         tracer.remove()
     field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
     jacobian = tracer.names.index("problems.jacobian")
-    blocks = {span[field["block"]] for span in tracer.spans()
-              if span[field["name_id"]] == jacobian and span[field["step"]] == 0}
-    assert blocks == {0, 1, 2}
+    blocks = {0: [], 1: []}
+    for span in tracer.spans():
+        if span[field["name_id"]] == jacobian and span[field["step"]] in blocks:
+            blocks[span[field["step"]]].append(span[field["block"]])
+    assert blocks == {0: [0], 1: [0, 1, 2, 0]}
+
+
+def test_package_jacobian_calls_keep_the_tracers_block_contract():
+    # The tracer books a Jacobian read to `int(kwargs.get("block", 0))`, so
+    # a positional block would be booked to block 0 and `block=None` would
+    # crash a traced run.  Every call in the package passes theta alone, or
+    # theta and `block=` by keyword with a value other than None.
+    calls = 0
+    for path in sorted(Path(gradlite.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "jacobian"):
+                continue
+            calls += 1
+            where = f"{path.name}:{node.lineno}"
+            assert len(node.args) == 1 and not isinstance(node.args[0], ast.Starred), where
+            assert [kw.arg for kw in node.keywords] in ([], ["block"]), where
+            assert not any(isinstance(kw.value, ast.Constant) and kw.value.value is None
+                           for kw in node.keywords), where
+    assert calls > 0
 
 
 def traced_spans(run):
@@ -137,13 +163,13 @@ def traced_mlp_run(steps):
 
 
 def test_traced_mlp_step_books_each_kernel_on_its_block():
-    # Per step and block, the default method projects and probes through
-    # matvec_t, lifts through matvec and reads the block's Jacobian once;
-    # the per-block layer metrics read these spans, so a fused kernel or
-    # a Jacobian read for all blocks at once would empty them.
+    # Each step projects and probes through one matvec_t call each and lifts
+    # through one matvec call, on whole vectors, after reading the whole J,
+    # which books them to block 0.  Only the refresh at step 10 works block
+    # by block: one factorize on each block's own Jacobian.
     steps = 12  # past the refresh at step 10
     field, tracer = traced_mlp_run(steps)
-    names = ("linalg.matvec_t", "linalg.matvec", "problems.jacobian")
+    names = ("linalg.matvec_t", "linalg.matvec", "lowrank.factorize")
     per_step = {}
     for span in tracer.spans():
         name = tracer.names[span[field["name_id"]]]
@@ -151,9 +177,9 @@ def test_traced_mlp_step_books_each_kernel_on_its_block():
             key = (span[field["step"]], name)
             per_step.setdefault(key, []).append(span[field["block"]])
     for step in range(steps):
-        for name, per_block in zip(names, (2, 1, 1)):
-            blocks = sorted(per_step.get((step, name), []))
-            assert blocks == sorted([0, 1, 2] * per_block), (step, name)
+        refreshes = [0, 1, 2] if step == 10 else []
+        for name, blocks in zip(names, ([0, 0], [0], refreshes)):
+            assert per_step.get((step, name), []) == blocks, (step, name)
 
 
 def test_traced_mlp_refresh_books_one_svd_inside_each_factorize():
