@@ -41,10 +41,6 @@ ABLATION_VARIANTS = {
 }
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_json(path, payload: dict):
     """Write `payload` as key-sorted, indented JSON ending in a newline."""
     with open(path, "w", newline="\n") as fh:
@@ -176,6 +172,9 @@ class StepRecord:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
+# One CSV row: the step, then each other field as "%.17g", which writes a
+# float exactly as format(x, ".17g") does (`test_percent_g_is_format_g`).
+_CSV_ROW = "%d" + ",%.17g" * (len(fields(StepRecord)) - 1) + "\n"
 
 
 @dataclass
@@ -202,9 +201,7 @@ class RunMetrics:
     def write_csv(self, path):
         with open(path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for r in self.records:
-                step, *values = vars(r).values()
-                fh.write(",".join([str(step)] + [_fmt(v) for v in values]) + "\n")
+            fh.writelines(_CSV_ROW % tuple(vars(r).values()) for r in self.records)
 
     def summary_dict(self) -> dict:
         return {
@@ -525,9 +522,8 @@ class AblationResult:
     def write_csv(self, path):
         with open(path, "w", newline="\n") as fh:
             fh.write("variant,seed,final_loss,final_gap\n")
-            for r in self.rows:
-                fh.write(f"{r.variant},{r.seed},{_fmt(r.final_loss)},"
-                         f"{_fmt(r.final_gap)}\n")
+            fh.writelines("%s,%d,%.17g,%.17g\n" % (r.variant, r.seed, r.final_loss, r.final_gap)
+                          for r in self.rows)
 
     def by_seed(self) -> dict:
         out: dict[int, dict[str, AblationRow]] = {}

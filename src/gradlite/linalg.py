@@ -40,7 +40,8 @@ Python glue cost about a fifth of the MLP's refresh.  A test keeps the
 wrapper route as an oracle and checks the two bit for bit
 (`test_matches_the_wrapper_route_bit_for_bit`).  Its eigendecomposition
 does not depend on the rank, so it returns it (`SvdResult.gram_vecs`) and
-takes it back to factor the same matrix at another rank with one QR.
+takes it back to factor the same matrix at another rank with one QR.  Its
+unsigned core and its sign fix also serve `lowrank.factorize`.
 
 Everything here is pure; nothing mutates its inputs.
 """
@@ -130,6 +131,34 @@ def _raise_linalg_error(err, flag):
     raise np.linalg.LinAlgError("eigh or QR failed in truncated_svd")
 
 
+def _gram_svd(b, k: int, gram_vecs: np.ndarray | None = None):
+    """`truncated_svd` of b, whose rows are its short side, before the sign
+    fix: (w, x, s, gram_vecs), w the short side and x the long side."""
+    if gram_vecs is None:
+        # Formed outside the errstate, so an overflowing Gram warns as a
+        # caller's own `b @ b.T` would.
+        gram = b @ b.T
+    elif gram_vecs.shape != (b.shape[0], b.shape[0]):
+        raise DimError(f"gram_vecs {gram_vecs.shape} do not fit {b.shape[0]} short-side rows")
+    with np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        if gram_vecs is None:
+            gram_vecs = eigh_lo(gram)[1][:, ::-1]
+            gram_vecs.flags.writeable = False
+        w = gram_vecs[:, :k]
+        # qr_r_raw leaves R in the upper triangle of `raw`, in place.
+        raw = b.T @ w
+        q = qr_reduced(raw, qr_r_raw(raw))
+    diag = np.diagonal(raw)
+    return w, q * np.where(diag < 0.0, -1.0, 1.0), np.abs(diag), gram_vecs
+
+
+def _lead_flips(u: np.ndarray) -> np.ndarray:
+    """+-1 per column of u, the sign that makes its largest-magnitude entry positive."""
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return np.where(lead < 0.0, -1.0, 1.0)
+
+
 def truncated_svd(a, k: int, gram_vecs: np.ndarray | None = None) -> SvdResult:
     """Exact leading-k SVD from the eigendecomposition of the smaller Gram.
 
@@ -160,28 +189,7 @@ def truncated_svd(a, k: int, gram_vecs: np.ndarray | None = None) -> SvdResult:
     m, d = a.shape
     if not 1 <= k <= min(m, d):
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {a.shape}")
-
-    b = a if m <= d else a.T
-    if gram_vecs is None:
-        # Formed outside the errstate, so an overflowing Gram warns as a
-        # caller's own `b @ b.T` would.
-        gram = b @ b.T
-    elif gram_vecs.shape != (b.shape[0], b.shape[0]):
-        raise DimError(f"gram_vecs {gram_vecs.shape} do not fit shape {a.shape}")
-    with np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        if gram_vecs is None:
-            gram_vecs = eigh_lo(gram)[1][:, ::-1]
-            gram_vecs.flags.writeable = False
-        w = gram_vecs[:, :k]
-        # qr_r_raw leaves R in the upper triangle of `raw`, in place.
-        raw = b.T @ w
-        q = qr_reduced(raw, qr_r_raw(raw))
-    diag = np.diagonal(raw)
-    s = np.abs(diag)
-    x_sign = np.where(diag < 0.0, -1.0, 1.0)  # the long side is q * x_sign
-    u0, u_sign = (w, 1.0) if m <= d else (q, x_sign)
-    lead = u0[np.argmax(np.abs(u0), axis=0), np.arange(k)] * u_sign
-    flip = np.where(lead < 0.0, -1.0, 1.0)
-    w, x = w * flip, q * (x_sign * flip)
-    return SvdResult(w, s, x, gram_vecs) if m <= d else SvdResult(x, s, w, gram_vecs)
+    w, x, s, gram_vecs = _gram_svd(a if m <= d else a.T, k, gram_vecs)
+    u, v = (w, x) if m <= d else (x, w)
+    flip = _lead_flips(u)
+    return SvdResult(u * flip, s, v * flip, gram_vecs)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DivergedError, EmptyRunError
 from .feedback import EF_MODES, correct, estimate_delta, update_accumulator
 from .linalg import matvec_t
-from .lowrank import BASIS_MODES, LowRankFactor, approx_gradient, factorize, pack
+from .lowrank import BASIS_MODES, LowRankFactor, approx_gradient, factorize
 from .problems import Problem
 
 DIVERGENCE_CAP = 1e12
@@ -126,7 +126,7 @@ class GaloreState(OptimizerState):
 
 @dataclass
 class GradLiteState(OptimizerState):
-    factor: LowRankFactor | None = None  # every block's, packed (`lowrank.pack`)
+    factor: LowRankFactor | None = None  # every block's, packed (`lowrank.factorize`)
     r: np.ndarray | None = None  # the accumulator, length d; None if ef_mode="off"
 
 
@@ -251,51 +251,45 @@ def check_rank(m: int, block_dims, k: int):
             raise ConfigError(f"rank {k} exceeds min(m, d_block)={cap} for block {b}")
 
 
-# Per live problem, the latest factor of each (block, k, basis_mode, seed of
-# a random projection or None), and under the key `block` the latest svd
-# factor of that block; an entry goes with its problem.
+# Per live problem, the latest factor of each (k, basis_mode, seed of a
+# random projection or None), and under the key "svd" the latest svd
+# factor; an entry goes with its problem.
 _FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _built_from(factor: LowRankFactor | None, j: np.ndarray) -> bool:
-    """Whether factor was built from j, the very array and a read-only one."""
-    return factor is not None and j is factor.source and not j.flags.writeable
+    """Whether factor was built from j, the very array (held weakly) and a read-only one."""
+    return factor is not None and j is factor.source() and not j.flags.writeable
 
 
-def _factor(problem: Problem, b: int, j: np.ndarray,
-            cfg: GradLiteConfig) -> LowRankFactor:
-    """The factor of block b's Jacobian j at cfg's rank and basis.
+def _factor(problem: Problem, j: np.ndarray, cfg: GradLiteConfig) -> LowRankFactor:
+    """The factor of the problem's whole Jacobian j at cfg's rank and basis.
 
-    That is the latest factor built on this problem for the block, rank,
-    basis and (random projection only) seed when j is the very read-only
-    array it was built from, else a new factor of j, which is remembered.
-    Problems return read-only Jacobians, so the same array means the same
-    J, and a factor depends on nothing else.  A new svd factor of the J
-    that the block's latest svd factor was built from, at another rank,
-    reuses that factor's Gram eigendecomposition: one eigh per J serves
+    That is the latest factor built on this problem for the rank, basis and
+    (random projection only) seed when j is the very read-only array it was
+    built from, else a new factor of j, which is remembered.  Problems
+    return read-only Jacobians, so the same array means the same J, and a
+    factor depends on nothing else.  A new svd factor of the J that the
+    latest svd factor was built from, at another rank, reuses that factor's
+    per-block Gram eigendecompositions: one eigh per block of a J serves
     every rank, and the bits are the same (`linalg.truncated_svd`).
     """
     memo = _FACTORS.setdefault(problem, {})
     seed = cfg.seed if cfg.basis_mode == "random-projection" else None
-    key = (b, cfg.k, cfg.basis_mode, seed)
+    key = (cfg.k, cfg.basis_mode, seed)
     kept = memo.get(key)
     if not _built_from(kept, j):
-        last_svd = memo.get(b)
+        last_svd = memo.get("svd")
         gram_vecs = last_svd.gram_vecs if _built_from(last_svd, j) else None
-        kept = memo[key] = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, gram_vecs)
+        kept = memo[key] = factorize(j, cfg.k, cfg.basis_mode, cfg.seed,
+                                     problem.block_dims, gram_vecs)
         if kept.gram_vecs is not None:
-            memo[b] = kept
+            memo["svd"] = kept
     return kept
 
 
-def _packed_factor(problem: Problem, theta, cfg: GradLiteConfig) -> LowRankFactor:
-    """Every block's factor at theta (`_factor`), packed into one (`lowrank.pack`)."""
-    return pack([_factor(problem, b, problem.jacobian(theta, block=b), cfg)
-                 for b in range(problem.blocks)])
-
-
 def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> GradLiteState:
-    """Validate the rank per block and build the step-0 factor (`_packed_factor`).
+    """Validate the rank per block and build the step-0 factor (`_factor`).
 
     A constant Jacobian keeps one factor across the runs on its problem, so
     the runs of a rate sweep factorize once per rank, from one Gram
@@ -303,7 +297,7 @@ def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> GradLi
     """
     check_rank(problem.m, problem.block_dims, cfg.k)
     state = init_state(problem, theta0, cfg)
-    state.factor = _packed_factor(problem, state.theta, cfg)
+    state.factor = _factor(problem, problem.jacobian(state.theta), cfg)
     if cfg.ef_mode != "off":
         state.r = np.zeros(problem.d)
     return state
@@ -313,11 +307,11 @@ def gradlite_step(state: GradLiteState, problem: Problem,
                   cfg: GradLiteConfig) -> tuple[GradLiteState, StepTrace]:
     """One full update: signal, projection, correction, residual, descent.
 
-    Each block's factor is refreshed at steps tau, 2 tau, ... (`_factor`:
-    kept if the block's J is the very array it was built from); the rest
-    works on whole vectors, with one exact probe of the whole J per step
-    under a feedback rule ("off" reads J only to refresh).  The descent
-    applies the state's update rule to g_hat (g~ if "off").
+    The factor is refreshed at steps tau, 2 tau, ... from the whole J, read
+    once per step (`_factor`: kept if J is the very array it was built
+    from); the rest works on whole vectors, with one exact probe of that J
+    per step under a feedback rule ("off" reads J only to refresh).  The
+    descent applies the state's update rule to g_hat (g~ if "off").
 
     The one divergence check is on the new theta: a non-finite entry of
     delta, g~ or g^ reaches it through every update rule.  When it fails,
@@ -328,12 +322,12 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     theta = state.theta
     delta = problem.error_signal(theta)
 
-    if t > 0 and t % cfg.tau == 0:
-        state.factor = _packed_factor(problem, theta, cfg)
-    # Read before the kernels run, so a tracer books them to block 0.
-    j = None if cfg.ef_mode == "off" else problem.jacobian(theta)
+    refresh, feedback = t > 0 and t % cfg.tau == 0, cfg.ef_mode != "off"
+    j = problem.jacobian(theta) if refresh or feedback else None
+    if refresh:
+        state.factor = _factor(problem, j, cfg)
     g_tilde = approx_gradient(state.factor, delta)
-    if j is None:
+    if not feedback:
         trace = StepTrace(g_tilde, g_tilde)
     else:
         g_hat, big_delta = correct(g_tilde, state.r), estimate_delta(j, delta, g_tilde)

@@ -464,27 +464,28 @@ class MlpProblem(Problem):
         if self._jacobian is None:
             ws, acts, n = self._ws, self._acts, self.data.n
             jac, slices = np.empty((n, self.d)), self.block_slices()
-            # dpred[i] / dz_l[i, p], built top-down; the output layer is linear.
-            d_sens = np.ones((n, 1))
-            for l in range(len(ws) - 1, -1, -1):
+            # dpred[i] / dz_l[i, p], built top-down.  The output layer is
+            # linear with one unit: its weight columns are its inputs.
+            last = len(ws) - 1
+            jac[:, slices[last].start:-1], jac[:, -1] = acts[last], 1.0
+            d_sens = None
+            for l in range(last - 1, -1, -1):
+                # tanh'(z) of layer l from acts[l + 1] = tanh(z), in place, times
+                # the output weights (each 1.0 * w exactly) or the layer above's.
+                above, d_sens = d_sens, acts[l + 1] ** 2
+                np.subtract(1.0, d_sens, out=d_sens)
+                d_sens *= ws[last][0] if above is None else above @ ws[l + 1]
                 # Block l's columns: weights (p x q, row-major), biases (p).
                 # Each weight entry is the one rounded product d_sens[i, p] *
                 # acts[i, q], which einsum adds to a zeroed output, so a
                 # -0.0 product (where a unit saturates) is stored as +0.0;
-                # the bias columns copy d_sens, -0.0 and all.  Every reader
-                # of J sums from +0.0, which drops a zero's sign anyway.
+                # bias and output-weight columns are copies, -0.0 and all.
+                # Every reader of J sums from +0.0, which drops zeros' signs.
                 p, q = d_sens.shape[1], acts[l].shape[1]
                 lo, hi = slices[l].start, slices[l].stop
                 # Splitting the contiguous last axis gives a view, not a copy.
                 c_einsum("ip,iq->ipq", d_sens, acts[l], out=jac[:, lo:hi - p].reshape(n, p, q))
                 jac[:, hi - p:hi] = d_sens
-                if l > 0:
-                    # acts[l] is tanh(z) of layer l - 1, so this is tanh'(z),
-                    # computed in place in the fresh square.
-                    tanh_prime = acts[l] ** 2
-                    np.subtract(1.0, tanh_prime, out=tanh_prime)
-                    d_sens = d_sens @ ws[l]
-                    d_sens *= tanh_prime
             self._jacobian, self._blocks = _read_only(jac), None
         if block is not None and self._blocks is None:  # read-only, as views of J
             self._blocks = [self._jacobian[:, sl] for sl in self.block_slices()]

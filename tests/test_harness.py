@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gradlite import harness, optimizers, problems
 from gradlite.errors import ConfigError, DivergedError, NonPositiveGapError
-from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, _final_loss_of,
+from gradlite.harness import (ABLATION_VARIANTS, CSV_HEADER, StepRecord, _final_loss_of,
                               ablation_suite, build_problem,
                               default_check_problems, grad_check_suite,
                               memory_counts, memory_report, rate_check,
@@ -102,6 +103,26 @@ class TestRunExperiment:
         for rec in run_experiment(spec, opt, 3, 0).records:
             assert rec.opt_scalars == 0 and np.isfinite(rec.gtilde_norm)
             assert np.isnan(rec.g_norm) and np.isnan(rec.r_norm) and np.isnan(rec.delta_norm)
+
+
+class TestCsvFormat:
+    """A CSV row is one %-format, with the bytes of one format() per value."""
+
+    @given(st.floats())
+    @example(float("nan"))
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072009e-308)
+    def test_percent_g_is_format_g(self, x):
+        assert "%.17g" % x == format(x, ".17g")
+
+    @given(st.integers(0, 10**6), st.lists(st.floats(), min_size=8, max_size=8))
+    def test_a_row_is_its_fields_formatted_one_by_one(self, step, values):
+        record = StepRecord(step, *values)
+        want = ",".join([str(step)] + [format(float(v), ".17g") for v in values]) + "\n"
+        assert harness._CSV_ROW % tuple(vars(record).values()) == want
 
 
 class TestMemoryLedger:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gradlite.errors import RankError
-from gradlite.linalg import frob_residual, matvec, matvec_t
-from gradlite.lowrank import (LowRankFactor, approx_gradient, factorize, pack,
+from gradlite import linalg
+from gradlite.errors import DimError, RankError
+from gradlite.linalg import frob_residual, matvec, matvec_t, truncated_svd
+from gradlite.lowrank import (LowRankFactor, approx_gradient, factorize,
                               projected_signal, static_basis)
 from gradlite.rng import SplitMix64
 
@@ -68,6 +69,17 @@ class TestFactorize:
     def test_unknown_basis_mode_rejected(self):
         with pytest.raises(ValueError):
             factorize(J32, 1, "qr", 0)
+
+    @pytest.mark.parametrize("mode", [SVD, RP])
+    def test_widths_must_tile_j_and_admit_the_rank(self, mode):
+        a = SplitMix64(3).normal_matrix(3, 4)
+        with pytest.raises(DimError):
+            factorize(a, 1, mode, 0, widths=(1, 2))
+        with pytest.raises(RankError):  # a block of no columns admits no rank
+            factorize(a, 1, mode, 0, widths=(0, 4))
+        with pytest.raises(RankError):  # the first block has one column
+            factorize(a, 2, mode, 0, widths=(1, 3))
+        assert factorize(a, 1, mode, 0, widths=(1, 3)).u.shape == (3, 2)
 
 
 class TestProjectedSignal:
@@ -173,9 +185,23 @@ def block_layouts(draw):
     return m, widths, draw(st.integers(1, min(m, *widths))), draw(st.integers(0, 2**32))
 
 
+def block_diagonal(stream, vs):
+    """The blocks' v down the diagonal of one Fortran-ordered array whose
+    other entries are zeros of either sign."""
+    rows, cols = sum(v.shape[0] for v in vs), sum(v.shape[1] for v in vs)
+    signed = np.where(stream.uniforms(rows * cols) < 0.5, 0.0, -0.0)
+    out = np.asfortranarray(signed.reshape(rows, cols))
+    row = col = 0
+    for v in vs:
+        out[row:row + v.shape[0], col:col + v.shape[1]] = v
+        row, col = row + v.shape[0], col + v.shape[1]
+    return out
+
+
 class TestPack:
-    """One projection and one lift through the packed factor give the
-    per-block kernels' bits end to end."""
+    """One projection and one lift through a packed factor (the blocks' u
+    side by side, their v block-diagonal) give the per-block kernels' bits
+    end to end, whatever the sign of the zeros outside the blocks."""
 
     @given(block_layouts())
     def test_packed_kernels_are_the_per_block_kernels_bit_for_bit(self, layout):
@@ -184,13 +210,8 @@ class TestPack:
         factors = [LowRankFactor(u=with_zeros(stream, stream.normal_matrix(m, k)),
                                  v=np.asfortranarray(with_zeros(stream, stream.normal_matrix(w, k))))
                    for w in widths]
-        packed = pack(factors)
-        assert packed.u.shape == (m, k * len(widths))
-        assert packed.v.shape == (sum(widths), k * len(widths))
-        if len(factors) == 1:
-            assert packed is factors[0]
-        else:
-            assert not (packed.u.flags.writeable or packed.v.flags.writeable)
+        packed = LowRankFactor(u=np.hstack([f.u for f in factors]),
+                               v=block_diagonal(stream, [f.v for f in factors]))
         delta = with_zeros(stream, stream.normals(m))
         signal = with_zeros(stream, stream.normals(k * len(widths)))
         signals = np.split(signal, len(widths))
@@ -202,8 +223,65 @@ class TestPack:
             assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_one_block_is_its_own_factor(self):
-        fac = factorize(J32, 1, SVD, 0)
-        assert pack([fac]) is fac
+        # The one-block factor of a J is truncated_svd's factor of it, with
+        # s folded into v, whether or not the widths are spelled out.
+        res = truncated_svd(J32, 1)
+        for fac in (factorize(J32, 1, SVD, 0), factorize(J32, 1, SVD, 0, widths=(2,))):
+            assert fac.u.tobytes() == res.u.tobytes()
+            assert fac.v.tobytes() == (res.v * res.s[None, :]).tobytes()
+
+
+def no_eigh(*args, **kwargs):
+    raise AssertionError("a kept decomposition was decomposed again")
+
+
+class TestWholeJacobianFactor:
+    """`factorize` on a whole J in blocks is the per-block route, bit for bit."""
+
+    @staticmethod
+    def per_block_route(j, widths, k, mode, seed):
+        """Each block's factor on its own view of j: u and v (s folded in)."""
+        blocks = np.split(j, np.cumsum(widths)[:-1], axis=1)
+        if mode == SVD:
+            parts = [truncated_svd(b, k) for b in blocks]
+            return [p.u for p in parts], [p.v * p.s[None, :] for p in parts]
+        basis = static_basis(j.shape[0], k, seed)
+        return [basis] * len(blocks), [
+            np.array([matvec_t(b, basis[:, c]) for c in range(k)]).T for b in blocks]
+
+    @settings(max_examples=100)
+    @given(block_layouts(), st.sampled_from([SVD, RP]), st.data())
+    def test_packed_factor_is_the_per_block_factors_placed(self, layout, mode, data):
+        m, widths, k, seed = layout
+        stream = SplitMix64(seed)
+        j = with_zeros(stream, stream.normal_matrix(m, sum(widths)))
+        j.flags.writeable = False
+        fac = factorize(j, k, mode, seed, widths)
+        us, vs = self.per_block_route(j, widths, k, mode, seed)
+        assert fac.u.tobytes() == np.hstack(us).tobytes()
+        # v is the blocks' v placed on its diagonal: their bits inside the
+        # blocks, zeros (of either sign) outside.
+        want = block_diagonal(stream, vs)
+        assert np.array_equal(fac.v, want)
+        row = 0
+        for i, (width, v) in enumerate(zip(widths, vs)):
+            inside = fac.v[row:row + width, i * k:i * k + k]
+            assert np.ascontiguousarray(inside).tobytes() == np.ascontiguousarray(v).tobytes()
+            row += width
+        assert not (fac.u.flags.writeable or fac.v.flags.writeable)
+        assert fac.u.flags.c_contiguous and fac.v.flags.f_contiguous
+        if mode == SVD:
+            # Another rank on the same J takes each block's eigenvectors back
+            # instead of decomposing again, and gives a fresh factor's bits.
+            other = data.draw(st.integers(1, min(m, *widths)))
+            fresh = factorize(j, other, SVD, seed, widths)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "eigh_lo", no_eigh)
+                again = factorize(j, other, SVD, seed, widths, fac.gram_vecs)
+            assert again.gram_vecs is fac.gram_vecs
+            assert len(fac.gram_vecs) == len(widths)
+            for got, want in ((again.u, fresh.u), (again.v, fresh.v)):
+                assert (got.strides, got.tobytes()) == (want.strides, want.tobytes())
 
 
 def test_static_basis_deterministic_and_orthonormal():

@@ -72,29 +72,29 @@ class TestGradLiteStep:
             init_gradlite_state(prob, None, cfg)
 
     def test_each_block_refreshes_once_tau_steps_have_passed(self, factorized):
-        # An MLP's Jacobian is a new array at every theta, so every block
-        # refactorizes at steps tau, 2 tau, ... and at no other step, each
-        # from its own columns of J, and the packed factor is rebuilt.
+        # An MLP's Jacobian is a new array at every theta, so at steps tau,
+        # 2 tau, ... and at no other step one factorize call on the whole J
+        # refreshes every block, packed into one factor.
         prob = make_mlp([4, 5, 5, 1], 12, seed=7)
         cfg = GradLiteConfig(eta=0.01, k=2, tau=3, seed=0)
         st = init_gradlite_state(prob, None, cfg)
-        assert len(factorized) == 3
+        assert len(factorized) == 1 and factorized[0] is prob.jacobian(st.theta)
         for t in range(10):
             before, calls = st.factor, len(factorized)
             theta = st.theta
             st, _ = gradlite_step(st, prob, cfg)
             refreshed = t in (3, 6, 9)
-            assert len(factorized) - calls == (3 if refreshed else 0)
+            assert len(factorized) - calls == (1 if refreshed else 0)
             assert (st.factor is before) != refreshed
             if refreshed:
-                assert factorized[calls:] == [prob.jacobian(theta, block=b)
-                                              for b in range(prob.blocks)]
+                assert factorized[calls] is prob.jacobian(theta)
+                assert st.factor.source() is factorized[calls]
                 assert st.factor.u.shape == (prob.m, 3 * cfg.k)
                 assert st.factor.v.shape == (prob.d, 3 * cfg.k)
 
     def test_no_feedback_reads_each_jacobian_only_to_refresh(self, monkeypatch):
-        # No update reads the probe with feedback off, so a block's J is
-        # read at init and at steps tau, 2 tau, ... only, the whole J never,
+        # No update reads the probe with feedback off, so the whole J is
+        # read at init and at steps tau, 2 tau, ... only, no block's J alone,
         # and no accumulator is kept.
         prob = make_mlp([4, 5, 5, 1], 12, seed=7)
         reads, jacobian = [], prob.jacobian
@@ -105,11 +105,11 @@ class TestGradLiteStep:
         monkeypatch.setattr(prob, "jacobian", counting)
         cfg = GradLiteConfig(eta=0.01, k=2, tau=3, ef_mode="off", seed=0)
         st = init_gradlite_state(prob, None, cfg)
-        assert reads == [0, 1, 2] and st.r is None
+        assert reads == [None] and st.r is None
         for t in range(10):
             before = len(reads)
             st, _ = gradlite_step(st, prob, cfg)
-            assert reads[before:] == ([0, 1, 2] if t in (3, 6, 9) else [])
+            assert reads[before:] == ([None] if t in (3, 6, 9) else [])
         assert st.r is None
 
     def test_divergence_raises_with_step_index(self):
@@ -263,31 +263,29 @@ def decomposed(monkeypatch):
 
 
 class TestOneDecompositionPerJacobian:
-    """Factors of one read-only J at any ranks share one Gram eigh, bit for bit."""
+    """Factors of one read-only J at any ranks share one Gram eigh per
+    block, bit for bit."""
 
     @staticmethod
-    def factor(problem, b, j, k):
-        return optimizers._factor(problem, b, j, GradLiteConfig(k=k))
+    def factor(problem, j, k):
+        return optimizers._factor(problem, j, GradLiteConfig(k=k))
 
     @pytest.mark.parametrize("name", ["quadratic", "lowrank-logistic", "mlp"])
     def test_every_rank_matches_a_writable_copy(self, name, decomposed):
         problem = {**CONSTANT_J, "mlp": lambda: make_mlp([3, 5, 1], 8, seed=6)}[name]()
-        theta = problem.default_theta0()
-        for b in range(problem.blocks):
-            j = problem.jacobian(theta, block=b)
-            ranks = list(range(1, min(j.shape) + 1))
-            np.random.default_rng(b).shuffle(ranks)
-            before = len(decomposed)
-            kept = {k: self.factor(problem, b, j, k) for k in ranks}
-            assert len(decomposed) - before == 1
-            copy = np.array(j)  # writable: never served a kept decomposition
-            for k in ranks:
-                fresh = self.factor(problem, b, copy, k)
-                assert fresh.gram_vecs is not kept[k].gram_vecs
-                for got, want in ((kept[k].u, fresh.u), (kept[k].v, fresh.v)):
-                    assert (got.shape, got.strides, got.tobytes()) \
-                        == (want.shape, want.strides, want.tobytes())
-            assert len(decomposed) - before == 1 + len(ranks)
+        j = problem.jacobian(problem.default_theta0())
+        ranks = list(range(1, min(problem.m, *problem.block_dims) + 1))
+        np.random.default_rng(problem.blocks).shuffle(ranks)
+        kept = {k: self.factor(problem, j, k) for k in ranks}
+        assert len(decomposed) == problem.blocks  # one eigh per block
+        copy = np.array(j)  # writable: never served a kept decomposition
+        for k in ranks:
+            fresh = self.factor(problem, copy, k)
+            assert fresh.gram_vecs is not kept[k].gram_vecs
+            for got, want in ((kept[k].u, fresh.u), (kept[k].v, fresh.v)):
+                assert (got.shape, got.strides, got.tobytes()) \
+                    == (want.shape, want.strides, want.tobytes())
+        assert len(decomposed) == problem.blocks * (1 + len(ranks))
 
     def test_each_new_mlp_jacobian_is_decomposed_afresh(self, decomposed):
         # tau 4 over 10 steps: step-0 factors, then refreshes at steps 4 and 8.

@@ -550,6 +550,38 @@ class TestWholeJacobian:
         assert matvec_t(whole, delta).tobytes() == np.concatenate(
             [matvec_t(view, delta) for view in views]).tobytes()
 
+    @given(layers=st.sampled_from([(3, 1), (6, 3, 5, 2, 1), (8, 16, 16, 1)]),
+           n=st.integers(1, 64), scale=st.sampled_from([1.0, 1e3]),
+           seed=st.integers(0, 2**32))
+    def test_sweep_is_the_einsum_route_bit_for_bit(self, layers, n, scale, seed):
+        # The sweep copies the output layer's inputs and 1.0 where the
+        # einsum route multiplied them by its all-ones sensitivity, and
+        # scales tanh' by the output weights where it took ones @ w.  Every
+        # entry keeps its bits; only a zero's sign may differ, which + 0.0
+        # removes and no reader of J keeps.  theta x 1e3 saturates units.
+        prob = make_mlp(list(layers), n, seed % 1000)
+        theta = scale * SplitMix64(seed).normals(prob.d)
+        got, want = prob.jacobian(theta), einsum_route_jacobian(prob, theta)
+        assert np.array_equal(got, want)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def einsum_route_jacobian(prob, theta):
+    """An MLP's J by the top-down sweep that starts from an all-ones output
+    sensitivity and takes every block's weight columns by einsum."""
+    ws, _, acts = prob._forward(theta)
+    n = prob.data.n
+    jac, slices = np.empty((n, prob.d)), prob.block_slices()
+    d_sens = np.ones((n, 1))
+    for l in range(len(ws) - 1, -1, -1):
+        p, q = d_sens.shape[1], acts[l].shape[1]
+        lo, hi = slices[l].start, slices[l].stop
+        np.einsum("ip,iq->ipq", d_sens, acts[l], out=jac[:, lo:hi - p].reshape(n, p, q))
+        jac[:, hi - p:hi] = d_sens
+        if l > 0:
+            d_sens = (d_sens @ ws[l]) * (1.0 - acts[l] ** 2)
+    return jac
+
 
 @functools.cache
 def whole_j_problem(family):

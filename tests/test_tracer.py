@@ -30,17 +30,18 @@ def test_tracer_installs_and_removes_cleanly():
     try:
         tracer.install()
         assert linalg.truncated_svd is not originals[0]
-        assert lowrank.truncated_svd is linalg.truncated_svd
+        assert optimizers.factorize is lowrank.factorize is not originals[1]
     finally:
         tracer.remove()
     assert (linalg.truncated_svd, lowrank.factorize) == originals
+    assert optimizers.factorize is originals[1]
 
 
 def test_traced_step_times_each_block_jacobian_on_its_block():
-    # A refresh reads each block's Jacobian by the `block` keyword, then the
-    # step reads the whole J, which the tracer books to block 0.  A step
-    # that passed the block positionally would book every block's Jacobian
-    # time to block 0: the tracer takes the block from the keyword.
+    # A step reads the whole J once, which the tracer books to block 0; a
+    # refresh step factorizes that same J and reads no block alone.  A read
+    # of one block passes it by the `block` keyword, from which the tracer
+    # takes it: a positional block would be booked to block 0.
     module = load_tracer()
     problem = build_problem({"name": "mlp", "layers": [4, 8, 8, 1], "n": 16}, 0)
     cfg = optimizers.GradLiteConfig(eta=0.05, k=2, tau=1, seed=0)  # refresh at step 1
@@ -50,6 +51,8 @@ def test_traced_step_times_each_block_jacobian_on_its_block():
         state = optimizers.init_gradlite_state(problem, None, cfg)
         for _ in range(2):
             state, _ = optimizers.gradlite_step(state, problem, cfg)
+        for b in range(problem.blocks):
+            problem.jacobian(state.theta, block=b)
     finally:
         tracer.remove()
     field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
@@ -58,7 +61,7 @@ def test_traced_step_times_each_block_jacobian_on_its_block():
     for span in tracer.spans():
         if span[field["name_id"]] == jacobian and span[field["step"]] in blocks:
             blocks[span[field["step"]]].append(span[field["block"]])
-    assert blocks == {0: [0], 1: [0, 1, 2, 0]}
+    assert blocks == {0: [0], 1: [0, 0, 1, 2]}
 
 
 def test_package_jacobian_calls_keep_the_tracers_block_contract():
@@ -165,8 +168,8 @@ def traced_mlp_run(steps):
 def test_traced_mlp_step_books_each_kernel_on_its_block():
     # Each step projects and probes through one matvec_t call each and lifts
     # through one matvec call, on whole vectors, after reading the whole J,
-    # which books them to block 0.  Only the refresh at step 10 works block
-    # by block: one factorize on each block's own Jacobian.
+    # which books them to block 0.  The refresh at step 10 is one factorize
+    # of that whole J, booked to block 0 too.
     steps = 12  # past the refresh at step 10
     field, tracer = traced_mlp_run(steps)
     names = ("linalg.matvec_t", "linalg.matvec", "lowrank.factorize")
@@ -177,29 +180,20 @@ def test_traced_mlp_step_books_each_kernel_on_its_block():
             key = (span[field["step"]], name)
             per_step.setdefault(key, []).append(span[field["block"]])
     for step in range(steps):
-        refreshes = [0, 1, 2] if step == 10 else []
+        refreshes = [0] if step == 10 else []
         for name, blocks in zip(names, ([0, 0], [0], refreshes)):
             assert per_step.get((step, name), []) == blocks, (step, name)
 
 
 def test_traced_mlp_refresh_books_one_svd_inside_each_factorize():
-    # The per-layer `linalg.truncated_svd` and `lowrank.factorize.*.b<i>`
-    # metrics read these spans: a refresh that reached the SVD other than
-    # through the wrapped `truncated_svd`, or called it twice, would empty
-    # or double them.
+    # The per-layer `lowrank.factorize` metrics read these spans.  A refresh
+    # is one factorize of the whole J, which runs every block's SVD inside
+    # it through linalg's shared core, not through `truncated_svd`: the SVD
+    # work is the factorize span's own, whatever the number of blocks.
     field, tracer = traced_mlp_run(12)  # one in-loop refresh, at step 10
     spans = list(tracer.spans())
     name = tracer.names.index
-    refreshes = [span for span in spans if span[field["in_loop"]]
-                 and span[field["name_id"]] == name("lowrank.factorize")]
-    assert sorted(span[field["block"]] for span in refreshes) == [0, 1, 2]
-    svds = [span for span in spans if span[field["name_id"]] == name("linalg.truncated_svd")]
-    for refresh in refreshes:
-        inside = [svd for svd in svds if svd[field["parent"]] == refresh[field["span"]]]
-        assert [svd[field["block"]] for svd in inside] == [refresh[field["block"]]]
-    # Besides them, only the three step-0 factors of set-up run an SVD, and
-    # every SVD sits inside a factorize.
-    assert len(svds) == 3 + len(refreshes)
-    assert {svd[field["parent"]] for svd in svds} <= {
-        span[field["span"]] for span in spans
-        if span[field["name_id"]] == name("lowrank.factorize")}
+    factorizes = [(span[field["step"]], span[field["block"]], span[field["in_loop"]])
+                  for span in spans if span[field["name_id"]] == name("lowrank.factorize")]
+    assert factorizes == [(-1, 0, 0), (10, 0, 1)]  # set-up's step-0 factor, then the refresh
+    assert "linalg.truncated_svd" not in {tracer.names[span[field["name_id"]]] for span in spans}
