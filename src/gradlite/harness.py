@@ -23,6 +23,7 @@ from .problems import (Problem, _mlp_block_dims, finite_difference_gradient,
                        make_gaussian_logistic, make_lowrank_logistic,
                        make_mlp, make_quadratic)
 from .linalg import matvec_t
+from .lowrank import factorize
 from .rng import SplitMix64, derive_seed
 
 _PROBLEM_SALT = 0x4A12_0001
@@ -134,19 +135,23 @@ def validate_optimizer(spec: dict) -> tuple[str, SgdConfig]:
     return name, OPTIMIZERS[name](**p)
 
 
-def _drive(problem: Problem, cfg: SgdConfig, steps: int, seed: int, record=None):
+def _drive(problem: Problem, cfg: SgdConfig, steps: int, seed: int, record=None,
+           factor=None):
     """The one loop that advances an optimizer: seed the run, init, step.
 
     The run seed sets the problem's noise and, in place of `cfg.seed`, a
-    GradLite basis seed.  `record(state, trace)` takes each step's new state
-    and StepTrace; a DivergedError reaches the caller.  The steps run with
-    numpy's overflow and invalid-value warnings off: an overflow inside a
-    run is data, which the divergence check reports.
+    GradLite basis seed.  A `factor` goes to the GradLite init, which keeps
+    it if it fits (`optimizers.init_gradlite_state`).  `record(state,
+    trace)` takes each step's new state and StepTrace; a DivergedError
+    reaches the caller.  The steps run with numpy's overflow and
+    invalid-value warnings off: an overflow inside a run is data, which the
+    divergence check reports.
     """
     if isinstance(cfg, GradLiteConfig):
         cfg = replace(cfg, seed=derive_seed(seed, _OPT_SALT))
     problem.reset_noise(derive_seed(seed, _NOISE_SALT))
-    state = getattr(optimizers, cfg.init)(problem, None, cfg)
+    init = getattr(optimizers, cfg.init)
+    state = init(problem, None, cfg) if factor is None else init(problem, None, cfg, factor)
     step = getattr(optimizers, cfg.step)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
@@ -399,7 +404,7 @@ def _rate_grid(t_grid, seeds, c: float) -> tuple[list, list]:
 
 
 def rate_check(problem: Problem, cfg: SgdConfig, t_grid, seeds, c: float,
-               reference: tuple | None = None) -> RateFit:
+               reference: tuple | None = None, factor=None) -> RateFit:
     """Fit the log-log slope of cfg's averaged-iterate gap over a T grid.
 
     Every run drives the one given problem, built with `build_problem(spec,
@@ -411,9 +416,10 @@ def rate_check(problem: Problem, cfg: SgdConfig, t_grid, seeds, c: float,
     largest-T gap over a fitted trend: by default this config's own fit,
     or, when `reference` = (slope, intercept) is given, an external trend
     (the exact method's fit), which measures the bias plateau directly
-    even when this config's own curve is flat.  A diverging run raises a
-    DivergedError that names the rank (or, for a config without one, its
-    ledger row), T and seed.
+    even when this config's own curve is flat.  A `factor` is handed to
+    every run's init (`_drive`).  A diverging run raises a DivergedError
+    that names the rank (or, for a config without one, its ledger row), T
+    and seed.
     """
     t_grid, seeds = _rate_grid(t_grid, seeds, c)
     if problem.loss_star is None:
@@ -426,7 +432,7 @@ def rate_check(problem: Problem, cfg: SgdConfig, t_grid, seeds, c: float,
         gaps = []
         for seed in seeds:
             try:
-                state = _drive(problem, run_cfg, t_steps, seed)
+                state = _drive(problem, run_cfg, t_steps, seed, factor=factor)
             except DivergedError as err:
                 raise DivergedError(err.step, err.what,
                                     run=f"{method}, T {t_steps}, seed {seed}") from err
@@ -461,11 +467,11 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     zero, which the ef-standard comparison entry documents.
 
     One quadratic serves every fit.  Its Jacobian is one constant
-    read-only array, so every run of one rank keeps the factor that the
-    first such run built at step 0 (`optimizers.init_gradlite_state`), and
-    every rank's factor comes from one Gram eigendecomposition: one eigh for
-    the sweep, plus one QR per rank (`optimizers._factor`).  Its optimum is
-    zero, so each step's signal skips the subtraction of it
+    read-only array, so before the first run the sweep builds each rank's
+    svd factor of it, each from the previous one's Gram eigenvectors (one
+    eigh for the sweep, plus one QR per rank), and hands it to every run of
+    that rank, which keeps it (`optimizers.init_gradlite_state`).  Its
+    optimum is zero, so each step's signal skips the subtraction of it
     (`QuadraticProblem`).  A factor is the exact top-k SVD of the
     Jacobian, so a floor prices the rank-k truncation bias alone.  The
     configs, each rank against the d x d Jacobian, and the seeds, T grid
@@ -482,16 +488,22 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
         check_rank(d, (d,), k)
     spec = {"name": "quadratic", "d": d, "cond": cond, "sigma": sigma}
     problem = build_problem(spec, seed=0)
-    # Built once the quadratic's maker has refused a bad d.
-    full = rate_check(problem, GradLiteConfig(k=d, ef_mode="off"), t_grid, seeds, c)
+    # Built once the quadratic's maker has refused a bad d, and before the
+    # first step, so a tracer books them to set-up, not to a refresh.
+    j, factors, gram_vecs = problem.jacobian(problem.default_theta0()), {}, None
+    for k in sorted({*ranks, d}):
+        factors[k] = factorize(j, k, "svd", 0, problem.block_dims, gram_vecs)
+        gram_vecs = factors[k].gram_vecs
+    full = rate_check(problem, GradLiteConfig(k=d, ef_mode="off"), t_grid, seeds, c,
+                      factor=factors[d])
     ref = (full.slope, full.intercept)
     fits = {k: full if k == d else rate_check(problem, cfg, t_grid, seeds, c,
-                                              reference=ref)
+                                              reference=ref, factor=factors[k])
             for k, cfg in no_feedback.items()}
     mid_k = sorted(ranks)[1] if len(ranks) > 1 else ranks[0]
     # GradLiteConfig's default: ef-standard feedback, which reads the exact probe.
     with_feedback = rate_check(problem, GradLiteConfig(k=mid_k), t_grid, seeds, c,
-                               reference=ref)
+                               reference=ref, factor=factors[mid_k])
     return {
         "problem": spec, "c": c, "t_grid": list(full.t_grid), "seeds": seeds,
         "fits": {str(k): asdict(f) for k, f in fits.items()},

@@ -70,8 +70,8 @@ def factorize(j, k: int, mode: str, seed: int, widths=None,
     which depends on j alone, not on the seed.  random-projection gives
     every block the same u, fixed by the seed alone (the same basis at every
     refresh), and sets the block's v = j_b.T @ u.  The factor holds j
-    weakly as its `source`; its u and v are read-only, because one factor
-    may serve several runs (see `optimizers.init_gradlite_state`).  An svd
+    weakly as its `source`; its u and v are read-only, so a factor handed
+    to several runs (`harness.rate_sweep`) is the same for each.  An svd
     factor keeps each block's Gram eigenvectors; passed back as `gram_vecs`
     with the same j and widths, they spare the eighs and give the same bits.
     """

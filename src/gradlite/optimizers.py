@@ -18,7 +18,6 @@ by identically seeded problems see identical noise.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple
 
@@ -251,53 +250,26 @@ def check_rank(m: int, block_dims, k: int):
             raise ConfigError(f"rank {k} exceeds min(m, d_block)={cap} for block {b}")
 
 
-# Per live problem, the latest factor of each (k, basis_mode, seed of a
-# random projection or None), and under the key "svd" the latest svd
-# factor; an entry goes with its problem.
-_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _built_from(factor: LowRankFactor | None, j: np.ndarray) -> bool:
     """Whether factor was built from j, the very array (held weakly) and a read-only one."""
     return factor is not None and j is factor.source() and not j.flags.writeable
 
 
-def _factor(problem: Problem, j: np.ndarray, cfg: GradLiteConfig) -> LowRankFactor:
-    """The factor of the problem's whole Jacobian j at cfg's rank and basis.
+def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig,
+                        factor: LowRankFactor | None = None) -> GradLiteState:
+    """Validate the rank per block and build the step-0 factor.
 
-    That is the latest factor built on this problem for the rank, basis and
-    (random projection only) seed when j is the very read-only array it was
-    built from, else a new factor of j, which is remembered.  Problems
-    return read-only Jacobians, so the same array means the same J, and a
-    factor depends on nothing else.  A new svd factor of the J that the
-    latest svd factor was built from, at another rank, reuses that factor's
-    per-block Gram eigendecompositions: one eigh per block of a J serves
-    every rank, and the bits are the same (`linalg.truncated_svd`).
-    """
-    memo = _FACTORS.setdefault(problem, {})
-    seed = cfg.seed if cfg.basis_mode == "random-projection" else None
-    key = (cfg.k, cfg.basis_mode, seed)
-    kept = memo.get(key)
-    if not _built_from(kept, j):
-        last_svd = memo.get("svd")
-        gram_vecs = last_svd.gram_vecs if _built_from(last_svd, j) else None
-        kept = memo[key] = factorize(j, cfg.k, cfg.basis_mode, cfg.seed,
-                                     problem.block_dims, gram_vecs)
-        if kept.gram_vecs is not None:
-            memo["svd"] = kept
-    return kept
-
-
-def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig) -> GradLiteState:
-    """Validate the rank per block and build the step-0 factor (`_factor`).
-
-    A constant Jacobian keeps one factor across the runs on its problem, so
-    the runs of a rate sweep factorize once per rank, from one Gram
-    eigendecomposition.
+    A handed `factor` is the step-0 factor if it was built from the very
+    read-only Jacobian at theta0 and is cfg's width (k per block), so runs
+    on one constant J can share one factor (`harness.rate_sweep`); the
+    caller vouches for its basis.  Otherwise the init factorizes that J.
     """
     check_rank(problem.m, problem.block_dims, cfg.k)
     state = init_state(problem, theta0, cfg)
-    state.factor = _factor(problem, problem.jacobian(state.theta), cfg)
+    j = problem.jacobian(state.theta)
+    if not (_built_from(factor, j) and factor.u.shape[1] == cfg.k * problem.blocks):
+        factor = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
+    state.factor = factor
     if cfg.ef_mode != "off":
         state.r = np.zeros(problem.d)
     return state
@@ -308,9 +280,9 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     """One full update: signal, projection, correction, residual, descent.
 
     The factor is refreshed at steps tau, 2 tau, ... from the whole J, read
-    once per step (`_factor`: kept if J is the very array it was built
-    from); the rest works on whole vectors, with one exact probe of that J
-    per step under a feedback rule ("off" reads J only to refresh).  The
+    once per step, unless J is the very read-only array it was built from;
+    the rest works on whole vectors, with one exact probe of that J per
+    step under a feedback rule ("off" reads J only to refresh).  The
     descent applies the state's update rule to g_hat (g~ if "off").
 
     The one divergence check is on the new theta: a non-finite entry of
@@ -324,8 +296,8 @@ def gradlite_step(state: GradLiteState, problem: Problem,
 
     refresh, feedback = t > 0 and t % cfg.tau == 0, cfg.ef_mode != "off"
     j = problem.jacobian(theta) if refresh or feedback else None
-    if refresh:
-        state.factor = _factor(problem, j, cfg)
+    if refresh and not _built_from(state.factor, j):
+        state.factor = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
     g_tilde = approx_gradient(state.factor, delta)
     if not feedback:
         trace = StepTrace(g_tilde, g_tilde)

@@ -15,8 +15,9 @@ kept block itself, so the runs of a one-seed rate sweep draw them once.
 
 A Jacobian is read-only and never changed in place, so the same array
 means the same J: the quadratic and logistic families return one array for
-every theta and block, the MLP a new one per theta (and for ``block=b`` one
-view of b's columns).  The optimizer keeps a factor whose J is unchanged.
+every theta, the MLP a new one per theta.  A block's columns are
+``J[:, sl]`` over ``block_slices()``.  A run keeps a factor whose J is
+unchanged.
 
 Each family has one seeded maker (`make_quadratic`, `make_gaussian_logistic`,
 `make_lowrank_logistic`, `make_mlp`), whose parameters are the family's spec
@@ -214,7 +215,7 @@ class Problem:
     def error_signal(self, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, theta, block: int | None = None) -> np.ndarray:
+    def jacobian(self, theta) -> np.ndarray:
         raise NotImplementedError
 
     def exact_gradient(self, theta) -> np.ndarray:
@@ -268,7 +269,7 @@ class QuadraticProblem(Problem):
         # gufunc dispatch: the same bits.
         return self._add_noise(self._sqrt_a.dot(theta))
 
-    def jacobian(self, theta, block: int | None = None) -> np.ndarray:
+    def jacobian(self, theta) -> np.ndarray:
         return self._sqrt_a
 
     def exact_gradient(self, theta) -> np.ndarray:
@@ -313,7 +314,7 @@ class LogisticProblem(Problem):
     def error_signal(self, theta) -> np.ndarray:
         return self._add_noise(_expit(self._scores(theta)) - self.data.y)
 
-    def jacobian(self, theta, block: int | None = None) -> np.ndarray:
+    def jacobian(self, theta) -> np.ndarray:
         return self.data.x
 
     def exact_gradient(self, theta) -> np.ndarray:
@@ -392,7 +393,7 @@ class MlpProblem(Problem):
     `loss`, `error_signal` and `jacobian` read one cached, read-only
     evaluation of the latest theta, keyed on its contents: one forward
     pass, plus one top-down sweep, writing each block into its columns of
-    J, on the first jacobian request.  A step's signal and jacobians and
+    J, on the first jacobian request.  A step's signal and Jacobian and
     the loss at the previous step's new iterate share one forward pass.
     """
 
@@ -457,9 +458,7 @@ class MlpProblem(Problem):
         self._evaluate(theta)
         return self._add_noise(self._resid / self.data.n)
 
-    def jacobian(self, theta, block: int | None = None) -> np.ndarray:
-        if block is not None and not 0 <= block < self.blocks:
-            raise DimError(f"block {block} outside 0..{self.blocks - 1}")
+    def jacobian(self, theta) -> np.ndarray:
         self._evaluate(theta)
         if self._jacobian is None:
             ws, acts, n = self._ws, self._acts, self.data.n
@@ -486,10 +485,8 @@ class MlpProblem(Problem):
                 # Splitting the contiguous last axis gives a view, not a copy.
                 c_einsum("ip,iq->ipq", d_sens, acts[l], out=jac[:, lo:hi - p].reshape(n, p, q))
                 jac[:, hi - p:hi] = d_sens
-            self._jacobian, self._blocks = _read_only(jac), None
-        if block is not None and self._blocks is None:  # read-only, as views of J
-            self._blocks = [self._jacobian[:, sl] for sl in self.block_slices()]
-        return self._jacobian if block is None else self._blocks[block]
+            self._jacobian = _read_only(jac)
+        return self._jacobian
 
     def exact_gradient(self, theta) -> np.ndarray:
         ws, _, acts = self._forward(np.asarray(theta, dtype=np.float64))

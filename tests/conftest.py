@@ -19,3 +19,16 @@ def drawn(monkeypatch):
         return normal_rows(self, n, rows)
     monkeypatch.setattr(SplitMix64, "normal_rows", counting)
     return calls
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """The Gram matrices the SVD core decomposes, one entry per eigh."""
+    from gradlite import linalg
+    calls, original = [], linalg.eigh_lo
+
+    def counting(gram, *args, **kwargs):
+        calls.append(gram)
+        return original(gram, *args, **kwargs)
+    monkeypatch.setattr(linalg, "eigh_lo", counting)
+    return calls

@@ -344,23 +344,30 @@ class TestRunSeedSetsTheBasisSeed:
 
 
 class TestRateSweep:
-    def test_builds_once_and_factorizes_once_per_rank(self, monkeypatch):
-        built, factorized = [], []
-        build, factorize = harness.build_problem, optimizers.factorize
+    # Fits: full rank d, the other ranks without feedback, the middle rank
+    # with it; d need not be on the rank grid.
+    @pytest.mark.parametrize("k_grid, d", [((2, 4, 8), 8), ((4, 2), 6)])
+    def test_builds_once_and_decomposes_once_for_every_rank(self, k_grid, d, monkeypatch,
+                                                           decomposed):
+        # The sweep factorizes each rank once, before its first run, from one
+        # Gram eigh in all, and every run keeps the factor it is handed.
+        built, factorized = [], {harness: [], optimizers: []}
+        build = harness.build_problem
 
         def counting_build(spec, seed):
             built.append(spec)
             return build(spec, seed)
-
-        def counting_factorize(j, k, mode, *args):
-            factorized.append((k, mode))
-            return factorize(j, k, mode, *args)
         monkeypatch.setattr(harness, "build_problem", counting_build)
-        monkeypatch.setattr(optimizers, "factorize", counting_factorize)
-        # Fits: full rank 8, ranks 2 and 4 without feedback, rank 4 with it.
-        rate_sweep(k_grid=(2, 4, 8), d=8, t_grid=(5, 10, 20, 40), seeds=(0, 1))
+        for module, calls in factorized.items():
+            def counting_factorize(j, k, mode, *args, calls=calls, original=module.factorize):
+                calls.append((k, mode))
+                return original(j, k, mode, *args)
+            monkeypatch.setattr(module, "factorize", counting_factorize)
+        rate_sweep(k_grid=k_grid, d=d, t_grid=(5, 10, 20, 40), seeds=(0, 1))
         assert len(built) == 1
-        assert sorted(factorized) == [(2, "svd"), (4, "svd"), (8, "svd")]
+        assert factorized == {harness: [(k, "svd") for k in sorted({*k_grid, d})],
+                              optimizers: []}
+        assert len(decomposed) == 1
 
     def test_one_seed_draws_each_noise_row_once(self, drawn):
         # Five fits of T = 25..200 on one seed: the first fit's T=200 run

@@ -157,8 +157,9 @@ class TestMatvec:
         problem = build_problem(spec, seed=0)
         state = init_gradlite_state(problem, None, GradLiteConfig(eta=0.05, k=8, seed=0))
         stream = SplitMix64(9)
-        blocks = [problem.jacobian(state.theta, block=b) for b in range(problem.blocks)]
-        for a in (problem.jacobian(state.theta), *blocks, state.factor.u, state.factor.v):
+        whole = problem.jacobian(state.theta)
+        blocks = [whole[:, sl] for sl in problem.block_slices()]
+        for a in (whole, *blocks, state.factor.u, state.factor.v):
             y, x = stream.normals(a.shape[0]), stream.normals(a.shape[1])
             assert np.array_equal(matvec_t(a, y), loop_matvec_t(a, y))
             assert np.array_equal(matvec(a, x), loop_matvec(a, x))
@@ -286,8 +287,9 @@ class TestTruncatedSvd:
     def test_matches_exact_svd_oracle_on_benchmark_jacobians(self, spec):
         problem = build_problem(spec, seed=0)
         theta = problem.default_theta0()
-        for b in range(problem.blocks):
-            j = problem.jacobian(theta, block=b)
+        whole = problem.jacobian(theta)
+        for sl in problem.block_slices():
+            j = whole[:, sl]
             for k in (1, 2, 8, 32, 50):
                 if k <= min(j.shape):
                     assert_matches_oracle(j, k)

@@ -7,6 +7,7 @@ from gradlite.errors import DimError, RankError
 from gradlite.linalg import frob_residual, matvec, matvec_t, truncated_svd
 from gradlite.lowrank import (LowRankFactor, approx_gradient, factorize,
                               projected_signal, static_basis)
+from gradlite.problems import make_lowrank_logistic, make_mlp, make_quadratic
 from gradlite.rng import SplitMix64
 
 J32 = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
@@ -282,6 +283,32 @@ class TestWholeJacobianFactor:
             assert len(fac.gram_vecs) == len(widths)
             for got, want in ((again.u, fresh.u), (again.v, fresh.v)):
                 assert (got.strides, got.tobytes()) == (want.strides, want.tobytes())
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_quadratic(6, 10.0, 0.3, seed=4),
+        lambda: make_lowrank_logistic(24, 6, 100.0, seed=5),
+        lambda: make_mlp([3, 5, 1], 8, seed=6),
+    ], ids=["quadratic", "lowrank-logistic", "mlp"])
+    def test_one_eigh_per_block_serves_every_rank_of_a_problem_jacobian(self, make,
+                                                                         decomposed):
+        # Each rank's factor takes the previous one's Gram eigenvectors, as
+        # a rate sweep chains them, and has a fresh factor's bits.
+        problem = make()
+        j = problem.jacobian(problem.default_theta0())
+        ranks = list(range(1, min(problem.m, *problem.block_dims) + 1))
+        np.random.default_rng(problem.blocks).shuffle(ranks)
+        chained, gram_vecs = {}, None
+        for k in ranks:
+            chained[k] = factorize(j, k, SVD, 0, problem.block_dims, gram_vecs)
+            gram_vecs = chained[k].gram_vecs
+        assert len(decomposed) == problem.blocks
+        for k in ranks:
+            fresh = factorize(j, k, SVD, 0, problem.block_dims)
+            assert fresh.gram_vecs is not chained[k].gram_vecs
+            for got, want in ((chained[k].u, fresh.u), (chained[k].v, fresh.v)):
+                assert (got.shape, got.strides, got.tobytes()) \
+                    == (want.shape, want.strides, want.tobytes())
+        assert len(decomposed) == problem.blocks * (1 + len(ranks))
 
 
 def test_static_basis_deterministic_and_orthonormal():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradlite import linalg, optimizers
+from gradlite import lowrank, optimizers
 from gradlite.errors import ConfigError, DivergedError, EmptyRunError
 from gradlite.feedback import EF_MODES
 from gradlite.harness import (_NOISE_SALT, OPTIMIZERS, _drive, build_problem,
@@ -93,23 +93,22 @@ class TestGradLiteStep:
                 assert st.factor.v.shape == (prob.d, 3 * cfg.k)
 
     def test_no_feedback_reads_each_jacobian_only_to_refresh(self, monkeypatch):
-        # No update reads the probe with feedback off, so the whole J is
-        # read at init and at steps tau, 2 tau, ... only, no block's J alone,
-        # and no accumulator is kept.
+        # No update reads the probe with feedback off, so J is read at init
+        # and at steps tau, 2 tau, ... only, and no accumulator is kept.
         prob = make_mlp([4, 5, 5, 1], 12, seed=7)
         reads, jacobian = [], prob.jacobian
 
-        def counting(theta, block=None):
-            reads.append(block)
-            return jacobian(theta, block=block)
+        def counting(theta):
+            reads.append(theta)
+            return jacobian(theta)
         monkeypatch.setattr(prob, "jacobian", counting)
         cfg = GradLiteConfig(eta=0.01, k=2, tau=3, ef_mode="off", seed=0)
         st = init_gradlite_state(prob, None, cfg)
-        assert reads == [None] and st.r is None
+        assert len(reads) == 1 and st.r is None
         for t in range(10):
             before = len(reads)
             st, _ = gradlite_step(st, prob, cfg)
-            assert reads[before:] == ([None] if t in (3, 6, 9) else [])
+            assert len(reads) - before == (1 if t in (3, 6, 9) else 0)
         assert st.r is None
 
     def test_divergence_raises_with_step_index(self):
@@ -131,8 +130,8 @@ class CopyingJacobian:
     def __getattr__(self, name):
         return getattr(self._problem, name)
 
-    def jacobian(self, theta, block: int | None = None):
-        return self._problem.jacobian(theta, block=block).copy()
+    def jacobian(self, theta):
+        return self._problem.jacobian(theta).copy()
 
 
 CONSTANT_J = {
@@ -203,107 +202,83 @@ class TestRefreshReuse:
         assert [t for t in range(self.STEPS) if factors[t + 1] is not factors[t]] \
             == [self.TAU, 2 * self.TAU, 3 * self.TAU]
 
+    def test_each_new_mlp_jacobian_is_decomposed_afresh(self, decomposed):
+        # tau 4 over 10 steps: step-0 factors, then refreshes at steps 4 and 8.
+        # A run on copies of each J (never the array a factor was built from)
+        # ends bit for bit where the run on the problem's own arrays does.
+        cfg = GradLiteConfig(eta=0.05, k=2, tau=4)
+        states = []
+        for wrap in (lambda p: p, CopyingJacobian):
+            problem = wrap(make_mlp([3, 5, 4, 1], 8, seed=6))
+            st = init_gradlite_state(problem, None, cfg)
+            for _ in range(10):
+                st, _ = gradlite_step(st, problem, cfg)
+            states.append(st)
+        assert len(decomposed) == 2 * 3 * 3  # two runs, 3 blocks, 3 factorizations
+        own, copied = states
+        for got, want in ((own.theta, copied.theta), (own.theta_sum, copied.theta_sum),
+                          (own.r, copied.r), (own.factor.u, copied.factor.u),
+                          (own.factor.v, copied.factor.v)):
+            assert got.tobytes() == want.tobytes()
 
-class TestStep0FactorReuse:
-    """An init reuses a step-0 factor of the very Jacobian array, and no other."""
+
+class TestHandedFactor:
+    """An init keeps a handed factor of the very read-only J at theta0 at
+    the config's rank, and factorizes in every other case."""
 
     @staticmethod
-    def init(problem, k=2, basis_mode="svd", seed=9):
-        cfg = GradLiteConfig(eta=0.01, k=k, basis_mode=basis_mode, seed=seed)
-        return init_gradlite_state(problem, None, cfg).factor
+    def init(problem, factor, k=2, basis_mode="svd"):
+        cfg = GradLiteConfig(eta=0.01, k=k, basis_mode=basis_mode, seed=9)
+        return init_gradlite_state(problem, None, cfg, factor).factor
+
+    @staticmethod
+    def build(problem, k=2, basis_mode="svd"):
+        j = problem.jacobian(problem.default_theta0())
+        return lowrank.factorize(j, k, basis_mode, 9, problem.block_dims)
 
     @pytest.mark.parametrize("mode", ["svd", "random-projection"])
-    def test_one_problem_factorizes_once_per_rank(self, mode, factorized):
-        problem = CONSTANT_J["quadratic"]()
-        first = self.init(problem, 2, mode)
-        again = self.init(problem, 2, mode)
-        assert again is first
-        self.init(problem, 3, mode)
-        self.init(problem, 3, mode)
-        assert len(factorized) == 2
+    @pytest.mark.parametrize("name", sorted(CONSTANT_J))
+    def test_a_factor_of_the_very_jacobian_is_kept(self, name, mode, factorized):
+        problem = CONSTANT_J[name]()
+        handed = self.build(problem, 2, mode)
+        assert self.init(problem, handed, 2, mode) is handed
+        assert self.init(problem, handed, 2, mode) is handed
+        assert factorized == []
 
-    def test_svd_reuse_ignores_the_seed(self, factorized):
-        problem = CONSTANT_J["quadratic"]()
-        assert self.init(problem, seed=1).u is self.init(problem, seed=2).u
-        assert len(factorized) == 1
-
-    def test_random_projection_with_another_seed_is_factorized_anew(self, factorized):
-        problem = CONSTANT_J["quadratic"]()
-        first = self.init(problem, basis_mode="random-projection", seed=1)
-        other = self.init(problem, basis_mode="random-projection", seed=2)
-        assert len(factorized) == 2
-        assert not np.array_equal(other.u, first.u)
-        assert self.init(problem, basis_mode="random-projection", seed=1).u is first.u
-        assert len(factorized) == 2
-
-    def test_a_copied_jacobian_is_factorized_at_every_init(self, factorized):
+    def test_a_copied_jacobian_is_factorized_anew(self, factorized):
         problem = CopyingJacobian(CONSTANT_J["quadratic"]())
-        for _ in range(3):
-            self.init(problem)
-        assert len(factorized) == 3
+        handed = self.build(problem)
+        assert self.init(problem, handed) is not handed
+        assert len(factorized) == 1
 
     def test_an_equal_jacobian_of_another_problem_is_factorized_anew(self, factorized):
         first, second = CONSTANT_J["quadratic"](), CONSTANT_J["quadratic"]()
         theta = first.default_theta0()
         assert np.array_equal(first.jacobian(theta), second.jacobian(theta))
-        assert self.init(second).u is not self.init(first).u
-        assert len(factorized) == 2
+        handed = self.build(first)
+        got = self.init(second, handed)
+        assert got is not handed and got.source() is second.jacobian(theta)
+        assert len(factorized) == 1
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_factor_of_another_rank_is_not_used(self, k, factorized):
+        problem = CONSTANT_J["quadratic"]()
+        got = self.init(problem, self.build(problem, k), 2)
+        assert got.u.shape == (problem.m, 2) and got.v.shape == (problem.d, 2)
+        assert len(factorized) == 1
 
-@pytest.fixture
-def decomposed(monkeypatch):
-    """The Gram matrices truncated_svd decomposes, one entry per eigh."""
-    calls, original = [], linalg.eigh_lo
-
-    def counting(gram, *args, **kwargs):
-        calls.append(gram)
-        return original(gram, *args, **kwargs)
-    monkeypatch.setattr(linalg, "eigh_lo", counting)
-    return calls
-
-
-class TestOneDecompositionPerJacobian:
-    """Factors of one read-only J at any ranks share one Gram eigh per
-    block, bit for bit."""
-
-    @staticmethod
-    def factor(problem, j, k):
-        return optimizers._factor(problem, j, GradLiteConfig(k=k))
-
-    @pytest.mark.parametrize("name", ["quadratic", "lowrank-logistic", "mlp"])
-    def test_every_rank_matches_a_writable_copy(self, name, decomposed):
-        problem = {**CONSTANT_J, "mlp": lambda: make_mlp([3, 5, 1], 8, seed=6)}[name]()
-        j = problem.jacobian(problem.default_theta0())
-        ranks = list(range(1, min(problem.m, *problem.block_dims) + 1))
-        np.random.default_rng(problem.blocks).shuffle(ranks)
-        kept = {k: self.factor(problem, j, k) for k in ranks}
-        assert len(decomposed) == problem.blocks  # one eigh per block
-        copy = np.array(j)  # writable: never served a kept decomposition
-        for k in ranks:
-            fresh = self.factor(problem, copy, k)
-            assert fresh.gram_vecs is not kept[k].gram_vecs
-            for got, want in ((kept[k].u, fresh.u), (kept[k].v, fresh.v)):
-                assert (got.shape, got.strides, got.tobytes()) \
-                    == (want.shape, want.strides, want.tobytes())
-        assert len(decomposed) == problem.blocks * (1 + len(ranks))
-
-    def test_each_new_mlp_jacobian_is_decomposed_afresh(self, decomposed):
-        # tau 4 over 10 steps: step-0 factors, then refreshes at steps 4 and 8.
-        cfg = GradLiteConfig(eta=0.05, k=2, tau=4)
-        states = []
-        for clear_before_refresh in (False, True):
-            problem = make_mlp([3, 5, 4, 1], 8, seed=6)
-            st = init_gradlite_state(problem, None, cfg)
-            for t in range(10):
-                if clear_before_refresh and t > 0 and t % cfg.tau == 0:
-                    optimizers._FACTORS.pop(problem, None)
-                st, _ = gradlite_step(st, problem, cfg)
-            states.append(st)
-        assert len(decomposed) == 2 * 3 * 3  # two runs, 3 blocks, 3 factorizations
-        kept, cleared = states
-        for got, want in ((kept.theta, cleared.theta), (kept.theta_sum, cleared.theta_sum),
-                          (kept.r, cleared.r), (kept.factor.u, cleared.factor.u),
-                          (kept.factor.v, cleared.factor.v)):
+    def test_a_handed_factor_runs_bit_for_bit_as_a_fresh_one(self):
+        # What a rate sweep relies on: a run on a handed factor of J is the
+        # run that factorizes J itself.
+        spec = {"name": "quadratic", "d": 8, "cond": 10.0, "sigma": 0.3}
+        cfg = GradLiteConfig(eta=0.05, k=3, tau=4)
+        problem = build_problem(spec, 0)
+        handed = self.build(problem, 3)
+        ran = [_drive(build_problem(spec, 0), cfg, 13, 2),
+               _drive(problem, cfg, 13, 2, factor=handed)]
+        assert ran[1].factor is handed
+        for got, want in ((ran[1].theta, ran[0].theta), (ran[1].theta_sum, ran[0].theta_sum),
+                          (ran[1].r, ran[0].r)):
             assert got.tobytes() == want.tobytes()
 
 

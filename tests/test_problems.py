@@ -236,8 +236,7 @@ def test_a_list_theta_reads_as_its_array(family):
     listed = theta.tolist()
     assert prob.loss(listed) == prob.loss(theta)
     assert prob.error_signal(listed).tobytes() == prob.error_signal(theta).tobytes()
-    for b in range(prob.blocks):
-        assert np.array_equal(prob.jacobian(listed, block=b), prob.jacobian(theta, block=b))
+    assert np.array_equal(prob.jacobian(listed), prob.jacobian(theta))
     assert prob.exact_gradient(listed).tobytes() == prob.exact_gradient(theta).tobytes()
 
 
@@ -361,8 +360,8 @@ class TestMlp:
     def test_block_dims_and_jacobian_shape(self):
         prob = make_mlp([6, 10, 1], 12, seed=31)
         assert prob.block_dims == (70, 11)
-        assert prob.jacobian(prob.default_theta0(), block=0).shape == (12, 70)
-        assert prob.jacobian(prob.default_theta0(), block=1).shape == (12, 11)
+        jac = prob.jacobian(prob.default_theta0())
+        assert [jac[:, sl].shape for sl in prob.block_slices()] == [(12, 70), (12, 11)]
 
     def test_every_block_matches_finite_differences(self):
         prob = make_mlp([5, 7, 1], 9, seed=32)
@@ -378,7 +377,8 @@ class TestMlp:
         prob = make_mlp([8, 4, 4, 4, 1], 32, seed=34)
         theta = 30.0 * prob.default_theta0()
         y = SplitMix64(35).normals(32)
-        jacobians = [prob.jacobian(theta, block=b) for b in range(prob.blocks)]
+        whole = prob.jacobian(theta)
+        jacobians = [whole[:, sl] for sl in prob.block_slices()]
         assert any((np.signbit(jac) & (jac == 0.0)).any() for jac in jacobians)
         for jac in jacobians:
             plain = jac + 0.0
@@ -396,13 +396,14 @@ class TestMlp:
         ws, _, acts = prob._forward(theta)
         n = prob.data.n
         d_sens = np.ones((n, 1))
+        whole, slices = prob.jacobian(theta), prob.block_slices()
         signed_zeros = 0
         for l in range(len(ws) - 1, -1, -1):
             p, q = d_sens.shape[1], acts[l].shape[1]
             products = np.multiply(d_sens[:, :, None], acts[l][:, None, :]).reshape(n, p * q)
             signed_zeros += int((np.signbit(products) & (products == 0.0)).sum())
             want = np.concatenate([products, d_sens], axis=1)
-            got = prob.jacobian(theta, block=l)
+            got = whole[:, slices[l]]
             assert got.shape == want.shape
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
             d_sens = (d_sens @ ws[l]) * (1.0 - acts[l] ** 2)
@@ -421,28 +422,28 @@ class TestMlpEvaluationCache:
     def fresh():
         return make_mlp([6, 10, 8, 1], 12, seed=33)
 
-    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
-    def test_warm_cache_matches_a_fresh_problem(self, order):
+    @pytest.mark.parametrize("jacobian_first", [True, False])
+    def test_warm_cache_matches_a_fresh_problem(self, jacobian_first):
         warm = self.fresh()
         stream = SplitMix64(5)
         for _ in range(3):
             theta = warm.default_theta0() + 0.3 * stream.normals(warm.d)
-            jacobians = {b: warm.jacobian(theta, block=b) for b in order}
+            jac = warm.jacobian(theta) if jacobian_first else None
             assert warm.loss(theta) == self.fresh().loss(theta)
             assert np.array_equal(warm.error_signal(theta), self.fresh().error_signal(theta))
-            for b in order:
-                assert np.array_equal(jacobians[b], self.fresh().jacobian(theta, block=b))
-                assert warm.jacobian(theta, block=b) is jacobians[b]
+            jac = warm.jacobian(theta) if jac is None else jac
+            assert np.array_equal(jac, self.fresh().jacobian(theta))
+            assert warm.jacobian(theta) is jac
 
     def test_in_place_change_of_theta_gives_new_values(self):
         prob = self.fresh()
         theta = prob.default_theta0()
-        loss, jac = prob.loss(theta), prob.jacobian(theta, block=0)
+        loss, jac = prob.loss(theta), prob.jacobian(theta)
         theta[3] += 0.25  # a weight of block 0, as finite differences do
         assert prob.loss(theta) == self.fresh().loss(theta) != loss
         assert np.array_equal(prob.error_signal(theta), self.fresh().error_signal(theta))
-        new_jac = prob.jacobian(theta, block=0)
-        assert np.array_equal(new_jac, self.fresh().jacobian(theta, block=0))
+        new_jac = prob.jacobian(theta)
+        assert np.array_equal(new_jac, self.fresh().jacobian(theta))
         assert not np.array_equal(new_jac, jac)
 
     def test_cache_does_not_read_the_callers_array_later(self):
@@ -451,9 +452,7 @@ class TestMlpEvaluationCache:
         before = theta.copy()
         prob.loss(theta)
         theta[-2] += 0.25  # an output weight; the cache still holds `before`
-        for b in (2, 1, 0):
-            assert np.array_equal(prob.jacobian(before, block=b),
-                                  self.fresh().jacobian(before, block=b))
+        assert np.array_equal(prob.jacobian(before), self.fresh().jacobian(before))
 
     def test_every_error_signal_call_draws_fresh_noise(self):
         prob = self.fresh()
@@ -467,8 +466,8 @@ class TestMlpEvaluationCache:
     def test_cached_jacobian_is_read_only(self):
         prob = self.fresh()
         theta = prob.default_theta0()
-        for b in range(prob.blocks):
-            jac = prob.jacobian(theta, block=b)
+        whole = prob.jacobian(theta)
+        for jac in (whole, *(whole[:, sl] for sl in prob.block_slices())):
             assert not jac.flags.writeable
             with pytest.raises(ValueError):
                 jac[0, 0] = 1.0
@@ -512,14 +511,14 @@ class TestChainRuleContract:
             theta = base + 0.5 * stream.normals(prob.d)
             delta = prob.error_signal(theta)
             g = prob.exact_gradient(theta)
-            parts = [matvec_t(prob.jacobian(theta, block=b), delta)
-                     for b in range(prob.blocks)]
+            jac = prob.jacobian(theta)
+            parts = [matvec_t(jac[:, sl], delta) for sl in slices]
             err = np.linalg.norm(np.concatenate(parts) - g)
             assert err <= 1e-10 * (1.0 + np.linalg.norm(g))
 
 
 class TestWholeJacobian:
-    """jacobian(theta) is the whole J; jacobian(theta, block=b) its block b."""
+    """jacobian(theta) is the whole J, and J[:, sl] over block_slices() its blocks."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @given(seed=st.integers(0, 2**32))
@@ -528,9 +527,9 @@ class TestWholeJacobian:
         stream = SplitMix64(seed)
         theta = prob.default_theta0() + stream.normals(prob.d)
         delta = stream.normals(prob.m)
-        parts = [matvec_t(prob.jacobian(theta, block=b), delta) for b in range(prob.blocks)]
-        assert matvec_t(prob.jacobian(theta), delta).tobytes() \
-            == np.concatenate(parts).tobytes()
+        whole = prob.jacobian(theta)
+        parts = [matvec_t(whole[:, sl], delta) for sl in prob.block_slices()]
+        assert matvec_t(whole, delta).tobytes() == np.concatenate(parts).tobytes()
 
     @given(layers=st.lists(st.integers(1, 6), min_size=1, max_size=4),
            n=st.integers(1, 12), seed=st.integers(0, 2**32))
@@ -540,12 +539,11 @@ class TestWholeJacobian:
         stream = SplitMix64(seed)
         theta = 10.0 * stream.uniforms(1)[0] * stream.normals(prob.d)
         whole = prob.jacobian(theta)
-        views = [prob.jacobian(theta, block=b) for b in range(prob.blocks)]
+        views = [whole[:, sl] for sl in prob.block_slices()]
         assert whole.shape == (prob.m, prob.d)
-        assert np.hstack(views).tobytes() == whole.tobytes()
+        assert [view.shape[1] for view in views] == list(prob.block_dims)
         assert not any(a.flags.writeable for a in (whole, *views))
         assert prob.jacobian(theta) is whole
-        assert all(prob.jacobian(theta, block=b) is view for b, view in enumerate(views))
         delta = stream.normals(prob.m)
         assert matvec_t(whole, delta).tobytes() == np.concatenate(
             [matvec_t(view, delta) for view in views]).tobytes()

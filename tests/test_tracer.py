@@ -30,18 +30,17 @@ def test_tracer_installs_and_removes_cleanly():
     try:
         tracer.install()
         assert linalg.truncated_svd is not originals[0]
-        assert optimizers.factorize is lowrank.factorize is not originals[1]
+        assert harness.factorize is optimizers.factorize is lowrank.factorize \
+            is not originals[1]
     finally:
         tracer.remove()
     assert (linalg.truncated_svd, lowrank.factorize) == originals
-    assert optimizers.factorize is originals[1]
+    assert harness.factorize is optimizers.factorize is originals[1]
 
 
-def test_traced_step_times_each_block_jacobian_on_its_block():
+def test_traced_step_books_each_jacobian_read_to_block_0():
     # A step reads the whole J once, which the tracer books to block 0; a
-    # refresh step factorizes that same J and reads no block alone.  A read
-    # of one block passes it by the `block` keyword, from which the tracer
-    # takes it: a positional block would be booked to block 0.
+    # refresh step factorizes that same J and reads it no more.
     module = load_tracer()
     problem = build_problem({"name": "mlp", "layers": [4, 8, 8, 1], "n": 16}, 0)
     cfg = optimizers.GradLiteConfig(eta=0.05, k=2, tau=1, seed=0)  # refresh at step 1
@@ -51,8 +50,6 @@ def test_traced_step_times_each_block_jacobian_on_its_block():
         state = optimizers.init_gradlite_state(problem, None, cfg)
         for _ in range(2):
             state, _ = optimizers.gradlite_step(state, problem, cfg)
-        for b in range(problem.blocks):
-            problem.jacobian(state.theta, block=b)
     finally:
         tracer.remove()
     field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
@@ -61,14 +58,12 @@ def test_traced_step_times_each_block_jacobian_on_its_block():
     for span in tracer.spans():
         if span[field["name_id"]] == jacobian and span[field["step"]] in blocks:
             blocks[span[field["step"]]].append(span[field["block"]])
-    assert blocks == {0: [0], 1: [0, 0, 1, 2]}
+    assert blocks == {0: [0], 1: [0]}
 
 
-def test_package_jacobian_calls_keep_the_tracers_block_contract():
-    # The tracer books a Jacobian read to `int(kwargs.get("block", 0))`, so
-    # a positional block would be booked to block 0 and `block=None` would
-    # crash a traced run.  Every call in the package passes theta alone, or
-    # theta and `block=` by keyword with a value other than None.
+def test_package_jacobian_calls_pass_theta_alone():
+    # The tracer books a Jacobian read to `int(kwargs.get("block", 0))`,
+    # which a call of theta alone books to block 0.
     calls = 0
     for path in sorted(Path(gradlite.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -78,9 +73,7 @@ def test_package_jacobian_calls_keep_the_tracers_block_contract():
             calls += 1
             where = f"{path.name}:{node.lineno}"
             assert len(node.args) == 1 and not isinstance(node.args[0], ast.Starred), where
-            assert [kw.arg for kw in node.keywords] in ([], ["block"]), where
-            assert not any(isinstance(kw.value, ast.Constant) and kw.value.value is None
-                           for kw in node.keywords), where
+            assert node.keywords == [], where
     assert calls > 0
 
 
@@ -127,13 +120,31 @@ def test_traced_rate_check_records_one_span_per_step_and_run():
 
 
 def test_traced_rate_sweep_records_one_span_per_step_and_run():
-    # Runs that reuse a step-0 factor still pass through the wrapped init,
-    # and every run-step through the wrapped step.
+    # Runs handed a step-0 factor still pass through the wrapped init, and
+    # every run-step through the wrapped step.
     t_grid, seeds = (2, 3, 4, 5), (0, 1)
     counts = traced_span_counts(lambda: harness.rate_sweep(
         t_grid=t_grid, seeds=seeds, k_grid=(2, 4), d=4))
     fits = 3  # full rank 4, rank 2 without feedback, rank 4 with it
     assert counts == (fits * sum(t_grid) * len(seeds), fits * len(t_grid) * len(seeds))
+
+
+def test_traced_rate_sweep_books_its_factors_to_set_up():
+    # The sweep factorizes each rank before the first step, so no factorize
+    # call counts as a refresh, and every run keeps the factor it is handed.
+    module = load_tracer()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        tracer.start_invocation()
+        harness.rate_sweep(t_grid=(2, 3, 4, 5), seeds=(0, 1), k_grid=(2, 4), d=4)
+    finally:
+        tracer.remove()
+    field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
+    factorize = tracer.names.index("lowrank.factorize")
+    in_loop = [span[field["in_loop"]] for span in tracer.spans()
+               if span[field["name_id"]] == factorize]
+    assert in_loop == [0, 0] and tracer.refreshes == 0
 
 
 def test_traced_kernels_book_each_call_once():
