@@ -2,10 +2,13 @@
 
 Under a rule a step reads the exact probe ``g = J^T d`` and feeds the
 residual ``D = g - g~`` to one accumulator ``r`` of length d, which the
-next update adds back.  "paper" keeps adding each ``D`` without ever
-consuming it, which double-counts under persistent error and can grow
-without bound (the harness reports that divergence); "ef-standard" keeps
-only the newest (consume-on-apply).  "off" reads no probe and keeps none.
+next update adds back.  The probe is the problem's (`Problem.probe`): it
+needs the problem's activation cache and the m-vector signal, not a
+materialized J, and the MLP answers it by one reverse pass.  "paper"
+keeps adding each ``D`` without ever consuming it, which double-counts
+under persistent error and can grow without bound (the harness reports
+that divergence); "ef-standard" keeps only the newest (consume-on-apply).
+"off" reads no probe and keeps none.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimError
-from .linalg import matvec_t
 
 EF_MODES = ("paper", "ef-standard", "off")
 
@@ -25,9 +27,9 @@ def correct(g_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     return g_tilde + r
 
 
-def estimate_delta(j, delta, g_tilde: np.ndarray) -> np.ndarray:
-    """D = g - g~, from the exact probe g = j.T @ delta (the desk scale affords it)."""
-    g = matvec_t(j, delta)
+def estimate_delta(problem, theta, delta, g_tilde: np.ndarray) -> np.ndarray:
+    """D = g - g~, from the exact probe g = J^T delta at theta (`problem.probe`)."""
+    g = problem.probe(theta, delta)
     if g.shape != g_tilde.shape:
         raise DimError(f"estimate_delta: {g.shape} vs {g_tilde.shape}")
     return g - g_tilde

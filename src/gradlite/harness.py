@@ -291,9 +291,11 @@ class MethodMemory(NamedTuple):
     the low-rank method holds only the k-dim compressed signal, the factor
     pair amortized over its refresh period, and the residual accumulator.
     The row does not price the exact probe, though a feedback rule (the
-    default) reads `J^T d` at every step and so holds the activation cache
-    and the m-vector signal; ROADMAP item 1 asks the ledger to charge it.
-    `run` prices no accumulator for `ef_mode="off"`, which keeps none.
+    default) reads `J^T d` at every step (`Problem.probe`) and so holds the
+    activation cache and the m-vector signal, not J; ROADMAP item 1 asks
+    the ledger to charge it.  Nor does it price the J that the init and
+    each refresh materialize.  `run` prices no accumulator for
+    `ef_mode="off"`, which keeps none.
     """
 
     activation: float

@@ -10,9 +10,13 @@ update rule, and :class:`AdamState`, :class:`GaloreState` and
 :class:`GradLiteState` add only their own fields.  The update rule is the
 state's `update(g, cfg)`, so SGD, Adam and GaLore share one step,
 `exact_step`, and `gradlite_step` descends by the same rule.  The per-step
-stochastic gradient is always the chain-rule product jacobian.T @
-error_signal with one error-signal draw per step, so two optimizers driven
-by identically seeded problems see identical noise.
+stochastic gradient is always the chain-rule product J^T d with one
+error-signal draw d per step, so two optimizers driven by identically
+seeded problems see identical noise.  Both steps take it from the one
+exact probe, `problem.probe(theta, d)`, which needs the activation cache
+and the m-vector signal, not a materialized J: the MLP answers it by one
+reverse pass, and the quadratic and logistic families walk their constant
+J.  A GradLite step reads J itself only to refresh its factor.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError, DivergedError, EmptyRunError
 from .feedback import EF_MODES, correct, estimate_delta, update_accumulator
-from .linalg import matvec_t
 from .lowrank import BASIS_MODES, LowRankFactor, approx_gradient, factorize
 from .problems import Problem
 
@@ -279,11 +282,12 @@ def gradlite_step(state: GradLiteState, problem: Problem,
                   cfg: GradLiteConfig) -> tuple[GradLiteState, StepTrace]:
     """One full update: signal, projection, correction, residual, descent.
 
-    The factor is refreshed at steps tau, 2 tau, ... from the whole J, read
-    once per step, unless J is the very read-only array it was built from;
-    the rest works on whole vectors, with one exact probe of that J per
-    step under a feedback rule ("off" reads J only to refresh).  The
-    descent applies the state's update rule to g_hat (g~ if "off").
+    The factor is refreshed at steps tau, 2 tau, ... from the whole J,
+    unless J is the very read-only array it was built from; J is read at
+    those steps only, in every ef_mode.  The rest works on whole vectors,
+    with one exact probe `problem.probe(theta, delta)` per step under a
+    feedback rule ("off" reads none).  The descent applies the state's
+    update rule to g_hat (g~ if "off").
 
     The one divergence check is on the new theta: a non-finite entry of
     delta, g~ or g^ reaches it through every update rule.  When it fails,
@@ -294,15 +298,16 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     theta = state.theta
     delta = problem.error_signal(theta)
 
-    refresh, feedback = t > 0 and t % cfg.tau == 0, cfg.ef_mode != "off"
-    j = problem.jacobian(theta) if refresh or feedback else None
-    if refresh and not _built_from(state.factor, j):
-        state.factor = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
+    if t > 0 and t % cfg.tau == 0:
+        j = problem.jacobian(theta)
+        if not _built_from(state.factor, j):
+            state.factor = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
     g_tilde = approx_gradient(state.factor, delta)
-    if not feedback:
+    if cfg.ef_mode == "off":
         trace = StepTrace(g_tilde, g_tilde)
     else:
-        g_hat, big_delta = correct(g_tilde, state.r), estimate_delta(j, delta, g_tilde)
+        g_hat = correct(g_tilde, state.r)
+        big_delta = estimate_delta(problem, theta, delta, g_tilde)
         state.r = update_accumulator(state.r, big_delta, cfg.ef_mode)
         trace = StepTrace(g_tilde, g_hat, big_delta, state.r)
     try:
@@ -316,9 +321,10 @@ def gradlite_step(state: GradLiteState, problem: Problem,
 
 def exact_step(state: OptimizerState, problem: Problem,
                cfg: SgdConfig) -> tuple[OptimizerState, StepTrace]:
-    """SGD, Adam or GaLore: descend by the state's rule on the exact gradient J^T d."""
+    """SGD, Adam or GaLore: descend by the state's rule on the exact gradient
+    J^T d, the problem's probe; the step itself reads no J."""
     delta = problem.error_signal(state.theta)
-    g = matvec_t(problem.jacobian(state.theta), delta)
+    g = problem.probe(state.theta, delta)
     # Checked before the rule reads it: GaLore's SVD raises on a non-finite g.
     if not np.isfinite(g).all():
         raise DivergedError(state.step, "gradient")

@@ -17,7 +17,9 @@ A Jacobian is read-only and never changed in place, so the same array
 means the same J: the quadratic and logistic families return one array for
 every theta, the MLP a new one per theta.  A block's columns are
 ``J[:, sl]`` over ``block_slices()``.  A run keeps a factor whose J is
-unchanged.
+unchanged.  The exact probe ``probe(theta, delta) = J^T delta`` walks J in
+the quadratic and logistic families; the MLP answers it by one reverse
+pass over its cached evaluation and builds no J.
 
 Each family has one seeded maker (`make_quadratic`, `make_gaussian_logistic`,
 `make_lowrank_logistic`, `make_mlp`), whose parameters are the family's spec
@@ -32,6 +34,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum
 
 from .errors import ConfigError, DataError, DimError, SpdError
+from .linalg import matvec_t
 from .rng import SplitMix64, derive_seed
 
 _NOISE_SALT = 0x0151_0001
@@ -218,6 +221,14 @@ class Problem:
     def jacobian(self, theta) -> np.ndarray:
         raise NotImplementedError
 
+    def probe(self, theta, delta) -> np.ndarray:
+        """The exact probe J^T delta at theta, for any m-vector delta.
+
+        Here the pinned-order walk of the materialized J; a family that can
+        answer it without J overrides this.
+        """
+        return matvec_t(self.jacobian(theta), delta)
+
     def exact_gradient(self, theta) -> np.ndarray:
         raise NotImplementedError
 
@@ -386,15 +397,18 @@ class MlpProblem(Problem):
     """Tanh MLP regression with mean squared-error loss 0.5*||f - y||^2 / n.
 
     One parameter block per layer (weights row-major, then biases).  The
-    jacobian of the predictions is materialized explicitly, which is
-    O(n * params) memory, fine at desk scale; the exact gradient goes
-    through an independent reverse pass.
+    jacobian of the predictions is materialized explicitly by a top-down
+    sweep, which is O(n * params) memory, fine at desk scale.  The probe
+    J^T delta and the exact gradient go through one reverse pass
+    (`_backward`) instead, which builds no J.
 
-    `loss`, `error_signal` and `jacobian` read one cached, read-only
-    evaluation of the latest theta, keyed on its contents: one forward
-    pass, plus one top-down sweep, writing each block into its columns of
-    J, on the first jacobian request.  A step's signal and Jacobian and
-    the loss at the previous step's new iterate share one forward pass.
+    `loss`, `error_signal`, `probe` and `jacobian` read one cached,
+    read-only evaluation of the latest theta, keyed on its contents: one
+    forward pass, plus the sweep, writing each block into its columns of
+    J, on the first jacobian request.  A step's signal and probe and the
+    loss at the previous step's new iterate share one forward pass.
+    `exact_gradient` runs its own uncached forward pass, so the chain-rule
+    contract checks a cache-free path against the sweep's J.
     """
 
     name = "mlp"
@@ -405,6 +419,7 @@ class MlpProblem(Problem):
         if layers[0] != data.d:
             raise DimError(f"input width {layers[0]} != feature count {data.d}")
         _check_size(data.n, self.d)
+        self._slices = tuple(self.block_slices())
         self.layers = layers
         self.data = data
         self.m = data.n
@@ -462,7 +477,7 @@ class MlpProblem(Problem):
         self._evaluate(theta)
         if self._jacobian is None:
             ws, acts, n = self._ws, self._acts, self.data.n
-            jac, slices = np.empty((n, self.d)), self.block_slices()
+            jac, slices = np.empty((n, self.d)), self._slices
             # dpred[i] / dz_l[i, p], built top-down.  The output layer is
             # linear with one unit: its weight columns are its inputs.
             last = len(ws) - 1
@@ -488,18 +503,41 @@ class MlpProblem(Problem):
             self._jacobian = _read_only(jac)
         return self._jacobian
 
+    def probe(self, theta, delta) -> np.ndarray:
+        """J^T delta by one reverse pass over the cached evaluation; no J."""
+        delta = np.asarray(delta, dtype=np.float64)
+        if delta.shape != (self.m,):
+            raise DimError(f"probe: signal {delta.shape} for {self.m} rows")
+        self._evaluate(theta)
+        return self._backward(self._ws, self._acts, delta)
+
     def exact_gradient(self, theta) -> np.ndarray:
         ws, _, acts = self._forward(np.asarray(theta, dtype=np.float64))
-        n = self.data.n
-        delta = (acts[-1][:, 0] - self.data.y)[:, None] / n
-        grads = [None] * len(ws)
+        return self._backward(ws, acts, (acts[-1][:, 0] - self.data.y) / self.data.n)
+
+    def _backward(self, ws, acts, delta) -> np.ndarray:
+        """J^T delta from a forward pass's weights and activations.
+
+        sens[i, p] = delta[i] * dpred[i] / dz_l[i, p], carried bottom-up
+        from the linear output unit (where it is delta itself).  Block l's
+        weight entries are sens.T @ acts[l] and its biases sens's column
+        sums, each written into its slice of the result.
+        """
+        out, sens = np.empty(self.d), delta[:, None]
         for l in range(len(ws) - 1, -1, -1):
-            gw = delta.T @ acts[l]
-            gb = delta.sum(axis=0)
-            grads[l] = np.concatenate([gw.ravel(), gb])
+            a, p = acts[l], sens.shape[1]
+            lo, hi = self._slices[l].start, self._slices[l].stop
+            # ndarray products by np.dot, the BLAS call `@` makes without
+            # matmul's gufunc dispatch: the same bits.
+            np.dot(sens.T, a, out=out[lo:hi - p].reshape(p, a.shape[1]))
+            np.add.reduce(sens, 0, None, out[hi - p:hi])
             if l > 0:
-                delta = (delta @ ws[l]) * (1.0 - acts[l] ** 2)
-        return np.concatenate(grads)
+                # tanh'(z) of layer l - 1 from a = tanh(z), in place.
+                slope = a * a
+                np.subtract(1.0, slope, out=slope)
+                sens = np.dot(sens, ws[l])
+                sens *= slope
+        return out
 
     def default_theta0(self) -> np.ndarray:
         return self._sample_theta(SplitMix64(derive_seed(self.data.seed, _THETA0_SALT)))

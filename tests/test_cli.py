@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -28,6 +30,67 @@ README = Path(__file__).parent.parent / "README.md"
 
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def numeric_columns(text: str, name: str) -> dict[str, list[float]]:
+    """Each numeric column of a CSV file (by header) or of a JSON file (by
+    key path, list indices folded into one column)."""
+    columns: dict[str, list[float]] = {}
+    if name.endswith(".json"):
+        def walk(node, path):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    walk(value, f"{path}.{key}" if path else key)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value, f"{path}[]")
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                columns.setdefault(path, []).append(float(node))
+        walk(json.loads(text), "")
+        return columns
+    header, *rows = csv.reader(io.StringIO(text))
+    for i, head in enumerate(header):
+        try:
+            columns[head] = [float(row[i]) for row in rows]
+        except (ValueError, IndexError):
+            pass
+    return columns
+
+
+def relative_difference(a: float, b: float) -> float:
+    """|a - b| over the larger magnitude; 0 for equal values or two NaNs,
+    inf where only one is NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def bytes_mismatch(got: bytes, want: bytes, name: str) -> str:
+    """Where `got` first differs from the golden `want`, and each numeric
+    column's largest relative difference (columns that differ only)."""
+    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
+    at = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+              min(len(got_lines), len(want_lines)))
+    end = "<end of file>"
+    report = [f"{name} differs from its golden from line {at + 1}:",
+              f"  got:  {got_lines[at] if at < len(got_lines) else end}",
+              f"  want: {want_lines[at] if at < len(want_lines) else end}"]
+    try:
+        got_cols = numeric_columns(got.decode(), name)
+        want_cols = numeric_columns(want.decode(), name)
+    except (ValueError, StopIteration) as err:
+        return "\n".join(report + [f"  columns unreadable: {err}"])
+    for column in sorted(got_cols.keys() | want_cols.keys()):
+        a, b = got_cols.get(column), want_cols.get(column)
+        if a is None or b is None or len(a) != len(b):
+            report.append(f"  {column}: {len(a or [])} values, golden {len(b or [])}")
+            continue
+        worst = max(map(relative_difference, a, b), default=0.0)
+        if worst:
+            report.append(f"  {column}: largest relative difference {worst:.3g}")
+    return "\n".join(report)
 
 
 def readme_commands() -> list[list[str]]:
@@ -785,17 +848,6 @@ class TestDeterminism:
         assert main(args) == 0
         assert (sha(out), sha(summary)) == first
 
-    def test_mlp_run_matches_pinned_bytes(self, tmp_path):
-        # Pins the MLP numbers themselves, not only rerun-vs-rerun identity;
-        # regenerate the golden files with this command only for an intended
-        # change of the numbers.
-        out, summary = tmp_path / "m.csv", tmp_path / "s.json"
-        assert main(["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
-                     "--steps", "60", "--seed", "3", "--out", str(out),
-                     "--summary", str(summary)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "mlp_run_seed3.csv").read_bytes()
-        assert summary.read_bytes() == (GOLDEN_DIR / "mlp_run_seed3.json").read_bytes()
-
     @pytest.mark.parametrize("argv, goldens", [
         (["run", "--problem", "quadratic", "--dim", "12", "--sigma", "0.3",
           "--opt", "gradlite", "--k", "4", "--eta", "0.05", "--steps", "40",
@@ -807,6 +859,9 @@ class TestDeterminism:
           "--dim", "16", "--cond", "100", "--eta", "0.05"], ["ablate_seeds01.csv"]),
         (["rate-check", "--t-grid", "25,50,100,200", "--seeds", "0,1",
           "--k-grid", "2,4,8", "--dim", "8", "--c", "0.3"], ["rate_check.json"]),
+        # The default method, at the default eta, on a 3-block MLP.
+        (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
+          "--steps", "60", "--seed", "3"], ["mlp_run_seed3.csv", "mlp_run_seed3.json"]),
         *[(["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
             "--eta", "0.05", "--steps", "60", "--seed", "3", "--opt", opt, *extra],
            [f"mlp_{opt}_run_seed3.csv", f"mlp_{opt}_run_seed3.json"])
@@ -826,11 +881,11 @@ class TestDeterminism:
           "--basis", "random-projection", "--k", "1"],
          ["mlp_rp_k1_run_seed3.csv", "mlp_rp_k1_run_seed3.json"]),
     ], ids=["run-quadratic", "run-lowrank-logistic", "ablate", "rate-check",
-            "run-mlp-sgd", "run-mlp-adam", "run-mlp-galore", "run-mlp-off",
+            "run-mlp-default", "run-mlp-sgd", "run-mlp-adam", "run-mlp-galore", "run-mlp-off",
             "run-mlp-paper", "run-mlp-rp-k1"])
     def test_outputs_match_pinned_bytes(self, argv, goldens, tmp_path):
         # Criterion 8's run, ablate and rate-check commands, a logistic run
-        # and one MLP run per baseline (galore refreshes its basis at steps
+        # and one MLP run per method (galore refreshes its basis at steps
         # 0, 10, 20, ...), pinned across changes; regenerate only for an
         # intended change of the numbers.
         paths = [tmp_path / name for name in goldens]
@@ -839,7 +894,25 @@ class TestDeterminism:
             argv += ["--summary", str(paths[1])]
         assert main(argv) == 0
         for path in paths:
-            assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), path.name
+            got, want = path.read_bytes(), (GOLDEN_DIR / path.name).read_bytes()
+            assert got == want, bytes_mismatch(got, want, path.name)
+
+    def test_a_mismatch_names_its_first_line_and_each_columns_largest_change(self):
+        want = b"step,loss,gap,note\n1,0.5,nan,a\n2,0.25,nan,b\n"
+        got = b"step,loss,gap,note\n1,0.5,nan,a\n2,0.2500001,1.0,b\n"
+        report = bytes_mismatch(got, want, "m.csv").splitlines()
+        assert report[:3] == ["m.csv differs from its golden from line 3:",
+                              "  got:  2,0.2500001,1.0,b", "  want: 2,0.25,nan,b"]
+        assert report[3:] == ["  gap: largest relative difference inf",
+                              "  loss: largest relative difference 4e-07"]
+        summary = bytes_mismatch(b'{"a": {"b": [1.0, 2.0]}, "c": "x"}',
+                                 b'{"a": {"b": [1.0, 4.0]}, "c": "x"}', "s.json")
+        assert summary.splitlines()[1:] == ['  got:  {"a": {"b": [1.0, 2.0]}, "c": "x"}',
+                                            '  want: {"a": {"b": [1.0, 4.0]}, "c": "x"}',
+                                            "  a.b[]: largest relative difference 0.5"]
+        assert bytes_mismatch(want + b"3,1,1,c\n", want, "m.csv").splitlines()[1:] == [
+            "  got:  3,1,1,c", "  want: <end of file>", "  gap: 3 values, golden 2",
+            "  loss: 3 values, golden 2", "  step: 3 values, golden 2"]
 
     def test_rate_check_bytes_do_not_depend_on_flag_order(self, tmp_path):
         outs = []

@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 
 from gradlite.errors import DimError
 from gradlite.feedback import correct, estimate_delta, update_accumulator
+from gradlite.linalg import matvec_t
+from gradlite.problems import Dataset, LogisticProblem, make_mlp
 from gradlite.rng import SplitMix64
 
 J32 = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
@@ -27,19 +29,37 @@ class TestCorrect:
             correct(np.zeros(3), np.zeros(2))
 
 
+def design_problem(a):
+    """A logistic problem whose Jacobian is the design matrix a."""
+    return LogisticProblem(Dataset(a, np.zeros(a.shape[0])))
+
+
 class TestEstimateDelta:
     def test_hand_example(self):
-        est = estimate_delta(J32, np.array([1.0, 1.0, 1.0]), np.array([0.0, 2.0]))
+        est = estimate_delta(design_problem(J32), np.zeros(2), np.array([1.0, 1.0, 1.0]),
+                             np.array([0.0, 2.0]))
         assert np.allclose(est, [1.0, 0.0], atol=1e-12)
 
     def test_full_rank_residual_vanishes(self):
         stream = SplitMix64(12)
         a = stream.normal_matrix(6, 4)
         delta = stream.normals(6)
-        from gradlite.linalg import matvec_t
         g = matvec_t(a, delta)
-        est = estimate_delta(a, delta, g)
+        est = estimate_delta(design_problem(a), np.zeros(4), delta, g)
         assert np.linalg.norm(est) <= 1e-10
+
+    def test_reads_the_problems_probe_at_theta(self):
+        # The MLP answers the probe from its activations at theta, no J.
+        prob = make_mlp([4, 6, 1], 10, seed=2)
+        stream = SplitMix64(5)
+        theta = prob.default_theta0() + stream.normals(prob.d)
+        delta, g_tilde = stream.normals(prob.m), stream.normals(prob.d)
+        want = prob.probe(theta, delta) - g_tilde
+        assert estimate_delta(prob, theta, delta, g_tilde).tobytes() == want.tobytes()
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimError):
+            estimate_delta(design_problem(J32), np.zeros(2), np.ones(3), np.zeros(3))
 
 
 class TestUpdateAccumulator:

@@ -15,7 +15,7 @@ from gradlite.optimizers import (AdamConfig, AdamState, GaloreConfig,
                                  GradLiteConfig, GradLiteState, OptimizerState,
                                  SgdConfig, StepTrace, averaged_iterate, exact_step,
                                  gradlite_step, init_gradlite_state, init_state)
-from gradlite.problems import (QuadraticProblem, make_lowrank_logistic,
+from gradlite.problems import (MlpProblem, QuadraticProblem, make_lowrank_logistic,
                                make_mlp, make_quadratic)
 from gradlite.rng import derive_seed
 
@@ -92,24 +92,22 @@ class TestGradLiteStep:
                 assert st.factor.u.shape == (prob.m, 3 * cfg.k)
                 assert st.factor.v.shape == (prob.d, 3 * cfg.k)
 
-    def test_no_feedback_reads_each_jacobian_only_to_refresh(self, monkeypatch):
-        # No update reads the probe with feedback off, so J is read at init
-        # and at steps tau, 2 tau, ... only, and no accumulator is kept.
+    @pytest.mark.parametrize("mode", EF_MODES)
+    def test_every_mode_reads_each_jacobian_only_to_refresh(self, mode, jacobian_reads):
+        # The probe is the MLP's reverse pass, so under every rule J is read
+        # at init and at steps tau, 2 tau, ... only; "off" keeps no
+        # accumulator.
         prob = make_mlp([4, 5, 5, 1], 12, seed=7)
-        reads, jacobian = [], prob.jacobian
-
-        def counting(theta):
-            reads.append(theta)
-            return jacobian(theta)
-        monkeypatch.setattr(prob, "jacobian", counting)
-        cfg = GradLiteConfig(eta=0.01, k=2, tau=3, ef_mode="off", seed=0)
+        cfg = GradLiteConfig(eta=0.01, k=2, tau=3, ef_mode=mode, seed=0)
         st = init_gradlite_state(prob, None, cfg)
-        assert len(reads) == 1 and st.r is None
+        assert len(jacobian_reads) == 1 and (st.r is None) == (mode == "off")
         for t in range(10):
-            before = len(reads)
+            before = len(jacobian_reads)
+            theta = st.theta
             st, _ = gradlite_step(st, prob, cfg)
-            assert len(reads) - before == (1 if t in (3, 6, 9) else 0)
-        assert st.r is None
+            reads = [read is theta for read in jacobian_reads[before:]]
+            assert reads == ([True] if t in (3, 6, 9) else [])
+        assert (st.r is None) == (mode == "off")
 
     def test_divergence_raises_with_step_index(self):
         prob = make_quadratic(4, 5.0, 0.0, seed=2)
@@ -138,6 +136,18 @@ CONSTANT_J = {
     "quadratic": lambda: make_quadratic(6, 10.0, 0.3, seed=4),
     "lowrank-logistic": lambda: make_lowrank_logistic(24, 6, 100.0, seed=5),
 }
+
+
+@pytest.fixture
+def jacobian_reads(monkeypatch):
+    """The theta of each MLP Jacobian read, one entry per call."""
+    reads, original = [], MlpProblem.jacobian
+
+    def counting(self, theta):
+        reads.append(theta)
+        return original(self, theta)
+    monkeypatch.setattr(MlpProblem, "jacobian", counting)
+    return reads
 
 
 @pytest.fixture
@@ -758,6 +768,22 @@ class TestOneDivergenceCheckPerStep:
         monkeypatch.setattr(optimizers.np, "isfinite", isfinite)
         for _ in range(5):
             st, _ = gradlite_step(st, prob, cfg)
+
+
+class TestExactStepReadsNoJacobian:
+    @pytest.mark.parametrize("cfg", [SgdConfig(eta=0.05), AdamConfig(eta=0.05),
+                                     GaloreConfig(eta=0.05, k=2, tau=3)],
+                             ids=["sgd", "adam", "galore"])
+    def test_mlp_gradient_is_the_probe(self, cfg, jacobian_reads):
+        # The gradient is the MLP's reverse-pass probe of the step's signal.
+        prob = make_mlp([4, 5, 5, 1], 12, seed=7)
+        st = init_state(prob, None, cfg)
+        for _ in range(7):  # GaLore refreshes its basis at steps 0, 3 and 6
+            theta = st.theta
+            want = prob.probe(theta, prob.error_signal(theta))
+            st, tr = exact_step(st, prob, cfg)
+            assert tr.g_hat.tobytes() == want.tobytes()
+        assert jacobian_reads == []
 
 
 class TestExactStepChecksTheGradient:

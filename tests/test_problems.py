@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import gradlite
 from gradlite import problems
-from gradlite.errors import ConfigError, DataError, SpdError
+from gradlite.errors import ConfigError, DataError, DimError, SpdError
 from gradlite.linalg import matvec_t, truncated_svd
 from gradlite.problems import (NOISE_BLOCK, _NOISE_SALT, Dataset, LogisticProblem,
                                MlpProblem, Problem, QuadraticProblem, _expit,
@@ -562,6 +562,85 @@ class TestWholeJacobian:
         got, want = prob.jacobian(theta), einsum_route_jacobian(prob, theta)
         assert np.array_equal(got, want)
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+PROBE_CONSTANT_J = {
+    "quadratic": lambda: make_quadratic(12, 10.0, 0.3, seed=41),
+    "logistic": lambda: make_gaussian_logistic(40, 12, seed=42),
+    "lowrank-logistic": lambda: make_lowrank_logistic(48, 12, 1e3, seed=43),
+}
+PROBE_MLP_LAYERS = ((8, 1), (8, 16, 1), (8, 16, 16, 1), (6, 10, 10, 10, 1))
+
+
+def probe_id(family):
+    return family if isinstance(family, str) else "mlp-" + "-".join(map(str, family))
+
+
+@functools.cache
+def probe_problem(family):
+    """One problem per family or MLP shape for every example, so the MLP's
+    probe reads a cache that earlier examples left at other thetas."""
+    if family in PROBE_CONSTANT_J:
+        return PROBE_CONSTANT_J[family]()
+    return make_mlp(family, 32, seed=44)
+
+
+def probe_draws(prob, draw):
+    """A theta offset from the problem's start and an arbitrary signal."""
+    stream = SplitMix64(draw(st.integers(0, 2**32), label="seed"))
+    spread = draw(st.sampled_from([0.0, 0.5, 3.0]), label="spread")
+    theta = prob.default_theta0() + spread * stream.normals(prob.d)
+    elements = st.floats(-1e3, 1e3, allow_subnormal=False)
+    delta = np.array(draw(st.lists(elements, min_size=prob.m, max_size=prob.m),
+                          label="delta"))
+    return theta, delta
+
+
+class TestProbe:
+    """probe(theta, delta) is J^T delta of the materialized J."""
+
+    @pytest.mark.parametrize("family", sorted(PROBE_CONSTANT_J))
+    @given(data=st.data())
+    def test_constant_jacobian_probe_is_the_walk_bit_for_bit(self, family, data):
+        prob = probe_problem(family)
+        theta, delta = probe_draws(prob, data.draw)
+        want = matvec_t(prob.jacobian(theta), delta)
+        assert prob.probe(theta, delta).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layers", PROBE_MLP_LAYERS, ids=probe_id)
+    @given(data=st.data())
+    def test_mlp_reverse_pass_is_the_walk_to_rounding(self, layers, data):
+        # The reverse pass sums in BLAS's order, not the walk's, so each
+        # entry may differ by rounding of the summed magnitudes.
+        prob = probe_problem(layers)
+        theta, delta = probe_draws(prob, data.draw)
+        got = prob.probe(theta, delta)
+        jac = prob.jacobian(theta)
+        bound = 1e-12 * matvec_t(np.abs(jac), np.abs(delta))
+        assert np.all(np.abs(got - matvec_t(jac, delta)) <= bound)
+
+    def test_mlp_probe_builds_no_jacobian(self, monkeypatch):
+        prob = make_mlp([8, 16, 16, 1], 32, seed=44)
+        theta = prob.default_theta0()
+        want = matvec_t(prob.jacobian(theta), prob.error_signal(theta))
+        fresh = make_mlp([8, 16, 16, 1], 32, seed=44)
+        monkeypatch.setattr(MlpProblem, "jacobian", lambda self, theta: pytest.fail("J read"))
+        got = fresh.probe(theta, fresh.error_signal(theta))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_mlp_exact_gradient_is_the_probe_of_its_signal_bit_for_bit(self):
+        # One reverse pass serves both; only the forward pass differs, the
+        # cached one against a fresh one, with the same bits.
+        prob = make_mlp([6, 10, 10, 10, 1], 32, seed=44)
+        theta = prob.default_theta0() + 0.5 * SplitMix64(3).normals(prob.d)
+        got = prob.probe(theta, prob.error_signal(theta))
+        assert got.tobytes() == prob.exact_gradient(theta).tobytes()
+
+    @pytest.mark.parametrize("family", [*sorted(PROBE_CONSTANT_J), (8, 16, 1)], ids=probe_id)
+    def test_a_signal_of_another_length_is_refused(self, family):
+        prob = probe_problem(family)
+        with pytest.raises(DimError):
+            prob.probe(prob.default_theta0(), np.zeros(prob.m + 1))
 
 
 def einsum_route_jacobian(prob, theta):

@@ -39,26 +39,26 @@ def test_tracer_installs_and_removes_cleanly():
 
 
 def test_traced_step_books_each_jacobian_read_to_block_0():
-    # A step reads the whole J once, which the tracer books to block 0; a
-    # refresh step factorizes that same J and reads it no more.
+    # The init and each refresh read the whole J once, which the tracer
+    # books to block 0; a step between refreshes probes without J.
     module = load_tracer()
     problem = build_problem({"name": "mlp", "layers": [4, 8, 8, 1], "n": 16}, 0)
-    cfg = optimizers.GradLiteConfig(eta=0.05, k=2, tau=1, seed=0)  # refresh at step 1
+    cfg = optimizers.GradLiteConfig(eta=0.05, k=2, tau=2, seed=0)  # refresh at step 2
     tracer = module.Tracer()
     try:
         tracer.install()
         state = optimizers.init_gradlite_state(problem, None, cfg)
-        for _ in range(2):
+        for _ in range(3):
             state, _ = optimizers.gradlite_step(state, problem, cfg)
     finally:
         tracer.remove()
     field = {name: i for i, name in enumerate(module.SPAN_FIELDS)}
     jacobian = tracer.names.index("problems.jacobian")
-    blocks = {0: [], 1: []}
+    blocks = {}
     for span in tracer.spans():
-        if span[field["name_id"]] == jacobian and span[field["step"]] in blocks:
-            blocks[span[field["step"]]].append(span[field["block"]])
-    assert blocks == {0: [0], 1: [0]}
+        if span[field["name_id"]] == jacobian:
+            blocks.setdefault(span[field["step"]], []).append(span[field["block"]])
+    assert blocks == {-1: [0], 2: [0]}  # the init's read, then step 2's
 
 
 def test_package_jacobian_calls_pass_theta_alone():
@@ -177,22 +177,24 @@ def traced_mlp_run(steps):
 
 
 def test_traced_mlp_step_books_each_kernel_on_its_block():
-    # Each step projects and probes through one matvec_t call each and lifts
-    # through one matvec call, on whole vectors, after reading the whole J,
-    # which books them to block 0.  The refresh at step 10 is one factorize
-    # of that whole J, booked to block 0 too.
+    # Each step projects through one matvec_t call and lifts through one
+    # matvec call, on whole vectors, booked to block 0; the probe is the
+    # MLP's reverse pass, no kernel call.  J is read at init and at the
+    # refresh at step 10 only, which is one factorize of the whole J,
+    # booked to block 0 too.
     steps = 12  # past the refresh at step 10
     field, tracer = traced_mlp_run(steps)
-    names = ("linalg.matvec_t", "linalg.matvec", "lowrank.factorize")
+    names = ("linalg.matvec_t", "linalg.matvec", "lowrank.factorize", "problems.jacobian")
     per_step = {}
     for span in tracer.spans():
         name = tracer.names[span[field["name_id"]]]
-        if name in names and span[field["in_loop"]]:
+        if name in names:
             key = (span[field["step"]], name)
             per_step.setdefault(key, []).append(span[field["block"]])
+    assert per_step[(-1, "problems.jacobian")] == [0]  # the init's read
     for step in range(steps):
         refreshes = [0] if step == 10 else []
-        for name, blocks in zip(names, ([0, 0], [0], refreshes)):
+        for name, blocks in zip(names, ([0], [0], refreshes, refreshes)):
             assert per_step.get((step, name), []) == blocks, (step, name)
 
 
