@@ -21,6 +21,12 @@ unchanged.  The exact probe ``probe(theta, delta) = J^T delta`` walks J in
 the quadratic and logistic families; the MLP answers it by one reverse
 pass over its cached evaluation and builds no J.
 
+The logistic score cache holds ``z = x @ theta`` and ``e = exp(-|z|)``
+of the latest theta.  The loss is one vector softplus,
+``max(z, 0) + log1p(e) - y z`` summed, and the signal and the Newton
+solve read the sigmoid as ``where(z >= 0, 1, e) / (1 + e)``: one `exp`
+per new theta serves all three.
+
 Each family has one seeded maker (`make_quadratic`, `make_gaussian_logistic`,
 `make_lowrank_logistic`, `make_mlp`), whose parameters are the family's spec
 keys plus the seed.  A maker checks its spec before it draws any array,
@@ -90,10 +96,6 @@ def _expit(z: np.ndarray) -> np.ndarray:
     # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below.
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _log1pexp(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -293,9 +295,13 @@ class QuadraticProblem(Problem):
 class LogisticProblem(Problem):
     """Summed logistic loss; jacobian is the design matrix itself.
 
-    `loss` and `error_signal` read one cached, read-only `x @ theta` of the
-    latest theta, keyed on its contents, so a recorded step's loss at the
-    new iterate and the next step's signal share one product.
+    `loss`, `error_signal` and `solve_optimum` read one cached, read-only
+    pair of the latest theta, keyed on its contents: the scores
+    ``z = x @ theta`` and ``e = exp(-|z|)``, which never overflows.  So a
+    recorded step's loss at the new iterate and the next step's signal
+    share one product and one `exp`.  The loss is the stable softplus
+    ``max(z, 0) + log1p(e)`` over the whole vector; the sigmoid is
+    ``where(z >= 0, 1, e) / (1 + e)``, the bits of `_expit`.
     """
 
     name = "logistic"
@@ -310,20 +316,27 @@ class LogisticProblem(Problem):
         self._init_noise(data.seed)
         self._key = None
 
-    def _scores(self, theta) -> np.ndarray:
-        """x @ theta, computed unless the cache already holds this theta."""
+    def _scores(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """(x @ theta, exp(-|x @ theta|)), computed unless the cache already
+        holds this theta."""
         arr = np.asarray(theta)
         key = (arr.dtype.str, arr.shape, arr.tobytes())
         if key != self._key:
-            self._key, self._z = key, _read_only(self.data.x @ theta)
-        return self._z
+            z = _read_only(self.data.x @ theta)
+            self._key, self._z, self._e = key, z, _read_only(np.exp(-np.abs(z)))
+        return self._z, self._e
+
+    def _sigmoid(self, theta) -> np.ndarray:
+        """_expit(x @ theta) from the cached pair: the same e and division."""
+        z, e = self._scores(theta)
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
     def loss(self, theta) -> float:
-        z = self._scores(theta)
-        return float(np.sum(_log1pexp(z) - self.data.y * z))
+        z, e = self._scores(theta)
+        return float(np.add.reduce(np.maximum(z, 0.0) + np.log1p(e) - self.data.y * z))
 
     def error_signal(self, theta) -> np.ndarray:
-        return self._add_noise(_expit(self._scores(theta)) - self.data.y)
+        return self._add_noise(self._sigmoid(theta) - self.data.y)
 
     def jacobian(self, theta) -> np.ndarray:
         return self.data.x
@@ -343,15 +356,18 @@ class LogisticProblem(Problem):
         A line search that finds no lower loss is success when the Newton
         decrease ``0.5 * g @ step`` is under 16 ulps of the loss, more than
         the rounding of its pairwise sum: the point is optimal to float
-        precision.  Each step forms a d x d Hessian; the makers refuse a d
-        whose Hessian is above the desk-scale cap, and an n x d whose Newton
-        step is above MAX_NEWTON_WORK, before drawing any data.
+        precision.  Each loss is the vector softplus over the score cache,
+        and the gradient and Hessian weights read their sigmoid from the
+        cached ``exp(-|z|)`` of the last point `loss` scored: one product
+        and one `exp` per point.  Each step forms a d x d Hessian; the
+        makers refuse a d whose Hessian is above the desk-scale cap, and an
+        n x d whose Newton step is above MAX_NEWTON_WORK, before drawing
+        any data.
         """
         theta = np.zeros(self.d)
         loss = self.loss(theta)
         for _ in range(max_iter):
-            # theta is the last point `loss` scored, so its x @ theta is cached.
-            p = _expit(self._scores(theta))
+            p = self._sigmoid(theta)
             g = self.data.x.T @ (p - self.data.y)
             if float(np.abs(g).max()) <= _NEWTON_TOL:
                 break

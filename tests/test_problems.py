@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gradlite
 from gradlite import problems
@@ -287,6 +287,50 @@ class TestLogistic:
         assert prob.loss_star is None
 
 
+def softplus_loss(z):
+    """The loss of a one-row problem with label 0 and score z: softplus(z)."""
+    prob = LogisticProblem(Dataset(np.array([[1.0]]), np.array([0.0])))
+    return prob.loss(np.array([z]))
+
+
+def assert_near_logaddexp(z, ulps=4):
+    want = np.logaddexp(0.0, z)
+    got = softplus_loss(z)
+    assert abs(got - want) <= ulps * np.spacing(want), (z.hex(), got.hex(), want.hex())
+
+
+class TestSoftplusLoss:
+    """The loss's vector softplus max(z, 0) + log1p(exp(-|z|)) against
+    numpy's scalar logaddexp(0, z)."""
+
+    @settings(max_examples=200)
+    @given(st.one_of(st.floats(-800.0, 800.0),
+                     st.floats(allow_nan=False, allow_infinity=False)))
+    def test_within_four_ulps_of_logaddexp(self, z):
+        assert_near_logaddexp(z)
+
+    def test_within_four_ulps_on_a_grid_and_at_every_scale(self):
+        stream = SplitMix64(33)
+        zs = [np.linspace(-750.0, 750.0, 3001)]
+        zs += [stream.normals(200) * scale for scale in (0.1, 1.0, 10.0, 100.0, 300.0)]
+        for z in np.concatenate(zs):
+            assert_near_logaddexp(float(z))
+
+    def test_equal_to_logaddexp_where_it_is_exact(self):
+        # At z >= 37, log1p(exp(-z)) is under half an ulp of z, and from
+        # z <= -746 exp(z) is 0.0: both give z, and 0.0, exactly.
+        zs = [0.0, -0.0, 37.0, 40.5, 1e3, 1e308, -746.0, -1e3, -1e308]
+        for z in zs:
+            assert softplus_loss(z) == np.logaddexp(0.0, z), z
+        # The label term 0 * z is nan at +-inf, so there the loss is nan, as
+        # logaddexp(0, z) - 0 * z is.  0 * inf warns; runs step under this
+        # errstate too.
+        with np.errstate(invalid="ignore"):
+            for z in (np.inf, -np.inf, np.nan):
+                want = np.logaddexp(0.0, z) - 0.0 * z
+                assert np.array_equal(softplus_loss(z), want, equal_nan=True), z
+
+
 # Criterion 6's instance.  Some seeds end Newton on a line search that no
 # step length passes, at a point already optimal to float precision; which
 # seeds do depends on the BLAS thread count.
@@ -298,7 +342,8 @@ print([s for s in range(16) if build_problem(spec, s).loss_star is None])
 
 
 class TestLogisticScoreCache:
-    """loss and error_signal read one cached x @ theta per theta."""
+    """loss and error_signal read one cached x @ theta and exp(-|x @ theta|)
+    per theta."""
 
     @staticmethod
     def fresh():
@@ -313,6 +358,42 @@ class TestLogisticScoreCache:
         new_signal = prob.error_signal(theta)
         assert np.array_equal(new_signal, self.fresh().error_signal(theta))
         assert not np.array_equal(new_signal, signal)
+
+    def test_interleaved_thetas_match_a_fresh_problem(self):
+        prob = self.fresh()
+        stream = SplitMix64(4)
+        a, b = stream.normals(prob.d), stream.normals(prob.d)
+        changed = a.copy()
+        calls = [("loss", a), ("error_signal", a), ("error_signal", b), ("loss", b),
+                 ("loss", a), ("error_signal", a), ("loss", changed)]
+
+        def check(meth, theta):
+            # A problem on the same data whose cache has seen no other theta.
+            want = getattr(LogisticProblem(prob.data), meth)(theta)
+            got = getattr(prob, meth)(theta)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), meth
+
+        for meth, theta in calls:
+            check(meth, theta)
+        changed[1] += 0.5
+        check("error_signal", changed)
+        check("loss", changed)
+
+    def test_one_exp_per_new_theta(self, monkeypatch):
+        prob = self.fresh()
+        calls, exp = [], np.exp
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return exp(*args, **kwargs)
+        monkeypatch.setattr(np, "exp", counting)
+        theta = prob.default_theta0() + 0.5
+        prob.loss(theta)
+        prob.error_signal(theta)
+        assert len(calls) == 1
+        prob.loss(theta)
+        prob.error_signal(theta)
+        assert len(calls) == 1
 
     def test_every_error_signal_call_draws_fresh_noise(self):
         prob = self.fresh()
