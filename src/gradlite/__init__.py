@@ -8,8 +8,7 @@ from .harness import (AblationResult, GradCheckReport, MemoryReport, RateFit,
                       RunMetrics, ablation_suite, build_problem,
                       grad_check_suite, memory_counts, memory_report,
                       rate_check, rate_sweep, run_experiment)
-from .linalg import (SvdResult, as_matrix, frob_residual, matvec, matvec_t,
-                     truncated_svd)
+from .linalg import as_matrix, frob_residual, matvec, matvec_t
 from .lowrank import (LowRankFactor, approx_gradient, factorize,
                       projected_signal, static_basis)
 from .optimizers import (AdamConfig, AdamState, GaloreConfig, GaloreState,

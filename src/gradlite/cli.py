@@ -217,7 +217,7 @@ def _check_probe(ns: argparse.Namespace):
     if ns.probe is not None and ns.opt != "gradlite":
         raise ConfigError(f"unknown key 'probe' for optimizer {ns.opt!r}")
     ef_mode = ns.ef_mode or OPTIMIZERS["gradlite"].ef_mode
-    if ns.probe not in (None, "none" if ef_mode == "off" else "exact"):
+    if ns.probe not in (None, "none" if EF_MODES[ef_mode] is None else "exact"):
         raise ConfigError(f"probe {ns.probe!r} disagrees with ef_mode {ef_mode!r}")
 
 

@@ -1,14 +1,17 @@
 """``ef_mode``, the one feedback switch: the exact residual and its rules.
 
-Under a rule a step reads the exact probe ``g = J^T d`` and feeds the
-residual ``D = g - g~`` to one accumulator ``r`` of length d, which the
-next update adds back.  The probe is the problem's (`Problem.probe`): it
-needs the problem's activation cache and the m-vector signal, not a
-materialized J, and the MLP answers it by one reverse pass.  "paper"
-keeps adding each ``D`` without ever consuming it, which double-counts
-under persistent error and can grow without bound (the harness reports
-that divergence); "ef-standard" keeps only the newest (consume-on-apply).
-"off" reads no probe and keeps none.
+`EF_MODES` is the one place a mode is defined: its row is the rule
+``r' = rule(r, D)`` that updates the accumulator, and other modules read
+the row or the state's ``r``, never a mode name.  Under a rule a step
+reads the exact probe ``g = J^T d`` and feeds the residual ``D = g - g~``
+to one accumulator ``r`` of length d, which the next update adds back.
+The probe is the problem's (`Problem.probe`): it needs the problem's
+activation cache and the m-vector signal, not a materialized J, and the
+MLP answers it by one reverse pass.  "paper" keeps adding each ``D``
+without ever consuming it, which double-counts under persistent error
+and can grow without bound (the harness reports that divergence);
+"ef-standard" keeps only the newest (consume-on-apply).  "off", a row of
+None, reads no probe and keeps no accumulator.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 
 from .errors import DimError
 
-EF_MODES = ("paper", "ef-standard", "off")
+# mode -> its accumulator rule r' = rule(r, D); None: no probe, no accumulator.
+EF_MODES = {"paper": np.add, "ef-standard": lambda r, residual: residual, "off": None}
 
 
 def correct(g_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -36,11 +40,10 @@ def estimate_delta(problem, theta, delta, g_tilde: np.ndarray) -> np.ndarray:
 
 
 def update_accumulator(r: np.ndarray, residual: np.ndarray, mode: str) -> np.ndarray:
-    """paper: r' = r + D (additive); ef-standard: r' = D itself, not a copy."""
+    """r' = EF_MODES[mode](r, D): paper adds, ef-standard keeps D itself, not a copy."""
     if r.shape != residual.shape:
         raise DimError(f"update_accumulator: {r.shape} vs {residual.shape}")
-    if mode == "paper":
-        return r + residual
-    if mode == "ef-standard":
-        return residual
-    raise ValueError(f"unknown accumulator mode {mode!r}")
+    rule = EF_MODES.get(mode) if isinstance(mode, str) else None
+    if rule is None:
+        raise ValueError(f"unknown accumulator mode {mode!r}")
+    return rule(r, residual)

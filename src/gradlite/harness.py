@@ -248,8 +248,6 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
     mem = memory_counts(problem.m, problem.d, k=getattr(cfg, "k", None),
                         tau=getattr(cfg, "tau", None))[cfg.ledger]
     bwd = mem.activation + mem.signal + mem.factor
-    held = 0 if getattr(cfg, "ef_mode", None) == "off" else mem.accumulator  # r, if any
-    opt_scalars = held + mem.optimizer_state
 
     # The optimizer as run: every config field, defaults included, but the seed.
     resolved = {k: v for k, v in vars(cfg).items() if k != "seed"}
@@ -270,7 +268,7 @@ def run_experiment(problem_spec: dict, optimizer_spec: dict, steps: int,
             step=state.step, loss=loss, gap=gap, g_norm=_norm(trace.g),
             gtilde_norm=_norm(trace.g_tilde), r_norm=_norm(trace.r),
             delta_norm=_norm(trace.big_delta), bwd_scalars=bwd,
-            opt_scalars=opt_scalars))
+            opt_scalars=(0 if trace.r is None else mem.accumulator) + mem.optimizer_state))
 
     try:
         _drive(problem, cfg, steps, seed, record)
@@ -294,8 +292,8 @@ class MethodMemory(NamedTuple):
     default) reads `J^T d` at every step (`Problem.probe`) and so holds the
     activation cache and the m-vector signal, not J; ROADMAP item 1 asks
     the ledger to charge it.  Nor does it price the J that the init and
-    each refresh materialize.  `run` prices no accumulator for
-    `ef_mode="off"`, which keeps none.
+    each refresh materialize.  `run` prices the accumulator only on a step
+    whose trace carries an `r`; a mode without a rule keeps none.
     """
 
     activation: float

@@ -38,10 +38,9 @@ scalar loop in `tests/test_linalg.py`:
 make, under the errstate those wrappers set; at these sizes the wrappers'
 Python glue cost about a fifth of the MLP's refresh.  A test keeps the
 wrapper route as an oracle and checks the two bit for bit
-(`test_matches_the_wrapper_route_bit_for_bit`).  Its eigendecomposition
-does not depend on the rank, so it returns it (`SvdResult.gram_vecs`) and
-takes it back to factor the same matrix at another rank with one QR.  Its
-unsigned core and its sign fix also serve `lowrank.factorize`.
+(`test_matches_the_wrapper_route_bit_for_bit`).  Its unsigned core and
+its sign fix also serve `lowrank.factorize`, which alone hands the core
+back a Gram eigendecomposition to factor the same J at another rank.
 
 Everything here is pure; nothing mutates its inputs.
 """
@@ -60,17 +59,11 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 class SvdResult(NamedTuple):
-    """Leading-k factors: u (m x k), s (k, nonincreasing), v (d x k).
-
-    `gram_vecs` holds every eigenvector of the input's smaller Gram, by
-    descending eigenvalue (read-only); `truncated_svd` takes it back to
-    factor the same matrix at another rank without a second eigh.
-    """
+    """Leading-k factors: u (m x k), s (k, nonincreasing), v (d x k)."""
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    gram_vecs: np.ndarray | None = None
 
 
 def as_matrix(a, name: str = "a") -> np.ndarray:
@@ -133,7 +126,11 @@ def _raise_linalg_error(err, flag):
 
 def _gram_svd(b, k: int, gram_vecs: np.ndarray | None = None):
     """`truncated_svd` of b, whose rows are its short side, before the sign
-    fix: (w, x, s, gram_vecs), w the short side and x the long side."""
+    fix: (w, x, s, gram_vecs), w the short side and x the long side.
+
+    gram_vecs holds every eigenvector of b @ b.T by descending eigenvalue
+    (read-only); handed back with the same b, it replaces the Gram and its
+    eigh, and the result has the same bits."""
     if gram_vecs is None:
         # Formed outside the errstate, so an overflowing Gram warns as a
         # caller's own `b @ b.T` would.
@@ -159,7 +156,7 @@ def _lead_flips(u: np.ndarray) -> np.ndarray:
     return np.where(lead < 0.0, -1.0, 1.0)
 
 
-def truncated_svd(a, k: int, gram_vecs: np.ndarray | None = None) -> SvdResult:
+def truncated_svd(a, k: int) -> SvdResult:
     """Exact leading-k SVD from the eigendecomposition of the smaller Gram.
 
     With b = a when m <= d and b = a.T otherwise, `eigh(b @ b.T)` gives the
@@ -167,14 +164,9 @@ def truncated_svd(a, k: int, gram_vecs: np.ndarray | None = None) -> SvdResult:
     long side, each column signed by diag(R), and s = |diag(R)|.  The QR
     keeps that side orthonormal even where a singular value is zero.  The
     output is a pure function of (a, k); each (u_j, v_j) pair is flipped so
-    the largest-magnitude entry of u_j is positive.
-
-    Only the top-k slice, the QR and the sign fix depend on k.  The
-    eigenvectors come back as the result's `gram_vecs`; handed back as
-    `gram_vecs` with the same a, they replace the Gram and its eigh, and
-    the result is bit for bit the one this call would compute itself
-    (`test_a_supplied_decomposition_gives_the_same_bits`).  The caller
-    vouches that they came from this a.
+    the largest-magnitude entry of u_j is positive.  `lowrank.factorize`
+    runs the same core per block and keeps its eigenvectors for a factor
+    at another rank; this function keeps nothing.
 
     The eigh and the QR call numpy's LAPACK gufuncs (`eigh_lo`, `qr_r_raw`,
     `qr_reduced`) directly: they are the calls `np.linalg.eigh` and
@@ -189,7 +181,7 @@ def truncated_svd(a, k: int, gram_vecs: np.ndarray | None = None) -> SvdResult:
     m, d = a.shape
     if not 1 <= k <= min(m, d):
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {a.shape}")
-    w, x, s, gram_vecs = _gram_svd(a if m <= d else a.T, k, gram_vecs)
+    w, x, s, _ = _gram_svd(a if m <= d else a.T, k)
     u, v = (w, x) if m <= d else (x, w)
     flip = _lead_flips(u)
-    return SvdResult(u * flip, s, v * flip, gram_vecs)
+    return SvdResult(u * flip, s, v * flip)

@@ -32,7 +32,7 @@ class LowRankFactor:
     # The J it was built from, held weakly: a refresh handed this same
     # read-only array again keeps the factor, which keeps no old J alive.
     source: weakref.ref | None = None
-    # svd mode: each block's `SvdResult.gram_vecs`.
+    # svd mode: each block's Gram eigenvectors, by descending eigenvalue.
     gram_vecs: tuple[np.ndarray, ...] | None = None
 
 

@@ -44,7 +44,7 @@ _RANGES = {
     "beta1": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "beta2": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "eps": (lambda v: v > 0.0, "> 0"),
-    "ef_mode": (lambda v: v in EF_MODES, f"one of {EF_MODES}"),
+    "ef_mode": (lambda v: isinstance(v, str) and v in EF_MODES, f"one of {tuple(EF_MODES)}"),
     "basis_mode": (lambda v: v in BASIS_MODES, f"one of {BASIS_MODES}"),
 }
 
@@ -129,7 +129,7 @@ class GaloreState(OptimizerState):
 @dataclass
 class GradLiteState(OptimizerState):
     factor: LowRankFactor | None = None  # every block's, packed (`lowrank.factorize`)
-    r: np.ndarray | None = None  # the accumulator, length d; None if ef_mode="off"
+    r: np.ndarray | None = None  # the accumulator, length d; None under a mode without a rule
 
 
 @dataclass(frozen=True)
@@ -190,14 +190,14 @@ class StepTrace(NamedTuple):
     """What one step read and applied, each vector of length d."""
 
     g_tilde: np.ndarray | None  # approximate gradient, length d; None if exact
-    g_hat: np.ndarray        # gradient the update rule read; g~ if ef_mode="off"
-    big_delta: np.ndarray | None = None  # exact residual g - g~; None if "off"
-    r: np.ndarray | None = None  # the accumulator after the step; None if "off"
+    g_hat: np.ndarray        # gradient the update rule read; g~ without a feedback rule
+    big_delta: np.ndarray | None = None  # exact residual g - g~; None without a rule
+    r: np.ndarray | None = None  # accumulator after the step; None under a mode without a rule
 
     @property
     def g(self) -> np.ndarray | None:
         """The gradient the step read: g_hat for an exact step, the probed
-        gradient g~ + D under a feedback rule, None under "off"."""
+        gradient g~ + D under a feedback rule, None without one."""
         if self.g_tilde is None:
             return self.g_hat
         return None if self.big_delta is None else self.g_tilde + self.big_delta
@@ -273,7 +273,7 @@ def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig,
     if not (_built_from(factor, j) and factor.u.shape[1] == cfg.k * problem.blocks):
         factor = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
     state.factor = factor
-    if cfg.ef_mode != "off":
+    if EF_MODES[cfg.ef_mode] is not None:
         state.r = np.zeros(problem.d)
     return state
 
@@ -285,9 +285,9 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     The factor is refreshed at steps tau, 2 tau, ... from the whole J,
     unless J is the very read-only array it was built from; J is read at
     those steps only, in every ef_mode.  The rest works on whole vectors,
-    with one exact probe `problem.probe(theta, delta)` per step under a
-    feedback rule ("off" reads none).  The descent applies the state's
-    update rule to g_hat (g~ if "off").
+    with one exact probe `problem.probe(theta, delta)` per step when the
+    state keeps an accumulator r (a mode without a rule reads none).  The
+    descent applies the state's update rule to g_hat (g~ without r).
 
     The one divergence check is on the new theta: a non-finite entry of
     delta, g~ or g^ reaches it through every update rule.  When it fails,
@@ -303,7 +303,7 @@ def gradlite_step(state: GradLiteState, problem: Problem,
         if not _built_from(state.factor, j):
             state.factor = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
     g_tilde = approx_gradient(state.factor, delta)
-    if cfg.ef_mode == "off":
+    if state.r is None:
         trace = StepTrace(g_tilde, g_tilde)
     else:
         g_hat = correct(g_tilde, state.r)

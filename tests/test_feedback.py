@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gradlite
 from gradlite.errors import DimError
-from gradlite.feedback import correct, estimate_delta, update_accumulator
+from gradlite.feedback import EF_MODES, correct, estimate_delta, update_accumulator
 from gradlite.linalg import matvec_t
 from gradlite.problems import Dataset, LogisticProblem, make_mlp
 from gradlite.rng import SplitMix64
@@ -92,7 +96,7 @@ class TestUpdateAccumulator:
         with pytest.raises(DimError):
             update_accumulator(np.zeros(2), np.zeros(3), "ef-standard")
 
-    @pytest.mark.parametrize("mode", ["off", "standard", ""])
+    @pytest.mark.parametrize("mode", ["off", "standard", "", ["off"]])
     def test_unknown_mode(self, mode):
         with pytest.raises(ValueError, match="unknown accumulator mode"):
             update_accumulator(np.zeros(2), np.zeros(2), mode)
@@ -136,3 +140,23 @@ class TestAccumulatorAlgebra:
                 assert np.array_equal(r, np.zeros(3))
                 g = np.array([1.0, -2.0, 0.5])
                 assert np.array_equal(correct(g, r), g)
+
+
+def test_no_module_but_feedback_compares_against_a_mode_name():
+    # A mode means its EF_MODES row; every other module reads the row or
+    # the state's r, so a new mode is one new row.  Choosing a mode, as in
+    # `ef_mode="off"`, is no comparison.
+    def names_a_mode(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(names_a_mode(elt) for elt in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and node.value in EF_MODES
+
+    paths = sorted(Path(gradlite.__file__).parent.glob("*.py"))
+    assert "feedback.py" in {path.name for path in paths}
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths if path.name != "feedback.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Compare)
+             and any(names_a_mode(side) for side in (node.left, *node.comparators))]
+    assert found == []

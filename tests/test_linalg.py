@@ -8,6 +8,7 @@ from gradlite import linalg
 from gradlite.errors import DimError, NumError, RankError
 from gradlite.harness import build_problem
 from gradlite.linalg import (frob_residual, matvec, matvec_t, truncated_svd)
+from gradlite.lowrank import factorize
 from gradlite.optimizers import GradLiteConfig, init_gradlite_state
 from gradlite.rng import SplitMix64
 
@@ -328,10 +329,11 @@ class TestTruncatedSvd:
     @pytest.mark.parametrize("a, k", [c[1:] for c in svd_oracle_cases()],
                              ids=[c[0] for c in svd_oracle_cases()])
     def test_a_supplied_decomposition_gives_the_same_bits(self, a, k, monkeypatch):
-        # The decomposition of a full-rank call serves rank k with no eigh.
-        want = truncated_svd(a, k)
-        gram_vecs = truncated_svd(a, min(a.shape)).gram_vecs
-        assert not gram_vecs.flags.writeable
+        # The decomposition of a full-rank one-block factor serves rank k
+        # with no eigh.
+        want = factorize(a, k, "svd", 0)
+        gram_vecs = factorize(a, min(a.shape), "svd", 0).gram_vecs
+        assert len(gram_vecs) == 1 and not gram_vecs[0].flags.writeable
 
         def no_eigh(*args, **kwargs):
             raise AssertionError("a supplied decomposition was decomposed again")
@@ -339,17 +341,17 @@ class TestTruncatedSvd:
         monkeypatch.setattr(linalg, "eigh_lo", no_eigh)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = truncated_svd(a, k, gram_vecs)
+            got = factorize(a, k, "svd", 0, None, gram_vecs)
         assert got.gram_vecs is gram_vecs
-        for g, w in zip(got, want):
+        for g, w in ((got.u, want.u), (got.v, want.v)):
             assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
 
     def test_a_decomposition_of_another_shape_is_refused(self):
-        gram_vecs = truncated_svd(J32, 2).gram_vecs
+        (gram_vecs,) = factorize(J32, 2, "svd", 0).gram_vecs
         with pytest.raises(DimError):
-            truncated_svd(J32.T[:, :2], 1, gram_vecs[:1, :1])
+            factorize(J32.T[:, :2], 1, "svd", 0, None, (gram_vecs[:1, :1],))
         with pytest.raises(DimError):
-            truncated_svd(np.ones((3, 4)), 1, gram_vecs)
+            factorize(np.ones((3, 4)), 1, "svd", 0, None, (gram_vecs,))
 
     def test_lapack_failure_raises_linalg_error(self, monkeypatch):
         # A LAPACK failure shows as an invalid flag, as in numpy's wrappers.

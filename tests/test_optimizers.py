@@ -93,21 +93,39 @@ class TestGradLiteStep:
                 assert st.factor.v.shape == (prob.d, 3 * cfg.k)
 
     @pytest.mark.parametrize("mode", EF_MODES)
-    def test_every_mode_reads_each_jacobian_only_to_refresh(self, mode, jacobian_reads):
-        # The probe is the MLP's reverse pass, so under every rule J is read
-        # at init and at steps tau, 2 tau, ... only; "off" keeps no
-        # accumulator.
-        prob = make_mlp([4, 5, 5, 1], 12, seed=7)
-        cfg = GradLiteConfig(eta=0.01, k=2, tau=3, ef_mode=mode, seed=0)
-        st = init_gradlite_state(prob, None, cfg)
-        assert len(jacobian_reads) == 1 and (st.r is None) == (mode == "off")
-        for t in range(10):
-            before = len(jacobian_reads)
-            theta = st.theta
-            st, _ = gradlite_step(st, prob, cfg)
-            reads = [read is theta for read in jacobian_reads[before:]]
-            assert reads == ([True] if t in (3, 6, 9) else [])
-        assert (st.r is None) == (mode == "off")
+    def test_every_mode_reads_each_jacobian_only_to_refresh(self, mode, monkeypatch):
+        # Outside the probe, every mode reads J at init and at steps tau,
+        # 2 tau, ... only, whether J moves (MLP) or not (quadratic).  A mode
+        # with a rule probes once per step: the MLP's probe is a reverse
+        # pass, the quadratic's walks its J.  One without probes never and
+        # keeps no accumulator.
+        rule = EF_MODES[mode]
+        for prob in (make_mlp([4, 5, 5, 1], 12, seed=7), make_quadratic(6, 10.0, 0.3, seed=4)):
+            reads, probes, jacobian, probe = [], [], prob.jacobian, prob.probe
+
+            def reading(theta):
+                reads.append(theta)
+                return jacobian(theta)
+
+            def probing(theta, delta):
+                probes.append(theta)
+                with monkeypatch.context() as inside:  # its own J read is not counted
+                    inside.setattr(prob, "jacobian", jacobian)
+                    return probe(theta, delta)
+            monkeypatch.setattr(prob, "jacobian", reading)
+            monkeypatch.setattr(prob, "probe", probing)
+            cfg = GradLiteConfig(eta=0.01, k=2, tau=3, ef_mode=mode, seed=0)
+            st = init_gradlite_state(prob, None, cfg)
+            assert len(reads) == 1 and (st.r is None) == (rule is None)
+            for t in range(10):
+                read_before, probed_before = len(reads), len(probes)
+                theta = st.theta
+                st, _ = gradlite_step(st, prob, cfg)
+                assert [read is theta for read in reads[read_before:]] == (
+                    [True] if t in (3, 6, 9) else [])
+                assert [seen is theta for seen in probes[probed_before:]] == (
+                    [] if rule is None else [True])
+            assert (st.r is None) == (rule is None)
 
     def test_divergence_raises_with_step_index(self):
         prob = make_quadratic(4, 5.0, 0.0, seed=2)
@@ -296,6 +314,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(eta=0.0, k=1), dict(eta=-1.0, k=1), dict(eta=0.1, k=0),
         dict(eta=0.1, k=1, tau=0), dict(eta=0.1, k=1, ef_mode="bogus"),
+        dict(eta=0.1, k=1, ef_mode=None), dict(eta=0.1, k=1, ef_mode=["off"]),
         dict(eta=0.1, k=1, basis_mode="qr"),
     ])
     def test_bad_configs_rejected(self, kwargs):
