@@ -38,9 +38,9 @@ scalar loop in `tests/test_linalg.py`:
 make, under the errstate those wrappers set; at these sizes the wrappers'
 Python glue cost about a fifth of the MLP's refresh.  A test keeps the
 wrapper route as an oracle and checks the two bit for bit
-(`test_matches_the_wrapper_route_bit_for_bit`).  Its unsigned core and
-its sign fix also serve `lowrank.factorize`, which alone hands the core
-back a Gram eigendecomposition to factor the same J at another rank.
+(`test_matches_the_wrapper_route_bit_for_bit`).  `lowrank.factorize`
+shares its eigh (`_gram_vecs`), its QR (`_range_qr`) and its sign fix to
+pick each block's basis u, but takes neither its long side nor its s.
 
 Everything here is pure; nothing mutates its inputs.
 """
@@ -124,30 +124,30 @@ def _raise_linalg_error(err, flag):
     raise np.linalg.LinAlgError("eigh or QR failed in truncated_svd")
 
 
-def _gram_svd(b, k: int, gram_vecs: np.ndarray | None = None):
-    """`truncated_svd` of b, whose rows are its short side, before the sign
-    fix: (w, x, s, gram_vecs), w the short side and x the long side.
+_LAPACK_ERRSTATE = dict(call=_raise_linalg_error, invalid="call", over="ignore",
+                        divide="ignore", under="ignore")  # numpy.linalg's own
 
-    gram_vecs holds every eigenvector of b @ b.T by descending eigenvalue
-    (read-only); handed back with the same b, it replaces the Gram and its
-    eigh, and the result has the same bits."""
+
+def _gram_vecs(b, gram_vecs: np.ndarray | None = None) -> np.ndarray:
+    """Every eigenvector of b @ b.T by descending eigenvalue, read-only;
+    gram_vecs kept from the same b stand in for the Gram and its eigh."""
     if gram_vecs is None:
         # Formed outside the errstate, so an overflowing Gram warns as a
         # caller's own `b @ b.T` would.
         gram = b @ b.T
+        with np.errstate(**_LAPACK_ERRSTATE):
+            gram_vecs = eigh_lo(gram)[1][:, ::-1]
+        gram_vecs.flags.writeable = False
     elif gram_vecs.shape != (b.shape[0], b.shape[0]):
         raise DimError(f"gram_vecs {gram_vecs.shape} do not fit {b.shape[0]} short-side rows")
-    with np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        if gram_vecs is None:
-            gram_vecs = eigh_lo(gram)[1][:, ::-1]
-            gram_vecs.flags.writeable = False
-        w = gram_vecs[:, :k]
-        # qr_r_raw leaves R in the upper triangle of `raw`, in place.
-        raw = b.T @ w
-        q = qr_reduced(raw, qr_r_raw(raw))
-    diag = np.diagonal(raw)
-    return w, q * np.where(diag < 0.0, -1.0, 1.0), np.abs(diag), gram_vecs
+    return gram_vecs
+
+
+def _range_qr(b, w):
+    """(q, diag(R)): the reduced QR of b.T @ w."""
+    with np.errstate(**_LAPACK_ERRSTATE):
+        raw = b.T @ w  # qr_r_raw leaves R in its upper triangle
+        return qr_reduced(raw, qr_r_raw(raw)), np.diagonal(raw)
 
 
 def _lead_flips(u: np.ndarray) -> np.ndarray:
@@ -164,24 +164,21 @@ def truncated_svd(a, k: int) -> SvdResult:
     long side, each column signed by diag(R), and s = |diag(R)|.  The QR
     keeps that side orthonormal even where a singular value is zero.  The
     output is a pure function of (a, k); each (u_j, v_j) pair is flipped so
-    the largest-magnitude entry of u_j is positive.  `lowrank.factorize`
-    runs the same core per block and keeps its eigenvectors for a factor
-    at another rank; this function keeps nothing.
+    the largest-magnitude entry of u_j is positive.
 
-    The eigh and the QR call numpy's LAPACK gufuncs (`eigh_lo`, `qr_r_raw`,
-    `qr_reduced`) directly: they are the calls `np.linalg.eigh` and
-    `np.linalg.qr` make, without those wrappers' Python glue, so the bits
-    are the same.  They run under the errstate those wrappers set, in which
-    a LAPACK failure (flagged as invalid) raises `LinAlgError`.  diag(R) is
-    read from the raw QR output, and each side's sign flips are one multiply
-    by +-1, which is exact.  `test_matches_the_wrapper_route_bit_for_bit`
-    keeps the wrapper route as the oracle and checks the two bit for bit.
+    The eigh and the QR are the LAPACK gufuncs of the module doc, under
+    numpy.linalg's errstate, where a LAPACK failure (flagged as invalid)
+    raises `LinAlgError`.  diag(R) is read from the raw QR output, and each
+    side's sign flips are one multiply by +-1, which is exact.
     """
     a = as_matrix(a)
     m, d = a.shape
     if not 1 <= k <= min(m, d):
         raise RankError(f"rank {k} outside 1..{min(m, d)} for shape {a.shape}")
-    w, x, s, _ = _gram_svd(a if m <= d else a.T, k)
+    b = a if m <= d else a.T
+    w = _gram_vecs(b)[:, :k]
+    q, diag = _range_qr(b, w)
+    x = q * np.where(diag < 0.0, -1.0, 1.0)
     u, v = (w, x) if m <= d else (x, w)
     flip = _lead_flips(u)
-    return SvdResult(u * flip, s, v * flip)
+    return SvdResult(u * flip, np.abs(diag), v * flip)

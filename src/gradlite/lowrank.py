@@ -1,13 +1,13 @@
 """Low-rank factor pairs standing in for the full Jacobian.
 
 A factor, built from the whole J by one `factorize` call, holds every
-block's u (m x k, orthonormal columns) side by side and their v (d_b x k,
-singular values folded in) block-diagonal, so the approximate gradient of
-every block is the one two-matvec pipeline v @ (u.T @ delta), with no
-m x d product ever materialized.  An svd-mode factor is the exact top-k SVD
-of each block, so it depends on J alone, and it keeps each block's Gram
-eigendecomposition, from which a factor of the same J at another rank is
-built with one QR per block.
+block's basis u (m x k, orthonormal columns) side by side and its
+v = J_b^T u_b block-diagonal, so the approximate gradient of every block
+is the one two-matvec pipeline v @ (u.T @ delta) = J^T U U^T delta, with
+no m x d product ever materialized.  An svd-mode basis is each block's
+top-k left singular vectors, so it depends on J alone, and the factor
+keeps each block's Gram eigendecomposition, from which a factor of the
+same J at another rank is built with no eigh.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimError, RankError
-from .linalg import _gram_svd, _lead_flips, as_matrix, matvec, matvec_t
+from .linalg import _gram_vecs, _lead_flips, _range_qr, as_matrix, matvec, matvec_t
 from .rng import SplitMix64, derive_seed
 
 BASIS_MODES = ("svd", "random-projection")
@@ -28,7 +28,7 @@ _BASIS_SALT = 0xBA515_0001
 @dataclass(frozen=True)
 class LowRankFactor:
     u: np.ndarray  # m x kB, orthonormal columns within each block
-    v: np.ndarray  # d x kB, singular values folded in; block-diagonal
+    v: np.ndarray  # d x kB, block-diagonal: J_b^T u_b on block b's rows and columns
     # The J it was built from, held weakly: a refresh handed this same
     # read-only array again keeps the factor, which keeps no old J alive.
     source: weakref.ref | None = None
@@ -62,18 +62,18 @@ def factorize(j, k: int, mode: str, seed: int, widths=None,
     """Build the rank-k factor of each column block of j (`widths`, left
     to right; one block by default), packed into one.
 
-    `mode` is one of BASIS_MODES.  svd mode runs `linalg.truncated_svd`'s
-    calls on each block, straight into the packed u and v, then its sign
-    fix once over the packed columns (a column of u has every row) with s
-    folded into v in the same product; a multiply by +-1 is exact, so each
-    block's part has the bits of the block's own `truncated_svd` factor,
-    which depends on j alone, not on the seed.  random-projection gives
-    every block the same u, fixed by the seed alone (the same basis at every
-    refresh), and sets the block's v = j_b.T @ u.  The factor holds j
-    weakly as its `source`; its u and v are read-only, so a factor handed
-    to several runs (`harness.rate_sweep`) is the same for each.  An svd
-    factor keeps each block's Gram eigenvectors; passed back as `gram_vecs`
-    with the same j and widths, they spare the eighs and give the same bits.
+    `mode` is one of BASIS_MODES and picks each block's basis u_b alone;
+    one product per block then gives v_b = j_b.T @ u_b, so g~ = j.T @ u @
+    u.T @ delta.  svd mode's u_b is `truncated_svd(j_b, k).u`, bit for bit
+    (a function of j alone): the Gram's top-k eigenvectors when the rows
+    are the block's short side, else the QR of j_b @ w, w the top-k
+    eigenvectors of j_b.T @ j_b, signed once over the packed u.
+    random-projection gives every block the same seed-fixed u (the same at
+    every refresh) and sums v by `matvec_t`.  The factor holds j weakly as
+    its `source`; its u and v are read-only, so a factor handed to several
+    runs (`harness.rate_sweep`) is the same for each.  An svd factor keeps
+    each block's Gram eigenvectors; passed back as `gram_vecs` (one per
+    block) with the same j and widths, they spare the eighs.
     """
     if mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {mode!r}")
@@ -83,17 +83,19 @@ def factorize(j, k: int, mode: str, seed: int, widths=None,
     cols = [slice(i * k, i * k + k) for i in range(len(bounds))]
     u = np.empty((m, k * len(bounds)))
     if mode == "svd":
-        parts = []
-        for (lo, hi), c, vecs in zip(bounds, cols, gram_vecs or [None] * len(bounds),
-                                     strict=True):
+        kept = [None] * len(bounds) if gram_vecs is None else list(gram_vecs)
+        if len(kept) != len(bounds):
+            raise DimError(f"{len(kept)} gram_vecs for {len(bounds)} blocks")
+        for i, ((lo, hi), c) in enumerate(zip(bounds, cols)):
             block = a[:, lo:hi]
-            w, x, s, vecs = _gram_svd(block if m <= hi - lo else block.T, k, vecs)
-            u[:, c], right = (w, x) if m <= hi - lo else (x, w)
-            parts.append((right, s, vecs))
-        flip = _lead_flips(u)
-        u *= flip
-        rights = (right * (flip[c] * s) for c, (right, s, _) in zip(cols, parts))
-        gram_vecs = gram_vecs or tuple(vecs for _, _, vecs in parts)
+            short = m <= hi - lo  # the block's rows are its short side
+            kept[i] = _gram_vecs(block if short else block.T, kept[i])
+            u[:, c] = kept[i][:, :k] if short else _range_qr(block.T, kept[i][:, :k])[0]
+        u *= _lead_flips(u)
+        # u_b is copied out: gemv sums a strided one-column u_b differently.
+        rights = (a[:, lo:hi].T @ np.ascontiguousarray(u[:, c])
+                  for (lo, hi), c in zip(bounds, cols))
+        gram_vecs = gram_vecs or tuple(kept)
     else:
         basis = static_basis(m, k, seed)
         # A block's v is its rows of j.T @ basis; each column of that is
@@ -103,7 +105,7 @@ def factorize(j, k: int, mode: str, seed: int, widths=None,
         rights = (full[lo:hi] for lo, hi in bounds)
         gram_vecs = None
     # v is Fortran-ordered, so the lift's `matvec` reads v.T in place; it
-    # is made after the blocks' SVDs, which need their own scratch memory.
+    # is made after the blocks' eighs, which need their own scratch memory.
     v = np.zeros((d, u.shape[1]), order="F")
     for (lo, hi), c, right in zip(bounds, cols, rights):
         v[lo:hi, c] = right

@@ -224,12 +224,12 @@ class TestPack:
             assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_one_block_is_its_own_factor(self):
-        # The one-block factor of a J is truncated_svd's factor of it, with
-        # s folded into v, whether or not the widths are spelled out.
+        # The one-block factor of a J has truncated_svd's u of it and
+        # v = J.T @ u, whether or not the widths are spelled out.
         res = truncated_svd(J32, 1)
         for fac in (factorize(J32, 1, SVD, 0), factorize(J32, 1, SVD, 0, widths=(2,))):
             assert fac.u.tobytes() == res.u.tobytes()
-            assert fac.v.tobytes() == (res.v * res.s[None, :]).tobytes()
+            assert fac.v.tobytes() == (J32.T @ res.u).tobytes()
 
 
 def no_eigh(*args, **kwargs):
@@ -241,11 +241,11 @@ class TestWholeJacobianFactor:
 
     @staticmethod
     def per_block_route(j, widths, k, mode, seed):
-        """Each block's factor on its own view of j: u and v (s folded in)."""
+        """Each block's factor on its own view of j: u and v = b.T @ u."""
         blocks = np.split(j, np.cumsum(widths)[:-1], axis=1)
         if mode == SVD:
-            parts = [truncated_svd(b, k) for b in blocks]
-            return [p.u for p in parts], [p.v * p.s[None, :] for p in parts]
+            us = [truncated_svd(b, k).u for b in blocks]
+            return us, [b.T @ u for b, u in zip(blocks, us)]
         basis = static_basis(j.shape[0], k, seed)
         return [basis] * len(blocks), [
             np.array([matvec_t(b, basis[:, c]) for c in range(k)]).T for b in blocks]
@@ -309,6 +309,72 @@ class TestWholeJacobianFactor:
                 assert (got.shape, got.strides, got.tobytes()) \
                     == (want.shape, want.strides, want.tobytes())
         assert len(decomposed) == problem.blocks * (1 + len(ranks))
+
+
+def no_qr(*args, **kwargs):
+    raise AssertionError("a QR ran")
+
+
+class TestBasisThenLift:
+    """An svd factor picks each block's basis u, `truncated_svd`'s top-k
+    left singular vectors, and one product gives the block's v = J_b^T u_b,
+    so g~ = J^T U U^T d."""
+
+    @pytest.mark.parametrize("widths", [(3, 9, 6), (9,), (6,), (2,), (2, 6, 4, 1)],
+                             ids=["tall-wide-square", "wide", "square", "tall", "mixed"])
+    def test_u_is_truncated_svds_u_on_either_side_of_the_rows(self, widths):
+        j = SplitMix64(sum(widths)).normal_matrix(6, sum(widths))
+        blocks = np.split(j, np.cumsum(widths)[:-1], axis=1)
+        for k in range(1, min(6, *widths) + 1):
+            fac = factorize(j, k, SVD, 0, widths)
+            want = np.hstack([truncated_svd(b, k).u for b in blocks])
+            assert fac.u.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 9)], ids=["square", "wide"])
+    def test_a_block_whose_rows_are_its_short_side_makes_no_qr(self, shape, monkeypatch):
+        j = SplitMix64(3).normal_matrix(*shape)
+        monkeypatch.setattr(linalg, "qr_r_raw", no_qr)
+        for k in (1, shape[0]):
+            fac = factorize(j, k, SVD, 0)
+            assert np.abs(fac.v - j.T @ fac.u).max() <= 1e-12
+            assert factorize(np.hstack([j] * 3), k, SVD, 0, (shape[1],) * 3).u.shape \
+                == (shape[0], 3 * k)
+        with pytest.raises(AssertionError, match="a QR ran"):  # a tall block needs its QR
+            factorize(j[:, :2], 1, SVD, 0)
+
+    @pytest.mark.parametrize("widths", [None, (1, 1, 2)], ids=["one-block", "three-blocks"])
+    def test_a_decomposition_of_another_block_count_is_refused(self, widths):
+        a = SplitMix64(3).normal_matrix(3, 4)
+        kept = factorize(a, 1, SVD, 0, widths).gram_vecs
+        for wrong in (kept + kept[:1], kept * 2, kept[:-1], ()):
+            with pytest.raises(DimError):
+                factorize(a, 1, SVD, 0, widths, wrong)
+
+    @settings(max_examples=10)
+    @pytest.mark.parametrize("make, k", [
+        (lambda: make_quadratic(12, 10.0, 0.3, seed=4), 4),
+        (lambda: make_lowrank_logistic(64, 16, 100.0, seed=5), 4),
+        (lambda: make_mlp([8, 16, 16, 1], 32, seed=6), 8),
+    ], ids=["quadratic", "lowrank-logistic", "mlp"])
+    @given(seed=st.integers(0, 2**32))
+    def test_the_step_splits_the_exact_probe_into_two_orthogonal_parts(self, make, k, seed):
+        # At a refresh, g~_b = J_b^T U_b U_b^T d and D_b = J_b^T (I - U_b U_b^T) d.
+        problem = make()
+        stream = SplitMix64(seed)
+        theta = problem.default_theta0() + 0.1 * stream.normals(problem.d)
+        j = problem.jacobian(theta)
+        fac = factorize(j, k, SVD, 0, problem.block_dims)
+        delta = stream.normals(problem.m)
+        g_tilde = approx_gradient(fac, delta)
+        big_d = problem.probe(theta, delta) - g_tilde
+        lo = 0
+        for i, width in enumerate(problem.block_dims):
+            hi, ub = lo + width, fac.u[:, i * k:i * k + k]
+            want = j[:, lo:hi].T @ (ub @ (ub.T @ delta))
+            g, d = g_tilde[lo:hi], big_d[lo:hi]
+            assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
+            assert abs(g @ d) <= 1e-10 * np.linalg.norm(g) * np.linalg.norm(d)
+            lo = hi
 
 
 def test_static_basis_deterministic_and_orthonormal():
