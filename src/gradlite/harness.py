@@ -468,9 +468,10 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
 
     One quadratic serves every fit.  Its Jacobian is one constant
     read-only array, so before the first run the sweep builds each rank's
-    svd factor of it, each from the previous one's Gram eigenvectors (one
-    eigh for the sweep, plus one QR per rank), and hands it to every run of
-    that rank, which keeps it (`optimizers.init_gradlite_state`).  Its
+    svd factor of it, all through one memo of its Gram eigenvectors (one
+    eigh for the sweep; the square J's rows are its short side, so a rank
+    costs one product J^T U and no QR), and hands it to every run of that
+    rank, which keeps it (`optimizers.init_gradlite_state`).  Its
     optimum is zero, so each step's signal skips the subtraction of it
     (`QuadraticProblem`).  A factor is the exact top-k SVD of the
     Jacobian, so a floor prices the rank-k truncation bias alone.  The
@@ -490,10 +491,9 @@ def rate_sweep(t_grid=(400, 1600, 6400, 25600), seeds=(0, 1, 2, 3, 4),
     problem = build_problem(spec, seed=0)
     # Built once the quadratic's maker has refused a bad d, and before the
     # first step, so a tracer books them to set-up, not to a refresh.
-    j, factors, gram_vecs = problem.jacobian(problem.default_theta0()), {}, None
-    for k in sorted({*ranks, d}):
-        factors[k] = factorize(j, k, "svd", 0, problem.block_dims, gram_vecs)
-        gram_vecs = factors[k].gram_vecs
+    j, gram_vecs = problem.jacobian(problem.default_theta0()), [None]
+    factors = {k: factorize(j, k, "svd", 0, problem.block_dims, gram_vecs)
+               for k in sorted({*ranks, d})}
     full = rate_check(problem, GradLiteConfig(k=d, ef_mode="off"), t_grid, seeds, c,
                       factor=factors[d])
     ref = (full.slope, full.intercept)

@@ -4,10 +4,12 @@ A factor, built from the whole J by one `factorize` call, holds every
 block's basis u (m x k, orthonormal columns) side by side and its
 v = J_b^T u_b block-diagonal, so the approximate gradient of every block
 is the one two-matvec pipeline v @ (u.T @ delta) = J^T U U^T delta, with
-no m x d product ever materialized.  An svd-mode basis is each block's
-top-k left singular vectors, so it depends on J alone, and the factor
-keeps each block's Gram eigendecomposition, from which a factor of the
-same J at another rank is built with no eigh.
+no m x d product ever materialized.  A basis mode picks u alone, and one
+product per block gives v, whatever the mode.  An svd-mode basis is each
+block's top-k left singular vectors, so it depends on J alone; a factor
+keeps no Gram eigenvectors, but a caller that builds several ranks of
+one J hands `factorize` a memo of them, which spares every eigh after
+the first.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ class LowRankFactor:
     # The J it was built from, held weakly: a refresh handed this same
     # read-only array again keeps the factor, which keeps no old J alive.
     source: weakref.ref | None = None
-    # svd mode: each block's Gram eigenvectors, by descending eigenvalue.
-    gram_vecs: tuple[np.ndarray, ...] | None = None
 
 
 def static_basis(m: int, k: int, seed: int) -> np.ndarray:
@@ -58,22 +58,26 @@ def _block_bounds(shape, widths, k: int) -> list[tuple[int, int]]:
 
 
 def factorize(j, k: int, mode: str, seed: int, widths=None,
-              gram_vecs: tuple[np.ndarray, ...] | None = None) -> LowRankFactor:
+              gram_vecs: list | None = None) -> LowRankFactor:
     """Build the rank-k factor of each column block of j (`widths`, left
     to right; one block by default), packed into one.
 
     `mode` is one of BASIS_MODES and picks each block's basis u_b alone;
-    one product per block then gives v_b = j_b.T @ u_b, so g~ = j.T @ u @
-    u.T @ delta.  svd mode's u_b is `truncated_svd(j_b, k).u`, bit for bit
-    (a function of j alone): the Gram's top-k eigenvectors when the rows
-    are the block's short side, else the QR of j_b @ w, w the top-k
-    eigenvectors of j_b.T @ j_b, signed once over the packed u.
+    one product per block then gives v_b = j_b.T @ u_b in every mode, so
+    g~ = j.T @ u @ u.T @ delta.  svd mode's u_b is `truncated_svd(j_b, k).u`,
+    bit for bit (a function of j alone): the Gram's top-k eigenvectors when
+    the rows are the block's short side, else the QR of j_b @ w, w the
+    top-k eigenvectors of j_b.T @ j_b, signed once over the packed u.
     random-projection gives every block the same seed-fixed u (the same at
-    every refresh) and sums v by `matvec_t`.  The factor holds j weakly as
-    its `source`; its u and v are read-only, so a factor handed to several
-    runs (`harness.rate_sweep`) is the same for each.  An svd factor keeps
-    each block's Gram eigenvectors; passed back as `gram_vecs` (one per
-    block) with the same j and widths, they spare the eighs.
+    every refresh).  The factor holds j weakly as its `source`; its u and v
+    are read-only, so a factor handed to several runs
+    (`harness.rate_sweep`) is the same for each.
+
+    `gram_vecs` is a memo the caller owns, as `copy.deepcopy`'s is: a list
+    with one slot per block of this j and widths.  svd mode fills an empty
+    (None) slot with that block's Gram eigenvectors and reads a filled one
+    in place of its eigh, so one list handed to every rank of one j
+    decomposes each block once.  random-projection leaves it untouched.
     """
     if mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {mode!r}")
@@ -81,36 +85,27 @@ def factorize(j, k: int, mode: str, seed: int, widths=None,
     m, d = a.shape
     bounds = _block_bounds(a.shape, widths, k)
     cols = [slice(i * k, i * k + k) for i in range(len(bounds))]
-    u = np.empty((m, k * len(bounds)))
     if mode == "svd":
-        kept = [None] * len(bounds) if gram_vecs is None else list(gram_vecs)
-        if len(kept) != len(bounds):
-            raise DimError(f"{len(kept)} gram_vecs for {len(bounds)} blocks")
+        memo = [None] * len(bounds) if gram_vecs is None else gram_vecs
+        if len(memo) != len(bounds):
+            raise DimError(f"{len(memo)} gram_vecs for {len(bounds)} blocks")
+        u = np.empty((m, k * len(bounds)))
         for i, ((lo, hi), c) in enumerate(zip(bounds, cols)):
             block = a[:, lo:hi]
             short = m <= hi - lo  # the block's rows are its short side
-            kept[i] = _gram_vecs(block if short else block.T, kept[i])
-            u[:, c] = kept[i][:, :k] if short else _range_qr(block.T, kept[i][:, :k])[0]
+            memo[i] = _gram_vecs(block if short else block.T, memo[i])
+            u[:, c] = memo[i][:, :k] if short else _range_qr(block.T, memo[i][:, :k])[0]
         u *= _lead_flips(u)
-        # u_b is copied out: gemv sums a strided one-column u_b differently.
-        rights = (a[:, lo:hi].T @ np.ascontiguousarray(u[:, c])
-                  for (lo, hi), c in zip(bounds, cols))
-        gram_vecs = gram_vecs or tuple(kept)
     else:
-        basis = static_basis(m, k, seed)
-        # A block's v is its rows of j.T @ basis; each column of that is
-        # summed over j's rows alone, so the whole j gives every block's bits.
-        full = np.array([matvec_t(a, basis[:, c]) for c in range(k)]).T
-        u[:] = np.tile(basis, len(bounds))
-        rights = (full[lo:hi] for lo, hi in bounds)
-        gram_vecs = None
+        u = np.tile(static_basis(m, k, seed), len(bounds))
     # v is Fortran-ordered, so the lift's `matvec` reads v.T in place; it
     # is made after the blocks' eighs, which need their own scratch memory.
     v = np.zeros((d, u.shape[1]), order="F")
-    for (lo, hi), c, right in zip(bounds, cols, rights):
-        v[lo:hi, c] = right
+    for (lo, hi), c in zip(bounds, cols):
+        # u_b is copied out: gemv sums a strided one-column u_b differently.
+        v[lo:hi, c] = a[:, lo:hi].T @ np.ascontiguousarray(u[:, c])
     u.flags.writeable = v.flags.writeable = False
-    return LowRankFactor(u=u, v=v, source=weakref.ref(a), gram_vecs=gram_vecs)
+    return LowRankFactor(u=u, v=v, source=weakref.ref(a))
 
 
 def projected_signal(factor: LowRankFactor, delta: np.ndarray) -> np.ndarray:

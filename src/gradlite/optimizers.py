@@ -253,26 +253,28 @@ def check_rank(m: int, block_dims, k: int):
             raise ConfigError(f"rank {k} exceeds min(m, d_block)={cap} for block {b}")
 
 
-def _built_from(factor: LowRankFactor | None, j: np.ndarray) -> bool:
-    """Whether factor was built from j, the very array (held weakly) and a read-only one."""
-    return factor is not None and j is factor.source() and not j.flags.writeable
+def _factor(problem: Problem, theta: np.ndarray, cfg: GradLiteConfig,
+            held: LowRankFactor | None) -> LowRankFactor:
+    """The factor of the J at theta: `held` if it was built from that very
+    read-only array (held weakly) at cfg's width (k per block), else a new
+    factorization of it.  The caller vouches for a held factor's basis."""
+    j = problem.jacobian(theta)
+    if held is not None and j is held.source() and not j.flags.writeable \
+            and held.u.shape[1] == cfg.k * problem.blocks:
+        return held
+    return factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
 
 
 def init_gradlite_state(problem: Problem, theta0, cfg: GradLiteConfig,
                         factor: LowRankFactor | None = None) -> GradLiteState:
     """Validate the rank per block and build the step-0 factor.
 
-    A handed `factor` is the step-0 factor if it was built from the very
-    read-only Jacobian at theta0 and is cfg's width (k per block), so runs
-    on one constant J can share one factor (`harness.rate_sweep`); the
-    caller vouches for its basis.  Otherwise the init factorizes that J.
+    A handed `factor` of the very Jacobian at theta0 is kept (`_factor`),
+    so runs on one constant J can share one factor (`harness.rate_sweep`).
     """
     check_rank(problem.m, problem.block_dims, cfg.k)
     state = init_state(problem, theta0, cfg)
-    j = problem.jacobian(state.theta)
-    if not (_built_from(factor, j) and factor.u.shape[1] == cfg.k * problem.blocks):
-        factor = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
-    state.factor = factor
+    state.factor = _factor(problem, state.theta, cfg, factor)
     if EF_MODES[cfg.ef_mode] is not None:
         state.r = np.zeros(problem.d)
     return state
@@ -299,9 +301,7 @@ def gradlite_step(state: GradLiteState, problem: Problem,
     delta = problem.error_signal(theta)
 
     if t > 0 and t % cfg.tau == 0:
-        j = problem.jacobian(theta)
-        if not _built_from(state.factor, j):
-            state.factor = factorize(j, cfg.k, cfg.basis_mode, cfg.seed, problem.block_dims)
+        state.factor = _factor(problem, theta, cfg, state.factor)
     g_tilde = approx_gradient(state.factor, delta)
     if state.r is None:
         trace = StepTrace(g_tilde, g_tilde)

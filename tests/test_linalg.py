@@ -332,8 +332,10 @@ class TestTruncatedSvd:
         # The decomposition of a full-rank one-block factor serves rank k
         # with no eigh.
         want = factorize(a, k, "svd", 0)
-        gram_vecs = factorize(a, min(a.shape), "svd", 0).gram_vecs
-        assert len(gram_vecs) == 1 and not gram_vecs[0].flags.writeable
+        memo = [None]
+        factorize(a, min(a.shape), "svd", 0, None, memo)
+        (gram_vecs,) = memo
+        assert not gram_vecs.flags.writeable
 
         def no_eigh(*args, **kwargs):
             raise AssertionError("a supplied decomposition was decomposed again")
@@ -341,17 +343,19 @@ class TestTruncatedSvd:
         monkeypatch.setattr(linalg, "eigh_lo", no_eigh)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = factorize(a, k, "svd", 0, None, gram_vecs)
-        assert got.gram_vecs is gram_vecs
+            got = factorize(a, k, "svd", 0, None, memo)
+        assert len(memo) == 1 and memo[0] is gram_vecs
         for g, w in ((got.u, want.u), (got.v, want.v)):
             assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
 
     def test_a_decomposition_of_another_shape_is_refused(self):
-        (gram_vecs,) = factorize(J32, 2, "svd", 0).gram_vecs
+        memo = [None]
+        factorize(J32, 2, "svd", 0, None, memo)
+        (gram_vecs,) = memo
         with pytest.raises(DimError):
-            factorize(J32.T[:, :2], 1, "svd", 0, None, (gram_vecs[:1, :1],))
+            factorize(J32.T[:, :2], 1, "svd", 0, None, [gram_vecs[:1, :1]])
         with pytest.raises(DimError):
-            factorize(np.ones((3, 4)), 1, "svd", 0, None, (gram_vecs,))
+            factorize(np.ones((3, 4)), 1, "svd", 0, None, [gram_vecs])
 
     def test_lapack_failure_raises_linalg_error(self, monkeypatch):
         # A LAPACK failure shows as an invalid flag, as in numpy's wrappers.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradlite import linalg
 from gradlite.errors import DimError, RankError
@@ -35,14 +35,18 @@ class TestFactorize:
         assert frob_residual(a, fac.u, fac.v) <= 1e-8
 
     def test_random_projection_basis_ignores_matrix(self):
-        a = SplitMix64(5).normal_matrix(8, 4)
-        b = SplitMix64(6).normal_matrix(8, 4)
-        fa = factorize(a, 3, RP, seed=42)
-        fb = factorize(b, 3, RP, seed=42)
+        a = SplitMix64(5).normal_matrix(8, 7)
+        b = SplitMix64(6).normal_matrix(8, 7)
+        fa = factorize(a, 3, RP, seed=42, widths=(4, 3))
+        fb = factorize(b, 3, RP, seed=42, widths=(4, 3))
+        basis = static_basis(8, 3, 42)
         assert np.array_equal(fa.u, fb.u)
-        assert np.abs(fa.u.T @ fa.u - np.eye(3)).max() <= 1e-10
-        # v adapts to the matrix even though u does not
-        assert np.allclose(fa.v, a.T @ fa.u, atol=1e-12)
+        assert fa.u.tobytes() == np.tile(basis, 2).tobytes()
+        assert np.abs(basis.T @ basis - np.eye(3)).max() <= 1e-10
+        # v adapts to the matrix even though u does not: each block's is
+        # the one product J_b^T u_b, bit for bit.
+        for (lo, hi), c in (((0, 4), slice(0, 3)), ((4, 7), slice(3, 6))):
+            assert fa.v[lo:hi, c].tobytes() == (a[:, lo:hi].T @ basis).tobytes()
 
     def test_svd_factor_is_a_function_of_the_matrix_alone(self):
         a = SplitMix64(12).normal_matrix(10, 7)
@@ -245,14 +249,17 @@ class TestWholeJacobianFactor:
         blocks = np.split(j, np.cumsum(widths)[:-1], axis=1)
         if mode == SVD:
             us = [truncated_svd(b, k).u for b in blocks]
-            return us, [b.T @ u for b, u in zip(blocks, us)]
-        basis = static_basis(j.shape[0], k, seed)
-        return [basis] * len(blocks), [
-            np.array([matvec_t(b, basis[:, c]) for c in range(k)]).T for b in blocks]
+        else:
+            us = [static_basis(j.shape[0], k, seed)] * len(blocks)
+        return us, [b.T @ u for b, u in zip(blocks, us)]
 
     @settings(max_examples=100)
-    @given(block_layouts(), st.sampled_from([SVD, RP]), st.data())
-    def test_packed_factor_is_the_per_block_factors_placed(self, layout, mode, data):
+    @given(block_layouts(), st.sampled_from([SVD, RP]))
+    # A one-column u_b of a packed u is strided: rank 1 on several blocks.
+    @example((7, [3, 5, 2], 1, 11), RP)
+    @example((12, [1, 9], 1, 2**32), RP)
+    @example((7, [3, 5, 2], 1, 11), SVD)
+    def test_packed_factor_is_the_per_block_factors_placed(self, layout, mode):
         m, widths, k, seed = layout
         stream = SplitMix64(seed)
         j = with_zeros(stream, stream.normal_matrix(m, sum(widths)))
@@ -271,18 +278,41 @@ class TestWholeJacobianFactor:
             row += width
         assert not (fac.u.flags.writeable or fac.v.flags.writeable)
         assert fac.u.flags.c_contiguous and fac.v.flags.f_contiguous
-        if mode == SVD:
-            # Another rank on the same J takes each block's eigenvectors back
-            # instead of decomposing again, and gives a fresh factor's bits.
-            other = data.draw(st.integers(1, min(m, *widths)))
-            fresh = factorize(j, other, SVD, seed, widths)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(linalg, "eigh_lo", no_eigh)
-                again = factorize(j, other, SVD, seed, widths, fac.gram_vecs)
-            assert again.gram_vecs is fac.gram_vecs
-            assert len(fac.gram_vecs) == len(widths)
-            for got, want in ((again.u, fresh.u), (again.v, fresh.v)):
-                assert (got.strides, got.tobytes()) == (want.strides, want.tobytes())
+
+    @settings(max_examples=50)
+    @given(block_layouts(), st.data())
+    def test_a_memo_filled_at_one_rank_serves_another(self, layout, data):
+        # Another rank on the same J reads each block's eigenvectors from
+        # the memo instead of decomposing again, and gives a fresh factor's bits.
+        m, widths, k, seed = layout
+        stream = SplitMix64(seed)
+        j = with_zeros(stream, stream.normal_matrix(m, sum(widths)))
+        memo = [None] * len(widths)
+        factorize(j, k, SVD, seed, widths, memo)
+        filled = list(memo)
+        assert all(vecs is not None and not vecs.flags.writeable for vecs in filled)
+        other = data.draw(st.integers(1, min(m, *widths)))
+        fresh = factorize(j, other, SVD, seed, widths)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "eigh_lo", no_eigh)
+            again = factorize(j, other, SVD, seed, widths, memo)
+        assert all(got is want for got, want in zip(memo, filled, strict=True))
+        for got, want in ((again.u, fresh.u), (again.v, fresh.v)):
+            assert (got.strides, got.tobytes()) == (want.strides, want.tobytes())
+
+    @pytest.mark.parametrize("widths", [None, (1, 1, 2)], ids=["one-block", "three-blocks"])
+    def test_random_projection_leaves_the_memo_untouched(self, widths, decomposed):
+        a = SplitMix64(3).normal_matrix(3, 4)
+        slots = 1 if widths is None else len(widths)
+        empty = [None] * slots
+        factorize(a, 1, RP, 0, widths, empty)
+        assert empty == [None] * slots
+        filled = [None] * slots
+        factorize(a, 1, SVD, 0, widths, filled)
+        kept = list(filled)
+        factorize(a, 1, RP, 0, widths, filled)
+        assert all(got is want for got, want in zip(filled, kept, strict=True))
+        assert len(decomposed) == slots  # the svd call's eighs alone
 
     @pytest.mark.parametrize("make", [
         lambda: make_quadratic(6, 10.0, 0.3, seed=4),
@@ -291,20 +321,17 @@ class TestWholeJacobianFactor:
     ], ids=["quadratic", "lowrank-logistic", "mlp"])
     def test_one_eigh_per_block_serves_every_rank_of_a_problem_jacobian(self, make,
                                                                          decomposed):
-        # Each rank's factor takes the previous one's Gram eigenvectors, as
-        # a rate sweep chains them, and has a fresh factor's bits.
+        # Every rank's factor reads one memo of the Gram eigenvectors, as a
+        # rate sweep's do, and has a fresh factor's bits.
         problem = make()
         j = problem.jacobian(problem.default_theta0())
         ranks = list(range(1, min(problem.m, *problem.block_dims) + 1))
         np.random.default_rng(problem.blocks).shuffle(ranks)
-        chained, gram_vecs = {}, None
-        for k in ranks:
-            chained[k] = factorize(j, k, SVD, 0, problem.block_dims, gram_vecs)
-            gram_vecs = chained[k].gram_vecs
+        memo = [None] * problem.blocks
+        chained = {k: factorize(j, k, SVD, 0, problem.block_dims, memo) for k in ranks}
         assert len(decomposed) == problem.blocks
         for k in ranks:
             fresh = factorize(j, k, SVD, 0, problem.block_dims)
-            assert fresh.gram_vecs is not chained[k].gram_vecs
             for got, want in ((chained[k].u, fresh.u), (chained[k].v, fresh.v)):
                 assert (got.shape, got.strides, got.tobytes()) \
                     == (want.shape, want.strides, want.tobytes())
@@ -345,8 +372,9 @@ class TestBasisThenLift:
     @pytest.mark.parametrize("widths", [None, (1, 1, 2)], ids=["one-block", "three-blocks"])
     def test_a_decomposition_of_another_block_count_is_refused(self, widths):
         a = SplitMix64(3).normal_matrix(3, 4)
-        kept = factorize(a, 1, SVD, 0, widths).gram_vecs
-        for wrong in (kept + kept[:1], kept * 2, kept[:-1], ()):
+        kept = [None] * (1 if widths is None else len(widths))
+        factorize(a, 1, SVD, 0, widths, kept)
+        for wrong in (kept + kept[:1], kept * 2, kept[:-1], []):
             with pytest.raises(DimError):
                 factorize(a, 1, SVD, 0, widths, wrong)
 

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -308,6 +308,43 @@ class TestHandedFactor:
         for got, want in ((ran[1].theta, ran[0].theta), (ran[1].theta_sum, ran[0].theta_sum),
                           (ran[1].r, ran[0].r)):
             assert got.tobytes() == want.tobytes()
+
+
+def held_floats(obj) -> int:
+    """The entries of every array reachable from obj through dataclass
+    fields, tuples and lists (a weak reference holds nothing)."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, (tuple, list)):
+        return sum(map(held_floats, obj))
+    if is_dataclass(obj):
+        return sum(held_floats(getattr(obj, f.name)) for f in fields(obj))
+    return 0
+
+
+class TestFactorHoldings:
+    """A factor holds its u and v and no other array, at the init and at
+    every refresh."""
+
+    @pytest.mark.parametrize("mode", ["svd", "random-projection"])
+    @pytest.mark.parametrize("make", [
+        CONSTANT_J["quadratic"], CONSTANT_J["lowrank-logistic"],
+        lambda: make_mlp([8, 16, 16, 1], 32, seed=6),
+    ], ids=["quadratic", "lowrank-logistic", "mlp"])
+    def test_a_factor_holds_only_u_and_v(self, make, mode):
+        # tau 2 over 3 steps: the step-0 factor, then a refresh at step 2,
+        # which copies of J force to factorize anew.
+        problem = CopyingJacobian(make())
+        cfg = GradLiteConfig(eta=0.01, k=2, tau=2, basis_mode=mode, seed=9)
+        st = init_gradlite_state(problem, None, cfg)
+        factors = [st.factor]
+        for _ in range(3):
+            st, _ = gradlite_step(st, problem, cfg)
+            factors.append(st.factor)
+        assert factors[2] is factors[0] and factors[3] is not factors[0]
+        assert [f.name for f in fields(lowrank.LowRankFactor)] == ["u", "v", "source"]
+        for factor in (factors[0], factors[3]):
+            assert held_floats(factor) == factor.u.size + factor.v.size
 
 
 class TestConfigValidation:
