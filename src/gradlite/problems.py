@@ -1,17 +1,31 @@
 """Desk-scale objectives exposing the (jacobian, error-signal) split.
 
 Every problem satisfies the chain-rule contract
-``exact_gradient == jacobian.T @ error_signal`` (noiselessly).
+``exact_gradient == jacobian.T @ error_signal`` (noiselessly).  `Problem`
+holds what every family shares, so a family states only its math: each
+constructor calls ``Problem.__init__(m, block_dims, seed)``, which sets the
+shape and the seed and resets the noise to the seed's noise stream.
 Every evaluation uses all ``m`` rows.  Stochasticity enters through the
 error signal's noise, and the noise row index is the only run state a
-problem holds, owned by one run at a time; the MLP's evaluation cache and
-the logistic score cache are pure functions of theta.  Noise row t of a
-run seeded s is the (t+1)-th ``normals(m)`` call on ``SplitMix64(s)``, a
-pure function of (s, t).  Rows are drawn in blocks of NOISE_BLOCK (64),
-one stream call per block, each drawn by jumping the counter to the
-block's first row, and scaled by the noise level.  A problem keeps the
-first scaled blocks of its seed, up to NOISE_KEEP entries, and replays a
-kept block itself, so the runs of a one-seed rate sweep draw them once.
+problem holds, owned by one run at a time.  Noise row t of a run seeded
+s is the (t+1)-th ``normals(m)`` call on ``SplitMix64(s)``, a pure
+function of (s, t).  Rows are drawn in blocks of NOISE_BLOCK (64), one
+stream call per block, each drawn by jumping the counter to the block's
+first row, and scaled by the noise level.  A problem keeps the first
+scaled blocks of its seed, up to NOISE_KEEP entries, and replays a kept
+block itself, so the runs of a one-seed rate sweep draw them once.
+
+The logistic and MLP families read one cached, read-only evaluation of
+the latest theta, `Problem._at(theta)`, a pure function of theta: it is
+keyed on the shape and bytes of theta as float64 and computed by the
+family's `_evaluate` on a private read-only copy, so a caller may change
+its theta in place after the call.  A step's signal and probe and the
+loss at the previous step's new iterate share one evaluation.  The
+logistic one is ``z = x @ theta`` and ``e = exp(-|z|)``: the loss is one
+vector softplus, ``max(z, 0) + log1p(e) - y z`` summed, and the signal and
+the Newton solve read the sigmoid as ``where(z >= 0, 1, e) / (1 + e)``, so
+one `exp` per new theta serves all three.  The MLP's is one forward pass,
+plus a slot for J, swept on the first `jacobian` request.
 
 A Jacobian is read-only and never changed in place, so the same array
 means the same J: the quadratic and logistic families return one array for
@@ -20,12 +34,6 @@ every theta, the MLP a new one per theta.  A block's columns are
 unchanged.  The exact probe ``probe(theta, delta) = J^T delta`` walks J in
 the quadratic and logistic families; the MLP answers it by one reverse
 pass over its cached evaluation and builds no J.
-
-The logistic score cache holds ``z = x @ theta`` and ``e = exp(-|z|)``
-of the latest theta.  The loss is one vector softplus,
-``max(z, 0) + log1p(e) - y z`` summed, and the signal and the Newton
-solve read the sigmoid as ``where(z >= 0, 1, e) / (1 + e)``: one `exp`
-per new theta serves all three.
 
 Each family has one seeded maker (`make_quadratic`, `make_gaussian_logistic`,
 `make_lowrank_logistic`, `make_mlp`), whose parameters are the family's spec
@@ -147,19 +155,30 @@ def _lowrank_design(stream: SplitMix64, n: int, d: int, cond: float) -> np.ndarr
 
 
 class Problem:
-    """Shared plumbing; subclasses fill in the math.  `noise_sigma` is read
-    when a noise block is drawn and must not change after that."""
+    """The shape, the seed, the noise and the one per-theta evaluation
+    cache; subclasses fill in the math.  `noise_sigma` is read when a noise
+    block is drawn and must not change after that."""
 
-    m: int
-    block_dims: tuple[int, ...]
     noise_sigma: float = 0.0
     loss_star: float | None = None
     name: str = "problem"
     _noise_seed: int | None = None  # the seed reset_noise set last
+    _key = None  # the theta whose evaluation `_at` holds
 
-    def _init_noise(self, seed: int):
-        self.seed = seed
+    def __init__(self, m: int, block_dims: tuple[int, ...], seed: int):
+        self.m, self.block_dims, self.seed = m, block_dims, seed
         self.reset_noise(derive_seed(seed, _NOISE_SALT))
+
+    def _at(self, theta):
+        """The family's `_evaluate` of theta, computed unless the cache
+        already holds this theta."""
+        theta = np.asarray(theta, dtype=np.float64)
+        key = (theta.shape, theta.tobytes())
+        if key != self._key:
+            # A private copy: callers may change theta in place after the call.
+            self._evaluation = self._evaluate(_read_only(theta.copy()))
+            self._key = key
+        return self._evaluation
 
     def reset_noise(self, seed: int):
         """Go back to noise row 0 of `seed`.
@@ -265,14 +284,12 @@ class QuadraticProblem(Problem):
         evals, evecs = np.linalg.eigh(a)
         if evals.min() <= 0.0:
             raise SpdError(f"matrix is not positive definite (min eig {evals.min():g})")
+        super().__init__(a.shape[0], (a.shape[0],), seed)
         self.a = a
         sqrt_a = (evecs * np.sqrt(evals)[None, :]) @ evecs.T
         self._sqrt_a = _read_only(0.5 * (sqrt_a + sqrt_a.T))
         self.noise_sigma = _noise_sigma(noise_sigma)
-        self.m = a.shape[0]
-        self.block_dims = (a.shape[0],)
         self.loss_star = 0.0
-        self._init_noise(seed)
 
     def loss(self, theta) -> float:
         return 0.5 * float(theta @ (self.a @ theta))
@@ -295,9 +312,9 @@ class QuadraticProblem(Problem):
 class LogisticProblem(Problem):
     """Summed logistic loss; jacobian is the design matrix itself.
 
-    `loss`, `error_signal` and `solve_optimum` read one cached, read-only
-    pair of the latest theta, keyed on its contents: the scores
-    ``z = x @ theta`` and ``e = exp(-|z|)``, which never overflows.  So a
+    Its evaluation (`_evaluate`, cached by `Problem._at`) is the read-only
+    pair of scores ``z = x @ theta`` and ``e = exp(-|z|)``, which never
+    overflows; `loss`, `error_signal` and `solve_optimum` read it.  So a
     recorded step's loss at the new iterate and the next step's signal
     share one product and one `exp`.  The loss is the stable softplus
     ``max(z, 0) + log1p(e)`` over the whole vector; the sigmoid is
@@ -310,29 +327,21 @@ class LogisticProblem(Problem):
         bad = ~np.isin(data.y, (0.0, 1.0))
         if bad.any():
             raise DataError(f"labels must be in {{0, 1}}; offending row {int(np.argmax(bad))}")
+        super().__init__(data.n, (data.d,), data.seed)
         self.data = data
-        self.m = data.n
-        self.block_dims = (data.d,)
-        self._init_noise(data.seed)
-        self._key = None
 
-    def _scores(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """(x @ theta, exp(-|x @ theta|)), computed unless the cache already
-        holds this theta."""
-        arr = np.asarray(theta)
-        key = (arr.dtype.str, arr.shape, arr.tobytes())
-        if key != self._key:
-            z = _read_only(self.data.x @ theta)
-            self._key, self._z, self._e = key, z, _read_only(np.exp(-np.abs(z)))
-        return self._z, self._e
+    def _evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """(x @ theta, exp(-|x @ theta|)), both read-only."""
+        z = _read_only(self.data.x @ theta)
+        return z, _read_only(np.exp(-np.abs(z)))
 
     def _sigmoid(self, theta) -> np.ndarray:
         """_expit(x @ theta) from the cached pair: the same e and division."""
-        z, e = self._scores(theta)
+        z, e = self._at(theta)
         return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
     def loss(self, theta) -> float:
-        z, e = self._scores(theta)
+        z, e = self._at(theta)
         return float(np.add.reduce(np.maximum(z, 0.0) + np.log1p(e) - self.data.y * z))
 
     def error_signal(self, theta) -> np.ndarray:
@@ -356,7 +365,7 @@ class LogisticProblem(Problem):
         A line search that finds no lower loss is success when the Newton
         decrease ``0.5 * g @ step`` is under 16 ulps of the loss, more than
         the rounding of its pairwise sum: the point is optimal to float
-        precision.  Each loss is the vector softplus over the score cache,
+        precision.  Each loss is the vector softplus over the cached scores,
         and the gradient and Hessian weights read their sigmoid from the
         cached ``exp(-|z|)`` of the last point `loss` scored: one product
         and one `exp` per point.  Each step forms a d x d Hessian; the
@@ -418,11 +427,12 @@ class MlpProblem(Problem):
     J^T delta and the exact gradient go through one reverse pass
     (`_backward`) instead, which builds no J.
 
-    `loss`, `error_signal`, `probe` and `jacobian` read one cached,
-    read-only evaluation of the latest theta, keyed on its contents: one
-    forward pass, plus the sweep, writing each block into its columns of
-    J, on the first jacobian request.  A step's signal and probe and the
-    loss at the previous step's new iterate share one forward pass.
+    `loss`, `error_signal`, `probe` and `jacobian` read one evaluation
+    (`_evaluate`, cached by `Problem._at`): the weights, the read-only
+    activations and the residual of one forward pass, and a slot for J,
+    which the sweep fills, writing each block into its columns, on the
+    first jacobian request.  A new theta drops the whole evaluation, J
+    included.
     `exact_gradient` runs its own uncached forward pass, so the chain-rule
     contract checks a cache-free path against the sweep's J.
     """
@@ -430,7 +440,7 @@ class MlpProblem(Problem):
     name = "mlp"
 
     def __init__(self, layers, data: Dataset):
-        self.block_dims = _mlp_block_dims(layers)
+        super().__init__(data.n, _mlp_block_dims(layers), data.seed)
         layers = [int(w) for w in layers]
         if layers[0] != data.d:
             raise DimError(f"input width {layers[0]} != feature count {data.d}")
@@ -438,9 +448,6 @@ class MlpProblem(Problem):
         self._slices = tuple(self.block_slices())
         self.layers = layers
         self.data = data
-        self.m = data.n
-        self._init_noise(data.seed)
-        self._key = None
 
     # -- parameter packing ------------------------------------------------
     def _unpack(self, theta):
@@ -465,34 +472,27 @@ class MlpProblem(Problem):
             if i != last:
                 np.tanh(h, out=h)
             acts.append(h)
-        return ws, bs, acts
+        return ws, acts
 
-    def _evaluate(self, theta):
-        """Run the forward pass unless the cache already holds this theta."""
-        theta = np.asarray(theta, dtype=np.float64)
-        key = (theta.dtype.str, theta.shape, theta.tobytes())
-        if key == self._key:
-            return
-        # A private copy: callers may mutate theta in place after the call.
-        ws, _, acts = self._forward(_read_only(theta.copy()))
+    def _evaluate(self, theta) -> list:
+        """[weights, activations, residual, J slot] of a read-only theta."""
+        ws, acts = self._forward(theta)
         for a in acts[1:]:
             _read_only(a)
-        self._key, self._ws, self._acts = key, ws, acts
-        self._resid = _read_only(acts[-1][:, 0] - self.data.y)
-        self._jacobian = None
+        return [ws, acts, _read_only(acts[-1][:, 0] - self.data.y), None]
 
     def loss(self, theta) -> float:
-        self._evaluate(theta)
-        return 0.5 * float(self._resid @ self._resid) / self.data.n
+        resid = self._at(theta)[2]
+        return 0.5 * float(resid @ resid) / self.data.n
 
     def error_signal(self, theta) -> np.ndarray:
-        self._evaluate(theta)
-        return self._add_noise(self._resid / self.data.n)
+        return self._add_noise(self._at(theta)[2] / self.data.n)
 
     def jacobian(self, theta) -> np.ndarray:
-        self._evaluate(theta)
-        if self._jacobian is None:
-            ws, acts, n = self._ws, self._acts, self.data.n
+        evaluation = self._at(theta)
+        ws, acts, _, jac = evaluation
+        if jac is None:
+            n = self.data.n
             jac, slices = np.empty((n, self.d)), self._slices
             # dpred[i] / dz_l[i, p], built top-down.  The output layer is
             # linear with one unit: its weight columns are its inputs.
@@ -516,19 +516,19 @@ class MlpProblem(Problem):
                 # Splitting the contiguous last axis gives a view, not a copy.
                 c_einsum("ip,iq->ipq", d_sens, acts[l], out=jac[:, lo:hi - p].reshape(n, p, q))
                 jac[:, hi - p:hi] = d_sens
-            self._jacobian = _read_only(jac)
-        return self._jacobian
+            jac = evaluation[3] = _read_only(jac)
+        return jac
 
     def probe(self, theta, delta) -> np.ndarray:
         """J^T delta by one reverse pass over the cached evaluation; no J."""
         delta = np.asarray(delta, dtype=np.float64)
         if delta.shape != (self.m,):
             raise DimError(f"probe: signal {delta.shape} for {self.m} rows")
-        self._evaluate(theta)
-        return self._backward(self._ws, self._acts, delta)
+        ws, acts = self._at(theta)[:2]
+        return self._backward(ws, acts, delta)
 
     def exact_gradient(self, theta) -> np.ndarray:
-        ws, _, acts = self._forward(np.asarray(theta, dtype=np.float64))
+        ws, acts = self._forward(np.asarray(theta, dtype=np.float64))
         return self._backward(ws, acts, (acts[-1][:, 0] - self.data.y) / self.data.n)
 
     def _backward(self, ws, acts, delta) -> np.ndarray:
@@ -556,12 +556,9 @@ class MlpProblem(Problem):
         return out
 
     def default_theta0(self) -> np.ndarray:
-        return self._sample_theta(SplitMix64(derive_seed(self.data.seed, _THETA0_SALT)))
-
-    def _sample_theta(self, stream: SplitMix64) -> np.ndarray:
+        stream = SplitMix64(derive_seed(self.seed, _THETA0_SALT))
         parts = []
-        for i in range(len(self.layers) - 1):
-            nin, nout = self.layers[i], self.layers[i + 1]
+        for nin, nout in zip(self.layers, self.layers[1:]):
             parts.append(stream.normals(nout * nin) / np.sqrt(nin))
             parts.append(stream.normals(nout) * 0.1)
         return np.concatenate(parts)

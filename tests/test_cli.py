@@ -18,13 +18,17 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import gradlite
-from gradlite import cli, harness, optimizers
+from gradlite import cli, harness, linalg, optimizers
 from gradlite.cli import _parser, build_parser, load_config_file, main
 from gradlite.harness import run_experiment
 from gradlite.optimizers import GradLiteConfig
 from gradlite.rng import SplitMix64
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+# A one-block rank-1 run: its projection U^T d reads a one-column u, the
+# pinned kernel's sequential cumsum path, once per step.
+QUADRATIC_K1_RUN = ["run", "--problem", "quadratic", "--dim", "12", "--sigma", "0.3",
+                    "--k", "1", "--eta", "0.05", "--steps", "40", "--seed", "5"]
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -852,6 +856,7 @@ class TestDeterminism:
         (["run", "--problem", "quadratic", "--dim", "12", "--sigma", "0.3",
           "--opt", "gradlite", "--k", "4", "--eta", "0.05", "--steps", "40",
           "--seed", "5"], ["quadratic_run_seed5.csv", "quadratic_run_seed5.json"]),
+        (QUADRATIC_K1_RUN, ["quadratic_k1_run_seed5.csv", "quadratic_k1_run_seed5.json"]),
         (["run", "--problem", "lowrank-logistic", "--n", "128", "--dim", "32",
           "--steps", "40", "--seed", "3"],
          ["lowrank_logistic_run_seed3.csv", "lowrank_logistic_run_seed3.json"]),
@@ -871,8 +876,9 @@ class TestDeterminism:
         (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
           "--eta", "0.05", "--steps", "60", "--seed", "3", "--ef-mode", "off"],
          ["mlp_off_run_seed3.csv", "mlp_off_run_seed3.json"]),
-        # The paper rule on every block, and a random basis at rank 1, where a
-        # block's one-column lift takes the kernel's cumsum path.
+        # The paper rule on every block, and a random basis at rank 1.  The
+        # packed factor has one column per block, so no kernel call of this
+        # run has one column; the one-block rank-1 quadratic run covers that.
         (["run", "--problem", "mlp", "--layers", "8,16,16,1", "--n", "32",
           "--eta", "0.05", "--steps", "60", "--seed", "3", "--ef-mode", "paper"],
          ["mlp_paper_run_seed3.csv", "mlp_paper_run_seed3.json"]),
@@ -880,7 +886,7 @@ class TestDeterminism:
           "--eta", "0.05", "--steps", "60", "--seed", "3",
           "--basis", "random-projection", "--k", "1"],
          ["mlp_rp_k1_run_seed3.csv", "mlp_rp_k1_run_seed3.json"]),
-    ], ids=["run-quadratic", "run-lowrank-logistic", "ablate", "rate-check",
+    ], ids=["run-quadratic", "run-quadratic-k1", "run-lowrank-logistic", "ablate", "rate-check",
             "run-mlp-default", "run-mlp-sgd", "run-mlp-adam", "run-mlp-galore", "run-mlp-off",
             "run-mlp-paper", "run-mlp-rp-k1"])
     def test_outputs_match_pinned_bytes(self, argv, goldens, tmp_path):
@@ -896,6 +902,18 @@ class TestDeterminism:
         for path in paths:
             got, want = path.read_bytes(), (GOLDEN_DIR / path.name).read_bytes()
             assert got == want, bytes_mismatch(got, want, path.name)
+
+    def test_the_rank_one_golden_takes_the_one_column_path(self, tmp_path, monkeypatch):
+        # Pins that quadratic_k1_run_seed5 keeps covering the kernel's
+        # cumsum path: the projection is a call with one column, once per step.
+        widths, pinned = [], linalg._pinned_sum
+
+        def counting(a, y):
+            widths.append(a.shape[1])
+            return pinned(a, y)
+        monkeypatch.setattr(linalg, "_pinned_sum", counting)
+        assert main(QUADRATIC_K1_RUN + ["--out", str(tmp_path / "m.csv")]) == 0
+        assert widths.count(1) == 40 and len(widths) == 120
 
     def test_a_mismatch_names_its_first_line_and_each_columns_largest_change(self):
         want = b"step,loss,gap,note\n1,0.5,nan,a\n2,0.25,nan,b\n"

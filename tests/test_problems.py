@@ -1,3 +1,4 @@
+import ast
 import functools
 import os
 import subprocess
@@ -194,8 +195,8 @@ class TestNoiseReplay:
 
     def test_default_budget_holds_on_wide_rows(self):
         # One block of 2**11-entry rows fills the 2**17-entry budget exactly.
-        prob = Problem()
-        prob.m, prob.noise_sigma = 2**11, 1.0
+        prob = Problem(2**11, (2**11,), seed=0)
+        prob.noise_sigma = 1.0
         prob.reset_noise(5)
         for _ in range(2 * NOISE_BLOCK + 1):
             prob._add_noise(np.zeros(prob.m))
@@ -216,7 +217,7 @@ def signal_formula(prob, theta):
         return prob.jacobian(theta) @ theta
     if isinstance(prob, LogisticProblem):
         return _expit(prob.data.x @ theta) - prob.data.y
-    return (prob._forward(theta)[2][-1][:, 0] - prob.data.y) / prob.data.n
+    return (prob._forward(theta)[1][-1][:, 0] - prob.data.y) / prob.data.n
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -230,14 +231,19 @@ def test_noiseless_signal_is_the_formula_and_draws_nothing(family, drawn):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_a_list_theta_reads_as_its_array(family):
-    prob = FAMILIES[family]()
-    theta = prob.default_theta0() + 0.25
-    listed = theta.tolist()
-    assert prob.loss(listed) == prob.loss(theta)
-    assert prob.error_signal(listed).tobytes() == prob.error_signal(theta).tobytes()
-    assert np.array_equal(prob.jacobian(listed), prob.jacobian(theta))
-    assert prob.exact_gradient(listed).tobytes() == prob.exact_gradient(theta).tobytes()
+@pytest.mark.parametrize("spell", [list, np.float32, np.int64],
+                         ids=["list", "float32", "int64"])
+def test_a_list_theta_reads_as_its_array(family, spell):
+    # Each spelling gives the values of its float64 array, which is what the
+    # evaluation cache keys on.
+    prob, fresh = FAMILIES[family](), FAMILIES[family]()
+    given = prob.default_theta0() + 0.25
+    given = given.tolist() if spell is list else given.astype(spell)
+    theta = np.asarray(given, dtype=np.float64)
+    assert prob.loss(given) == fresh.loss(theta)
+    assert prob.error_signal(given).tobytes() == fresh.error_signal(theta).tobytes()
+    assert np.array_equal(prob.jacobian(given), fresh.jacobian(theta))
+    assert prob.exact_gradient(given).tobytes() == fresh.exact_gradient(theta).tobytes()
 
 
 def masked_expit(z):
@@ -341,46 +347,11 @@ print([s for s in range(16) if build_problem(spec, s).loss_star is None])
 """
 
 
-class TestLogisticScoreCache:
-    """loss and error_signal read one cached x @ theta and exp(-|x @ theta|)
-    per theta."""
-
-    @staticmethod
-    def fresh():
-        return make_gaussian_logistic(30, 5, seed=8)
-
-    def test_in_place_change_of_theta_gives_new_values(self):
-        prob = self.fresh()
-        theta = prob.default_theta0()
-        loss, signal = prob.loss(theta), prob.error_signal(theta)
-        theta[2] += 0.5
-        assert prob.loss(theta) == self.fresh().loss(theta) != loss
-        new_signal = prob.error_signal(theta)
-        assert np.array_equal(new_signal, self.fresh().error_signal(theta))
-        assert not np.array_equal(new_signal, signal)
-
-    def test_interleaved_thetas_match_a_fresh_problem(self):
-        prob = self.fresh()
-        stream = SplitMix64(4)
-        a, b = stream.normals(prob.d), stream.normals(prob.d)
-        changed = a.copy()
-        calls = [("loss", a), ("error_signal", a), ("error_signal", b), ("loss", b),
-                 ("loss", a), ("error_signal", a), ("loss", changed)]
-
-        def check(meth, theta):
-            # A problem on the same data whose cache has seen no other theta.
-            want = getattr(LogisticProblem(prob.data), meth)(theta)
-            got = getattr(prob, meth)(theta)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), meth
-
-        for meth, theta in calls:
-            check(meth, theta)
-        changed[1] += 0.5
-        check("error_signal", changed)
-        check("loss", changed)
+class TestLogisticScores:
+    """The logistic evaluation is x @ theta and exp(-|x @ theta|)."""
 
     def test_one_exp_per_new_theta(self, monkeypatch):
-        prob = self.fresh()
+        prob = make_gaussian_logistic(30, 5, seed=8)
         calls, exp = [], np.exp
 
         def counting(*args, **kwargs):
@@ -394,12 +365,6 @@ class TestLogisticScoreCache:
         prob.loss(theta)
         prob.error_signal(theta)
         assert len(calls) == 1
-
-    def test_every_error_signal_call_draws_fresh_noise(self):
-        prob = self.fresh()
-        prob.noise_sigma = 0.5
-        theta = prob.default_theta0()
-        assert not np.array_equal(prob.error_signal(theta), prob.error_signal(theta))
 
 
 class TestReferenceOptimumAtBenchmarkSize:
@@ -474,7 +439,7 @@ class TestMlp:
         # Only the sign of a zero product may differ, which + 0.0 removes.
         prob = make_mlp([8, 16, 16, 1], 32, seed=34)
         theta = 30.0 * prob.default_theta0()
-        ws, _, acts = prob._forward(theta)
+        ws, acts = prob._forward(theta)
         n = prob.data.n
         d_sens = np.ones((n, 1))
         whole, slices = prob.jacobian(theta), prob.block_slices()
@@ -496,62 +461,114 @@ class TestMlp:
             MlpProblem([3, 5, 2], data)
 
 
-class TestMlpEvaluationCache:
-    """loss, error_signal and jacobian read one cached evaluation per theta."""
+CACHED = {
+    "logistic": lambda: make_gaussian_logistic(30, 5, seed=8),
+    "mlp": lambda: make_mlp([6, 10, 8, 1], 12, seed=33),
+}
 
-    @staticmethod
-    def fresh():
-        return make_mlp([6, 10, 8, 1], 12, seed=33)
 
-    @pytest.mark.parametrize("jacobian_first", [True, False])
-    def test_warm_cache_matches_a_fresh_problem(self, jacobian_first):
-        warm = self.fresh()
-        stream = SplitMix64(5)
-        for _ in range(3):
-            theta = warm.default_theta0() + 0.3 * stream.normals(warm.d)
-            jac = warm.jacobian(theta) if jacobian_first else None
-            assert warm.loss(theta) == self.fresh().loss(theta)
-            assert np.array_equal(warm.error_signal(theta), self.fresh().error_signal(theta))
-            jac = warm.jacobian(theta) if jac is None else jac
-            assert np.array_equal(jac, self.fresh().jacobian(theta))
-            assert warm.jacobian(theta) is jac
+def rebuilt(prob):
+    """A problem on the same data whose cache has seen no theta: a maker's
+    Newton solve leaves the logistic cache at the optimum."""
+    if isinstance(prob, LogisticProblem):
+        return LogisticProblem(prob.data)
+    return MlpProblem(prob.layers, prob.data)
 
-    def test_in_place_change_of_theta_gives_new_values(self):
-        prob = self.fresh()
+
+@pytest.mark.parametrize("family", sorted(CACHED))
+class TestEvaluationCache:
+    """loss, error_signal, probe and jacobian read one cached evaluation per
+    theta, `Problem._at`."""
+
+    def test_in_place_change_of_theta_gives_new_values(self, family):
+        prob = CACHED[family]()
         theta = prob.default_theta0()
-        loss, jac = prob.loss(theta), prob.jacobian(theta)
+        loss, signal = prob.loss(theta), prob.error_signal(theta)
+        prob.jacobian(theta)
         theta[3] += 0.25  # a weight of block 0, as finite differences do
-        assert prob.loss(theta) == self.fresh().loss(theta) != loss
-        assert np.array_equal(prob.error_signal(theta), self.fresh().error_signal(theta))
-        new_jac = prob.jacobian(theta)
-        assert np.array_equal(new_jac, self.fresh().jacobian(theta))
-        assert not np.array_equal(new_jac, jac)
+        assert prob.loss(theta) == rebuilt(prob).loss(theta) != loss
+        new_signal = prob.error_signal(theta)
+        assert np.array_equal(new_signal, rebuilt(prob).error_signal(theta))
+        assert not np.array_equal(new_signal, signal)
+        assert np.array_equal(prob.jacobian(theta), rebuilt(prob).jacobian(theta))
 
-    def test_cache_does_not_read_the_callers_array_later(self):
-        prob = self.fresh()
-        theta = prob.default_theta0()
+    def test_warm_interleaved_cache_matches_a_fresh_problem(self, family):
+        prob = CACHED[family]()
+        stream = SplitMix64(4)
+        a, b = (prob.default_theta0() + 0.3 * stream.normals(prob.d) for _ in "ab")
+        delta = stream.normals(prob.m)
+        changed = a.copy()
+        calls = [("loss", a), ("error_signal", a), ("jacobian", b), ("error_signal", b),
+                 ("loss", b), ("probe", a), ("loss", a), ("jacobian", a),
+                 ("error_signal", a), ("probe", b), ("loss", changed)]
+
+        def check(meth, theta):
+            args = (theta, delta) if meth == "probe" else (theta,)
+            want = getattr(rebuilt(prob), meth)(*args)
+            got = getattr(prob, meth)(*args)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), meth
+
+        for meth, theta in calls:
+            check(meth, theta)
+        changed[1] += 0.5
+        for meth in ("error_signal", "jacobian", "probe", "loss"):
+            check(meth, changed)
+
+    def test_cache_does_not_read_the_callers_array_later(self, family):
+        prob = CACHED[family]()
+        theta = prob.default_theta0() + 0.25
         before = theta.copy()
         prob.loss(theta)
-        theta[-2] += 0.25  # an output weight; the cache still holds `before`
-        assert np.array_equal(prob.jacobian(before), self.fresh().jacobian(before))
+        theta[-2] += 0.25  # the cache still holds `before`
+        delta = SplitMix64(6).normals(prob.m)
+        assert np.array_equal(prob.jacobian(before), rebuilt(prob).jacobian(before))
+        assert prob.probe(before, delta).tobytes() == rebuilt(prob).probe(before, delta).tobytes()
+        assert prob.error_signal(before).tobytes() == rebuilt(prob).error_signal(before).tobytes()
+        assert prob.loss(before) == rebuilt(prob).loss(before)
 
-    def test_every_error_signal_call_draws_fresh_noise(self):
-        prob = self.fresh()
+    def test_every_error_signal_call_draws_fresh_noise(self, family):
+        prob = CACHED[family]()
         prob.noise_sigma = 0.5
         theta = prob.default_theta0()
         first, second = prob.error_signal(theta), prob.error_signal(theta)
         assert not np.array_equal(first, second)
-        clean = self.fresh().error_signal(theta)
+        clean = rebuilt(prob).error_signal(theta)
         assert not np.array_equal(first, clean)
 
-    def test_cached_jacobian_is_read_only(self):
-        prob = self.fresh()
+
+class TestMlpJacobianSlot:
+    """The MLP's evaluation holds a slot for J, swept on the first request."""
+
+    def test_j_is_swept_once_per_theta_and_read_only(self):
+        prob = make_mlp([6, 10, 8, 1], 12, seed=33)
         theta = prob.default_theta0()
+        prob.probe(theta, prob.error_signal(theta))
+        assert prob.loss(theta) > 0.0 and prob._at(theta)[-1] is None
         whole = prob.jacobian(theta)
+        assert prob.jacobian(theta) is whole and prob._at(theta)[-1] is whole
         for jac in (whole, *(whole[:, sl] for sl in prob.block_slices())):
             assert not jac.flags.writeable
             with pytest.raises(ValueError):
                 jac[0, 0] = 1.0
+        prob.loss(theta + 0.25)  # a new theta drops J with the rest
+        assert prob._at(theta + 0.25)[-1] is None
+        again = prob.jacobian(theta)
+        assert again is not whole and np.array_equal(again, whole)
+
+
+def test_only_problem_keys_the_evaluation_cache():
+    # The cache rule (the key, the private copy, the evaluation on a miss)
+    # lives in Problem._at alone; a family writes only its _evaluate.
+    tree = ast.parse(Path(problems.__file__).read_text())
+    found = [f"{getattr(top, 'name', 'module')}:{node.lineno}"
+             for top in tree.body if getattr(top, "name", None) != "Problem"
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr in ("_key", "tobytes")]
+    assert found == []
+    families = [cls for cls in vars(problems).values()
+                if isinstance(cls, type) and issubclass(cls, Problem) and cls is not Problem]
+    assert len(families) == 3 and callable(vars(Problem)["_at"])
+    assert [cls.__name__ for cls in families if "_at" in vars(cls)] == []
 
 
 class TestReadOnlyJacobians:
@@ -727,7 +744,7 @@ class TestProbe:
 def einsum_route_jacobian(prob, theta):
     """An MLP's J by the top-down sweep that starts from an all-ones output
     sensitivity and takes every block's weight columns by einsum."""
-    ws, _, acts = prob._forward(theta)
+    ws, acts = prob._forward(theta)
     n = prob.data.n
     jac, slices = np.empty((n, prob.d)), prob.block_slices()
     d_sens = np.ones((n, 1))
